@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .graphs import Graph
+from .graphs import Graph, WeightedGraph
 from .partition import Clustering, relabel_by_first_occurrence
 
 _TOL = 1e-9
@@ -115,40 +115,7 @@ def _pp_sweeps(g: Graph, comm: np.ndarray, k: int, m: float,
     return comm, objective(m_in, t_in, _occupied(sizes))
 
 
-class _Units:
-    """Aggregated working graph: weighted edges between units plus loops."""
-
-    def __init__(self, indptr, indices, weights, loops, sizes):
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.loops = loops
-        self.sizes = sizes
-        self.n = sizes.shape[0]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_Units":
-        return cls(g.offsets, g.neighbors, np.ones(g.neighbors.shape[0]),
-                   np.zeros(g.n), np.ones(g.n))
-
-    def quotient(self, assignment: np.ndarray) -> "_Units":
-        from scipy import sparse
-
-        k = int(assignment.max()) + 1
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        rows, cols = assignment[src], assignment[self.indices]
-        off = rows != cols
-        adj = sparse.coo_matrix((self.weights[off], (rows[off], cols[off])),
-                                shape=(k, k)).tocsr()
-        adj.sum_duplicates()
-        loops = np.bincount(rows[~off], weights=self.weights[~off], minlength=k) / 2.0
-        loops += np.bincount(assignment, weights=self.loops, minlength=k)
-        sizes = np.bincount(assignment, weights=self.sizes, minlength=k)
-        return _Units(adj.indptr.astype(np.int64), adj.indices.astype(np.int64),
-                      adj.data.astype(np.float64), loops, sizes)
-
-
-def _block_matrices(units: _Units, comm: np.ndarray, k: int):
+def _block_matrices(units: WeightedGraph, comm: np.ndarray, k: int):
     """Edge-weight matrix M and community size vector for a partition."""
     src = np.repeat(np.arange(units.n), np.diff(units.indptr))
     rows, cols = comm[src], comm[units.indices]
@@ -172,7 +139,7 @@ def _block_likelihood(M: np.ndarray, T: np.ndarray) -> float:
     return float(np.triu(b).sum())
 
 
-def _general_fit(units: _Units, k: int, seed, sweeps: int,
+def _general_fit(units: WeightedGraph, k: int, seed, sweeps: int,
                  total_pairs: float) -> tuple[np.ndarray, float]:
     """Greedy sweeps for the full rate-matrix blockmodel on ``units``.
 
@@ -192,8 +159,7 @@ def _general_fit(units: _Units, k: int, seed, sweeps: int,
             a = int(comm[v])
             s_v = units.sizes[v]
             l_v = units.loops[v]
-            nbrs = units.indices[units.indptr[v] : units.indptr[v + 1]]
-            wts = units.weights[units.indptr[v] : units.indptr[v + 1]]
+            nbrs, wts = units.neighbor_data(v)
             w = np.zeros(k)
             np.add.at(w, comm[nbrs], wts)
             # state with v parked outside every community
@@ -240,7 +206,7 @@ def _general_fit(units: _Units, k: int, seed, sweeps: int,
     return comm, float(score)
 
 
-def general_blockmodel_fit(units: _Units, k_max: int, seed,
+def general_blockmodel_fit(units: WeightedGraph, k_max: int, seed,
                            sweeps: int = 30, restarts: int = 5,
                            total_pairs: float | None = None,
                            k_min: int = 1) -> tuple[np.ndarray, float]:
@@ -273,7 +239,7 @@ def hierarchical_fit(g: Graph, seed: int = 0, k_max: int | None = None,
         raise ValueError("empty graph")
     if k_max is None:
         k_max = max(2, min(25, int(round(np.sqrt(g.n)))))
-    units = _Units.from_graph(g)
+    units = WeightedGraph.from_graph(g)
     to_unit = np.arange(g.n, dtype=np.int64)
     total_pairs = g.n * (g.n - 1) / 2.0
     root = np.random.SeedSequence(seed)

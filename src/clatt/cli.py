@@ -234,9 +234,7 @@ def cmd_train(args) -> int:
         )
         for row in rows:
             rows_by_name[row.model] = row
-        for spec in specs:
-            result = tr.train(spec, variant, split, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every)
-            save_checkpoint(out_dir / f"{_safe_name(spec.name)}.ckpt", result.params)
+            save_checkpoint(out_dir / f"{_safe_name(row.model)}.ckpt", row.params)
 
     ordered = [rows_by_name[spec.name] for spec, _ in plans]
     results = out_dir / "results.csv"
@@ -391,7 +389,7 @@ USER_ERRORS = (
     IsADirectoryError,
     PermissionError,
     ValueError,
-    RuntimeError,  # e.g. divergence under a user-chosen learning rate
+    tr.TrainingDiverged,  # e.g. under a user-chosen learning rate
 )
 
 

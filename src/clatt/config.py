@@ -226,6 +226,12 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     if not models_raw:
         _fail("models", "must list at least one model")
     models = tuple(_parse_model(m, f"models[{i}]") for i, m in enumerate(models_raw))
+    first_with = {}
+    for i, spec in enumerate(models):
+        if spec.name in first_with:
+            # results rows and checkpoint files are keyed by model name
+            _fail(f"models[{i}]", f"duplicate model name {spec.name!r}, also models[{first_with[spec.name]}]")
+        first_with[spec.name] = i
     split = _parse_split(raw.get("split", {}), dataset.task)
     clusterings = _parse_clusterings(raw.get("clusterings", {}))
     seeds_raw = _expect(raw.get("seeds", list(range(10))), "seeds", list, "a list")

@@ -1,4 +1,5 @@
-"""Immutable CSR graphs, edge-list ingestion and node feature tables."""
+"""Immutable CSR graphs, the weighted graph clusterers coarsen, edge-list
+ingestion and node feature tables."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.special import ndtri
 
 
@@ -72,6 +74,45 @@ class Graph:
                 raise GraphFormatError(f"neighbors of {i} not strictly sorted")
             if np.any(nb == i):
                 raise GraphFormatError(f"self loop at {i}")
+
+
+class WeightedGraph:
+    """Weighted CSR working graph for coarsening clusterers.
+
+    Each node stands for a set of original nodes: ``sizes`` counts them and
+    ``loops`` holds the edge weight inside the set. ``indptr``/``indices``/
+    ``weights`` hold the weighted edges between nodes, both directions.
+    """
+
+    def __init__(self, indptr, indices, weights, loops, sizes):
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        self.loops = loops
+        self.sizes = sizes
+        self.n = sizes.shape[0]
+
+    @classmethod
+    def from_graph(cls, g: Graph) -> "WeightedGraph":
+        return cls(g.offsets, g.neighbors, np.ones(g.neighbors.shape[0]), np.zeros(g.n), np.ones(g.n))
+
+    def neighbor_data(self, v: int):
+        sl = slice(self.indptr[v], self.indptr[v + 1])
+        return self.indices[sl], self.weights[sl]
+
+    def quotient(self, assignment: np.ndarray) -> "WeightedGraph":
+        """Collapse each group of ``assignment`` (ids 0..k-1) into one node."""
+        k = int(assignment.max()) + 1
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows, cols = assignment[src], assignment[self.indices]
+        off = rows != cols
+        adj = sparse.coo_matrix((self.weights[off], (rows[off], cols[off])), shape=(k, k)).tocsr()
+        adj.sum_duplicates()
+        loops = np.bincount(rows[~off], weights=self.weights[~off], minlength=k) / 2.0
+        loops += np.bincount(assignment, weights=self.loops, minlength=k)
+        sizes = np.bincount(assignment, weights=self.sizes, minlength=k)
+        return WeightedGraph(adj.indptr.astype(np.int64), adj.indices.astype(np.int64),
+                             adj.data.astype(np.float64), loops, sizes)
 
 
 def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy import sparse
 
-from .graphs import Graph
+from .graphs import Graph, WeightedGraph
 from .partition import Clustering, relabel_by_first_occurrence
 
 _EPS = 1e-12
@@ -41,28 +40,7 @@ def cpm_quality(g: Graph, assignment: np.ndarray, gamma: float) -> float:
     return internal - gamma * float((sizes * (sizes - 1)).sum()) / 2.0
 
 
-class _Level:
-    """Weighted working graph for one aggregation level."""
-
-    def __init__(self, indptr, indices, weights, loops, sizes):
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.loops = loops      # internal edge weight per node
-        self.sizes = sizes      # original node count per node
-        self.n = sizes.shape[0]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_Level":
-        return cls(g.offsets.copy(), g.neighbors.copy(),
-                   np.ones(g.neighbors.shape[0]), np.zeros(g.n), np.ones(g.n))
-
-    def neighbor_data(self, v: int):
-        sl = slice(self.indptr[v], self.indptr[v + 1])
-        return self.indices[sl], self.weights[sl]
-
-
-def _local_move(level: _Level, comm: np.ndarray, gamma: float,
+def _local_move(level: WeightedGraph, comm: np.ndarray, gamma: float,
                 rng: np.random.Generator) -> bool:
     """Queue-driven best single-node moves; returns True if anything moved."""
     n = level.n
@@ -116,7 +94,7 @@ def _local_move(level: _Level, comm: np.ndarray, gamma: float,
     return moved_any
 
 
-def _refine(level: _Level, comm: np.ndarray, gamma: float,
+def _refine(level: WeightedGraph, comm: np.ndarray, gamma: float,
             rng: np.random.Generator) -> np.ndarray:
     """Split each community into well-connected sub-communities.
 
@@ -159,26 +137,14 @@ def _refine(level: _Level, comm: np.ndarray, gamma: float,
     return sub
 
 
-def _aggregate(level: _Level, sub: np.ndarray, comm: np.ndarray
-               ) -> tuple[_Level, np.ndarray, np.ndarray]:
+def _aggregate(level: WeightedGraph, sub: np.ndarray, comm: np.ndarray
+               ) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
     """Collapse sub-communities into single nodes; returns the new level,
     the node map old->new, and the inherited community assignment."""
     ids = relabel_by_first_occurrence(sub)
-    k = int(ids.max()) + 1
-    src = np.repeat(np.arange(level.n), np.diff(level.indptr))
-    rows, cols = ids[src], ids[level.indices]
-    off = rows != cols
-    adj = sparse.coo_matrix((level.weights[off], (rows[off], cols[off])),
-                            shape=(k, k)).tocsr()
-    adj.sum_duplicates()
-    loops = np.bincount(rows[~off], weights=level.weights[~off], minlength=k) / 2.0
-    loops += np.bincount(ids, weights=level.loops, minlength=k)
-    sizes = np.bincount(ids, weights=level.sizes, minlength=k)
-    new_level = _Level(adj.indptr.astype(np.int64), adj.indices.astype(np.int64),
-                       adj.data.astype(np.float64), loops, sizes)
-    new_comm = np.zeros(k, dtype=np.int64)
+    new_comm = np.zeros(int(ids.max()) + 1, dtype=np.int64)
     new_comm[ids] = comm  # all members of a sub-community share one community
-    return new_level, ids, new_comm
+    return level.quotient(ids), ids, new_comm
 
 
 def leiden_cpm(g: Graph, gamma: float | None = None, seed: int = 0,
@@ -196,7 +162,7 @@ def leiden_cpm(g: Graph, gamma: float | None = None, seed: int = 0,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     rng = np.random.default_rng(seed)
-    level = _Level.from_graph(g)
+    level = WeightedGraph.from_graph(g)
     to_level = np.arange(g.n, dtype=np.int64)  # original node -> level node
     comm = np.arange(g.n, dtype=np.int64)
     qualities = []

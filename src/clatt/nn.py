@@ -129,6 +129,15 @@ def _qkv(x: T.Tensor, prm: dict, prefix: str):
     return q, k, v
 
 
+def _slotted(t: T.Tensor, table: np.ndarray, heads: int) -> T.Tensor:
+    """Gather rows of t (n, d) into table's slots, split into heads:
+    (rows, heads, slots, d // heads)."""
+    rows, size = table.shape
+    g = T.take_rows(t, table)  # (rows, size, d)
+    g = T.reshape(g, (rows, size, heads, t.data.shape[1] // heads))
+    return T.swap_axes(g, 1, 2)
+
+
 def _check_heads(d: int, heads: int) -> int:
     if heads < 1 or d % heads != 0:
         raise ValueError(f"hidden dim {d} is not divisible by {heads} heads")
@@ -142,24 +151,16 @@ def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, 
     Nodes a clustering leaves unassigned get an exactly-zero block.
     """
     n, d = x.data.shape
-    dh = _check_heads(d, heads)
+    _check_heads(d, heads)
     batches = list(batches)
     param_groups = list(param_groups)
     if len(batches) != len(param_groups):
         raise ValueError(f"{len(batches)} cluster batches but {len(param_groups)} parameter groups")
     outs = []
     for ci, (batch, prm) in enumerate(zip(batches, param_groups)):
-        q = T.linear(x, prm["wq"], prm["bq"])
-        k = T.linear(x, prm["wk"], prm["bk"])
-        v = T.linear(x, prm["wv"], prm["bv"])
         num, size = batch.index_table.shape
-
-        def slotted(t):
-            g = T.take_rows(t, batch.index_table)  # (num, size, d)
-            g = T.reshape(g, (num, size, heads, dh))
-            return T.swap_axes(g, 1, 2)  # (num, heads, size, dh)
-
-        p, ctx = _attend(slotted(q), slotted(k), slotted(v), batch.mask[:, None, None, :])
+        q, k, v = (_slotted(t, batch.index_table, heads) for t in _qkv(x, prm, ""))
+        p, ctx = _attend(q, k, v, batch.mask[:, None, None, :])
         y = T.reshape(T.swap_axes(ctx, 1, 2), (num * size, d))
         outs.append(T.spmm(batch.scatter, y))
         if capture is not None:
@@ -231,16 +232,9 @@ def local_attention_conv(x, table, mask, prm, heads: int, capture=None, layer=No
     """Attention of each node over its neighborhood plus itself."""
     n, d = x.data.shape
     dh = _check_heads(d, heads)
-    size = table.shape[1]
     q, k, v = _qkv(x, prm, "")
     q4 = T.reshape(q, (n, heads, 1, dh))
-
-    def slotted(t):
-        g = T.take_rows(t, table)
-        g = T.reshape(g, (n, size, heads, dh))
-        return T.swap_axes(g, 1, 2)
-
-    p, ctx = _attend(q4, slotted(k), slotted(v), mask[:, None, None, :])
+    p, ctx = _attend(q4, _slotted(k, table, heads), _slotted(v, table, heads), mask[:, None, None, :])
     if capture is not None:
         capture.append(
             {

@@ -24,6 +24,7 @@ __all__ = [
     "r_squared",
     "TrainData",
     "TrainResult",
+    "TrainingDiverged",
     "train",
     "predict",
     "metric_name_for",
@@ -204,6 +205,77 @@ def _metric_from_logits(logits: np.ndarray, data: TrainData, idx, target_scale=N
     return r_squared(pred, data.targets, idx)
 
 
+class TrainingDiverged(RuntimeError):
+    """The training loss became non-finite, e.g. under too large a learning rate."""
+
+
+def _fit(
+    params: dict,
+    forward,
+    data: TrainData,
+    split: Split,
+    lr: float,
+    steps: int,
+    eval_every: int,
+    scale_targets: bool = True,
+):
+    """Full-batch Adam on ``forward(training) -> logits`` with best-validation
+    checkpoint selection; the best parameters are restored in place.
+
+    Returns (best_step, best_val, best_snapshot, history, metric), where
+    ``metric(idx)`` scores the current parameters on the nodes ``idx``.
+    """
+    target_scale = None
+    loss_targets = data.targets
+    if data.task == "regression" and scale_targets:
+        t_train = data.targets[split.train].astype(np.float64)
+        shift = float(t_train.mean())
+        scale = max(float(t_train.std()), 1e-12)
+        target_scale = (shift, scale)
+        loss_targets = (data.targets - shift) / scale
+
+    def loss_fn() -> T.Tensor:
+        logits = forward(True)
+        if data.task == "multiclass":
+            return T.softmax_cross_entropy(logits, data.targets, split.train)
+        if data.task == "binary":
+            return T.binary_cross_entropy_with_logits(
+                T.reshape(logits, (data.g.n,)), loss_targets.astype(np.float64), split.train
+            )
+        return T.mse(T.reshape(logits, (data.g.n,)), loss_targets, split.train)
+
+    def metric(idx) -> float:
+        with T.no_grad():
+            logits = forward(False).data
+        return _metric_from_logits(logits, data, idx, target_scale)
+
+    plist = list(params.values())
+    state = T.adam_init(plist)
+    best_val = -math.inf
+    best_step = 0
+    best_snapshot = {k: v.data.copy() for k, v in params.items()}
+    history = []
+    for step in range(1, steps + 1):
+        T.zero_grad(plist)
+        loss = loss_fn()
+        value = loss.item()
+        if not math.isfinite(value):
+            raise TrainingDiverged(f"training diverged at step {step} (loss {value})")
+        T.backward(loss)
+        T.adam_step(plist, state, lr=lr)
+        if step % eval_every == 0 or step == steps:
+            val = metric(split.val)
+            history.append({"step": step, "train_loss": value, "val_metric": val})
+            if val > best_val:
+                best_val = val
+                best_step = step
+                best_snapshot = {k: v.data.copy() for k, v in params.items()}
+
+    for k, p in params.items():
+        p.data[...] = best_snapshot[k]
+    return best_step, best_val, best_snapshot, history, metric
+
+
 def train(
     spec: nn.ModelSpec,
     data: TrainData,
@@ -215,8 +287,8 @@ def train(
 ) -> TrainResult:
     """Full-batch Adam with best-validation-checkpoint selection.
 
-    Deterministic per (spec, data, split, seed). Raises on a non-finite
-    loss, naming the step.
+    Deterministic per (spec, data, split, seed). Raises TrainingDiverged on
+    a non-finite loss, naming the step.
     """
     data.validate()
     spec.validate()
@@ -225,57 +297,15 @@ def train(
     inp = nn.prepare_inputs(data.g, data.features, spec, data.clusterings, data.pe)
     dropout_rng = np.random.default_rng([seed, 1])
 
-    target_scale = None
-    loss_targets = data.targets
-    if data.task == "regression" and scale_targets:
-        t_train = data.targets[split.train].astype(np.float64)
-        shift = float(t_train.mean())
-        scale = max(float(t_train.std()), 1e-12)
-        target_scale = (shift, scale)
-        loss_targets = (data.targets - shift) / scale
+    def forward(training: bool) -> T.Tensor:
+        return nn.model_forward(spec, params, inp, training=training, dropout_rng=dropout_rng)
 
-    def loss_fn(training: bool) -> T.Tensor:
-        logits = nn.model_forward(spec, params, inp, training=training, dropout_rng=dropout_rng)
-        if data.task == "multiclass":
-            return T.softmax_cross_entropy(logits, data.targets, split.train)
-        if data.task == "binary":
-            return T.binary_cross_entropy_with_logits(
-                T.reshape(logits, (data.g.n,)), loss_targets.astype(np.float64), split.train
-            )
-        return T.mse(T.reshape(logits, (data.g.n,)), loss_targets, split.train)
-
-    def eval_metric(idx) -> float:
-        with T.no_grad():
-            logits = nn.model_forward(spec, params, inp, training=False).data
-        return _metric_from_logits(logits, data, idx, target_scale)
-
-    plist = list(params.values())
-    state = T.adam_init(plist)
-    best_val = -math.inf
-    best_step = 0
-    best_snapshot = {k: v.data.copy() for k, v in params.items()}
-    history = []
-    for step in range(1, steps + 1):
-        T.zero_grad(plist)
-        loss = loss_fn(training=True)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise RuntimeError(f"training diverged at step {step} (loss {value})")
-        T.backward(loss)
-        T.adam_step(plist, state, lr=spec.lr)
-        if step % eval_every == 0 or step == steps:
-            val = eval_metric(split.val)
-            history.append({"step": step, "train_loss": value, "val_metric": val})
-            if val > best_val:
-                best_val = val
-                best_step = step
-                best_snapshot = {k: v.data.copy() for k, v in params.items()}
-
-    for k, p in params.items():
-        p.data[...] = best_snapshot[k]
-    test_metric = eval_metric(split.test)
+    best_step, best_val, best_snapshot, history, metric = _fit(
+        params, forward, data, split, spec.lr, steps, eval_every, scale_targets
+    )
+    test_metric = metric(split.test)
     if best_val == -math.inf:  # steps == 0
-        best_val = eval_metric(split.val)
+        best_val = metric(split.val)
     return TrainResult(spec, seed, best_snapshot, best_step, best_val, test_metric, history)
 
 
@@ -376,11 +406,15 @@ class ResultRow:
     std: float
     values: list
     significant: bool | None = None
+    # best parameters of the first seed's run, what `clatt train` checkpoints
+    params: dict | None = field(default=None, compare=False, repr=False)
 
 
 def _run_one(args):
-    spec, data, split, seed, steps, eval_every = args
-    return train(spec, data, split, seed=seed, steps=steps, eval_every=eval_every).test_metric
+    """Test metric of one (spec, seed) run, plus its best params if asked."""
+    spec, data, split, seed, steps, eval_every, keep_params = args
+    result = train(spec, data, split, seed=seed, steps=steps, eval_every=eval_every)
+    return result.test_metric, result.params if keep_params else None
 
 
 def run_experiment(
@@ -396,13 +430,14 @@ def run_experiment(
 
     A CLATT spec is paired with the plain spec of the same conv type (if
     present); the flag is a two-sided Welch t-test over seed-level test
-    metrics at alpha 0.05. Standard deviations use ddof=1.
+    metrics at alpha 0.05. Standard deviations use ddof=1. Each row keeps
+    the best params of its ``seeds[0]`` run and of no other seed.
     """
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise ValueError("run_experiment needs at least 2 seeds")
     specs = list(specs)
-    tasks = [(spec, data, split, seed, steps, eval_every) for spec in specs for seed in seeds]
+    tasks = [(spec, data, split, seed, steps, eval_every, j == 0) for spec in specs for j, seed in enumerate(seeds)]
     if jobs > 1:
         import multiprocessing as mp
 
@@ -412,7 +447,7 @@ def run_experiment(
         flat = [_run_one(t) for t in tasks]
     values = {}
     for i, spec in enumerate(specs):
-        values[i] = flat[i * len(seeds) : (i + 1) * len(seeds)]
+        values[i] = [m for m, _ in flat[i * len(seeds) : (i + 1) * len(seeds)]]
     metric = metric_name_for(data.task)
     rows = []
     for i, spec in enumerate(specs):
@@ -422,7 +457,10 @@ def run_experiment(
             base_idx = [j for j, s in enumerate(specs) if s.conv_type == spec.conv_type and not s.use_clatt]
             if base_idx:
                 sig, _ = welch_test(vals, values[base_idx[0]])
-        rows.append(ResultRow(spec.name, metric, float(np.mean(vals)), float(np.std(vals, ddof=1)), list(vals), sig))
+        first_params = flat[i * len(seeds)][1]
+        rows.append(
+            ResultRow(spec.name, metric, float(np.mean(vals)), float(np.std(vals, ddof=1)), list(vals), sig, first_params)
+        )
     return rows
 
 
@@ -442,13 +480,11 @@ def render_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _resmlp_forward(params: dict, x: T.Tensor, layers: int, training=False, dropout=0.0, rng=None):
+def _resmlp_forward(params: dict, x: T.Tensor, layers: int):
     h = T.linear(x, params["enc.w"], params["enc.b"])
     for i in range(layers):
         z = T.layer_norm(h, params[f"block{i}.norm.g"], params[f"block{i}.norm.b"])
         m = T.linear(T.gelu(T.linear(z, params[f"block{i}.w1"], params[f"block{i}.b1"])), params[f"block{i}.w2"], params[f"block{i}.b2"])
-        if training and dropout > 0.0:
-            m = T.dropout(m, dropout, rng)
         h = T.add(h, m)
     hidden = T.layer_norm(h, params["final_norm.g"], params["final_norm.b"])
     return hidden, T.linear(hidden, params["head.w"], params["head.b"])
@@ -493,44 +529,7 @@ def resmlp_representations(
     params["head.b"] = T.Tensor(np.zeros(out_dim), requires_grad=True)
 
     x = data.features.astype(np.float64)
-    target_scale = None
-    loss_targets = data.targets
-    if data.task == "regression":
-        t_train = data.targets[split.train].astype(np.float64)
-        target_scale = (float(t_train.mean()), max(float(t_train.std()), 1e-12))
-        loss_targets = (data.targets - target_scale[0]) / target_scale[1]
-
-    def loss_fn():
-        _, logits = _resmlp_forward(params, T.Tensor(x), layers)
-        if data.task == "multiclass":
-            return T.softmax_cross_entropy(logits, data.targets, split.train)
-        if data.task == "binary":
-            return T.binary_cross_entropy_with_logits(T.reshape(logits, (data.g.n,)), loss_targets.astype(np.float64), split.train)
-        return T.mse(T.reshape(logits, (data.g.n,)), loss_targets, split.train)
-
-    def val_metric():
-        with T.no_grad():
-            _, logits = _resmlp_forward(params, T.Tensor(x), layers)
-        return _metric_from_logits(logits.data, data, split.val, target_scale)
-
-    plist = list(params.values())
-    state = T.adam_init(plist)
-    best_val = -math.inf
-    best_snapshot = {k: v.data.copy() for k, v in params.items()}
-    for step in range(1, steps + 1):
-        T.zero_grad(plist)
-        loss = loss_fn()
-        if not math.isfinite(loss.item()):
-            raise RuntimeError(f"auxiliary model diverged at step {step}")
-        T.backward(loss)
-        T.adam_step(plist, state, lr=lr)
-        if step % eval_every == 0 or step == steps:
-            val = val_metric()
-            if val > best_val:
-                best_val = val
-                best_snapshot = {k: v.data.copy() for k, v in params.items()}
-    for k, p in params.items():
-        p.data[...] = best_snapshot[k]
+    _fit(params, lambda training: _resmlp_forward(params, T.Tensor(x), layers)[1], data, split, lr, steps, eval_every)
     with T.no_grad():
         reps, _ = _resmlp_forward(params, T.Tensor(x), layers)
     return reps.data

@@ -8,7 +8,9 @@ import pytest
 
 from clatt import cli
 from clatt import config as cf
-from clatt.checkpoint import load_checkpoint
+from clatt import tensor
+from clatt import training as tr
+from clatt.checkpoint import load_checkpoint, save_checkpoint
 from clatt.partition import load_clustering
 from clatt.synthetic import bridge_of_cliques, noisy_onehot_features, sbm_graph
 
@@ -198,6 +200,15 @@ class TestConfig:
             with pytest.raises(cf.ConfigError, match=pattern):
                 cf.load_config(path)
 
+    def test_duplicate_model_names(self, tmp_path, capsys):
+        gcn = {"conv_type": "GCN", "layers": 1, "hidden": 8}
+        path = base_config(tmp_path, models=[{**gcn, "lr": 1e-3}, {**gcn, "lr": 3e-3}])
+        with pytest.raises(cf.ConfigError, match=r"models\[1\]: duplicate model name 'GCN', also models\[0\]"):
+            cf.load_config(path)
+        assert cli.main(["train", str(path)]) == 2
+        assert "models[1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_regression_needs_unstratified(self, tmp_path):
         path = base_config(
             tmp_path,
@@ -254,6 +265,22 @@ class TestTrainCommand:
         first = (tmp_path / "out" / "results.csv").read_bytes()
         assert cli.main(["train", str(path)]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_checkpoints_are_first_seed_runs(self, tmp_path, jobs):
+        path = base_config(tmp_path, seeds=[3, 1])
+        assert cli.main(["train", str(path), "--jobs", jobs]) == 0
+        # an independent run of the first seed, on the same data and split
+        cfg = cf.load_config(path)
+        data = cli._dataset_for_training(cfg)
+        split = cli._split_for(cfg, data)
+        cli._build_clusterings(cfg, data, split, cfg.needed_tags())
+        for spec in cfg.models:
+            result = tr.train(spec, data, split, seed=3, steps=cfg.steps, eval_every=cfg.eval_every)
+            ref = tmp_path / "ref.ckpt"
+            save_checkpoint(ref, result.params)
+            name = cli._safe_name(spec.name)
+            assert (tmp_path / "out" / f"{name}.ckpt").read_bytes() == ref.read_bytes()
 
     def test_set_override_changes_run(self, tmp_path):
         path = base_config(tmp_path)
@@ -355,6 +382,15 @@ class TestExitCodes:
         rc = cli.main(["stats", triangle_edges(tmp_path)])
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_stray_runtime_error_in_train_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken_backward(loss):
+            raise RuntimeError("backward was already called on this tape")
+
+        monkeypatch.setattr(tensor, "backward", broken_backward)
+        rc = cli.main(["train", str(base_config(tmp_path))])
+        assert rc == 3
+        assert "internal error: RuntimeError" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

@@ -213,6 +213,37 @@ class TestHierarchical:
         assert correlation_coefficient(c.assignment, planted) >= 0.9
 
 
+class TestRecordedAssignments:
+    """Golden fixed-seed LA/BPP/H1 assignments: a rewrite of the clustering
+    or coarsening code must reproduce them exactly."""
+
+    @staticmethod
+    def digits(c):
+        return "".join(map(str, c.assignment.tolist()))
+
+    def test_leiden(self):
+        g, _ = sbm_graph([10, 14, 8, 16], 0.3, 0.05, seed=11)
+        a = leiden_cpm(g, seed=0)
+        assert self.digits(a) == "000012320224444454444444052202551111111131131111"
+        assert len(a.params["pass_qualities"]) == 3  # two aggregation steps
+        assert self.digits(leiden_cpm(g, seed=1)) == "011220230034344433444444150010113555555555525555"
+
+    def test_planted_partition(self):
+        g, _ = sbm_graph([10, 14, 8, 16], 0.3, 0.05, seed=11)
+        c = planted_partition_fit(g, k_max=6, seed=0, restarts=2)
+        assert self.digits(c) == "000010100022222222222222000000001111111111111111"
+
+    def test_hierarchical(self):
+        g, _ = sbm_graph([10, 14, 8, 16], 0.3, 0.05, seed=11)
+        c = hierarchical_fit(g, k_max=6, seed=0, restarts=2)
+        assert self.digits(c) == "000000010011111111111111000000000000000000000000"
+        assert c.params["levels"] == [2, 2]
+        g, _ = sbm_graph([8] * 6, 0.6, 0.05, seed=5)
+        c = hierarchical_fit(g, k_max=6, seed=0, restarts=2)
+        assert self.digits(c) == "000000001111111111111111111111110000000000000000"
+        assert c.params["levels"] == [5, 2, 2]  # two quotients, the second with loops
+
+
 class TestKmeans:
     def test_two_tight_groups(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])

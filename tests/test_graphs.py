@@ -9,6 +9,7 @@ from clatt.graphs import (
     GraphFormatError,
     NodeData,
     TableSchema,
+    WeightedGraph,
     from_edges,
     load_edge_list,
     load_node_table,
@@ -54,6 +55,32 @@ class TestFromEdges:
         for i in range(g.n):
             for j in g.neighbors_of(i):
                 assert i in g.neighbors_of(int(j))
+
+
+class TestWeightedGraph:
+    @staticmethod
+    def totals(wg):
+        """(edge weight between nodes counted once + loop weight, total size)."""
+        return float(wg.weights.sum()) / 2.0 + float(wg.loops.sum()), float(wg.sizes.sum())
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+        st.lists(st.integers(0, 4), min_size=12, max_size=12),
+        st.lists(st.integers(0, 2), min_size=5, max_size=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_preserves_edge_weight_and_size(self, pairs, first, second):
+        src, dst = zip(*pairs) if pairs else ([], [])
+        g = from_edges(list(src), list(dst), n=12)
+        wg = WeightedGraph.from_graph(g)
+        assert self.totals(wg) == (g.m, g.n)
+        coarse = wg.quotient(np.array(first))
+        assert coarse.n == max(first) + 1
+        assert self.totals(coarse) == (g.m, g.n)
+        # a second level carries the first level's loops and sizes along
+        coarser = coarse.quotient(np.array(second)[: coarse.n])
+        assert self.totals(coarser) == (g.m, g.n)
+        assert np.all(coarser.indices != np.repeat(np.arange(coarser.n), np.diff(coarser.indptr)))
 
 
 class TestLoadEdgeList:

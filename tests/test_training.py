@@ -237,7 +237,7 @@ class TestTrain:
         targets[0] = 0.0  # keep variance finite
         data = tr.TrainData(g, x, targets, "regression")
         split = tr.make_split(np.zeros(20, dtype=int), ratios=(0.5, 0.25, 0.25), seed=0)
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="diverged at step 1"):
+        with np.errstate(over="ignore"), pytest.raises(tr.TrainingDiverged, match="diverged at step 1"):
             tr.train(small_spec(), data, split, steps=5, scale_targets=False)
 
     def test_regression_with_target_scaling(self):
@@ -409,6 +409,13 @@ class TestRunExperiment:
         a = tr.run_experiment(self.data, self.specs[:1], self.split, seeds=(0, 1), steps=20)
         b = tr.run_experiment(self.data, self.specs[:1], self.split, seeds=(0, 1), steps=20, jobs=2)
         assert [r.values for r in a] == [r.values for r in b]
+
+    def test_rows_keep_first_seed_params(self):
+        rows = tr.run_experiment(self.data, self.specs, self.split, seeds=(1, 0), steps=20)
+        for row, spec in zip(rows, self.specs):
+            ref = tr.train(spec, self.data, self.split, seed=1, steps=20).params
+            assert sorted(row.params) == sorted(ref)
+            assert all(np.array_equal(row.params[k], ref[k]) for k in ref)
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="at least 2 seeds"):
