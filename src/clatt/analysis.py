@@ -93,9 +93,11 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     """Reduce captured attention records to per-node average distances.
 
     ``records`` is the capture list produced by the forward pass: one
-    record per attention site holding the probability tensor plus, for
-    cluster and local attention, the slot table and validity mask.
-    Padding slots carry no mass and are excluded outright; nodes not
+    record per attention site (per size class for cluster and local
+    attention) holding the probability tensor plus, for cluster and local
+    attention, the slot table and validity mask. Local records may name
+    the attending node of each row in ``nodes``; without it, row i is
+    node i. Padding slots carry no mass and are excluded outright; nodes not
     assigned to any cluster yield no cluster entries.
     """
     dmat = _DistCache(g)
@@ -120,13 +122,14 @@ def attention_distance_profile(records, g) -> AttentionProfile:
                         entries.append(AttentionEntry(int(i), layer, h, "cluster", tag, avg))
         elif kind == "local":
             table, mask = rec["index_table"], rec["mask"]
-            n, heads = probs.shape[0], probs.shape[1]
-            for i in range(n):
-                valid = mask[i]
-                nodes = table[i, valid]
+            heads = probs.shape[1]
+            for r, i in enumerate(rec.get("nodes", range(probs.shape[0]))):
+                i = int(i)
+                valid = mask[r]
+                nodes = table[r, valid]
                 drow = dmat[i]
                 for h in range(heads):
-                    avg, dropped = _entry_values(drow, nodes, probs[i, h, valid])
+                    avg, dropped = _entry_values(drow, nodes, probs[r, h, valid])
                     unreachable += dropped
                     entries.append(AttentionEntry(i, layer, h, "local", None, avg))
         elif kind == "global":

@@ -3,11 +3,15 @@
 Everything here is a pure function over a flat dict of named parameter
 Tensors, so checkpointing and the optimizer stay trivial. The attention
 kernel is shared: cluster attention, the neighborhood transformer and
-the global transformer all go through _attend.
+the global transformer all go through _attend. Cluster and neighborhood
+attention run it once per size class of their padded slot layout, so a
+small cluster or a low-degree node is padded only to the widest row of
+its class, not to the widest row overall.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,12 +28,14 @@ __all__ = [
     "ClusterBatch",
     "ModelSpec",
     "ModelInputs",
+    "SlotClass",
     "build_cluster_batch",
     "clatt_forward",
     "fuse",
     "gcn_matrix",
     "mean_matrix",
     "neighborhood_table",
+    "neighborhood_classes",
     "gcn_conv",
     "sage_conv",
     "local_attention_conv",
@@ -43,7 +49,39 @@ CONV_TYPES = ("GCN", "SAGE", "LGT", "GGT")
 PE_KINDS = ("none", "deepwalk", "laplacian")
 
 GLOBAL_ATTENTION_MAX_NODES = 20_000
+NEIGHBORHOOD_TABLE_MAX_SLOTS = 50_000_000
 MAX_CLUSTER_SLOTS = 512
+
+
+@dataclass(frozen=True)
+class SlotClass:
+    """The rows of a padded slot layout that fall in one size class.
+
+    table and mask are those rows cut to the width of the class's widest
+    row. scatter maps the class's outputs onto the n nodes: one column per
+    flattened (row, slot) for cluster attention, one per row for
+    neighborhood attention.
+    """
+
+    rows: np.ndarray
+    table: np.ndarray
+    mask: np.ndarray
+    scatter: sp.csr_matrix
+
+
+def _size_classes(table: np.ndarray, mask: np.ndarray):
+    """Yield (rows, table, mask) per power-of-two size class.
+
+    A row's extent is one past its last live slot; rows with extents in
+    (2^(k-1), 2^k] share class k, which is as wide as its widest row.
+    """
+    width = mask.shape[1]
+    extent = np.where(mask.any(axis=1), width - np.argmax(mask[:, ::-1], axis=1), 0)
+    key = np.frexp(np.maximum(extent - 1, 0))[1]
+    for k in np.unique(key):
+        rows = np.nonzero(key == k)[0]
+        w = int(extent[rows].max())
+        yield rows, table[rows, :w], mask[rows, :w]
 
 
 @dataclass
@@ -52,7 +90,8 @@ class ClusterBatch:
 
     index_table[r, s] is a node id when mask[r, s] is True and a dummy 0
     otherwise. scatter maps flattened (row, slot) outputs back onto the
-    n nodes; unassigned nodes receive all-zero rows.
+    n nodes; unassigned nodes receive all-zero rows. classes splits the
+    rows by size (see SlotClass), derived from the fields above.
     """
 
     index_table: np.ndarray
@@ -61,6 +100,14 @@ class ClusterBatch:
     row_of: np.ndarray
     slot_of: np.ndarray
     n: int
+    classes: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = self.index_table.shape[1]
+        self.classes = []
+        for rows, table, mask in _size_classes(self.index_table, self.mask):
+            cols = (rows[:, None] * size + np.arange(table.shape[1])).ravel()
+            self.classes.append(SlotClass(rows, table, mask, self.scatter[:, cols].tocsr()))
 
     @property
     def num_clusters(self) -> int:
@@ -116,7 +163,7 @@ def _attend(q: T.Tensor, k: T.Tensor, v: T.Tensor, key_mask: np.ndarray):
     tensor (..., Sq, S) and the context (..., Sq, dh).
     """
     dh = q.data.shape[-1]
-    logits = T.scale(T.matmul(q, T.swap_axes(k, -1, -2)), 1.0 / math.sqrt(dh))
+    logits = T.matmul(T.scale(q, 1.0 / math.sqrt(dh)), T.swap_axes(k, -1, -2))
     mask = np.broadcast_to(key_mask, logits.data.shape)
     p = T.masked_softmax(logits, mask)
     return p, T.matmul(p, v)
@@ -158,22 +205,24 @@ def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, 
         raise ValueError(f"{len(batches)} cluster batches but {len(param_groups)} parameter groups")
     outs = []
     for ci, (batch, prm) in enumerate(zip(batches, param_groups)):
-        num, size = batch.index_table.shape
-        q, k, v = (_slotted(t, batch.index_table, heads) for t in _qkv(x, prm, ""))
-        p, ctx = _attend(q, k, v, batch.mask[:, None, None, :])
-        y = T.reshape(T.swap_axes(ctx, 1, 2), (num * size, d))
-        outs.append(T.spmm(batch.scatter, y))
-        if capture is not None:
-            capture.append(
-                {
-                    "kind": "cluster",
-                    "layer": layer,
-                    "clustering": tags[ci] if tags else None,
-                    "probs": p.data,
-                    "index_table": batch.index_table,
-                    "mask": batch.mask,
-                }
-            )
+        qkv = _qkv(x, prm, "")
+        ys = []
+        for cls in batch.classes:
+            num, size = cls.table.shape
+            p, ctx = _attend(*(_slotted(t, cls.table, heads) for t in qkv), cls.mask[:, None, None, :])
+            ys.append(T.spmm(cls.scatter, T.reshape(T.swap_axes(ctx, 1, 2), (num * size, d))))
+            if capture is not None:
+                capture.append(
+                    {
+                        "kind": "cluster",
+                        "layer": layer,
+                        "clustering": tags[ci] if tags else None,
+                        "probs": p.data,
+                        "index_table": cls.table,
+                        "mask": cls.mask,
+                    }
+                )
+        outs.append(functools.reduce(T.add, ys))
     return T.concat_last_dim(outs)
 
 
@@ -204,13 +253,18 @@ def mean_matrix(g) -> sp.csr_matrix:
 def neighborhood_table(g):
     """(n, max_deg+1) node-id table over N(i) and i, with validity mask."""
     n = g.n
+    counts = g.degrees + 1
+    size = int(counts.max())
+    if n * size > NEIGHBORHOOD_TABLE_MAX_SLOTS:
+        raise ValueError(
+            f"neighborhood attention pads every node to max degree + 1: an {n} x {size} table "
+            f"({n * size} slots) exceeds the desk-scale limit of {NEIGHBORHOOD_TABLE_MAX_SLOTS} slots"
+        )
     ids = np.concatenate([np.repeat(np.arange(n), g.degrees), np.arange(n)])
     vals = np.concatenate([g.neighbors, np.arange(n)])
     order = np.lexsort((vals, ids))
     ids = ids[order]
     vals = vals[order]
-    counts = g.degrees + 1
-    size = int(counts.max())
     starts = np.concatenate(([0], np.cumsum(counts)))
     slots = np.arange(ids.size) - starts[ids]
     table = np.zeros((n, size), dtype=np.int64)
@@ -218,6 +272,15 @@ def neighborhood_table(g):
     table[ids, slots] = vals
     mask[ids, slots] = True
     return table, mask
+
+
+def neighborhood_classes(table: np.ndarray, mask: np.ndarray) -> list[SlotClass]:
+    """Size classes of a neighborhood table; row i is node i's neighborhood."""
+    n = table.shape[0]
+    return [
+        SlotClass(rows, t, m, sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(n, rows.size)))
+        for rows, t, m in _size_classes(table, mask)
+    ]
 
 
 def gcn_conv(x: T.Tensor, adj_norm, w: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -228,25 +291,36 @@ def sage_conv(x: T.Tensor, mean_mat, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T.linear(T.concat_last_dim([x, T.spmm(mean_mat, x)]), w, b)
 
 
-def local_attention_conv(x, table, mask, prm, heads: int, capture=None, layer=None) -> T.Tensor:
-    """Attention of each node over its neighborhood plus itself."""
-    n, d = x.data.shape
+def local_attention_conv(x, table, mask, prm, heads: int, capture=None, layer=None, classes=None) -> T.Tensor:
+    """Attention of each node over its neighborhood plus itself.
+
+    classes is neighborhood_classes(table, mask), derived here when not given.
+    Capture records carry "nodes", the attending node of each record row.
+    """
+    d = x.data.shape[1]
     dh = _check_heads(d, heads)
     q, k, v = _qkv(x, prm, "")
-    q4 = T.reshape(q, (n, heads, 1, dh))
-    p, ctx = _attend(q4, _slotted(k, table, heads), _slotted(v, table, heads), mask[:, None, None, :])
-    if capture is not None:
-        capture.append(
-            {
-                "kind": "local",
-                "layer": layer,
-                "clustering": None,
-                "probs": p.data[:, :, 0, :],
-                "index_table": table,
-                "mask": mask,
-            }
-        )
-    return T.reshape(ctx, (n, d))
+    if classes is None:
+        classes = neighborhood_classes(table, mask)
+    ys = []
+    for cls in classes:
+        rows = cls.rows.size
+        q4 = T.reshape(T.take_rows(q, cls.rows), (rows, heads, 1, dh))
+        p, ctx = _attend(q4, _slotted(k, cls.table, heads), _slotted(v, cls.table, heads), cls.mask[:, None, None, :])
+        ys.append(T.spmm(cls.scatter, T.reshape(ctx, (rows, d))))
+        if capture is not None:
+            capture.append(
+                {
+                    "kind": "local",
+                    "layer": layer,
+                    "clustering": None,
+                    "probs": p.data[:, :, 0, :],
+                    "index_table": cls.table,
+                    "mask": cls.mask,
+                    "nodes": cls.rows,
+                }
+            )
+    return functools.reduce(T.add, ys)
 
 
 def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
@@ -418,6 +492,7 @@ class ModelInputs:
     mean_mat: sp.csr_matrix | None = None
     nbr_table: np.ndarray | None = None
     nbr_mask: np.ndarray | None = None
+    nbr_classes: list | None = None
     pe: np.ndarray | None = None
     batches: list = field(default_factory=list)
     tags: tuple = ()
@@ -436,6 +511,7 @@ def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict |
         inp.mean_mat = mean_matrix(g)
     elif spec.conv_type == "LGT":
         inp.nbr_table, inp.nbr_mask = neighborhood_table(g)
+        inp.nbr_classes = neighborhood_classes(inp.nbr_table, inp.nbr_mask)
     else:
         if pe is None:
             raise ValueError("GGT requires a positional encoding array")
@@ -484,7 +560,8 @@ def model_forward(
             mix = sage_conv(z, inp.mean_mat, params[lp + ".conv.w"], params[lp + ".conv.b"])
         elif spec.conv_type == "LGT":
             mix = local_attention_conv(
-                z, inp.nbr_table, inp.nbr_mask, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
+                z, inp.nbr_table, inp.nbr_mask, _layer_prm(params, lp + ".conv."), spec.heads,
+                capture=capture, layer=i, classes=inp.nbr_classes,
             )
         else:
             mix = global_attention(z, pe_t, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i)

@@ -2,8 +2,10 @@
 
 Deliberately small: just the ops the attention and message-passing stack
 needs. Every op records its output on an implicit tape; backward() walks
-that tape once in reverse execution order. Double precision is the
-default; float32 inputs are kept as float32.
+that tape once in reverse execution order. The first recorded op after a
+backward() starts a new tape and cuts the consumed one, so a step's
+activations are freed as soon as the next step's forward pass begins.
+Double precision is the default; float32 inputs are kept as float32.
 """
 
 from __future__ import annotations
@@ -93,6 +95,18 @@ class Tape:
         self.nodes: list[Tensor] = []
         self.consumed = False
 
+    def release(self) -> None:
+        """Drop the graph of a consumed tape: its outputs become constants.
+
+        Each node points at its tape and the tape lists every node, so
+        without this cut a tape lives until the cyclic collector runs.
+        """
+        for node in self.nodes:
+            node._parents = ()
+            node._backward = None
+            node.requires_grad = False
+        self.nodes.clear()
+
 
 _ACTIVE_TAPE: Tape | None = None
 _GRAD_ENABLED = True
@@ -124,6 +138,8 @@ def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         out._parents = parents
         out._backward = backward_fn
         if _ACTIVE_TAPE is None or _ACTIVE_TAPE.consumed:
+            if _ACTIVE_TAPE is not None:
+                _ACTIVE_TAPE.release()
             _ACTIVE_TAPE = Tape()
         _ACTIVE_TAPE.nodes.append(out)
         out._tape = _ACTIVE_TAPE

@@ -276,13 +276,14 @@ def test_criterion_4_mask_invariants():
 
         capture = []
         out = nn.clatt_forward(T.Tensor(x), [batch], [prm], heads, capture=capture, tags=("LA",), layer=0).data
-        probs = capture[0]["probs"]
-        mask = capture[0]["mask"]
-        for r in range(mask.shape[0]):
-            assert np.all(probs[r][:, :, ~mask[r]] == 0.0)
-            if mask[r].any():
-                sums = probs[r][:, mask[r], :].sum(axis=-1)
-                worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
+        # one record per size class of the cluster table
+        for rec in capture:
+            probs, mask = rec["probs"], rec["mask"]
+            for r in range(mask.shape[0]):
+                assert np.all(probs[r][:, :, ~mask[r]] == 0.0)
+                if mask[r].any():
+                    sums = probs[r][:, mask[r], :].sum(axis=-1)
+                    worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
 
         unassigned = np.nonzero(a < 0)[0]
         assert np.all(out[unassigned] == 0.0)

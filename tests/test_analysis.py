@@ -89,16 +89,16 @@ class TestProfile:
         records = cluster_records(g, assignment)
         profile = an.attention_distance_profile(records, g)
         dists = sp_distances(g)
-        rec = records[0]
-        table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
         expect = {}
-        for r in range(table.shape[0]):
-            slots = np.nonzero(mask[r])[0]
-            nodes = table[r, slots]
-            for qi, i in enumerate(nodes):
-                for h in range(probs.shape[1]):
-                    p = probs[r, h, slots[qi], slots]
-                    expect[(int(i), h)] = float((p * dists[i, nodes]).sum() / p.sum())
+        for rec in records:
+            table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
+            for r in range(table.shape[0]):
+                slots = np.nonzero(mask[r])[0]
+                nodes = table[r, slots]
+                for qi, i in enumerate(nodes):
+                    for h in range(probs.shape[1]):
+                        p = probs[r, h, slots[qi], slots]
+                        expect[(int(i), h)] = float((p * dists[i, nodes]).sum() / p.sum())
         assert len(profile.entries) == len(expect)
         for e in profile.entries:
             assert abs(e.avg_distance - expect[(e.node, e.head)]) < 1e-12

@@ -8,6 +8,7 @@ import pytest
 
 from clatt import cli
 from clatt import config as cf
+from clatt import nn
 from clatt import tensor
 from clatt import training as tr
 from clatt.checkpoint import load_checkpoint, save_checkpoint
@@ -300,6 +301,12 @@ class TestTrainCommand:
             rc = cli.main(["train", str(path)])
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
+
+    def test_lgt_table_over_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 10)
+        path = base_config(tmp_path, models=[{"conv_type": "LGT", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}])
+        assert cli.main(["train", str(path)]) == 2
+        assert "desk-scale limit of 10 slots" in capsys.readouterr().err
 
 
 class TestSelectCommand:

@@ -8,7 +8,7 @@ from clatt import tensor as T
 from clatt.graphs import from_edges
 from clatt.partition import FilteredClustering
 from clatt.pe import deepwalk_pe, laplacian_pe
-from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, path_graph
+from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, path_graph, star_graph
 
 
 def fc(assignment):
@@ -146,12 +146,14 @@ class TestClattForward:
         batch = nn.build_cluster_batch(fc(assignment))
         cap = []
         nn.clatt_forward(x, [batch], [as_tensors(rand_qkv(rng, 4))], heads=2, capture=cap, tags=("LA",), layer=0)
-        p = cap[0]["probs"]  # (rows, heads, S, S)
-        pad = ~batch.mask
-        assert (p[:, :, :, :][np.broadcast_to(pad[:, None, None, :], p.shape)] == 0.0).all()
-        live_rows = np.broadcast_to(batch.mask[:, None, :], (p.shape[0], p.shape[1], p.shape[2]))
-        sums = p.sum(axis=-1)
-        np.testing.assert_allclose(sums[live_rows], 1.0, atol=1e-6)
+        assert len(cap) == 2  # sizes 4 and 5 fall in different size classes
+        for rec in cap:
+            p, mask = rec["probs"], rec["mask"]  # (rows, heads, S, S), (rows, S)
+            pad = ~mask
+            assert (p[np.broadcast_to(pad[:, None, None, :], p.shape)] == 0.0).all()
+            live_rows = np.broadcast_to(mask[:, None, :], (p.shape[0], p.shape[1], p.shape[2]))
+            sums = p.sum(axis=-1)
+            np.testing.assert_allclose(sums[live_rows], 1.0, atol=1e-6)
 
     def test_padding_and_unassigned_inert(self):
         rng = np.random.default_rng(6)
@@ -261,24 +263,7 @@ class TestConvs:
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-12)
 
     def test_lgt_matches_per_node_oracle(self):
-        rng = np.random.default_rng(14)
-        g = bridge_of_cliques([4, 5])
-        n = g.n
-        x = rng.standard_normal((n, 6))
-        prm = rand_qkv(rng, 6)
-        table, mask = nn.neighborhood_table(g)
-        got = nn.local_attention_conv(T.Tensor(x), table, mask, as_tensors(prm), heads=3).data
-        q = x @ prm["wq"] + prm["bq"]
-        k = x @ prm["wk"] + prm["bk"]
-        v = x @ prm["wv"] + prm["bv"]
-        dh = 2
-        for i in range(n):
-            hood = np.sort(np.concatenate([g.neighbors_of(i), [i]]))
-            for h in range(3):
-                sl = slice(h * dh, (h + 1) * dh)
-                logits = q[i, sl] @ k[hood][:, sl].T / math.sqrt(dh)
-                p = softmax_rows(logits[None, :])[0]
-                np.testing.assert_allclose(got[i, sl], p @ v[hood][:, sl], atol=1e-10)
+        assert_lgt_matches_per_node_oracle(bridge_of_cliques([4, 5]), np.random.default_rng(14))
 
     def test_lgt_single_layer_receptive_field(self):
         rng = np.random.default_rng(15)
@@ -292,6 +277,143 @@ class TestConvs:
         bumped = nn.local_attention_conv(T.Tensor(x2), table, mask, prm, heads=2).data
         np.testing.assert_array_equal(base[0], bumped[0])
         assert np.abs(bumped[4] - base[4]).max() > 1e-6
+
+
+def assert_lgt_matches_per_node_oracle(g, rng):
+    """Neighbourhood attention equals a per-node softmax over N(i) and i."""
+    x = rng.standard_normal((g.n, 6))
+    prm = rand_qkv(rng, 6)
+    table, mask = nn.neighborhood_table(g)
+    got = nn.local_attention_conv(T.Tensor(x), table, mask, as_tensors(prm), heads=3).data
+    q = x @ prm["wq"] + prm["bq"]
+    k = x @ prm["wk"] + prm["bk"]
+    v = x @ prm["wv"] + prm["bv"]
+    dh = 2
+    for i in range(g.n):
+        hood = np.sort(np.concatenate([g.neighbors_of(i), [i]]))
+        for h in range(3):
+            sl = slice(h * dh, (h + 1) * dh)
+            logits = q[i, sl] @ k[hood][:, sl].T / math.sqrt(dh)
+            p = softmax_rows(logits[None, :])[0]
+            np.testing.assert_allclose(got[i, sl], p @ v[hood][:, sl], atol=1e-10)
+
+
+def star_and_path():
+    """Hub 0 with leaves 1..12, a path 12..20, and node 16 with two extra leaves:
+    neighbourhood sizes 2, 3, 5 and 13 fall in four different size classes."""
+    src = [0] * 12 + list(range(12, 20)) + [16, 16]
+    dst = list(range(1, 13)) + list(range(13, 21)) + [21, 22]
+    return from_edges(np.array(src), np.array(dst), 23)
+
+
+def spread_assignment(rng, sizes, unassigned=3):
+    """Random node order, clusters of the given sizes plus a few unassigned nodes."""
+    a = np.concatenate([np.repeat(np.arange(len(sizes)), sizes), -np.ones(unassigned, dtype=np.int64)])
+    return rng.permutation(a)
+
+
+class TestSizeClasses:
+    SIZES = [1, 2, 3, 6, 12]  # five size classes
+
+    def test_classes_partition_rows(self):
+        rng = np.random.default_rng(30)
+        batch = nn.build_cluster_batch(fc(spread_assignment(rng, self.SIZES)))
+        rows = np.sort(np.concatenate([c.rows for c in batch.classes]))
+        np.testing.assert_array_equal(rows, np.arange(batch.num_clusters))
+        sizes = batch.mask.sum(axis=1)
+        assert [c.table.shape[1] for c in batch.classes] == sorted(self.SIZES)
+        for c in batch.classes:
+            np.testing.assert_array_equal(c.table, batch.index_table[c.rows, : c.table.shape[1]])
+            np.testing.assert_array_equal(c.mask.sum(axis=1), sizes[c.rows])
+
+    def test_power_of_two_boundaries(self):
+        # sizes 3 and 4 share (2, 4]; 5 starts (4, 8]
+        batch = nn.build_cluster_batch(fc(np.repeat([0, 1, 2], [3, 4, 5])))
+        assert [c.table.shape for c in batch.classes] == [(2, 4), (1, 5)]
+
+    def test_matches_naive_oracle_across_classes(self):
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(10):
+            heads = int(rng.choice([1, 2, 4]))
+            d = 4 * heads
+            x = rng.standard_normal((sum(self.SIZES) + 3, d))
+            a = spread_assignment(rng, self.SIZES)
+            prm = rand_qkv(rng, d)
+            batch = nn.build_cluster_batch(fc(a))
+            assert len(batch.classes) >= 3
+            got = nn.clatt_forward(T.Tensor(x), [batch], [as_tensors(prm)], heads=heads).data
+            worst = max(worst, float(np.abs(got - naive_cluster_attention(x, a, prm, heads)).max()))
+        assert worst <= 1e-10
+
+    def test_clatt_grad_check_across_classes(self):
+        rng = np.random.default_rng(32)
+        a = spread_assignment(rng, [1, 2, 5], unassigned=2)
+        batch = nn.build_cluster_batch(fc(a))
+        assert len(batch.classes) == 3
+        x = T.Tensor(rng.standard_normal((a.size, 4)), requires_grad=True)
+        prm = as_tensors(rand_qkv(rng, 4), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((a.size, 4)))
+
+        # the key bias has an exactly-zero gradient; keep its finite-difference
+        # noise under the checker's floor
+        def f():
+            return T.scale(T.tsum(T.mul(nn.clatt_forward(x, [batch], [prm], heads=2), w)), 1e-4)
+
+        assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
+
+    def test_lgt_grad_check_across_classes(self):
+        rng = np.random.default_rng(33)
+        g = star_and_path()
+        table, mask = nn.neighborhood_table(g)
+        assert len(nn.neighborhood_classes(table, mask)) == 4
+        x = T.Tensor(rng.standard_normal((g.n, 4)), requires_grad=True)
+        prm = as_tensors(rand_qkv(rng, 4), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((g.n, 4)))
+
+        def f():
+            return T.scale(T.tsum(T.mul(nn.local_attention_conv(x, table, mask, prm, heads=2), w)), 1e-4)
+
+        assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
+
+    def test_lgt_matches_per_node_oracle_on_degree_spread(self):
+        assert_lgt_matches_per_node_oracle(star_and_path(), np.random.default_rng(34))
+
+    def test_lgt_capture_names_attending_nodes(self):
+        rng = np.random.default_rng(35)
+        g = star_and_path()
+        table, mask = nn.neighborhood_table(g)
+        cap = []
+        prm = as_tensors(rand_qkv(rng, 4))
+        nn.local_attention_conv(T.Tensor(rng.standard_normal((g.n, 4))), table, mask, prm, heads=2, capture=cap, layer=0)
+        assert len(cap) == 4
+        nodes = np.concatenate([rec["nodes"] for rec in cap])
+        np.testing.assert_array_equal(np.sort(nodes), np.arange(g.n))
+        for rec in cap:
+            for r, i in enumerate(rec["nodes"]):
+                hood = np.sort(np.concatenate([g.neighbors_of(i), [i]]))
+                np.testing.assert_array_equal(rec["index_table"][r, rec["mask"][r]], hood)
+
+
+class TestNeighborhoodGuard:
+    def test_star_over_bound_fails_before_allocating(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 1000)
+        g = star_graph(2000)  # a 2000 x 2000 table: 32 MB of ids
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2000 x 2000 table \(4000000 slots\).*1000 slots"):
+                nn.neighborhood_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_under_bound_builds(self, monkeypatch):
+        monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 25)
+        table, mask = nn.neighborhood_table(star_graph(5))
+        assert table.shape == (5, 5) and mask.sum() == 5 + 2 * 4
 
 
 class TestGlobalAttention:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -263,6 +265,39 @@ class TestBackwardMechanics:
         T.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             T.backward(loss)
+
+    def test_consumed_tape_freed_when_next_forward_starts(self):
+        # without the cut, Tensor._tape <-> Tape.nodes is a cycle that only the
+        # cyclic collector frees, so keep that collector out of the way
+        rng = np.random.default_rng(6)
+        w = rand_tensor(rng, (4, 4))
+        x = T.Tensor(rng.standard_normal((3, 4)))
+
+        def step():
+            h = T.gelu(T.linear(x, w))
+            loss = T.tsum(h)
+            T.backward(loss)
+            return loss, weakref.ref(h.data)
+
+        gc.disable()
+        try:
+            loss1, activation = step()
+            assert activation() is not None  # the consumed tape still holds it
+            T.linear(x, w)  # the next step's forward starts
+            assert activation() is None
+        finally:
+            gc.enable()
+        with pytest.raises(RuntimeError, match="already"):
+            T.backward(loss1)
+
+    def test_output_of_consumed_tape_is_a_constant(self):
+        rng = np.random.default_rng(7)
+        w = rand_tensor(rng, (3,))
+        old = T.mul(w, w)
+        T.backward(T.tsum(old))
+        T.zero_grad([w])
+        T.backward(T.tsum(T.mul(old, w)))
+        np.testing.assert_allclose(w.grad, old.data, atol=1e-12)
 
     def test_non_scalar_loss_errors(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
