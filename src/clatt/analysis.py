@@ -95,9 +95,8 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     ``records`` is the capture list produced by the forward pass: one
     record per attention site (per size class for cluster and local
     attention) holding the probability tensor plus, for cluster and local
-    attention, the slot table and validity mask. Local records may name
-    the attending node of each row in ``nodes``; without it, row i is
-    node i. Padding slots carry no mass and are excluded outright; nodes not
+    attention, the slot table and validity mask. Local records name the
+    attending node of each row in ``nodes``. Padding slots carry no mass and are excluded outright; nodes not
     assigned to any cluster yield no cluster entries.
     """
     dmat = _DistCache(g)
@@ -123,7 +122,7 @@ def attention_distance_profile(records, g) -> AttentionProfile:
         elif kind == "local":
             table, mask = rec["index_table"], rec["mask"]
             heads = probs.shape[1]
-            for r, i in enumerate(rec.get("nodes", range(probs.shape[0]))):
+            for r, i in enumerate(rec["nodes"]):
                 i = int(i)
                 valid = mask[r]
                 nodes = table[r, valid]

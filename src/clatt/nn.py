@@ -291,17 +291,15 @@ def sage_conv(x: T.Tensor, mean_mat, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T.linear(T.concat_last_dim([x, T.spmm(mean_mat, x)]), w, b)
 
 
-def local_attention_conv(x, table, mask, prm, heads: int, capture=None, layer=None, classes=None) -> T.Tensor:
+def local_attention_conv(x, classes, prm, heads: int, capture=None, layer=None) -> T.Tensor:
     """Attention of each node over its neighborhood plus itself.
 
-    classes is neighborhood_classes(table, mask), derived here when not given.
-    Capture records carry "nodes", the attending node of each record row.
+    classes is neighborhood_classes(*neighborhood_table(g)). Capture records
+    carry "nodes", the attending node of each record row.
     """
     d = x.data.shape[1]
     dh = _check_heads(d, heads)
     q, k, v = _qkv(x, prm, "")
-    if classes is None:
-        classes = neighborhood_classes(table, mask)
     ys = []
     for cls in classes:
         rows = cls.rows.size
@@ -490,8 +488,6 @@ class ModelInputs:
     n: int
     adj_norm: sp.csr_matrix | None = None
     mean_mat: sp.csr_matrix | None = None
-    nbr_table: np.ndarray | None = None
-    nbr_mask: np.ndarray | None = None
     nbr_classes: list | None = None
     pe: np.ndarray | None = None
     batches: list = field(default_factory=list)
@@ -510,8 +506,7 @@ def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict |
     elif spec.conv_type == "SAGE":
         inp.mean_mat = mean_matrix(g)
     elif spec.conv_type == "LGT":
-        inp.nbr_table, inp.nbr_mask = neighborhood_table(g)
-        inp.nbr_classes = neighborhood_classes(inp.nbr_table, inp.nbr_mask)
+        inp.nbr_classes = neighborhood_classes(*neighborhood_table(g))
     else:
         if pe is None:
             raise ValueError("GGT requires a positional encoding array")
@@ -560,8 +555,7 @@ def model_forward(
             mix = sage_conv(z, inp.mean_mat, params[lp + ".conv.w"], params[lp + ".conv.b"])
         elif spec.conv_type == "LGT":
             mix = local_attention_conv(
-                z, inp.nbr_table, inp.nbr_mask, _layer_prm(params, lp + ".conv."), spec.heads,
-                capture=capture, layer=i, classes=inp.nbr_classes,
+                z, inp.nbr_classes, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
             )
         else:
             mix = global_attention(z, pe_t, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i)

@@ -56,6 +56,7 @@ class TestProfile:
             "probs": np.ones((4, 1, 1)),
             "index_table": np.arange(4)[:, None],
             "mask": np.ones((4, 1), dtype=bool),
+            "nodes": np.arange(4),
         }
         profile = an.attention_distance_profile([rec], g)
         assert len(profile.entries) == 4

@@ -256,9 +256,9 @@ class TestConvs:
         x = T.Tensor(np.ones((3, 4)))
         rng = np.random.default_rng(13)
         prm = as_tensors(rand_qkv(rng, 4))
-        table, mask = nn.neighborhood_table(g)
+        classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
         cap = []
-        nn.local_attention_conv(x, table, mask, prm, heads=2, capture=cap, layer=0)
+        nn.local_attention_conv(x, classes, prm, heads=2, capture=cap, layer=0)
         p = cap[0]["probs"]  # (n, heads, S)
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-12)
 
@@ -270,11 +270,11 @@ class TestConvs:
         g = path_graph(6)
         x = rng.standard_normal((6, 4))
         prm = as_tensors(rand_qkv(rng, 4))
-        table, mask = nn.neighborhood_table(g)
-        base = nn.local_attention_conv(T.Tensor(x), table, mask, prm, heads=2).data
+        classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
+        base = nn.local_attention_conv(T.Tensor(x), classes, prm, heads=2).data
         x2 = x.copy()
         x2[5] += 10.0  # far from node 0
-        bumped = nn.local_attention_conv(T.Tensor(x2), table, mask, prm, heads=2).data
+        bumped = nn.local_attention_conv(T.Tensor(x2), classes, prm, heads=2).data
         np.testing.assert_array_equal(base[0], bumped[0])
         assert np.abs(bumped[4] - base[4]).max() > 1e-6
 
@@ -283,8 +283,8 @@ def assert_lgt_matches_per_node_oracle(g, rng):
     """Neighbourhood attention equals a per-node softmax over N(i) and i."""
     x = rng.standard_normal((g.n, 6))
     prm = rand_qkv(rng, 6)
-    table, mask = nn.neighborhood_table(g)
-    got = nn.local_attention_conv(T.Tensor(x), table, mask, as_tensors(prm), heads=3).data
+    classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
+    got = nn.local_attention_conv(T.Tensor(x), classes, as_tensors(prm), heads=3).data
     q = x @ prm["wq"] + prm["bq"]
     k = x @ prm["wk"] + prm["bk"]
     v = x @ prm["wv"] + prm["bv"]
@@ -365,14 +365,14 @@ class TestSizeClasses:
     def test_lgt_grad_check_across_classes(self):
         rng = np.random.default_rng(33)
         g = star_and_path()
-        table, mask = nn.neighborhood_table(g)
-        assert len(nn.neighborhood_classes(table, mask)) == 4
+        classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
+        assert len(classes) == 4
         x = T.Tensor(rng.standard_normal((g.n, 4)), requires_grad=True)
         prm = as_tensors(rand_qkv(rng, 4), requires_grad=True)
         w = T.Tensor(rng.standard_normal((g.n, 4)))
 
         def f():
-            return T.scale(T.tsum(T.mul(nn.local_attention_conv(x, table, mask, prm, heads=2), w)), 1e-4)
+            return T.scale(T.tsum(T.mul(nn.local_attention_conv(x, classes, prm, heads=2), w)), 1e-4)
 
         assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
 
@@ -382,10 +382,10 @@ class TestSizeClasses:
     def test_lgt_capture_names_attending_nodes(self):
         rng = np.random.default_rng(35)
         g = star_and_path()
-        table, mask = nn.neighborhood_table(g)
+        classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
         cap = []
         prm = as_tensors(rand_qkv(rng, 4))
-        nn.local_attention_conv(T.Tensor(rng.standard_normal((g.n, 4))), table, mask, prm, heads=2, capture=cap, layer=0)
+        nn.local_attention_conv(T.Tensor(rng.standard_normal((g.n, 4))), classes, prm, heads=2, capture=cap, layer=0)
         assert len(cap) == 4
         nodes = np.concatenate([rec["nodes"] for rec in cap])
         np.testing.assert_array_equal(np.sort(nodes), np.arange(g.n))
