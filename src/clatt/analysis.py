@@ -7,6 +7,7 @@ training. Distances are exact BFS hop counts in the underlying graph.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,86 +63,66 @@ class AttentionProfile:
         return np.asarray(vals, dtype=np.float64)
 
 
-class _DistCache:
-    def __init__(self, g):
-        self.g = g
-        self.rows: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, node: int) -> np.ndarray:
-        row = self.rows.get(node)
-        if row is None:
-            row = self.rows[node] = bfs_distances(self.g, int(node))
-        return row
+KINDS = ("cluster", "local", "global")
+# (query, head, target) probabilities reduced at once: bounds the few
+# temporary copies one chunk makes to about 10 MB, whatever the record size.
+CHUNK_ELEMENTS = 1 << 18
 
 
-def _entry_values(dist_row, targets, probs):
-    """Weighted average distance; drops unreachable targets.
-
-    Returns (avg, dropped) where dropped counts targets excluded with
-    nonzero attention mass. The attending node itself is always a
-    target, so the renormalizer never vanishes.
-    """
-    d = dist_row[targets]
-    finite = np.isfinite(d)
-    dropped = int(np.count_nonzero(~finite & (probs > 0)))
-    mass = float(probs[finite].sum())
-    avg = float((probs[finite] * d[finite]).sum() / mass)
-    return avg, dropped
+def _average_distances(bfs_row, rec, rows, queries):
+    """Attention-weighted average hop distance of each (row, query) pair of
+    rec and each head, plus the number of attended targets dropped because
+    they are unreachable from the query node."""
+    table, mask = rec["index_table"], rec["mask"]
+    nodes = rec["nodes"][rows, queries]
+    dist = np.array([bfs_row(i)[table[r]] for r, i in zip(rows, nodes.tolist())]).reshape(rows.size, table.shape[1])
+    p = rec["probs"][rows, :, queries, :]  # (pairs, heads, S)
+    finite = np.isfinite(dist)
+    dropped = int(np.count_nonzero((mask[rows] & ~finite)[:, None, :] & (p > 0)))
+    keep = mask[rows] & finite
+    # Sum each (pair, head) over its kept targets only, packed into rows of
+    # equal length, so the sums round as a 1-D sum over those targets would.
+    count = keep.sum(axis=1)
+    avg = np.empty(p.shape[:2])
+    for c in np.unique(count):
+        sel = count == c
+        ps = p[sel]
+        pick = np.broadcast_to(keep[sel][:, None, :], ps.shape)
+        ds = np.broadcast_to(dist[sel][:, None, :], ps.shape)[pick].reshape(ps.shape[:2] + (c,))
+        ps = ps[pick].reshape(ds.shape)
+        avg[sel] = (ps * ds).sum(axis=-1) / ps.sum(axis=-1)
+    return nodes, avg, dropped
 
 
 def attention_distance_profile(records, g) -> AttentionProfile:
     """Reduce captured attention records to per-node average distances.
 
     ``records`` is the capture list produced by the forward pass: one
-    record per attention site (per size class for cluster and local
-    attention) holding the probability tensor plus, for cluster and local
-    attention, the slot table and validity mask. Local records name the
-    attending node of each row in ``nodes``. Padding slots carry no mass and are excluded outright; nodes not
-    assigned to any cluster yield no cluster entries.
+    record per attention site and size class, holding the probabilities
+    ``probs`` (rows, heads, Sq, S), the query nodes ``nodes`` (rows, Sq;
+    -1 marks a padded query) and the key table ``index_table`` with its
+    validity mask ``mask`` (rows, S). Every record kind reduces the same
+    way. Padding slots carry no mass and are excluded outright; nodes not
+    assigned to any cluster yield no cluster entries. Entries come in
+    (record, row, query, head) order.
     """
-    dmat = _DistCache(g)
+    bfs_row = functools.cache(lambda node: bfs_distances(g, node))
     entries = []
     unreachable = 0
     for rec in records:
-        kind = rec["kind"]
-        layer = rec["layer"]
-        tag = rec.get("clustering")
-        probs = rec["probs"]
-        if kind == "cluster":
-            table, mask = rec["index_table"], rec["mask"]
-            heads = probs.shape[1]
-            for r in range(table.shape[0]):
-                slots = np.nonzero(mask[r])[0]
-                nodes = table[r, slots]
-                for q, i in enumerate(nodes):
-                    drow = dmat[i]
-                    for h in range(heads):
-                        avg, dropped = _entry_values(drow, nodes, probs[r, h, slots[q], slots])
-                        unreachable += dropped
-                        entries.append(AttentionEntry(int(i), layer, h, "cluster", tag, avg))
-        elif kind == "local":
-            table, mask = rec["index_table"], rec["mask"]
-            heads = probs.shape[1]
-            for r, i in enumerate(rec["nodes"]):
-                i = int(i)
-                valid = mask[r]
-                nodes = table[r, valid]
-                drow = dmat[i]
-                for h in range(heads):
-                    avg, dropped = _entry_values(drow, nodes, probs[r, h, valid])
-                    unreachable += dropped
-                    entries.append(AttentionEntry(i, layer, h, "local", None, avg))
-        elif kind == "global":
-            heads, n = probs.shape[0], probs.shape[1]
-            all_nodes = np.arange(n)
-            for i in range(n):
-                drow = dmat[i]
-                for h in range(heads):
-                    avg, dropped = _entry_values(drow, all_nodes, probs[h, i])
-                    unreachable += dropped
-                    entries.append(AttentionEntry(i, layer, h, "global", None, avg))
-        else:
-            raise ValueError(f"unknown attention record kind {kind!r}")
+        if rec["kind"] not in KINDS:
+            raise ValueError(f"unknown attention record kind {rec['kind']!r}")
+        _, heads, _, width = rec["probs"].shape
+        rows, queries = np.nonzero(rec["nodes"] >= 0)
+        step = max(1, CHUNK_ELEMENTS // (heads * width))
+        for lo in range(0, rows.size, step):
+            nodes, avg, dropped = _average_distances(bfs_row, rec, rows[lo : lo + step], queries[lo : lo + step])
+            unreachable += dropped
+            entries.extend(
+                AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
+                for i, row in zip(nodes.tolist(), avg.tolist())
+                for h, a in enumerate(row)
+            )
     return AttentionProfile(entries, unreachable)
 
 

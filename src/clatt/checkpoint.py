@@ -17,6 +17,8 @@ parser and a seek.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -65,9 +67,41 @@ def save_checkpoint(path, params: dict) -> None:
             fh.write(raw)
 
 
+def _entry_array(i: int, entry, payload: bytes, seen) -> tuple[str, np.ndarray]:
+    """Check one header entry against the schema and the payload, read it."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"entry {i} is not an object")
+    name, shape, dtype, offset, nbytes = (entry.get(k) for k in ("name", "shape", "dtype", "offset", "nbytes"))
+    if not isinstance(name, str) or name in seen:
+        raise CheckpointError(f"entry {i} has a missing or repeated name {name!r}")
+    counts = [offset, nbytes] + (shape if isinstance(shape, list) else [None])
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise CheckpointError(f"entry {name!r}: offset, nbytes and shape must be non-negative integers")
+    try:
+        dtype = np.dtype(dtype)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"entry {name!r}: bad dtype {dtype!r}") from exc
+    if dtype.kind not in "fiu":
+        raise CheckpointError(f"entry {name!r}: unsupported dtype {dtype}")
+    if math.prod(shape) * dtype.itemsize != nbytes:
+        raise CheckpointError(f"entry {name!r}: shape {shape} of {dtype} is not {nbytes} bytes")
+    if offset + nbytes > len(payload):
+        raise CheckpointError(f"entry {name!r} runs past end of file")
+    try:
+        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(shape)
+    except ValueError as exc:
+        raise CheckpointError(f"entry {name!r}: {exc}") from exc
+    return name, arr.copy()
+
+
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as an ordered name -> ndarray mapping."""
+    """Read a checkpoint back as an ordered name -> ndarray mapping.
+
+    Every malformed file raises CheckpointError; the header length is
+    checked against the file size before the header is read.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -75,21 +109,21 @@ def load_checkpoint(path) -> dict:
         if len(size_raw) != 8:
             raise CheckpointError("truncated header length")
         header_len = int(np.frombuffer(size_raw, dtype="<u8")[0])
+        if header_len > size - 12:
+            raise CheckpointError(f"header length {header_len} exceeds the {size - 12} bytes after it")
         header_raw = fh.read(header_len)
         if len(header_raw) != header_len:
             raise CheckpointError("truncated header")
         try:
             header = json.loads(header_raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from exc
         payload = fh.read()
+    entries = header.get("entries", []) if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise CheckpointError("header is not an object with an entries list")
     out = {}
-    for entry in header.get("entries", []):
-        name = entry["name"]
-        start = entry["offset"]
-        stop = start + entry["nbytes"]
-        if stop > len(payload):
-            raise CheckpointError(f"entry {name!r} runs past end of file")
-        arr = np.frombuffer(payload[start:stop], dtype=np.dtype(entry["dtype"]))
-        out[name] = arr.reshape(entry["shape"]).copy()
+    for i, entry in enumerate(entries):
+        name, arr = _entry_array(i, entry, payload, out.keys())
+        out[name] = arr
     return out

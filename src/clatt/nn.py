@@ -3,10 +3,11 @@
 Everything here is a pure function over a flat dict of named parameter
 Tensors, so checkpointing and the optimizer stay trivial. The attention
 kernel is shared: cluster attention, the neighborhood transformer and
-the global transformer all go through _attend. Cluster and neighborhood
-attention run it once per size class of their padded slot layout, so a
-small cluster or a low-degree node is padded only to the widest row of
-its class, not to the widest row overall.
+the global transformer all go through _slot_attention, which runs _attend
+once per SlotClass: a size class of a padded slot layout, so a small
+cluster or a low-degree node is padded only to the widest row of its
+class, not to the widest row overall. A neighborhood is a row whose only
+query is its own node; global attention is one cluster of every node.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,20 +54,26 @@ NEIGHBORHOOD_TABLE_MAX_SLOTS = 50_000_000
 MAX_CLUSTER_SLOTS = 512
 
 
-@dataclass(frozen=True)
+@dataclass
 class SlotClass:
-    """The rows of a padded slot layout that fall in one size class.
+    """One size class of a padded slot layout, the unit of attention.
 
-    table and mask are those rows cut to the width of the class's widest
-    row. scatter maps the class's outputs onto the n nodes: one column per
-    flattened (row, slot) for cluster attention, one per row for
-    neighborhood attention.
+    nodes (rows, Sq) holds the query nodes, -1 marking a padded query
+    slot; table (rows, S) holds the key nodes and mask (rows, S) says
+    which key slots are live. scatter, derived from nodes, maps the
+    class's flattened (row, query) outputs onto the n nodes.
     """
 
-    rows: np.ndarray
+    nodes: np.ndarray
     table: np.ndarray
     mask: np.ndarray
-    scatter: sp.csr_matrix
+    n: InitVar[int]
+    scatter: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self, n: int):
+        flat = self.nodes.ravel()
+        cols = np.flatnonzero(flat >= 0)
+        self.scatter = sp.csr_matrix((np.ones(cols.size), (flat[cols], cols)), shape=(n, flat.size))
 
 
 def _size_classes(table: np.ndarray, mask: np.ndarray):
@@ -89,39 +96,26 @@ class ClusterBatch:
     """Padded node-id table for dense attention within clusters.
 
     index_table[r, s] is a node id when mask[r, s] is True and a dummy 0
-    otherwise. scatter maps flattened (row, slot) outputs back onto the
-    n nodes; unassigned nodes receive all-zero rows. classes splits the
-    rows by size (see SlotClass), derived from the fields above.
+    otherwise. classes splits the rows by size (see SlotClass); every
+    member of a cluster is both a query and a key of its row, so
+    unassigned nodes receive all-zero outputs.
     """
 
     index_table: np.ndarray
     mask: np.ndarray
-    scatter: sp.csr_matrix
-    row_of: np.ndarray
-    slot_of: np.ndarray
     n: int
     classes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = self.index_table.shape[1]
-        self.classes = []
-        for rows, table, mask in _size_classes(self.index_table, self.mask):
-            cols = (rows[:, None] * size + np.arange(table.shape[1])).ravel()
-            self.classes.append(SlotClass(rows, table, mask, self.scatter[:, cols].tocsr()))
-
-    @property
-    def num_clusters(self) -> int:
-        return self.index_table.shape[0]
-
-    @property
-    def max_cluster_size(self) -> int:
-        return self.index_table.shape[1]
+        self.classes = [
+            SlotClass(np.where(mask, table, -1), table, mask, self.n)
+            for _, table, mask in _size_classes(self.index_table, self.mask)
+        ]
 
 
 def build_cluster_batch(fc: FilteredClustering) -> ClusterBatch:
     """Lay retained clusters out as rows, members as node-id-sorted slots."""
     a = np.asarray(fc.assignment)
-    n = a.shape[0]
     retained = np.nonzero(a >= 0)[0]
     if retained.size == 0:
         raise ValueError("build_cluster_batch: no retained clusters")
@@ -143,17 +137,7 @@ def build_cluster_batch(fc: FilteredClustering) -> ClusterBatch:
     mask = np.zeros((num, max_size), dtype=bool)
     table[rows_sorted, slots] = nodes_sorted
     mask[rows_sorted, slots] = True
-
-    row_of = np.full(n, -1, dtype=np.int64)
-    slot_of = np.full(n, -1, dtype=np.int64)
-    row_of[nodes_sorted] = rows_sorted
-    slot_of[nodes_sorted] = slots
-
-    scatter = sp.csr_matrix(
-        (np.ones(nodes_sorted.size), (nodes_sorted, rows_sorted * max_size + slots)),
-        shape=(n, num * max_size),
-    )
-    return ClusterBatch(table, mask, scatter, row_of, slot_of, n)
+    return ClusterBatch(table, mask, a.shape[0])
 
 
 def _attend(q: T.Tensor, k: T.Tensor, v: T.Tensor, key_mask: np.ndarray):
@@ -167,13 +151,6 @@ def _attend(q: T.Tensor, k: T.Tensor, v: T.Tensor, key_mask: np.ndarray):
     mask = np.broadcast_to(key_mask, logits.data.shape)
     p = T.masked_softmax(logits, mask)
     return p, T.matmul(p, v)
-
-
-def _qkv(x: T.Tensor, prm: dict, prefix: str):
-    q = T.linear(x, prm[prefix + "wq"], prm[prefix + "bq"])
-    k = T.linear(x, prm[prefix + "wk"], prm[prefix + "bk"])
-    v = T.linear(x, prm[prefix + "wv"], prm[prefix + "bv"])
-    return q, k, v
 
 
 def _slotted(t: T.Tensor, table: np.ndarray, heads: int) -> T.Tensor:
@@ -191,39 +168,51 @@ def _check_heads(d: int, heads: int) -> int:
     return d // heads
 
 
+def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record: dict) -> T.Tensor:
+    """Attention of every class's query slots over its key slots, scattered
+    onto the n nodes and summed over classes.
+
+    prm holds wq/bq/wk/bk/wv/bv. With capture, each class appends record
+    plus probs (rows, heads, Sq, S), nodes (rows, Sq), index_table and
+    mask (rows, S).
+    """
+    d = x.data.shape[1]
+    _check_heads(d, heads)
+    q, k, v = (T.linear(x, prm["w" + t], prm["b" + t]) for t in "qkv")
+    ys = []
+    for cls in classes:
+        rows, sq = cls.nodes.shape
+        p, ctx = _attend(
+            _slotted(q, np.maximum(cls.nodes, 0), heads),
+            _slotted(k, cls.table, heads),
+            _slotted(v, cls.table, heads),
+            cls.mask[:, None, None, :],
+        )
+        ys.append(T.spmm(cls.scatter, T.reshape(T.swap_axes(ctx, 1, 2), (rows * sq, d))))
+        if capture is not None:
+            capture.append({**record, "probs": p.data, "nodes": cls.nodes, "index_table": cls.table, "mask": cls.mask})
+    return functools.reduce(T.add, ys)
+
+
 def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, tags=None, layer=None) -> T.Tensor:
     """Per-clustering masked attention inside clusters, outputs concatenated.
 
     param_groups holds one dict per clustering with keys wq/bq/wk/bk/wv/bv.
     Nodes a clustering leaves unassigned get an exactly-zero block.
     """
-    n, d = x.data.shape
-    _check_heads(d, heads)
     batches = list(batches)
     param_groups = list(param_groups)
     if len(batches) != len(param_groups):
         raise ValueError(f"{len(batches)} cluster batches but {len(param_groups)} parameter groups")
-    outs = []
-    for ci, (batch, prm) in enumerate(zip(batches, param_groups)):
-        qkv = _qkv(x, prm, "")
-        ys = []
-        for cls in batch.classes:
-            num, size = cls.table.shape
-            p, ctx = _attend(*(_slotted(t, cls.table, heads) for t in qkv), cls.mask[:, None, None, :])
-            ys.append(T.spmm(cls.scatter, T.reshape(T.swap_axes(ctx, 1, 2), (num * size, d))))
-            if capture is not None:
-                capture.append(
-                    {
-                        "kind": "cluster",
-                        "layer": layer,
-                        "clustering": tags[ci] if tags else None,
-                        "probs": p.data,
-                        "index_table": cls.table,
-                        "mask": cls.mask,
-                    }
-                )
-        outs.append(functools.reduce(T.add, ys))
-    return T.concat_last_dim(outs)
+    return T.concat_last_dim(
+        [
+            _slot_attention(
+                x, batch.classes, prm, heads, capture,
+                {"kind": "cluster", "layer": layer, "clustering": tags[ci] if tags else None},
+            )
+            for ci, (batch, prm) in enumerate(zip(batches, param_groups))
+        ]
+    )
 
 
 def fuse(mp_out: T.Tensor, clatt_out: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -275,12 +264,9 @@ def neighborhood_table(g):
 
 
 def neighborhood_classes(table: np.ndarray, mask: np.ndarray) -> list[SlotClass]:
-    """Size classes of a neighborhood table; row i is node i's neighborhood."""
-    n = table.shape[0]
-    return [
-        SlotClass(rows, t, m, sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=(n, rows.size)))
-        for rows, t, m in _size_classes(table, mask)
-    ]
+    """Size classes of a neighborhood table; row i is node i's neighborhood
+    and node i its only query."""
+    return [SlotClass(rows[:, None], t, m, table.shape[0]) for rows, t, m in _size_classes(table, mask)]
 
 
 def gcn_conv(x: T.Tensor, adj_norm, w: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -294,52 +280,24 @@ def sage_conv(x: T.Tensor, mean_mat, w: T.Tensor, b: T.Tensor) -> T.Tensor:
 def local_attention_conv(x, classes, prm, heads: int, capture=None, layer=None) -> T.Tensor:
     """Attention of each node over its neighborhood plus itself.
 
-    classes is neighborhood_classes(*neighborhood_table(g)). Capture records
-    carry "nodes", the attending node of each record row.
+    classes is neighborhood_classes(*neighborhood_table(g)).
     """
-    d = x.data.shape[1]
-    dh = _check_heads(d, heads)
-    q, k, v = _qkv(x, prm, "")
-    ys = []
-    for cls in classes:
-        rows = cls.rows.size
-        q4 = T.reshape(T.take_rows(q, cls.rows), (rows, heads, 1, dh))
-        p, ctx = _attend(q4, _slotted(k, cls.table, heads), _slotted(v, cls.table, heads), cls.mask[:, None, None, :])
-        ys.append(T.spmm(cls.scatter, T.reshape(ctx, (rows, d))))
-        if capture is not None:
-            capture.append(
-                {
-                    "kind": "local",
-                    "layer": layer,
-                    "clustering": None,
-                    "probs": p.data[:, :, 0, :],
-                    "index_table": cls.table,
-                    "mask": cls.mask,
-                    "nodes": cls.rows,
-                }
-            )
-    return functools.reduce(T.add, ys)
+    return _slot_attention(x, classes, prm, heads, capture, {"kind": "local", "layer": layer, "clustering": None})
 
 
 def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
-    """All-to-all attention on concat(x projection, pe projection)."""
-    n, d = x.data.shape
-    dh = _check_heads(d, heads)
+    """All-to-all attention on concat(x projection, pe projection): one
+    cluster that holds every node."""
+    n = x.data.shape[0]
     if n > GLOBAL_ATTENTION_MAX_NODES:
         raise ValueError(
             f"global attention materializes an n x n matrix; n={n} exceeds the "
             f"desk-scale limit of {GLOBAL_ATTENTION_MAX_NODES}"
         )
-    zx = T.linear(x, prm["wx"], prm["bx"])
-    zp = T.linear(pe, prm["wpe"], prm["bpe"])
-    u = T.concat_last_dim([zx, zp])
-    q = T.swap_axes(T.reshape(T.linear(u, prm["wq"], prm["bq"]), (n, heads, dh)), 0, 1)
-    k = T.swap_axes(T.reshape(T.linear(u, prm["wk"], prm["bk"]), (n, heads, dh)), 0, 1)
-    v = T.swap_axes(T.reshape(T.linear(u, prm["wv"], prm["bv"]), (n, heads, dh)), 0, 1)
-    p, ctx = _attend(q, k, v, np.ones((1, 1, n), dtype=bool))
-    if capture is not None:
-        capture.append({"kind": "global", "layer": layer, "clustering": None, "probs": p.data})
-    return T.reshape(T.swap_axes(ctx, 0, 1), (n, d))
+    u = T.concat_last_dim([T.linear(x, prm["wx"], prm["bx"]), T.linear(pe, prm["wpe"], prm["bpe"])])
+    everyone = np.arange(n)[None, :]
+    one = SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)
+    return _slot_attention(u, [one], prm, heads, capture, {"kind": "global", "layer": layer, "clustering": None})
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,13 @@ def save_clustering(path, c, node_ids: np.ndarray | None = None) -> None:
 
 
 def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a clustering CSV; returns (node_ids, assignment, metadata)."""
+    """Read a clustering CSV; returns (node_ids, assignment, metadata).
+
+    A short row, an id that is not a 64-bit integer or a repeated node id
+    raises ValueError naming the file and line.
+    """
     path = Path(path)
-    ids, cids = [], []
+    ids, cids, seen = [], [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -150,8 +154,20 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
         for row in reader:
             if not row:
                 continue
-            ids.append(int(row[0]))
-            cids.append(int(row[1]))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected node_id,cluster_id, got {len(row)} field")
+            try:
+                node, cid = int(row[0]), int(row[1])
+            except ValueError:
+                node = cid = None
+            if node is None or max(abs(node), abs(cid)) >= 2**63:
+                raise ValueError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
+            if node in seen:
+                raise ValueError(f"{where}: node {node} already assigned on line {seen[node]}")
+            seen[node] = reader.line_num
+            ids.append(node)
+            cids.append(cid)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     meta = {}
     if meta_path.exists():

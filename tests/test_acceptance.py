@@ -299,7 +299,7 @@ def test_criterion_4_mask_invariants():
         pads = ~batch.mask
         retained = np.nonzero(a >= 0)[0]
         table2[pads] = rng.choice(retained, size=int(pads.sum()))
-        batch2 = nn.ClusterBatch(table2, batch.mask, batch.scatter, batch.row_of, batch.slot_of, batch.n)
+        batch2 = nn.ClusterBatch(table2, batch.mask, batch.n)
         out3 = nn.clatt_forward(T.Tensor(x), [batch2], [prm], heads).data
         assert float(np.abs(out3 - out).max()) <= 1e-12
     assert worst_sum <= 1e-6

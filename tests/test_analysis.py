@@ -13,6 +13,7 @@ from clatt import nn
 from clatt import tensor as T
 from clatt import training as tr
 from clatt.partition import FilteredClustering
+from clatt.pe import laplacian_pe
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi
 
 
@@ -38,6 +39,40 @@ def rand_qkv(d, seed):
     return prm
 
 
+def global_record(probs):
+    """A global-attention capture record over all n nodes from (heads, n, n)."""
+    n = probs.shape[-1]
+    everyone = np.arange(n)[None, :]
+    return {
+        "kind": "global",
+        "layer": 0,
+        "clustering": None,
+        "probs": probs[None],
+        "nodes": everyone,
+        "index_table": everyone,
+        "mask": np.ones((1, n), dtype=bool),
+    }
+
+
+def model_records(g, spec, assignment, pe=None):
+    """Capture records of one forward pass of spec on g."""
+    x = np.random.default_rng(0).normal(size=(g.n, 5))
+    params = nn.init_params(spec, 5, 2, seed=0, pe_dim=None if pe is None else pe.shape[1])
+    inp = nn.prepare_inputs(g, x, spec, {"LA": fc(assignment)}, pe=pe)
+    capture = []
+    with T.no_grad():
+        nn.model_forward(spec, params, inp, capture=capture)
+    return capture
+
+
+def lgt_and_ggt_records(g, assignment, layers):
+    """Records of an LGT-CLATT(LA) forward (cluster and local) and of a GGT
+    forward (global)."""
+    lgt = nn.ModelSpec(conv_type="LGT", use_clatt=True, clusterings=("LA",), layers=layers, hidden=8, heads=2)
+    ggt = nn.ModelSpec(conv_type="GGT", pe="laplacian", layers=layers, hidden=8, heads=2)
+    return model_records(g, lgt, assignment), model_records(g, ggt, assignment, pe=laplacian_pe(g, k=3).vectors)
+
+
 def cluster_records(g, assignment, d=8, heads=2, seed=0):
     batch = nn.build_cluster_batch(fc(assignment))
     x = T.Tensor(np.random.default_rng(seed).normal(size=(g.n, d)))
@@ -53,10 +88,10 @@ class TestProfile:
             "kind": "local",
             "layer": 0,
             "clustering": None,
-            "probs": np.ones((4, 1, 1)),
+            "probs": np.ones((4, 1, 1, 1)),
+            "nodes": np.arange(4)[:, None],
             "index_table": np.arange(4)[:, None],
             "mask": np.ones((4, 1), dtype=bool),
-            "nodes": np.arange(4),
         }
         profile = an.attention_distance_profile([rec], g)
         assert len(profile.entries) == 4
@@ -64,8 +99,7 @@ class TestProfile:
 
     def test_uniform_global_on_five_cycle(self):
         g = cycle_graph(5)
-        rec = {"kind": "global", "layer": 0, "clustering": None, "probs": np.full((1, 5, 5), 0.2)}
-        profile = an.attention_distance_profile([rec], g)
+        profile = an.attention_distance_profile([global_record(np.full((1, 5, 5), 0.2))], g)
         assert len(profile.entries) == 5
         for e in profile.entries:
             assert abs(e.avg_distance - 1.2) < 1e-12
@@ -85,25 +119,57 @@ class TestProfile:
         assert profile.unreachable_pairs == 0
 
     def test_cluster_profile_matches_bfs_oracle(self):
+        # one oracle loop over the records of every kind: clusters, the
+        # neighbourhoods of an LGT-CLATT forward and a GGT forward
         g = bridge_of_cliques([4, 3])
         assignment = [0, 0, 0, 0, 1, 1, -1]
-        records = cluster_records(g, assignment)
-        profile = an.attention_distance_profile(records, g)
         dists = sp_distances(g)
-        expect = {}
+        kinds = set()
+        for records in (cluster_records(g, assignment), *lgt_and_ggt_records(g, assignment, layers=2)):
+            profile = an.attention_distance_profile(records, g)
+            expect = []
+            for rec in records:
+                table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
+                for r in range(table.shape[0]):
+                    keys = table[r, mask[r]]
+                    for qi in np.nonzero(rec["nodes"][r] >= 0)[0]:
+                        i = rec["nodes"][r, qi]
+                        for h in range(probs.shape[1]):
+                            p = probs[r, h, qi, mask[r]]
+                            avg = float((p * dists[i, keys]).sum() / p.sum())
+                            expect.append((int(i), rec["layer"], h, rec["kind"], rec["clustering"], avg))
+            assert len(profile.entries) == len(expect)
+            for e, want in zip(profile.entries, expect):
+                assert (e.node, e.layer, e.head, e.kind, e.clustering_tag) == want[:5]
+                assert abs(e.avg_distance - want[5]) < 1e-12
+            kinds |= {e.kind for e in profile.entries}
+        assert kinds == {"cluster", "local", "global"}
+
+    def test_records_share_one_layout(self):
+        g = bridge_of_cliques([4, 3])
+        lgt, ggt = lgt_and_ggt_records(g, [0, 0, 0, 0, 1, 1, -1], layers=1)
+        records = lgt + ggt
+        assert {rec["kind"] for rec in records} == {"cluster", "local", "global"}
         for rec in records:
-            table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
-            for r in range(table.shape[0]):
-                slots = np.nonzero(mask[r])[0]
-                nodes = table[r, slots]
-                for qi, i in enumerate(nodes):
-                    for h in range(probs.shape[1]):
-                        p = probs[r, h, slots[qi], slots]
-                        expect[(int(i), h)] = float((p * dists[i, nodes]).sum() / p.sum())
-        assert len(profile.entries) == len(expect)
-        for e in profile.entries:
-            assert abs(e.avg_distance - expect[(e.node, e.head)]) < 1e-12
-            assert e.clustering_tag == "LA"
+            assert set(rec) == {"kind", "layer", "clustering", "probs", "nodes", "index_table", "mask"}
+            rows, heads, sq, s = rec["probs"].shape
+            assert heads == 2
+            assert rec["nodes"].shape == (rows, sq)
+            assert rec["index_table"].shape == rec["mask"].shape == (rows, s)
+        local = [rec for rec in records if rec["kind"] == "local"]
+        assert all(rec["nodes"].shape[1] == 1 for rec in local)
+        (glob,) = [rec for rec in records if rec["kind"] == "global"]
+        assert glob["probs"].shape == (1, 2, g.n, g.n)
+
+    def test_chunked_reduction_matches_whole_records(self, monkeypatch):
+        g = bridge_of_cliques([4, 3])
+        lgt, ggt = lgt_and_ggt_records(g, [0, 0, 0, 0, 1, 1, -1], layers=2)
+        records = lgt + ggt
+        whole = an.attention_distance_profile(records, g)
+        monkeypatch.setattr(an, "CHUNK_ELEMENTS", 5)  # one or two pairs per chunk
+        chunked = an.attention_distance_profile(records, g)
+        assert chunked.entries == whole.entries
+        assert chunked.unreachable_pairs == whole.unreachable_pairs
 
     def test_unassigned_nodes_skipped(self):
         g = complete_graph(6)
@@ -138,8 +204,7 @@ class TestProfile:
         from clatt.graphs import from_edges
 
         g2 = from_edges(edges[keep, 0], edges[keep, 1], n=6)
-        rec = {"kind": "global", "layer": 0, "clustering": None, "probs": np.full((1, 6, 6), 1 / 6)}
-        profile = an.attention_distance_profile([rec], g2)
+        profile = an.attention_distance_profile([global_record(np.full((1, 6, 6), 1 / 6))], g2)
         for e in profile.entries:
             assert abs(e.avg_distance - 2 / 3) < 1e-12
         assert profile.unreachable_pairs == 6 * 1 * 3
@@ -158,9 +223,7 @@ class TestProfile:
 
     def test_distances_filter(self):
         g = cycle_graph(5)
-        recs = [
-            {"kind": "global", "layer": 0, "clustering": None, "probs": np.full((1, 5, 5), 0.2)},
-        ] + cluster_records(g, [0, 0, 0, 0, 0], d=4, seed=0)
+        recs = [global_record(np.full((1, 5, 5), 0.2))] + cluster_records(g, [0, 0, 0, 0, 0], d=4, seed=0)
         profile = an.attention_distance_profile(recs, g)
         assert profile.distances("global").size == 5
         assert profile.distances("cluster", "LA").size == 10
@@ -218,7 +281,7 @@ class TestQuantiles:
 
     def test_quantile_table_renders_groups(self):
         g = cycle_graph(5)
-        recs = [{"kind": "global", "layer": 0, "clustering": None, "probs": np.full((1, 5, 5), 0.2)}]
+        recs = [global_record(np.full((1, 5, 5), 0.2))]
         profile = an.attention_distance_profile(recs, g)
         text = an.quantile_table(profile)
         assert "global" in text and "q0.5" in text
@@ -262,7 +325,7 @@ class TestExports:
 
     def test_profile_csv_rows(self, tmp_path):
         g = cycle_graph(5)
-        recs = [{"kind": "global", "layer": 0, "clustering": None, "probs": np.full((1, 5, 5), 0.2)}]
+        recs = [global_record(np.full((1, 5, 5), 0.2))]
         profile = an.attention_distance_profile(recs, g)
         path = tmp_path / "profile.csv"
         an.export_profile(profile, path)

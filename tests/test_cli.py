@@ -2,9 +2,12 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clatt import cli
 from clatt import config as cf
@@ -131,6 +134,35 @@ class TestCompare:
         a = tmp_path / "a.csv"
         cli.main(["cluster", edges, "--algo", "LA", "--out", str(a)])
         assert cli.main(["compare", str(a), "--out", str(tmp_path / "cc.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("3", "line 4: expected node_id,cluster_id, got 1 field"),
+         ("3,x", "line 4: node_id and cluster_id must be 64-bit integers"),
+         ("2.5,1", "line 4: node_id and cluster_id must be 64-bit integers"),
+         ("99999999999999999999,1", "line 4: node_id and cluster_id must be 64-bit integers"),
+         ("1,0", "line 4: node 1 already assigned on line 3")],
+    )
+    def test_malformed_clustering_row_exit_2(self, tmp_path, capsys, bad_row, message):
+        good = tmp_path / "good.csv"
+        good.write_text("node_id,cluster_id\n0,0\n1,0\n2,1\n3,1\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("node_id,cluster_id\n0,0\n1,0\n" + bad_row + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_clustering(bad)
+        rc = cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "cc.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    @given(st.lists(st.text(alphabet="0123456789-,.x \"", max_size=8), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_clustering_rows_exit_0_or_2(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            good, bad = Path(tmp) / "good.csv", Path(tmp) / "bad.csv"
+            good.write_text("node_id,cluster_id\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
+            bad.write_text("node_id,cluster_id\n" + "".join(line + "\n" for line in lines))
+            assert cli.main(["compare", str(good), str(bad), "--out", str(Path(tmp) / "cc.csv")]) in (0, 2)
 
 
 def classification_fixture(tmp_path, n_per=8):
@@ -367,6 +399,16 @@ class TestAnalyzeCommand:
         rc = cli.main(["analyze-attention", str(path), str(ckpt), "--model", "SAGE"])
         assert rc == 2
         assert "LGT" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_exit_2(self, tmp_path, capsys):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + (2**62).to_bytes(8, "little") + raw[12:])
+        rc = cli.main(["analyze-attention", str(path), str(ckpt)])
+        assert rc == 2
+        assert "header length" in capsys.readouterr().err
 
     def test_checkpoint_model_mismatch_exit_2(self, tmp_path, capsys):
         lgt = self.lgt_config(tmp_path)

@@ -78,8 +78,10 @@ class TestClusterBatch:
         assignment = np.array([0, -1, 0, 1, 1, 1, -1, 0])
         batch = nn.build_cluster_batch(fc(assignment))
         x = rng.standard_normal((8, 3))
-        gathered = x[batch.index_table] * batch.mask[:, :, None]
-        back = batch.scatter @ gathered.reshape(-1, 3)
+        back = np.zeros_like(x)
+        for c in batch.classes:
+            gathered = x[np.maximum(c.nodes, 0)] * (c.nodes >= 0)[:, :, None]
+            back += c.scatter @ gathered.reshape(-1, 3)
         retained = assignment >= 0
         np.testing.assert_array_equal(back[retained], x[retained])
         np.testing.assert_array_equal(back[~retained], 0.0)
@@ -87,12 +89,17 @@ class TestClusterBatch:
     def test_membership_maps(self):
         assignment = np.array([2, -1, 0, 0, 2])
         batch = nn.build_cluster_batch(fc(assignment))
+        queries = np.concatenate([c.nodes.ravel() for c in batch.classes])
         for node in range(5):
+            slots = np.argwhere((batch.index_table == node) & batch.mask)
             if assignment[node] < 0:
-                assert batch.row_of[node] == -1 and batch.slot_of[node] == -1
+                assert slots.size == 0 and node not in queries
             else:
-                r, s = batch.row_of[node], batch.slot_of[node]
+                (r, s), = slots
                 assert batch.index_table[r, s] == node and batch.mask[r, s]
+                assert np.count_nonzero(queries == node) == 1
+                members = batch.index_table[r, batch.mask[r]]
+                np.testing.assert_array_equal(members, np.nonzero(assignment == assignment[node])[0])
 
     def test_no_retained_clusters_errors(self):
         with pytest.raises(ValueError, match="no retained"):
@@ -259,7 +266,7 @@ class TestConvs:
         classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
         cap = []
         nn.local_attention_conv(x, classes, prm, heads=2, capture=cap, layer=0)
-        p = cap[0]["probs"]  # (n, heads, S)
+        p = cap[0]["probs"]  # (n, heads, 1, S)
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-12)
 
     def test_lgt_matches_per_node_oracle(self):
@@ -318,13 +325,16 @@ class TestSizeClasses:
     def test_classes_partition_rows(self):
         rng = np.random.default_rng(30)
         batch = nn.build_cluster_batch(fc(spread_assignment(rng, self.SIZES)))
-        rows = np.sort(np.concatenate([c.rows for c in batch.classes]))
-        np.testing.assert_array_equal(rows, np.arange(batch.num_clusters))
-        sizes = batch.mask.sum(axis=1)
         assert [c.table.shape[1] for c in batch.classes] == sorted(self.SIZES)
+
+        def members(table, mask):
+            return sorted(tuple(t[m]) for t, m in zip(table, mask))
+
+        class_rows = []
         for c in batch.classes:
-            np.testing.assert_array_equal(c.table, batch.index_table[c.rows, : c.table.shape[1]])
-            np.testing.assert_array_equal(c.mask.sum(axis=1), sizes[c.rows])
+            np.testing.assert_array_equal(c.nodes, np.where(c.mask, c.table, -1))
+            class_rows += members(c.table, c.mask)
+        assert sorted(class_rows) == members(batch.index_table, batch.mask)
 
     def test_power_of_two_boundaries(self):
         # sizes 3 and 4 share (2, 4]; 5 starts (4, 8]
@@ -388,9 +398,10 @@ class TestSizeClasses:
         nn.local_attention_conv(T.Tensor(rng.standard_normal((g.n, 4))), classes, prm, heads=2, capture=cap, layer=0)
         assert len(cap) == 4
         nodes = np.concatenate([rec["nodes"] for rec in cap])
-        np.testing.assert_array_equal(np.sort(nodes), np.arange(g.n))
+        assert nodes.shape == (g.n, 1)
+        np.testing.assert_array_equal(np.sort(nodes[:, 0]), np.arange(g.n))
         for rec in cap:
-            for r, i in enumerate(rec["nodes"]):
+            for r, i in enumerate(rec["nodes"][:, 0]):
                 hood = np.sort(np.concatenate([g.neighbors_of(i), [i]]))
                 np.testing.assert_array_equal(rec["index_table"][r, rec["mask"][r]], hood)
 

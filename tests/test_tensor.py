@@ -1,6 +1,9 @@
 import gc
+import json
 import math
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,3 +615,58 @@ class TestCheckpoint:
         path = tmp_path / "empty.ckpt"
         ck.save_checkpoint(path, {})
         assert ck.load_checkpoint(path) == {}
+
+    @staticmethod
+    def with_header(path, header):
+        raw = json.dumps(header).encode()
+        path.write_bytes(ck.MAGIC + len(raw).to_bytes(8, "little") + raw + bytes(16))
+        return path
+
+    def test_huge_header_length(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        ck.save_checkpoint(path, {"x": np.ones(3)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (2**62).to_bytes(8, "little") + raw[12:])
+        with pytest.raises(ck.CheckpointError, match="header length 4611686018427387904 exceeds"):
+            ck.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [([1, 2], "entries list"),
+         ({"entries": {"x": 1}}, "entries list"),
+         ({"entries": [7]}, "not an object"),
+         ({"entries": [{"shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}]}, "name"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}] * 2}, "repeated name"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": -8, "nbytes": 16}]}, "non-negative"),
+         ({"entries": [{"name": "a", "shape": [-2], "dtype": "<f8", "offset": 0, "nbytes": 16}]}, "non-negative"),
+         ({"entries": [{"name": "a", "shape": "2", "dtype": "<f8", "offset": 0, "nbytes": 16}]}, "non-negative"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "<c8", "offset": 0, "nbytes": 16}]}, "unsupported dtype"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "|O", "offset": 0, "nbytes": 16}]}, "unsupported dtype"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "nope", "offset": 0, "nbytes": 16}]}, "bad dtype"),
+         ({"entries": [{"name": "a", "shape": [3], "dtype": "<f8", "offset": 0, "nbytes": 16}]}, "is not 16 bytes"),
+         ({"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 8, "nbytes": 16}]}, "past end")],
+    )
+    def test_bad_header_schema(self, tmp_path, header, message):
+        with pytest.raises(ck.CheckpointError, match=message):
+            ck.load_checkpoint(self.with_header(tmp_path / "bad.ckpt", header))
+
+    def test_schema_accepts_valid_hand_written_header(self, tmp_path):
+        header = {"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}]}
+        loaded = ck.load_checkpoint(self.with_header(tmp_path / "ok.ckpt", header))
+        np.testing.assert_array_equal(loaded["a"], [0.0, 0.0])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_checkpoint_loads_or_raises_checkpoint_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "valid.ckpt"
+            ck.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.arange(3, dtype=np.int32), "s": np.uint8(7)})
+            raw = bytearray(path.read_bytes())
+            for at, bits in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=4)):
+                raw[at] ^= bits
+            path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
+            try:
+                loaded = ck.load_checkpoint(path)
+            except ck.CheckpointError:
+                return
+            assert all(isinstance(v, np.ndarray) and v.dtype.kind in "fiu" for v in loaded.values())
