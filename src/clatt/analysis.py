@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .similarity import similarity_matrix
 from .stats import bfs_distances
 from .training import predict
@@ -137,7 +138,7 @@ def quantiles(values, qs=DEFAULT_QS) -> list[float]:
     """Linear-interpolation quantiles of the (unsorted) values."""
     values = np.asarray(list(values), dtype=np.float64)
     if values.size == 0:
-        raise ValueError("quantiles of an empty value list")
+        raise InputError("quantiles of an empty value list")
     return [float(np.quantile(values, q)) for q in qs]
 
 
@@ -174,7 +175,7 @@ def export_profile(profile: AttentionProfile, path) -> None:
 def export_histogram(values, bins, path) -> None:
     values = np.asarray(list(values), dtype=np.float64)
     if values.size == 0:
-        raise ValueError("histogram of an empty value list")
+        raise InputError("histogram of an empty value list")
     counts, edges = np.histogram(values, bins=bins)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

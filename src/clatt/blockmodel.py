@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
+from .errors import InputError
 from .graphs import Graph, WeightedGraph
 from .partition import Clustering, relabel_by_first_occurrence
 
@@ -53,7 +54,7 @@ def planted_partition_fit(g: Graph, k_max: int = 10, seed: int = 0,
     if g.n == 0:
         raise ValueError("empty graph")
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise InputError("k_max must be at least 1")
     total_pairs = g.n * (g.n - 1) / 2.0
     m = float(g.m)
     root = np.random.SeedSequence(seed)

@@ -22,13 +22,15 @@ import os
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"CLT1"
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(InputError):
+    """Malformed or truncated checkpoint file."""
 
 
 def _as_array(value) -> np.ndarray:

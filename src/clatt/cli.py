@@ -4,9 +4,9 @@ Subcommands: stats, cluster, compare, train, select-clusterings,
 analyze-attention. Every command is a pure function of its inputs,
 flags, and seeds; outputs land in files so reruns can be diffed.
 
-Exit codes: 0 success; 2 for bad input (missing files, malformed
-config or data, diverging run configurations); 3 when an internal
-invariant breaks.
+Exit codes: 0 success; 2 when the input is at fault (an InputError, such
+as a malformed config, graph, table or checkpoint or a diverging run, or a
+file-system error on a given path); 3 when an internal invariant breaks.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from . import nn
 from . import training as tr
 from .analysis import export_histogram, export_profile, export_similarity_matrix, profile_model, quantile_table
 from .blockmodel import hierarchical_fit, planted_partition_fit
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, load_config
-from .graphs import GraphFormatError, TableSchema, load_edge_list, load_node_table, save_stats_json, transform_features
+from .errors import InputError
+from .graphs import TableSchema, load_edge_list, load_node_table, save_stats_json, transform_features
 from .kmeans import kmeans
 from .leiden import leiden_cpm
 from .partition import filter_clusters, load_clustering, save_clustering
 from .pe import deepwalk_pe, laplacian_pe
-from .similarity import DegenerateClusteringError
 from .stats import compute_graph_stats, stats_to_dict
 
 
@@ -74,13 +74,14 @@ def cmd_stats(args) -> int:
 
 def _resmlp_points(args, g):
     if not args.nodes:
-        raise ValueError("--nodes is required for KM (auxiliary model needs features and targets)")
+        raise InputError("--nodes is required for KM (auxiliary model needs features and targets)")
     nd = load_node_table(args.nodes, _schema_from_args(args), g)
     if nd.targets is None:
-        raise ValueError("--target-column is required for KM")
+        raise InputError("--target-column is required for KM")
     data = tr.TrainData(g, nd.features, nd.targets, nd.task, num_classes=nd.num_classes or None)
     labels = nd.targets if nd.task != "regression" else np.zeros(g.n, dtype=np.int64)
     split = tr.make_split(labels, seed=args.seed, stratified=nd.task != "regression")
+    split.check_nonempty()
     return tr.resmlp_representations(
         data, split, seed=args.seed, hidden=args.km_hidden, layers=args.km_layers, steps=args.km_steps
     )
@@ -106,7 +107,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_compare(args) -> int:
     if len(args.clusterings) < 2:
-        raise ValueError("compare needs at least 2 clustering files")
+        raise InputError("compare needs at least 2 clustering files")
     loaded = []
     for path in args.clusterings:
         ids, assignment, meta = load_clustering(path)
@@ -116,11 +117,11 @@ def cmd_compare(args) -> int:
     base_ids = loaded[0][0]
     for ids, _, tag in loaded[1:]:
         if not np.array_equal(ids, base_ids):
-            raise ValueError(f"clustering {tag!r} covers different node ids")
+            raise InputError(f"clustering {tag!r} covers different node ids")
     # nodes a size filter dropped anywhere are excluded from every pair
     keep = np.all([a >= 0 for _, a, _ in loaded], axis=0)
     if keep.sum() < 2:
-        raise ValueError("fewer than 2 nodes assigned everywhere; nothing to compare")
+        raise InputError("fewer than 2 nodes assigned everywhere; nothing to compare")
     objs = [SimpleNamespace(assignment=a[keep], algorithm_tag=tag) for _, a, tag in loaded]
     export_similarity_matrix(objs, args.out)
     with open(args.out) as fh:
@@ -149,7 +150,9 @@ def _dataset_for_training(cfg: ExperimentConfig) -> tr.TrainData:
 
 def _split_for(cfg: ExperimentConfig, data: tr.TrainData) -> tr.Split:
     labels = data.targets if cfg.split.stratified else np.zeros(data.g.n, dtype=np.int64)
-    return tr.make_split(labels, ratios=cfg.split.ratios, seed=cfg.split.seed, stratified=cfg.split.stratified)
+    split = tr.make_split(labels, ratios=cfg.split.ratios, seed=cfg.split.seed, stratified=cfg.split.stratified)
+    split.check_nonempty()
+    return split
 
 
 def _build_clusterings(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, tags) -> None:
@@ -183,6 +186,14 @@ def _pe_for(kind: str, g, dim: int):
     return laplacian_pe(g, k=min(dim, g.n - 1)).vectors
 
 
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    out_dir = Path(cfg.output_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise InputError(f"output_dir: {out_dir} exists and is not a directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
 
@@ -192,8 +203,7 @@ def cmd_train(args) -> int:
     data = _dataset_for_training(cfg)
     split = _split_for(cfg, data)
     _build_clusterings(cfg, data, split, cfg.needed_tags())
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
 
     # choose (transform, pe) variants; grid-tune each spec when asked
     plans = []  # (spec, transform)
@@ -270,9 +280,7 @@ def cmd_select_clusterings(args) -> int:
     selected, details = tr.select_clusterings(
         base, data, split, candidates=candidates, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every
     )
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "selected_clusterings.json"
+    out = _output_dir(cfg) / "selected_clusterings.json"
     with open(out, "w") as fh:
         json.dump({"base_model": base.name, "selected": list(selected), "details": details}, fh, indent=2)
         fh.write("\n")
@@ -281,17 +289,31 @@ def cmd_select_clusterings(args) -> int:
     return 0
 
 
+def _check_checkpoint(path, spec: nn.ModelSpec, params: dict, expected: dict) -> None:
+    """Refuse a checkpoint unless it holds exactly the model's arrays, each in
+    its shape; the message names the first array that differs."""
+    where = f"checkpoint {path} does not match model {spec.name}"
+    for name, want in expected.items():
+        if name not in params:
+            raise InputError(f"{where}: {name} is missing")
+        if params[name].shape != want.data.shape:
+            raise InputError(f"{where}: {name} has shape {params[name].shape}, the model needs {want.data.shape}")
+    extra = [name for name in params if name not in expected]
+    if extra:
+        raise InputError(f"{where}: unexpected array {extra[0]}")
+
+
 def cmd_analyze_attention(args) -> int:
     cfg = load_config(args.config, args.set or ())
     by_name = {spec.name: spec for spec in cfg.models}
     if args.model is None:
         if len(cfg.models) > 1:
-            raise ValueError(f"--model required; config defines {sorted(by_name)}")
+            raise InputError(f"--model required; config defines {sorted(by_name)}")
         spec = cfg.models[0]
     elif args.model in by_name:
         spec = by_name[args.model]
     else:
-        raise ValueError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
+        raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
     data = _dataset_for_training(cfg)
     split = _split_for(cfg, data)
     _build_clusterings(cfg, data, split, spec.clusterings)
@@ -299,15 +321,13 @@ def cmd_analyze_attention(args) -> int:
         data = replace(data, pe=_pe_for(spec.pe, data.g, args.pe_dim))
     params = load_checkpoint(args.checkpoint)
     pe_dim = data.pe.shape[1] if data.pe is not None else None
-    expected = set(nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim))
-    if set(params) != expected:
-        raise ValueError(f"checkpoint {args.checkpoint} does not match model {spec.name}")
+    expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim)
+    _check_checkpoint(args.checkpoint, spec, params, expected)
 
     profile = profile_model(spec, params, data)
     if not profile.entries:
-        raise ValueError(f"model {spec.name} has no attention sites to analyze")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise InputError(f"model {spec.name} has no attention sites to analyze")
+    out_dir = _output_dir(cfg)
     stem = _safe_name(spec.name)
     export_profile(profile, out_dir / f"attention_profile_{stem}.csv")
     export_histogram(profile.distances(), args.bins, out_dir / f"attention_histogram_{stem}.csv")
@@ -316,6 +336,17 @@ def cmd_analyze_attention(args) -> int:
         _echo(f"note: {profile.unreachable_pairs} attended targets were unreachable and renormalized away")
     _echo(f"profile -> {out_dir / f'attention_profile_{stem}.csv'}")
     return 0
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("edges")
     sp.add_argument("--algo", required=True, choices=CANONICAL_TAGS)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--gamma", type=float, help="LA resolution; default graph density")
-    sp.add_argument("--k-max", type=int, default=10, help="BPP/H1 block count ceiling")
+    sp.add_argument("--k-max", type=_int_at_least(1), default=10, help="BPP/H1 block count ceiling")
     sp.add_argument("--k", type=int, help="KM cluster count; default n/128 in [2, n]")
     sp.add_argument("--min-size", type=int, help="apply the size filter before saving")
     sp.add_argument("--max-size", type=int)
-    sp.add_argument("--km-hidden", type=int, default=64)
+    sp.add_argument("--km-hidden", type=_int_at_least(1), default=64)
     sp.add_argument("--km-layers", type=int, default=2)
     sp.add_argument("--km-steps", type=int, default=300)
     add_table_flags(sp, "node table CSV (required for KM)")
@@ -360,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_flags(sp):
         sp.add_argument("config", help="experiment config JSON")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field (dotted path)")
-        sp.add_argument("--pe-dim", type=int, default=64, help="positional encoding width when a model needs one")
+        sp.add_argument("--pe-dim", type=_int_at_least(1), default=64, help="positional encoding width when a model needs one")
 
     sp = sub.add_parser("train", help="train every configured model over the seed list")
     add_config_flags(sp)
@@ -375,21 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(sp)
     sp.add_argument("checkpoint", help="checkpoint written by `clatt train`")
     sp.add_argument("--model", help="model name from the config (default when unambiguous)")
-    sp.add_argument("--bins", type=int, default=20)
+    sp.add_argument("--bins", type=_int_at_least(1), default=20)
     sp.set_defaults(func=cmd_analyze_attention)
     return p
 
 
+# an input at fault, or a file-system error on a path the user gave
 USER_ERRORS = (
-    ConfigError,
-    GraphFormatError,
-    CheckpointError,
-    DegenerateClusteringError,
+    InputError,
     FileNotFoundError,
+    FileExistsError,
     IsADirectoryError,
+    NotADirectoryError,
     PermissionError,
-    ValueError,
-    tr.TrainingDiverged,  # e.g. under a user-chosen learning rate
 )
 
 

@@ -8,26 +8,20 @@ config is findable without reading the schema source.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS
 from .nn import ModelSpec
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS
 
 OUTPUT_DIR_ENV = "CLATT_OUT_DIR"
 
-# accepted keys per clustering algorithm's params block
-CLUSTERING_PARAM_KEYS = {
-    "LA": ("gamma", "seed", "max_passes"),
-    "BPP": ("k_max", "seed", "sweeps", "restarts"),
-    "H1": ("k_max", "seed", "sweeps", "restarts"),
-    "KM": ("k", "seed", "hidden", "layers", "steps", "lr", "max_iters"),
-}
 
-
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Schema violation; the message starts with the field path."""
 
 
@@ -104,6 +98,58 @@ def _int_field(raw, path, minimum=None):
     return raw
 
 
+def _number_field(raw, path, positive=False):
+    """A finite real number, strictly positive when asked."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+        _fail(path, f"expected a finite number, got {raw!r}")
+    if positive and raw <= 0:
+        _fail(path, f"must be > 0, got {raw}")
+    return float(raw)
+
+
+def _path_field(raw, path):
+    """A path string the file system can encode."""
+    try:
+        if isinstance(raw, str) and b"\0" not in os.fsencode(raw):
+            return raw
+    except UnicodeEncodeError:
+        pass
+    _fail(path, f"expected a path string, got {raw!r}")
+
+
+def _seed(raw, path):
+    return _int_field(raw, path, minimum=0)
+
+
+def _count(minimum):
+    return lambda raw, path: _int_field(raw, path, minimum)
+
+
+def _positive(raw, path):
+    return _number_field(raw, path, positive=True)
+
+
+def _or_null(check):
+    return lambda raw, path: None if raw is None else check(raw, path)
+
+
+# accepted keys per clustering algorithm's params block, each with its check
+CLUSTERING_PARAMS = {
+    "LA": {"gamma": _or_null(_positive), "seed": _seed, "max_passes": _count(1)},
+    "BPP": {"k_max": _count(1), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
+    "H1": {"k_max": _or_null(_count(1)), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
+    "KM": {
+        "k": _or_null(_count(1)),
+        "seed": _seed,
+        "hidden": _count(1),
+        "layers": _count(0),
+        "steps": _count(0),
+        "lr": _positive,
+        "max_iters": _count(1),
+    },
+}
+
+
 def _parse_dataset(raw, base: Path) -> DatasetConfig:
     _expect(raw, "dataset", dict, "an object")
     _check_keys(raw, "dataset", ("edges", "nodes", "id_column", "feature_columns", "target_column", "task", "directed"))
@@ -141,13 +187,13 @@ def _parse_split(raw, task: str) -> SplitConfig:
     _expect(ratios, "split.ratios", list, "a list")
     if len(ratios) != 3:
         _fail("split.ratios", f"expected 3 values, got {len(ratios)}")
-    ratios = tuple(float(r) for r in ratios)
+    ratios = tuple(_number_field(r, f"split.ratios[{i}]") for i, r in enumerate(ratios))
     if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         _fail("split.ratios", f"must be non-negative and sum to 1, got {ratios}")
     stratified = bool(raw.get("stratified", task != "regression"))
     if stratified and task == "regression":
         _fail("split.stratified", "stratified splits need discrete labels; use false for regression")
-    return SplitConfig(ratios=ratios, seed=_int_field(raw.get("seed", 0), "split.seed"), stratified=stratified)
+    return SplitConfig(ratios=ratios, seed=_seed(raw.get("seed", 0), "split.seed"), stratified=stratified)
 
 
 MODEL_KEYS = ("conv_type", "use_clatt", "clusterings", "pe", "layers", "hidden", "heads", "dropout", "lr")
@@ -161,7 +207,7 @@ def _parse_model(raw, path: str) -> ModelSpec:
     try:
         spec = ModelSpec.from_json(json.dumps(raw))
         spec.validate()
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         _fail(path, str(e))
     for tag in spec.clusterings:
         if tag not in CANONICAL_TAGS:
@@ -176,16 +222,19 @@ def _parse_clusterings(raw) -> dict:
         if tag not in CANONICAL_TAGS:
             _fail(f"clusterings.{tag}", f"unknown tag, expected one of {CANONICAL_TAGS}")
         _expect(params, f"clusterings.{tag}", dict, "an object")
-        _check_keys(params, f"clusterings.{tag}", CLUSTERING_PARAM_KEYS[tag])
-        out[tag] = dict(params)
+        checks = CLUSTERING_PARAMS[tag]
+        _check_keys(params, f"clusterings.{tag}", checks)
+        out[tag] = {key: checks[key](value, f"clusterings.{tag}.{key}") for key, value in params.items()}
     return out
 
 
 def _parse_grid(raw) -> GridConfig:
     _expect(raw, "grid", dict, "an object")
     _check_keys(raw, "grid", ("lrs", "dropouts", "transforms"))
-    lrs = tuple(float(v) for v in _expect(raw.get("lrs", list(GRID_LRS)), "grid.lrs", list, "a list"))
-    dropouts = tuple(float(v) for v in _expect(raw.get("dropouts", list(GRID_DROPOUTS)), "grid.dropouts", list, "a list"))
+    lrs = _expect(raw.get("lrs", list(GRID_LRS)), "grid.lrs", list, "a list")
+    lrs = tuple(_number_field(v, f"grid.lrs[{i}]") for i, v in enumerate(lrs))
+    dropouts = _expect(raw.get("dropouts", list(GRID_DROPOUTS)), "grid.dropouts", list, "a list")
+    dropouts = tuple(_number_field(v, f"grid.dropouts[{i}]") for i, v in enumerate(dropouts))
     transforms = tuple(_expect(raw.get("transforms", ["none"]), "grid.transforms", list, "a list"))
     if not lrs:
         _fail("grid.lrs", "must be non-empty")
@@ -237,12 +286,15 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     seeds_raw = _expect(raw.get("seeds", list(range(10))), "seeds", list, "a list")
     if not seeds_raw:
         _fail("seeds", "must be non-empty")
-    seeds = tuple(_int_field(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
+    seeds = tuple(_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
     grid = _parse_grid(raw["grid"]) if raw.get("grid") is not None else None
     selection = None
     if raw.get("selection_model") is not None:
         selection = _parse_model(raw["selection_model"], "selection_model")
-    out_raw = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "."
+    out_raw = raw.get("output_dir")
+    if out_raw is not None:
+        _path_field(out_raw, "output_dir")
+    out_raw = out_raw or os.environ.get(OUTPUT_DIR_ENV) or "."
     cfg = ExperimentConfig(
         dataset=dataset,
         models=models,
@@ -255,7 +307,7 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
         steps=_int_field(raw.get("steps", 1000), "steps", minimum=0),
         eval_every=_int_field(raw.get("eval_every", 10), "eval_every", minimum=1),
         selection_model=selection,
-        output_dir=base / str(out_raw),
+        output_dir=base / out_raw,
     )
     if cfg.min_cluster_size > cfg.max_cluster_size:
         _fail("min_cluster_size", "exceeds max_cluster_size")
@@ -276,7 +328,7 @@ def apply_override(raw: dict, assignment: str) -> None:
         raise ConfigError(f"override {assignment!r}: empty key")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = text
     node = raw
     segments = key.split(".")
@@ -310,7 +362,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
     for item in overrides:
         apply_override(raw, item)

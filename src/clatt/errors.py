@@ -1,0 +1,32 @@
+"""The one exception type for faults in what the user supplied.
+
+``InputError`` means the input is at fault: a config field, a graph, node
+table, clustering or checkpoint file, or data that cannot support the
+requested run. ``clatt`` reports it and exits 2. The typed errors of the
+other modules (``ConfigError``, ``GraphFormatError``, ``CheckpointError``,
+``DegenerateClusteringError``, ``TrainingDiverged``) derive from it. A bare
+``ValueError`` or ``RuntimeError`` marks a broken internal invariant and
+exits 3. ``read_text`` reads a user-supplied text file so that bytes which do
+not decode are an InputError too.
+"""
+
+from __future__ import annotations
+
+import io
+
+__all__ = ["InputError", "read_text"]
+
+
+class InputError(ValueError):
+    """The input is at fault; the message names which input and why."""
+
+
+def read_text(path) -> io.StringIO:
+    """The text of a user-supplied file, as a stream that splits lines the way
+    ``open(path, newline="")`` does. Bytes the locale encoding cannot decode
+    raise InputError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a text file: {e}") from None

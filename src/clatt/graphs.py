@@ -12,8 +12,10 @@ import numpy as np
 from scipy import sparse
 from scipy.special import ndtri
 
+from .errors import InputError, read_text
 
-class GraphFormatError(ValueError):
+
+class GraphFormatError(InputError):
     """Malformed graph or node-table input."""
 
 
@@ -140,9 +142,12 @@ def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:
 
 def _parse_id(tok: str, where: str) -> int:
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise GraphFormatError(f"{where}: node id {tok!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise GraphFormatError(f"{where}: node id {tok!r} is outside the 64-bit integer range")
+    return value
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
@@ -155,18 +160,17 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     """
     path = Path(path)
     src, dst = [], []
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.replace(",", " ").split()
-            if len(toks) < 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected two node ids")
-            if lineno == 1 and not (toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()):
-                continue
-            src.append(_parse_id(toks[0], f"{path}:{lineno}"))
-            dst.append(_parse_id(toks[1], f"{path}:{lineno}"))
+    for lineno, raw in enumerate(read_text(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.replace(",", " ").split()
+        if len(toks) < 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected two node ids")
+        if lineno == 1 and not (toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()):
+            continue
+        src.append(_parse_id(toks[0], f"{path}:{lineno}"))
+        dst.append(_parse_id(toks[1], f"{path}:{lineno}"))
     if not src:
         raise GraphFormatError(f"{path}: no edges found")
     raw = np.empty(2 * len(src), dtype=np.int64)
@@ -224,13 +228,12 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     ``NodeData.imputed``; non-numeric feature cells are an error.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GraphFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+    reader = csv.reader(read_text(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise GraphFormatError(f"{path}: empty file") from None
+    rows = list(reader)
     header = [h.strip() for h in header]
     if schema.id_column not in header:
         raise GraphFormatError(f"{path}: id column {schema.id_column!r} not in header {header}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .partition import Clustering, relabel_by_first_occurrence
 
 
@@ -54,7 +55,7 @@ def kmeans(points: np.ndarray, k: int | None = None, seed: int = 0,
     if k is None:
         k = default_k(n)
     if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+        raise InputError(f"k={k} out of range for n={n}")
     rng = np.random.default_rng(seed)
     centers = _plus_plus_init(points, k, rng)
     rows = np.arange(n)

@@ -8,10 +8,12 @@ so the quality never decreases from pass to pass.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
+from .errors import InputError
 from .graphs import Graph, WeightedGraph
 from .partition import Clustering, relabel_by_first_occurrence
 
@@ -32,7 +34,7 @@ def cpm_quality(g: Graph, assignment: np.ndarray, gamma: float) -> float:
     if assignment.shape != (g.n,):
         raise ValueError("assignment length mismatch")
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        raise InputError("gamma must be positive")
     k = int(assignment.max()) + 1
     sizes = np.bincount(assignment, minlength=k).astype(np.float64)
     edges = g.edge_array()
@@ -159,8 +161,8 @@ def leiden_cpm(g: Graph, gamma: float | None = None, seed: int = 0,
         raise ValueError("empty graph")
     if gamma is None:
         gamma = default_gamma(g)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise InputError(f"gamma must be positive and finite, got {gamma}")
     rng = np.random.default_rng(seed)
     level = WeightedGraph.from_graph(g)
     to_level = np.arange(g.n, dtype=np.int64)  # original node -> level node

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
+from .errors import InputError
 from .partition import FilteredClustering
 
 __all__ = [
@@ -118,14 +119,14 @@ def build_cluster_batch(fc: FilteredClustering) -> ClusterBatch:
     a = np.asarray(fc.assignment)
     retained = np.nonzero(a >= 0)[0]
     if retained.size == 0:
-        raise ValueError("build_cluster_batch: no retained clusters")
+        raise InputError("build_cluster_batch: no retained clusters")
     ids = a[retained]
     uniq = np.unique(ids)
     rows = np.searchsorted(uniq, ids)
     sizes = np.bincount(rows)
     max_size = int(sizes.max())
     if max_size > MAX_CLUSTER_SLOTS:
-        raise ValueError(f"cluster of size {max_size} exceeds the {MAX_CLUSTER_SLOTS} slot bound")
+        raise InputError(f"cluster of size {max_size} exceeds the {MAX_CLUSTER_SLOTS} slot bound")
     num = uniq.size
     order = np.argsort(rows, kind="stable")  # retained is ascending, so slots sort by node id
     rows_sorted = rows[order]
@@ -164,7 +165,7 @@ def _slotted(t: T.Tensor, table: np.ndarray, heads: int) -> T.Tensor:
 
 def _check_heads(d: int, heads: int) -> int:
     if heads < 1 or d % heads != 0:
-        raise ValueError(f"hidden dim {d} is not divisible by {heads} heads")
+        raise InputError(f"hidden dim {d} is not divisible by {heads} heads")
     return d // heads
 
 
@@ -172,13 +173,16 @@ def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record
     """Attention of every class's query slots over its key slots, scattered
     onto the n nodes and summed over classes.
 
-    prm holds wq/bq/wk/bk/wv/bv. With capture, each class appends record
-    plus probs (rows, heads, Sq, S), nodes (rows, Sq), index_table and
-    mask (rows, S).
+    prm holds wq/bq/wk/wv/bv. Keys carry no bias: it would add the same
+    constant to every logit of a query row, which softmax cancels. With
+    capture, each class appends record plus probs (rows, heads, Sq, S),
+    nodes (rows, Sq), index_table and mask (rows, S).
     """
     d = x.data.shape[1]
     _check_heads(d, heads)
-    q, k, v = (T.linear(x, prm["w" + t], prm["b" + t]) for t in "qkv")
+    q = T.linear(x, prm["wq"], prm["bq"])
+    k = T.linear(x, prm["wk"])
+    v = T.linear(x, prm["wv"], prm["bv"])
     ys = []
     for cls in classes:
         rows, sq = cls.nodes.shape
@@ -197,7 +201,7 @@ def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record
 def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, tags=None, layer=None) -> T.Tensor:
     """Per-clustering masked attention inside clusters, outputs concatenated.
 
-    param_groups holds one dict per clustering with keys wq/bq/wk/bk/wv/bv.
+    param_groups holds one dict per clustering with keys wq/bq/wk/wv/bv.
     Nodes a clustering leaves unassigned get an exactly-zero block.
     """
     batches = list(batches)
@@ -245,7 +249,7 @@ def neighborhood_table(g):
     counts = g.degrees + 1
     size = int(counts.max())
     if n * size > NEIGHBORHOOD_TABLE_MAX_SLOTS:
-        raise ValueError(
+        raise InputError(
             f"neighborhood attention pads every node to max degree + 1: an {n} x {size} table "
             f"({n * size} slots) exceeds the desk-scale limit of {NEIGHBORHOOD_TABLE_MAX_SLOTS} slots"
         )
@@ -290,7 +294,7 @@ def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=N
     cluster that holds every node."""
     n = x.data.shape[0]
     if n > GLOBAL_ATTENTION_MAX_NODES:
-        raise ValueError(
+        raise InputError(
             f"global attention materializes an n x n matrix; n={n} exceeds the "
             f"desk-scale limit of {GLOBAL_ATTENTION_MAX_NODES}"
         )
@@ -316,22 +320,24 @@ class ModelSpec:
 
     def validate(self) -> None:
         if self.conv_type not in CONV_TYPES:
-            raise ValueError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
+            raise InputError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
         if self.pe not in PE_KINDS:
-            raise ValueError(f"pe must be one of {PE_KINDS}, got {self.pe!r}")
+            raise InputError(f"pe must be one of {PE_KINDS}, got {self.pe!r}")
         if self.use_clatt and not self.clusterings:
-            raise ValueError("use_clatt requires a non-empty clusterings list")
+            raise InputError("use_clatt requires a non-empty clusterings list")
         if self.conv_type == "GGT" and self.pe == "none":
-            raise ValueError("GGT requires a positional encoding")
+            raise InputError("GGT requires a positional encoding")
         if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+            raise InputError("layers must be >= 1")
         if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+            raise InputError("hidden must be >= 1")
         needs_heads = self.use_clatt or self.conv_type in ("LGT", "GGT")
         if needs_heads:
             _check_heads(self.hidden, self.heads)
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise InputError("dropout must be in [0, 1)")
+        if not 0.0 <= self.lr < math.inf:
+            raise InputError(f"lr must be a finite number >= 0, got {self.lr}")
 
     @property
     def name(self) -> str:
@@ -390,11 +396,11 @@ def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_di
     def b(name, dim):
         params[name] = T.Tensor(np.zeros(dim), requires_grad=True)
 
-    def qkv(prefix, in_d=None):
-        src = d if in_d is None else in_d
+    def qkv(prefix):
         for part in ("q", "k", "v"):
-            w(f"{prefix}.w{part}", src, d)
-            b(f"{prefix}.b{part}", d)
+            w(f"{prefix}.w{part}", d, d)
+            if part != "k":
+                b(f"{prefix}.b{part}", d)
 
     def norm(prefix):
         params[prefix + ".g"] = T.Tensor(np.ones(d), requires_grad=True)

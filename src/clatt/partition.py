@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-TAGS = ("LA", "BPP", "H1", "KM")
+from .errors import InputError, read_text
 
 
 @dataclass
@@ -142,37 +142,41 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a clustering CSV; returns (node_ids, assignment, metadata).
 
     A short row, an id that is not a 64-bit integer or a repeated node id
-    raises ValueError naming the file and line.
+    raises InputError naming the file and line, as does metadata that is not
+    a JSON object.
     """
     path = Path(path)
     ids, cids, seen = [], [], {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["node_id", "cluster_id"]:
-            raise ValueError(f"{path}: expected header node_id,cluster_id")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) < 2:
-                raise ValueError(f"{where}: expected node_id,cluster_id, got {len(row)} field")
-            try:
-                node, cid = int(row[0]), int(row[1])
-            except ValueError:
-                node = cid = None
-            if node is None or max(abs(node), abs(cid)) >= 2**63:
-                raise ValueError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
-            if node in seen:
-                raise ValueError(f"{where}: node {node} already assigned on line {seen[node]}")
-            seen[node] = reader.line_num
-            ids.append(node)
-            cids.append(cid)
+    reader = csv.reader(read_text(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["node_id", "cluster_id"]:
+        raise InputError(f"{path}: expected header node_id,cluster_id")
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num}"
+        if len(row) < 2:
+            raise InputError(f"{where}: expected node_id,cluster_id, got {len(row)} field")
+        try:
+            node, cid = int(row[0]), int(row[1])
+        except ValueError:
+            node = cid = None
+        if node is None or max(abs(node), abs(cid)) >= 2**63:
+            raise InputError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
+        if node in seen:
+            raise InputError(f"{where}: node {node} already assigned on line {seen[node]}")
+        seen[node] = reader.line_num
+        ids.append(node)
+        cids.append(cid)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     meta = {}
     if meta_path.exists():
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        try:
+            meta = json.load(read_text(meta_path))
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise InputError(f"{meta_path}: invalid JSON: {e}") from None
+        if not isinstance(meta, dict):
+            raise InputError(f"{meta_path}: expected a JSON object")
     order = np.argsort(np.asarray(ids), kind="stable")
     return (np.asarray(ids, dtype=np.int64)[order],
             np.asarray(cids, dtype=np.int64)[order], meta)

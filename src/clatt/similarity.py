@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 
-class DegenerateClusteringError(ValueError):
+
+class DegenerateClusteringError(InputError):
     """Similarity is undefined: one side is all-singletons or one cluster."""
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .graphs import Graph
 
 
@@ -188,7 +189,7 @@ def unbiased_homophily(g: Graph, labels: np.ndarray, alpha: float = 0.0) -> floa
     if labels.shape != (g.n,):
         raise ValueError("need one label per node")
     if g.m == 0:
-        raise ValueError("homophily undefined for an edgeless graph")
+        raise InputError("homophily undefined for an edgeless graph")
     _, lab = np.unique(labels, return_inverse=True)
     k = int(lab.max()) + 1
     two_m = 2 * g.m
@@ -197,7 +198,7 @@ def unbiased_homophily(g: Graph, labels: np.ndarray, alpha: float = 0.0) -> floa
     within = np.bincount(lu[lu == lv], minlength=k) / two_m
     live = deg_share > 0
     if int(live.sum()) < 2:
-        raise ValueError("homophily needs at least two classes with edges")
+        raise InputError("homophily needs at least two classes with edges")
     p = deg_share[live]
     c = within[live]
     w = p ** alpha

@@ -11,6 +11,7 @@ import scipy.stats
 
 from . import nn
 from . import tensor as T
+from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS, transform_features
 
 __all__ = [
@@ -58,6 +59,12 @@ class Split:
         if np.unique(combined).size != n:
             raise ValueError("split subsets overlap")
 
+    def check_nonempty(self) -> None:
+        """Training, model selection and testing each need at least one node."""
+        for name in ("train", "val", "test"):
+            if getattr(self, name).size == 0:
+                raise InputError(f"split ratios {self.ratios} leave the {name} subset empty")
+
 
 def _hamilton(m: int, ratios) -> np.ndarray:
     """Largest-remainder apportionment; each count is within 1 of m*r."""
@@ -80,7 +87,7 @@ def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool =
     labels = np.asarray(labels)
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be 3 values summing to 1, got {ratios}")
+        raise InputError(f"ratios must be 3 values summing to 1, got {ratios}")
     n = labels.shape[0]
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -89,7 +96,7 @@ def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool =
         for cls in np.unique(labels):
             idx = np.nonzero(labels == cls)[0]
             if idx.size < 3:
-                raise ValueError(f"class {cls!r} has {idx.size} nodes, fewer than the 3 subsets")
+                raise InputError(f"class {cls!r} has {idx.size} nodes, fewer than the 3 subsets")
             rng.shuffle(idx)
             quotas = idx.size * np.asarray(ratios)
             counts = np.floor(quotas).astype(np.int64)
@@ -118,7 +125,7 @@ def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool =
 def _masked(arr, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
-        raise ValueError("metric mask selects no nodes")
+        raise InputError("metric mask selects no nodes")
     return np.asarray(arr)[idx]
 
 
@@ -134,7 +141,7 @@ def average_precision(scores, labels, idx) -> float:
     y = _masked(labels, idx).astype(np.int64)
     total_pos = int(y.sum())
     if total_pos == 0:
-        raise ValueError("average_precision needs at least one positive label")
+        raise InputError("average_precision needs at least one positive label")
     order = np.argsort(-s, kind="stable")
     hits = y[order] == 1
     cum_pos = np.cumsum(hits)
@@ -147,7 +154,7 @@ def r_squared(pred, targets, idx) -> float:
     t = _masked(targets, idx).astype(np.float64)
     ss_tot = float(((t - t.mean()) ** 2).sum())
     if ss_tot == 0.0:
-        raise ValueError("r_squared is undefined for zero target variance")
+        raise InputError("r_squared is undefined for zero target variance")
     ss_res = float(((t - p) ** 2).sum())
     return 1.0 - ss_res / ss_tot
 
@@ -205,7 +212,7 @@ def _metric_from_logits(logits: np.ndarray, data: TrainData, idx, target_scale=N
     return r_squared(pred, data.targets, idx)
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(InputError):
     """The training loss became non-finite, e.g. under too large a learning rate."""
 
 
@@ -435,7 +442,7 @@ def run_experiment(
     """
     seeds = tuple(seeds)
     if len(seeds) < 2:
-        raise ValueError("run_experiment needs at least 2 seeds")
+        raise InputError(f"run_experiment needs at least 2 seeds, got {len(seeds)}")
     specs = list(specs)
     tasks = [(spec, data, split, seed, steps, eval_every, j == 0) for spec in specs for j, seed in enumerate(seeds)]
     if jobs > 1:

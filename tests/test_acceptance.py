@@ -86,7 +86,7 @@ def naive_cluster_attention(x, assignments, groups, heads):
         for c in np.unique(a[a >= 0]):
             m = np.nonzero(a == c)[0]
             q = x[m] @ prm["wq"] + prm["bq"]
-            k = x[m] @ prm["wk"] + prm["bk"]
+            k = x[m] @ prm["wk"]
             v = x[m] @ prm["wv"] + prm["bv"]
             ctx = np.empty_like(q)
             for h in range(heads):
@@ -112,7 +112,8 @@ def _random_qkv(rng, d):
     prm = {}
     for name in ("q", "k", "v"):
         prm[f"w{name}"] = rng.standard_normal((d, d)) / math.sqrt(d)
-        prm[f"b{name}"] = rng.standard_normal(d) * 0.2
+        if name != "k":
+            prm[f"b{name}"] = rng.standard_normal(d) * 0.2
     return prm
 
 

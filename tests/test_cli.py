@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clatt import cli
 from clatt import config as cf
@@ -15,6 +16,7 @@ from clatt import nn
 from clatt import tensor
 from clatt import training as tr
 from clatt.checkpoint import load_checkpoint, save_checkpoint
+from clatt.graphs import GraphFormatError, load_edge_list
 from clatt.partition import load_clustering
 from clatt.synthetic import bridge_of_cliques, noisy_onehot_features, sbm_graph
 
@@ -47,6 +49,25 @@ def triangle_edges(tmp_path):
     return str(path)
 
 
+FUZZ_TEXT = st.text(alphabet="0123456789-,.#x \t\"", max_size=10)
+
+
+@st.composite
+def edge_list_and_node_table(draw):
+    """Edge-list lines, id pairs and at most one fuzzed line, and node-table
+    rows for the ids they name, in any order, plus at most one fuzzed row."""
+    node_id = st.integers(-2, 6) | st.integers(-(2**70), 2**70)
+    lines = draw(st.lists(st.tuples(node_id, node_id).map(lambda e: f"{e[0]} {e[1]}"), max_size=8))
+    for junk in draw(st.lists(FUZZ_TEXT, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    ids = list(dict.fromkeys(tok for line in lines for tok in line.replace(",", " ").split()[:2]))
+    cell = st.sampled_from(["0", "1.5", "", "nan", "1e999", "a", "b"])
+    rows = [f"{i},{draw(cell)},{draw(cell | FUZZ_TEXT)}" for i in draw(st.permutations(ids))]
+    for junk in draw(st.lists(FUZZ_TEXT, max_size=1)):
+        rows.insert(draw(st.integers(0, len(rows))), junk)
+    return lines, rows
+
+
 class TestStats:
     def test_triangle_stats_json(self, tmp_path, capsys):
         rc = cli.main(["stats", triangle_edges(tmp_path)])
@@ -73,6 +94,32 @@ class TestStats:
         saved = json.loads(out.read_text())
         assert saved["unbiased_homophily"] is not None
         assert saved == json.loads(capsys.readouterr().out)
+
+    def test_undecodable_edge_list_exit_2(self, tmp_path, capsys):
+        edges = tmp_path / "e.csv"
+        edges.write_bytes(b"0 1\n\xff\xfe 2\n")
+        assert cli.main(["stats", str(edges)]) == 2
+        assert str(edges) in capsys.readouterr().err
+
+    def test_id_outside_int64_exit_2(self, tmp_path, capsys):
+        edges = tmp_path / "e.csv"
+        edges.write_text(f"0 1\n{2**66} 1\n")
+        with pytest.raises(GraphFormatError, match=r"e\.csv:2: node id '73786976294838206464' is outside"):
+            load_edge_list(edges)
+        assert cli.main(["stats", str(edges)]) == 2
+        assert f"{edges}:2:" in capsys.readouterr().err
+
+    @given(edge_list_and_node_table())
+    @example(([f"{2**66} 1"], [f"{2**66},0,a", "1,0,b"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_edge_list_and_node_table_exit_0_or_2(self, files):
+        edge_lines, node_rows = files
+        with tempfile.TemporaryDirectory() as tmp:
+            edges, nodes = Path(tmp) / "e.csv", Path(tmp) / "n.csv"
+            edges.write_text("".join(line + "\n" for line in edge_lines))
+            nodes.write_text("id,f0,target\n" + "".join(row + "\n" for row in node_rows))
+            rc = cli.main(["stats", str(edges), "--nodes", str(nodes), "--target-column", "target"])
+            assert rc in (0, 2)
 
 
 class TestCluster:
@@ -341,6 +388,63 @@ class TestTrainCommand:
         assert "desk-scale limit of 10 slots" in capsys.readouterr().err
 
 
+SET_KEYS = (
+    [
+        "dataset", "split", "models", "clusterings", "min_cluster_size", "max_cluster_size",
+        "grid", "seeds", "steps", "eval_every", "selection_model", "output_dir",
+    ]
+    + [f"split.{k}" for k in ("ratios", "seed", "stratified")]
+    + [f"models.0.{k}" for k in ("conv_type", "use_clatt", "clusterings", "pe", "layers", "hidden", "heads", "dropout", "lr")]
+    + [f"clusterings.LA.{k}" for k in ("gamma", "seed", "max_passes")]
+)
+# "taken" names a file beside the config, so output_dir=taken is not a directory;
+# free text has no "/", "\\" or ".", so an output_dir stays inside the test's directory
+WORDS = st.sampled_from(["GCN", "LGT", "SAGE", "GGT", "LA", "laplacian", "none", "taken"])
+SCALARS = (
+    st.integers(-2, 8)
+    | st.floats(-2, 8)
+    | st.sampled_from([math.nan, math.inf])
+    | WORDS
+    | st.text(st.characters(blacklist_characters="/\\.", blacklist_categories=("Cs",)), max_size=3)
+    | st.none()
+    | st.booleans()
+)
+SET_VALUES = SCALARS | st.lists(SCALARS, max_size=3)
+
+
+class TestSetOverrides:
+    @given(st.lists(st.tuples(st.sampled_from(SET_KEYS), SET_VALUES), min_size=1, max_size=3))
+    @example([("clusterings.LA.gamma", "x")])
+    @example([("clusterings.LA.seed", -1)])
+    @example([("split.ratios", [0, 0.5, 0.5])])
+    @example([("seeds", [0])])
+    @example([("output_dir", "taken")])
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_set_overrides_exit_0_or_2(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = base_config(Path(tmp), steps=3)
+            (Path(tmp) / "taken").write_text("")
+            args = ["train", str(config)]
+            for key, value in overrides:
+                args += ["--set", f"{key}={json.dumps(value)}"]
+            with np.errstate(all="ignore"):
+                assert cli.main(args) in (0, 2)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [("clusterings.LA.gamma=\"x\"", "clusterings.LA.gamma: expected a finite number"),
+         ("clusterings.LA.seed=-1", "clusterings.LA.seed: must be >= 0"),
+         ("split.ratios=[0,0.5,0.5]", "leave the train subset empty"),
+         ("seeds=[0]", "at least 2 seeds"),
+         ("output_dir=taken", "taken exists and is not a directory"),
+         pytest.param("steps=" + "[" * 5000 + "]" * 5000, "steps: expected an integer", id="too-deep-json")],
+    )
+    def test_bad_override_names_the_fault(self, tmp_path, capsys, override, message):
+        (tmp_path / "taken").write_text("")
+        assert cli.main(["train", str(base_config(tmp_path, steps=3)), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSelectCommand:
     def test_sbm_fixture_selects_la(self, tmp_path, capsys):
         g, blocks = sbm_graph([15, 15, 15, 15], 0.5, 0.02, seed=1)
@@ -421,6 +525,27 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_checkpoint_shape_mismatch_exit_2(self, tmp_path, capsys):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        rc = cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.hidden=16"])
+        assert rc == 2
+        assert "enc.w has shape (2, 8), the model needs (2, 16)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
+
+    def test_checkpoint_with_key_bias_exit_2(self, tmp_path, capsys):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        params = load_checkpoint(ckpt)
+        params["layer0.conv.bk"] = np.zeros(8)
+        save_checkpoint(ckpt, params)
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 2
+        assert "unexpected array layer0.conv.bk" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -433,13 +558,16 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
 
     def test_stray_runtime_error_in_train_exit_3(self, tmp_path, capsys, monkeypatch):
-        def broken_backward(loss):
-            raise RuntimeError("backward was already called on this tape")
+        # a bare ValueError is an internal fault too, e.g. a numpy shape bug
+        for error in (RuntimeError("backward was already called on this tape"),
+                      ValueError("operands could not be broadcast together")):
+            def broken_backward(loss, error=error):
+                raise error
 
-        monkeypatch.setattr(tensor, "backward", broken_backward)
-        rc = cli.main(["train", str(base_config(tmp_path))])
-        assert rc == 3
-        assert "internal error: RuntimeError" in capsys.readouterr().err
+            monkeypatch.setattr(tensor, "backward", broken_backward)
+            rc = cli.main(["train", str(base_config(tmp_path))])
+            assert rc == 3
+            assert f"internal error: {type(error).__name__}" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

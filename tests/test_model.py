@@ -27,7 +27,7 @@ def naive_cluster_attention(x, assignment, prm, heads):
     n, d = x.shape
     dh = d // heads
     q = x @ prm["wq"] + prm["bq"]
-    k = x @ prm["wk"] + prm["bk"]
+    k = x @ prm["wk"]
     v = x @ prm["wv"] + prm["bv"]
     out = np.zeros((n, d))
     for cid in np.unique(assignment[assignment >= 0]):
@@ -45,7 +45,6 @@ def rand_qkv(rng, d, d_in=None):
         "wq": rng.standard_normal((d_in, d)) * 0.3,
         "bq": rng.standard_normal(d) * 0.1,
         "wk": rng.standard_normal((d_in, d)) * 0.3,
-        "bk": rng.standard_normal(d) * 0.1,
         "wv": rng.standard_normal((d_in, d)) * 0.3,
         "bv": rng.standard_normal(d) * 0.1,
     }
@@ -182,7 +181,6 @@ class TestClattForward:
         batch = nn.build_cluster_batch(fc(assignment))
         prm = rand_qkv(rng, 4)
         prm["bq"][:] = 0.0
-        prm["bk"][:] = 0.0
         cap1, cap2 = [], []
         nn.clatt_forward(x, [batch], [as_tensors(prm)], heads=2, capture=cap1, layer=0)
         scaled = dict(prm)
@@ -293,7 +291,7 @@ def assert_lgt_matches_per_node_oracle(g, rng):
     classes = nn.neighborhood_classes(*nn.neighborhood_table(g))
     got = nn.local_attention_conv(T.Tensor(x), classes, as_tensors(prm), heads=3).data
     q = x @ prm["wq"] + prm["bq"]
-    k = x @ prm["wk"] + prm["bk"]
+    k = x @ prm["wk"]
     v = x @ prm["wv"] + prm["bv"]
     dh = 2
     for i in range(g.n):
@@ -469,7 +467,7 @@ class TestGlobalAttention:
         got = nn.global_attention(T.Tensor(x), T.Tensor(pe), as_tensors(prm), heads=3).data
         u = np.concatenate([x @ prm["wx"] + prm["bx"], pe @ prm["wpe"] + prm["bpe"]], axis=1)
         batch = nn.build_cluster_batch(fc(np.zeros(n, dtype=int)))
-        qkv_only = {k: prm[k] for k in ("wq", "bq", "wk", "bk", "wv", "bv")}
+        qkv_only = {k: prm[k] for k in ("wq", "bq", "wk", "wv", "bv")}
         want = nn.clatt_forward(T.Tensor(u), [batch], [as_tensors(qkv_only)], heads=3).data
         assert np.abs(got - want).max() <= 1e-10
 
