@@ -200,10 +200,11 @@ def _safe_name(name: str) -> str:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or ())
+    tr.check_seeds(cfg.seeds)
     data = _dataset_for_training(cfg)
     split = _split_for(cfg, data)
-    _build_clusterings(cfg, data, split, cfg.needed_tags())
     out_dir = _output_dir(cfg)
+    _build_clusterings(cfg, data, split, cfg.needed_tags())
 
     # choose (transform, pe) variants; grid-tune each spec when asked
     plans = []  # (spec, transform)
@@ -272,6 +273,7 @@ def cmd_select_clusterings(args) -> int:
     data = _dataset_for_training(cfg)
     split = _split_for(cfg, data)
     candidates = tuple(t for t in CANONICAL_TAGS if t in cfg.clusterings) or CANONICAL_TAGS
+    out = _output_dir(cfg) / "selected_clusterings.json"
     _build_clusterings(cfg, data, split, candidates)
     base = _selection_base(cfg)
     base = replace(base, use_clatt=False, clusterings=())
@@ -280,7 +282,6 @@ def cmd_select_clusterings(args) -> int:
     selected, details = tr.select_clusterings(
         base, data, split, candidates=candidates, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every
     )
-    out = _output_dir(cfg) / "selected_clusterings.json"
     with open(out, "w") as fh:
         json.dump({"base_model": base.name, "selected": list(selected), "details": details}, fh, indent=2)
         fh.write("\n")
@@ -316,6 +317,7 @@ def cmd_analyze_attention(args) -> int:
         raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
     data = _dataset_for_training(cfg)
     split = _split_for(cfg, data)
+    out_dir = _output_dir(cfg)
     _build_clusterings(cfg, data, split, spec.clusterings)
     if spec.pe != "none":
         data = replace(data, pe=_pe_for(spec.pe, data.g, args.pe_dim))
@@ -327,7 +329,6 @@ def cmd_analyze_attention(args) -> int:
     profile = profile_model(spec, params, data)
     if not profile.entries:
         raise InputError(f"model {spec.name} has no attention sites to analyze")
-    out_dir = _output_dir(cfg)
     stem = _safe_name(spec.name)
     export_profile(profile, out_dir / f"attention_profile_{stem}.csv")
     export_histogram(profile.distances(), args.bins, out_dir / f"attention_histogram_{stem}.csv")

@@ -283,8 +283,9 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
         if tgt_idx is not None:
             raw_targets[pos] = row[tgt_idx]
 
-    col_mean = np.nanmean(np.where(imputed, np.nan, feats), axis=0)
-    col_mean = np.where(np.isnan(col_mean), 0.0, col_mean)
+    # the mean of each column's parsed cells; 0 for a column with none
+    parsed = ~np.isnan(feats)
+    col_mean = np.where(parsed, feats, 0.0).sum(axis=0) / np.maximum(parsed.sum(axis=0), 1)
     feats = np.where(imputed, col_mean, feats)
 
     targets = None

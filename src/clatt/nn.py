@@ -3,11 +3,12 @@
 Everything here is a pure function over a flat dict of named parameter
 Tensors, so checkpointing and the optimizer stay trivial. The attention
 kernel is shared: cluster attention, the neighborhood transformer and
-the global transformer all go through _slot_attention, which runs _attend
-once per SlotClass: a size class of a padded slot layout, so a small
-cluster or a low-degree node is padded only to the widest row of its
-class, not to the widest row overall. A neighborhood is a row whose only
-query is its own node; global attention is one cluster of every node.
+the global transformer all go through _slot_attention, which runs three
+tape ops (slot_logits, masked_softmax, slot_context) per SlotClass: a
+size class of a padded slot layout, so a small cluster or a low-degree
+node is padded only to the widest row of its class, not to the widest
+row overall. A neighborhood is a row whose only query is its own node;
+global attention is one cluster of every node.
 """
 
 from __future__ import annotations
@@ -55,14 +56,22 @@ NEIGHBORHOOD_TABLE_MAX_SLOTS = 50_000_000
 MAX_CLUSTER_SLOTS = 512
 
 
+def _slot_map(ids: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, ids.size) 0/1 matrix that sums slot j onto row ids[j]; a slot
+    holding -1 is dropped."""
+    cols = np.flatnonzero(ids >= 0)
+    return sp.csr_matrix((np.ones(cols.size), (ids[cols], cols)), shape=(n, ids.size))
+
+
 @dataclass
 class SlotClass:
     """One size class of a padded slot layout, the unit of attention.
 
     nodes (rows, Sq) holds the query nodes, -1 marking a padded query
     slot; table (rows, S) holds the key nodes and mask (rows, S) says
-    which key slots are live. scatter, derived from nodes, maps the
-    class's flattened (row, query) outputs onto the n nodes.
+    which key slots are live; every row needs one. scatter, derived from
+    nodes, maps the class's flattened (row, query) outputs onto the n
+    nodes; key_scatter does the same for the live (row, key) slots.
     """
 
     nodes: np.ndarray
@@ -70,11 +79,14 @@ class SlotClass:
     mask: np.ndarray
     n: InitVar[int]
     scatter: sp.csr_matrix = field(init=False, repr=False)
+    key_scatter: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self, n: int):
-        flat = self.nodes.ravel()
-        cols = np.flatnonzero(flat >= 0)
-        self.scatter = sp.csr_matrix((np.ones(cols.size), (flat[cols], cols)), shape=(n, flat.size))
+        empty = np.flatnonzero(~self.mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"SlotClass: row {empty[0]} has no live key slot")
+        self.scatter = _slot_map(self.nodes.ravel(), n)
+        self.key_scatter = _slot_map(np.where(self.mask, self.table, -1).ravel(), n)
 
 
 def _size_classes(table: np.ndarray, mask: np.ndarray):
@@ -141,28 +153,6 @@ def build_cluster_batch(fc: FilteredClustering) -> ClusterBatch:
     return ClusterBatch(table, mask, a.shape[0])
 
 
-def _attend(q: T.Tensor, k: T.Tensor, v: T.Tensor, key_mask: np.ndarray):
-    """Scaled dot-product attention; key_mask broadcasts over query rows.
-
-    q is (..., Sq, dh); k and v are (..., S, dh). Returns the probability
-    tensor (..., Sq, S) and the context (..., Sq, dh).
-    """
-    dh = q.data.shape[-1]
-    logits = T.matmul(T.scale(q, 1.0 / math.sqrt(dh)), T.swap_axes(k, -1, -2))
-    mask = np.broadcast_to(key_mask, logits.data.shape)
-    p = T.masked_softmax(logits, mask)
-    return p, T.matmul(p, v)
-
-
-def _slotted(t: T.Tensor, table: np.ndarray, heads: int) -> T.Tensor:
-    """Gather rows of t (n, d) into table's slots, split into heads:
-    (rows, heads, slots, d // heads)."""
-    rows, size = table.shape
-    g = T.take_rows(t, table)  # (rows, size, d)
-    g = T.reshape(g, (rows, size, heads, t.data.shape[1] // heads))
-    return T.swap_axes(g, 1, 2)
-
-
 def _check_heads(d: int, heads: int) -> int:
     if heads < 1 or d % heads != 0:
         raise InputError(f"hidden dim {d} is not divisible by {heads} heads")
@@ -178,21 +168,15 @@ def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record
     capture, each class appends record plus probs (rows, heads, Sq, S),
     nodes (rows, Sq), index_table and mask (rows, S).
     """
-    d = x.data.shape[1]
-    _check_heads(d, heads)
+    _check_heads(x.data.shape[1], heads)
     q = T.linear(x, prm["wq"], prm["bq"])
     k = T.linear(x, prm["wk"])
     v = T.linear(x, prm["wv"], prm["bv"])
     ys = []
     for cls in classes:
-        rows, sq = cls.nodes.shape
-        p, ctx = _attend(
-            _slotted(q, np.maximum(cls.nodes, 0), heads),
-            _slotted(k, cls.table, heads),
-            _slotted(v, cls.table, heads),
-            cls.mask[:, None, None, :],
-        )
-        ys.append(T.spmm(cls.scatter, T.reshape(T.swap_axes(ctx, 1, 2), (rows * sq, d))))
+        logits = T.slot_logits(q, k, np.maximum(cls.nodes, 0), cls.table, heads, cls.scatter, cls.key_scatter)
+        p = T.masked_softmax(logits, cls.mask[:, None, None, :])
+        ys.append(T.slot_context(p, v, cls.table, cls.key_scatter, cls.scatter))
         if capture is not None:
             capture.append({**record, "probs": p.data, "nodes": cls.nodes, "index_table": cls.table, "mask": cls.mask})
     return functools.reduce(T.add, ys)

@@ -40,6 +40,8 @@ __all__ = [
     "dropout",
     "spmm",
     "take_rows",
+    "slot_logits",
+    "slot_context",
     "reshape",
     "swap_axes",
     "tsum",
@@ -318,22 +320,31 @@ def gelu(x: Tensor) -> Tensor:
 def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax along the last axis restricted to mask==True positions.
 
-    Masked positions come out exactly zero; each row must keep at least
-    one live entry. The mask is a plain boolean array, not a Tensor.
+    The mask is a plain boolean array of the logits' rank that broadcasts
+    to them, e.g. a (rows, 1, 1, S) key mask for (rows, heads, Sq, S)
+    logits. Masked positions come out exactly zero; each row must keep at
+    least one live entry.
     """
+    z = logits.data
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.data.shape:
-        _shape_error("masked_softmax", logits.data.shape, mask.shape)
+    if mask.ndim != z.ndim or any(m not in (1, s) for m, s in zip(mask.shape, z.shape)):
+        _shape_error("masked_softmax", z.shape, mask.shape)
     if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax: a row has no unmasked entries")
-    shifted = np.where(mask, logits.data, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    if mask.all():
+        p = z - z.max(axis=-1, keepdims=True)
+    else:
+        p = np.where(mask, z, -np.inf)
+        p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def back(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
+        gz = g * p
+        inner = gz.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gz)
+        gz *= p
+        return (gz,)
 
     return _op(p, (logits,), back)
 
@@ -489,6 +500,58 @@ def take_rows(x: Tensor, idx) -> Tensor:
         return (gx,)
 
     return _op(out, (x,), back)
+
+
+def slot_logits(q: Tensor, k: Tensor, queries, keys, heads: int, q_scatter, k_scatter) -> Tensor:
+    """Per-head scaled dot products of gathered query and key rows.
+
+    q and k are (n, d); queries (rows, Sq) and keys (rows, S) index their
+    rows. Returns the (rows, heads, Sq, S) logits q_h[queries] k_h[keys]^T
+    / sqrt(d // heads). The constant sparse maps q_scatter (n, rows * Sq)
+    and k_scatter (n, rows * S) sum the slots' gradients back onto the n
+    rows: each is its gather's transpose, less the slots whose gradient
+    the caller knows to be zero (padded queries, masked keys).
+    """
+    rows, sq = queries.shape
+    s = keys.shape[1]
+    d = q.data.shape[1]
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    qs = np.swapaxes(q.data[queries].reshape(rows, sq, heads, dh), 1, 2) * c
+    kg = np.swapaxes(k.data[keys].reshape(rows, s, heads, dh), 1, 2)
+    out = qs @ np.swapaxes(kg, -1, -2)
+
+    def back(g):
+        gq = np.swapaxes((g @ kg) * c, 1, 2).reshape(rows * sq, d)
+        gk = (np.swapaxes(qs, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(rows * s, d)
+        return np.asarray(q_scatter @ gq), np.asarray(k_scatter @ gk)
+
+    return _op(out, (q, k), back)
+
+
+def slot_context(p: Tensor, v: Tensor, keys, k_scatter, out_scatter) -> Tensor:
+    """Attention-weighted sums of gathered value rows, scattered onto rows.
+
+    p (rows, heads, Sq, S) weighs the value rows v[keys] head by head,
+    with v (n, d) and keys (rows, S). The constant sparse map out_scatter
+    (n, rows * Sq) sums the (row, query) contexts onto the n output rows,
+    and k_scatter (n, rows * S) sums the value slots' gradients back onto
+    v; a slot it leaves out must carry zero weight in p.
+    """
+    rows, heads, sq, s = p.data.shape
+    d = v.data.shape[1]
+    dh = d // heads
+    vg = np.swapaxes(v.data[keys].reshape(rows, s, heads, dh), 1, 2)
+    ctx = p.data @ vg
+    out = np.asarray(out_scatter @ np.swapaxes(ctx, 1, 2).reshape(rows * sq, d))
+
+    def back(g):
+        go = np.swapaxes(np.asarray(out_scatter.T @ g).reshape(rows, sq, heads, dh), 1, 2)
+        gp = go @ np.swapaxes(vg, -1, -2)
+        gv = np.swapaxes(np.swapaxes(p.data, -1, -2) @ go, 1, 2).reshape(rows * s, d)
+        return gp, np.asarray(k_scatter @ gv)
+
+    return _op(out, (p, v), back)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -33,6 +33,7 @@ __all__ = [
     "select_clusterings",
     "welch_test",
     "ResultRow",
+    "check_seeds",
     "run_experiment",
     "format_value",
     "render_table",
@@ -230,7 +231,9 @@ def _fit(
     checkpoint selection; the best parameters are restored in place.
 
     Returns (best_step, best_val, best_snapshot, history, metric), where
-    ``metric(idx)`` scores the current parameters on the nodes ``idx``.
+    ``metric(idx)`` scores the restored parameters on the nodes ``idx``
+    from the best eval's logits, with one forward pass of its own only
+    when no eval improved (``steps == 0`` or every val metric NaN).
     """
     target_scale = None
     loss_targets = data.targets
@@ -251,16 +254,16 @@ def _fit(
             )
         return T.mse(T.reshape(logits, (data.g.n,)), loss_targets, split.train)
 
-    def metric(idx) -> float:
+    def eval_logits() -> np.ndarray:
         with T.no_grad():
-            logits = forward(False).data
-        return _metric_from_logits(logits, data, idx, target_scale)
+            return forward(False).data
 
     plist = list(params.values())
     state = T.adam_init(plist)
     best_val = -math.inf
     best_step = 0
     best_snapshot = {k: v.data.copy() for k, v in params.items()}
+    best_logits = None
     history = []
     for step in range(1, steps + 1):
         T.zero_grad(plist)
@@ -271,15 +274,26 @@ def _fit(
         T.backward(loss)
         T.adam_step(plist, state, lr=lr)
         if step % eval_every == 0 or step == steps:
-            val = metric(split.val)
+            logits = eval_logits()
+            val = _metric_from_logits(logits, data, split.val, target_scale)
             history.append({"step": step, "train_loss": value, "val_metric": val})
             if val > best_val:
                 best_val = val
                 best_step = step
                 best_snapshot = {k: v.data.copy() for k, v in params.items()}
+                best_logits = logits
 
     for k, p in params.items():
         p.data[...] = best_snapshot[k]
+
+    def metric(idx) -> float:
+        # the eval forward has no dropout, so the best eval's logits are
+        # exactly what the restored parameters would produce
+        nonlocal best_logits
+        if best_logits is None:
+            best_logits = eval_logits()
+        return _metric_from_logits(best_logits, data, idx, target_scale)
+
     return best_step, best_val, best_snapshot, history, metric
 
 
@@ -424,6 +438,15 @@ def _run_one(args):
     return result.test_metric, result.params if keep_params else None
 
 
+def check_seeds(seeds) -> tuple:
+    """The seeds of a multi-seed experiment: at least two, so that each
+    row has a standard deviation and a t-test."""
+    seeds = tuple(seeds)
+    if len(seeds) < 2:
+        raise InputError(f"run_experiment needs at least 2 seeds, got {len(seeds)}")
+    return seeds
+
+
 def run_experiment(
     data: TrainData,
     specs,
@@ -440,9 +463,7 @@ def run_experiment(
     metrics at alpha 0.05. Standard deviations use ddof=1. Each row keeps
     the best params of its ``seeds[0]`` run and of no other seed.
     """
-    seeds = tuple(seeds)
-    if len(seeds) < 2:
-        raise InputError(f"run_experiment needs at least 2 seeds, got {len(seeds)}")
+    seeds = check_seeds(seeds)
     specs = list(specs)
     tasks = [(spec, data, split, seed, steps, eval_every, j == 0) for spec in specs for j, seed in enumerate(seeds)]
     if jobs > 1:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clatt import analysis as an
 from clatt import cli
@@ -208,14 +209,31 @@ def _op_cases():
     tm = rng.standard_normal((5, 1))
     cases["mse"] = (lambda: T.mse(zm, tm, np.arange(1, 5)), [zm])
 
-    import scipy.sparse as sp
-
     mat = sp.random(4, 6, density=0.5, random_state=3, format="csr")
     xs = t(6, 3)
     cases["spmm"] = (lambda: T.tsum(T.spmm(mat, xs)), [xs])
 
     xt = t(5, 3)
     cases["take_rows"] = (lambda: T.tsum(T.take_rows(xt, np.array([0, 2, 2, 4]))), [xt])
+
+    # slot ops on 2 rows x 2 heads, 2 query and 3 key slots over 5 nodes;
+    # the scatters are the gathers' exact transposes, repeated nodes included
+    def gather_map(idx):
+        return sp.csr_matrix((np.ones(idx.size), (idx.ravel(), np.arange(idx.size))), shape=(5, idx.size))
+
+    qi, ki = np.array([[0, 2], [4, 4]]), np.array([[1, 2, 3], [0, 4, 1]])
+    qa, ka = t(5, 4), t(5, 4)
+    wsl = T.Tensor(rng.standard_normal((2, 2, 2, 3)))
+    cases["slot_logits"] = (
+        lambda: weighted(T.slot_logits(qa, ka, qi, ki, 2, gather_map(qi), gather_map(ki)), wsl),
+        [qa, ka],
+    )
+    pa, va = t(2, 2, 2, 3), t(5, 4)
+    wsc = T.Tensor(rng.standard_normal((5, 4)))
+    cases["slot_context"] = (
+        lambda: weighted(T.slot_context(pa, va, ki, gather_map(ki), gather_map(qi)), wsc),
+        [pa, va],
+    )
     xre = t(4, 6)
     wre = T.Tensor(rng.standard_normal((2, 12)))
     cases["reshape"] = (lambda: weighted(T.reshape(xre, (2, 12)), wre), [xre])

@@ -445,6 +445,17 @@ class TestSetOverrides:
         assert message in capsys.readouterr().err
 
 
+class TestCheapChecksFirst:
+    @pytest.mark.parametrize(
+        "command, override",
+        [("train", "seeds=[0]"), ("train", "output_dir=\"taken\""), ("select-clusterings", "output_dir=\"taken\"")],
+    )
+    def test_fails_before_clustering(self, tmp_path, capsys, command, override):
+        (tmp_path / "taken").write_text("")
+        assert cli.main([command, str(base_config(tmp_path, steps=3)), "--set", override]) == 2
+        assert "clustering LA:" not in capsys.readouterr().out
+
+
 class TestSelectCommand:
     def test_sbm_fixture_selects_la(self, tmp_path, capsys):
         g, blocks = sbm_graph([15, 15, 15, 15], 0.5, 0.02, seed=1)

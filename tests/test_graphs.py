@@ -1,5 +1,7 @@
 """Edge-list ingestion, CSR invariants and node-table handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,15 @@ class TestNodeTable:
         nd = load_node_table(p, TableSchema(), g)
         assert nd.features[1, 0] == pytest.approx(3.0)
         assert nd.imputed[1, 0] and not nd.imputed[0, 0]
+
+    def test_all_missing_column_imputes_zero_without_warning(self, tmp_path):
+        g = self.make_graph()
+        p = write(tmp_path, "t.csv", "id,f1,f2\n10,1.0,\n20,,NA\n30,5.0,nan\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nd = load_node_table(p, TableSchema(), g)
+        np.testing.assert_array_equal(nd.features, [[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
+        np.testing.assert_array_equal(nd.imputed, [[False, True], [True, True], [False, True]])
 
     def test_non_numeric_feature(self, tmp_path):
         g = self.make_graph()

@@ -404,6 +404,88 @@ class TestSizeClasses:
                 np.testing.assert_array_equal(rec["index_table"][r, rec["mask"][r]], hood)
 
 
+def composed_slot_attention(x, cls, prm, heads):
+    """The fused ops' oracle: one class of slot attention as separate tape
+    ops (gather, split heads, scale, QK^T, masked softmax, PV, scatter)."""
+    d = x.data.shape[1]
+    rows, sq = cls.nodes.shape
+
+    def slotted(t, table):
+        g = T.take_rows(t, table)
+        return T.swap_axes(T.reshape(g, table.shape + (heads, d // heads)), 1, 2)
+
+    q = slotted(T.linear(x, prm["wq"], prm["bq"]), np.maximum(cls.nodes, 0))
+    k = slotted(T.linear(x, prm["wk"]), cls.table)
+    v = slotted(T.linear(x, prm["wv"], prm["bv"]), cls.table)
+    logits = T.matmul(T.scale(q, 1.0 / math.sqrt(d // heads)), T.swap_axes(k, -1, -2))
+    p = T.masked_softmax(logits, np.broadcast_to(cls.mask[:, None, None, :], logits.data.shape))
+    ctx = T.reshape(T.swap_axes(T.matmul(p, v), 1, 2), (rows * sq, d))
+    return T.spmm(cls.scatter, ctx)
+
+
+def fused_test_classes():
+    """A partial-mask cluster class, an Sq = 1 neighbourhood class (LGT)
+    and an all-node class (GGT), each over 9 nodes."""
+    a = np.array([0, 0, 1, 1, 1, -1, 0, 1, 2])
+    partial = nn.build_cluster_batch(fc(a)).classes[-1]
+    assert not partial.mask.all() and (partial.nodes < 0).any()
+    hood = nn.neighborhood_classes(*nn.neighborhood_table(star_graph(9)))[0]
+    assert hood.nodes.shape[1] == 1
+    everyone = np.arange(9)[None, :]
+    return {
+        "partial": partial,
+        "lgt": hood,
+        "ggt": nn.SlotClass(everyone, everyone, np.ones((1, 9), dtype=bool), 9),
+    }
+
+
+class TestFusedSlotAttention:
+    @pytest.mark.parametrize("name", ["partial", "lgt", "ggt"])
+    def test_matches_composed_oracle(self, name):
+        cls = fused_test_classes()[name]
+        rng = np.random.default_rng(40)
+        x = T.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        prm = as_tensors(rand_qkv(rng, 4), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((9, 4)))
+        leaves = [x, *prm.values()]
+
+        def fused():
+            return T.tsum(T.mul(nn._slot_attention(x, [cls], prm, 2, None, {}), w))
+
+        def composed():
+            return T.tsum(T.mul(composed_slot_attention(x, cls, prm, 2), w))
+
+        grads = []
+        for f in (fused, composed):
+            T.zero_grad(leaves)
+            loss = f()
+            T.backward(loss)
+            grads.append((loss.data, [p.grad.copy() for p in leaves]))
+        (lf, gf), (lc, gc) = grads
+        assert lf == lc
+        for a, b in zip(gf, gc):
+            np.testing.assert_array_equal(a, b)
+
+        def scaled():
+            return T.scale(fused(), 1e-4)
+
+        assert T.grad_check(scaled, leaves) <= 1e-5
+
+    def test_three_tape_ops_per_class(self):
+        cls = fused_test_classes()["partial"]
+        rng = np.random.default_rng(41)
+        x = T.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+        y = nn._slot_attention(x, [cls], as_tensors(rand_qkv(rng, 4)), 2, None, {})
+        names = [node._backward.__qualname__.split(".")[0] for node in y._tape.nodes]
+        assert names[-3:] == ["slot_logits", "masked_softmax", "slot_context"]
+
+    def test_slot_class_rejects_row_without_live_key(self):
+        table = np.array([[0, 1], [2, 0]])
+        mask = np.array([[True, True], [False, False]])
+        with pytest.raises(ValueError, match="row 1 has no live key"):
+            nn.SlotClass(np.where(mask, table, -1), table, mask, 3)
+
+
 class TestNeighborhoodGuard:
     def test_star_over_bound_fails_before_allocating(self, monkeypatch):
         import tracemalloc

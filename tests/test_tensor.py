@@ -134,6 +134,28 @@ class TestMaskedSoftmax:
         with pytest.raises(ValueError, match="no unmasked"):
             T.masked_softmax(logits, mask)
 
+    def test_broadcast_mask_equals_full_mask(self):
+        rng = np.random.default_rng(3)
+        logits = rng.standard_normal((3, 2, 4, 5))
+        key_mask = rng.random((3, 1, 1, 5)) < 0.6
+        key_mask[:, 0, 0, 2] = True
+        full = np.broadcast_to(key_mask, logits.shape)
+        np.testing.assert_array_equal(
+            T.masked_softmax(T.Tensor(logits), key_mask).data,
+            T.masked_softmax(T.Tensor(logits), full).data,
+        )
+        live = np.ones((3, 1, 1, 5), dtype=bool)
+        np.testing.assert_array_equal(
+            T.masked_softmax(T.Tensor(logits), live).data,
+            T.masked_softmax(T.Tensor(logits), np.ones(logits.shape, dtype=bool)).data,
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1, 4), (2, 1, 1, 5), (1, 5), (3, 2, 4, 5, 1)])
+    def test_mask_that_does_not_broadcast_errors(self, shape):
+        logits = T.Tensor(np.zeros((3, 2, 4, 5)))
+        with pytest.raises(ValueError, match="masked_softmax: shapes"):
+            T.masked_softmax(logits, np.ones(shape, dtype=bool))
+
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), cols=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_rows_sum_to_one_and_shift_invariant(self, seed, rows, cols):

@@ -230,6 +230,27 @@ class TestTrain:
         result = tr.train(small_spec(), data, split, seed=1, steps=40)
         assert result.best_val == max(h["val_metric"] for h in result.history)
 
+    @pytest.mark.parametrize("steps, forwards", [(3, 4), (0, 1)])
+    def test_test_metric_reuses_best_eval_forward(self, monkeypatch, steps, forwards):
+        data = toy_classification(clusterings=True)
+        split = tr.make_split(data.targets, ratios=(0.5, 0.25, 0.25), seed=0)
+        spec = small_spec(use_clatt=True, clusterings=("LA",), dropout=0.1)
+        calls = []
+        real_forward = nn.model_forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(kwargs.get("training", False))
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "model_forward", counting_forward)
+        result = tr.train(spec, data, split, seed=2, steps=steps, eval_every=3)
+        # one forward per step, one per eval, none of its own for the test split
+        assert len(calls) == forwards and calls.count(True) == steps
+        monkeypatch.undo()
+        logits = tr.predict(spec, result.params, data)
+        assert result.test_metric == tr.accuracy(logits.argmax(axis=1), data.targets, split.test)
+        assert result.best_val == tr.accuracy(logits.argmax(axis=1), data.targets, split.val)
+
     def test_divergence_raises_with_step(self):
         g = erdos_renyi(20, 0.2, seed=0)
         x = gaussian_features(20, 3, seed=0)
