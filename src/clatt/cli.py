@@ -129,9 +129,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _dataset_for_training(cfg: ExperimentConfig) -> tr.TrainData:
+def _dataset_for_training(cfg: ExperimentConfig, specs=()) -> tr.TrainData:
+    """Graph and node table; a graph too large for a GGT model in ``specs`` fails before any clustering."""
     ds = cfg.dataset
     g = load_edge_list(ds.edges, directed=ds.directed)
+    if any(spec.conv_type == "GGT" for spec in specs):
+        nn.check_global_attention_size(g.n)
     if ds.nodes is None:
         raise ConfigError("dataset.nodes: required for this command")
     if ds.target_column is None:
@@ -201,7 +204,7 @@ def _safe_name(name: str) -> str:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or ())
     tr.check_seeds(cfg.seeds)
-    data = _dataset_for_training(cfg)
+    data = _dataset_for_training(cfg, cfg.models)
     split = _split_for(cfg, data)
     out_dir = _output_dir(cfg)
     _build_clusterings(cfg, data, split, cfg.needed_tags())
@@ -270,13 +273,12 @@ def _selection_base(cfg: ExperimentConfig) -> nn.ModelSpec:
 
 def cmd_select_clusterings(args) -> int:
     cfg = load_config(args.config, args.set or ())
-    data = _dataset_for_training(cfg)
+    base = replace(_selection_base(cfg), use_clatt=False, clusterings=())
+    data = _dataset_for_training(cfg, [base])
     split = _split_for(cfg, data)
     candidates = tuple(t for t in CANONICAL_TAGS if t in cfg.clusterings) or CANONICAL_TAGS
     out = _output_dir(cfg) / "selected_clusterings.json"
     _build_clusterings(cfg, data, split, candidates)
-    base = _selection_base(cfg)
-    base = replace(base, use_clatt=False, clusterings=())
     if base.pe != "none":
         data = replace(data, pe=_pe_for(base.pe, data.g, args.pe_dim))
     selected, details = tr.select_clusterings(
@@ -315,7 +317,7 @@ def cmd_analyze_attention(args) -> int:
         spec = by_name[args.model]
     else:
         raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
-    data = _dataset_for_training(cfg)
+    data = _dataset_for_training(cfg, [spec])
     split = _split_for(cfg, data)
     out_dir = _output_dir(cfg)
     _build_clusterings(cfg, data, split, spec.clusterings)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train every configured model over the seed list")
     add_config_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel (model, seed) runs")
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel (model, seed) runs; at most one process per run")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("select-clusterings", help="validation-driven clustering selection")

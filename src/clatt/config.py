@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS
-from .nn import ModelSpec
+from .nn import CONV_TYPES, MAX_CLUSTER_SLOTS, PE_KINDS, ModelSpec
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS
 
 OUTPUT_DIR_ENV = "CLATT_OUT_DIR"
@@ -90,21 +90,33 @@ def _check_keys(raw: dict, path: str, allowed):
             _fail(f"{path}.{key}" if path else key, "unknown config key")
 
 
-def _int_field(raw, path, minimum=None):
+def _int_field(raw, path, minimum=None, maximum=None):
     if isinstance(raw, bool) or not isinstance(raw, int):
         _fail(path, f"expected an integer, got {raw!r}")
     if minimum is not None and raw < minimum:
         _fail(path, f"must be >= {minimum}, got {raw}")
+    if maximum is not None and raw > maximum:
+        _fail(path, f"must be <= {maximum}, got {raw}")
     return raw
 
 
 def _number_field(raw, path, positive=False):
     """A finite real number, strictly positive when asked."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+    try:
+        finite = not isinstance(raw, bool) and isinstance(raw, (int, float)) and math.isfinite(raw)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         _fail(path, f"expected a finite number, got {raw!r}")
     if positive and raw <= 0:
         _fail(path, f"must be > 0, got {raw}")
     return float(raw)
+
+
+def _bool_field(raw, path):
+    if not isinstance(raw, bool):
+        _fail(path, f"expected true or false, got {raw!r}")
+    return raw
 
 
 def _path_field(raw, path):
@@ -131,6 +143,20 @@ def _positive(raw, path):
 
 def _or_null(check):
     return lambda raw, path: None if raw is None else check(raw, path)
+
+
+def _choice(options):
+    def check(raw, path):
+        if not isinstance(raw, str) or raw not in options:
+            _fail(path, f"must be one of {options}, got {raw!r}")
+        return raw
+
+    return check
+
+
+def _choices(options):
+    """A list whose every item is one of ``options``, as a tuple."""
+    return lambda raw, path: tuple(_choice(options)(v, f"{path}[{i}]") for i, v in enumerate(_expect(raw, path, list, "a list")))
 
 
 # accepted keys per clustering algorithm's params block, each with its check
@@ -163,9 +189,7 @@ def _parse_dataset(raw, base: Path) -> DatasetConfig:
         nodes = base / str(raw["nodes"])
         if not nodes.is_file():
             _fail("dataset.nodes", f"file not found: {nodes}")
-    task = raw.get("task", "multiclass")
-    if task not in TASKS:
-        _fail("dataset.task", f"must be one of {TASKS}, got {task!r}")
+    task = _choice(TASKS)(raw.get("task", "multiclass"), "dataset.task")
     cols = raw.get("feature_columns")
     if cols is not None:
         cols = tuple(_expect(cols, "dataset.feature_columns", list, "a list"))
@@ -176,7 +200,7 @@ def _parse_dataset(raw, base: Path) -> DatasetConfig:
         feature_columns=cols,
         target_column=raw.get("target_column"),
         task=task,
-        directed=bool(raw.get("directed", False)),
+        directed=_bool_field(raw.get("directed", False), "dataset.directed"),
     )
 
 
@@ -190,28 +214,36 @@ def _parse_split(raw, task: str) -> SplitConfig:
     ratios = tuple(_number_field(r, f"split.ratios[{i}]") for i, r in enumerate(ratios))
     if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         _fail("split.ratios", f"must be non-negative and sum to 1, got {ratios}")
-    stratified = bool(raw.get("stratified", task != "regression"))
+    stratified = _bool_field(raw.get("stratified", task != "regression"), "split.stratified")
     if stratified and task == "regression":
         _fail("split.stratified", "stratified splits need discrete labels; use false for regression")
     return SplitConfig(ratios=ratios, seed=_seed(raw.get("seed", 0), "split.seed"), stratified=stratified)
 
 
-MODEL_KEYS = ("conv_type", "use_clatt", "clusterings", "pe", "layers", "hidden", "heads", "dropout", "lr")
+# accepted keys of a model block, each with its check
+MODEL_FIELDS = {
+    "conv_type": _choice(CONV_TYPES),
+    "use_clatt": _bool_field,
+    "clusterings": _choices(CANONICAL_TAGS),
+    "pe": _choice(PE_KINDS),
+    "layers": _count(1),
+    "hidden": _count(1),
+    "heads": _count(1),
+    "dropout": _number_field,
+    "lr": _number_field,
+}
 
 
 def _parse_model(raw, path: str) -> ModelSpec:
     _expect(raw, path, dict, "an object")
-    _check_keys(raw, path, MODEL_KEYS)
+    _check_keys(raw, path, MODEL_FIELDS)
     if "conv_type" not in raw:
         _fail(f"{path}.conv_type", "required")
+    spec = ModelSpec(**{key: MODEL_FIELDS[key](value, f"{path}.{key}") for key, value in raw.items()})
     try:
-        spec = ModelSpec.from_json(json.dumps(raw))
         spec.validate()
-    except (TypeError, ValueError, OverflowError) as e:
+    except InputError as e:
         _fail(path, str(e))
-    for tag in spec.clusterings:
-        if tag not in CANONICAL_TAGS:
-            _fail(f"{path}.clusterings", f"unknown tag {tag!r}, expected one of {CANONICAL_TAGS}")
     return spec
 
 
@@ -235,14 +267,11 @@ def _parse_grid(raw) -> GridConfig:
     lrs = tuple(_number_field(v, f"grid.lrs[{i}]") for i, v in enumerate(lrs))
     dropouts = _expect(raw.get("dropouts", list(GRID_DROPOUTS)), "grid.dropouts", list, "a list")
     dropouts = tuple(_number_field(v, f"grid.dropouts[{i}]") for i, v in enumerate(dropouts))
-    transforms = tuple(_expect(raw.get("transforms", ["none"]), "grid.transforms", list, "a list"))
+    transforms = _choices(FEATURE_TRANSFORMS)(raw.get("transforms", ["none"]), "grid.transforms")
     if not lrs:
         _fail("grid.lrs", "must be non-empty")
     if not dropouts:
         _fail("grid.dropouts", "must be non-empty")
-    for i, t in enumerate(transforms):
-        if t not in FEATURE_TRANSFORMS:
-            _fail(f"grid.transforms[{i}]", f"must be one of {FEATURE_TRANSFORMS}, got {t!r}")
     return GridConfig(lrs=lrs, dropouts=dropouts, transforms=transforms)
 
 
@@ -301,7 +330,8 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
         split=split,
         clusterings=clusterings,
         min_cluster_size=_int_field(raw.get("min_cluster_size", 4), "min_cluster_size", minimum=1),
-        max_cluster_size=_int_field(raw.get("max_cluster_size", 512), "max_cluster_size", minimum=1),
+        # cluster attention lays out no cluster larger than MAX_CLUSTER_SLOTS
+        max_cluster_size=_int_field(raw.get("max_cluster_size", 512), "max_cluster_size", 1, MAX_CLUSTER_SLOTS),
         grid=grid,
         seeds=seeds,
         steps=_int_field(raw.get("steps", 1000), "steps", minimum=0),

@@ -4,6 +4,7 @@ ingestion and node feature tables."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +55,14 @@ class Graph:
 
     def neighbors_of(self, i: int) -> np.ndarray:
         return self.neighbors[self.offsets[i] : self.offsets[i + 1]]
+
+    @functools.cached_property
+    def adjacency(self) -> sparse.csr_matrix:
+        """The 0/1 adjacency as a read-only float CSR matrix, built once."""
+        adj = sparse.csr_matrix((np.ones(self.neighbors.shape[0]), self.neighbors, self.offsets), shape=(self.n, self.n))
+        for arr in (adj.data, adj.indices, adj.indptr):
+            arr.setflags(write=False)
+        return adj
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an (m, 2) array with u < v."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +33,7 @@ __all__ = [
     "ModelInputs",
     "SlotClass",
     "build_cluster_batch",
+    "check_global_attention_size",
     "clatt_forward",
     "fuse",
     "gcn_matrix",
@@ -207,24 +208,26 @@ def fuse(mp_out: T.Tensor, clatt_out: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.T
     return T.linear(T.concat_last_dim([mp_out, clatt_out]), w, b)
 
 
+def _self_looped(g) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A + I as a CSR matrix, and the row of each of its entries."""
+    a = g.adjacency + sp.eye(g.n, format="csr")
+    return a, np.repeat(np.arange(g.n), np.diff(a.indptr))
+
+
 def gcn_matrix(g) -> sp.csr_matrix:
     """Symmetric-normalized adjacency with self-loops."""
-    n = g.n
-    deg = g.degrees.astype(np.float64) + 1.0
-    dinv = 1.0 / np.sqrt(deg)
-    rows = np.concatenate([np.repeat(np.arange(n), g.degrees), np.arange(n)])
-    cols = np.concatenate([g.neighbors, np.arange(n)])
-    data = dinv[rows] * dinv[cols]
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    a, rows = _self_looped(g)
+    dinv = 1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0)
+    a.data = dinv[rows] * dinv[a.indices]
+    return a
 
 
 def mean_matrix(g) -> sp.csr_matrix:
     """Row-normalized adjacency; isolated nodes get an all-zero row."""
-    n = g.n
+    m = g.adjacency.copy()
     deg = g.degrees.astype(np.float64)
-    rows = np.repeat(np.arange(n), g.degrees)
-    data = 1.0 / deg[rows]
-    return sp.csr_matrix((data, (rows, g.neighbors)), shape=(n, n))
+    m.data = 1.0 / np.repeat(deg, g.degrees)
+    return m
 
 
 def neighborhood_table(g):
@@ -237,16 +240,11 @@ def neighborhood_table(g):
             f"neighborhood attention pads every node to max degree + 1: an {n} x {size} table "
             f"({n * size} slots) exceeds the desk-scale limit of {NEIGHBORHOOD_TABLE_MAX_SLOTS} slots"
         )
-    ids = np.concatenate([np.repeat(np.arange(n), g.degrees), np.arange(n)])
-    vals = np.concatenate([g.neighbors, np.arange(n)])
-    order = np.lexsort((vals, ids))
-    ids = ids[order]
-    vals = vals[order]
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    slots = np.arange(ids.size) - starts[ids]
+    a, ids = _self_looped(g)
+    slots = np.arange(ids.size) - a.indptr[ids]
     table = np.zeros((n, size), dtype=np.int64)
     mask = np.zeros((n, size), dtype=bool)
-    table[ids, slots] = vals
+    table[ids, slots] = a.indices
     mask[ids, slots] = True
     return table, mask
 
@@ -273,15 +271,20 @@ def local_attention_conv(x, classes, prm, heads: int, capture=None, layer=None) 
     return _slot_attention(x, classes, prm, heads, capture, {"kind": "local", "layer": layer, "clustering": None})
 
 
-def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
-    """All-to-all attention on concat(x projection, pe projection): one
-    cluster that holds every node."""
-    n = x.data.shape[0]
+def check_global_attention_size(n: int) -> None:
+    """Refuse a graph whose n x n global attention matrix is past the bound."""
     if n > GLOBAL_ATTENTION_MAX_NODES:
         raise InputError(
             f"global attention materializes an n x n matrix; n={n} exceeds the "
             f"desk-scale limit of {GLOBAL_ATTENTION_MAX_NODES}"
         )
+
+
+def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
+    """All-to-all attention on concat(x projection, pe projection): one
+    cluster that holds every node."""
+    n = x.data.shape[0]
+    check_global_attention_size(n)
     u = T.concat_last_dim([T.linear(x, prm["wx"], prm["bx"]), T.linear(pe, prm["wpe"], prm["bpe"])])
     everyone = np.arange(n)[None, :]
     one = SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)
@@ -331,33 +334,12 @@ class ModelSpec:
         return base
 
     def to_json(self) -> str:
-        d = {
-            "conv_type": self.conv_type,
-            "use_clatt": self.use_clatt,
-            "clusterings": list(self.clusterings),
-            "pe": self.pe,
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "dropout": self.dropout,
-            "lr": self.lr,
-        }
-        return json.dumps(d)
+        return json.dumps(asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         d = json.loads(text)
-        spec = ModelSpec(
-            conv_type=d["conv_type"],
-            use_clatt=bool(d.get("use_clatt", False)),
-            clusterings=tuple(d.get("clusterings", ())),
-            pe=d.get("pe", "none"),
-            layers=int(d.get("layers", 3)),
-            hidden=int(d.get("hidden", 512)),
-            heads=int(d.get("heads", 4)),
-            dropout=float(d.get("dropout", 0.0)),
-            lr=float(d.get("lr", 3e-4)),
-        )
+        spec = ModelSpec(**{**d, "clusterings": tuple(d.get("clusterings", ()))})
         spec.validate()
         return spec
 

@@ -49,13 +49,7 @@ def laplacian_pe(g, k: int = 128) -> LaplacianPE:
         nodes = np.nonzero(comp == c)[0]
         if nodes.size < 2:
             continue
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[nodes] = np.arange(nodes.size)
-        adj = np.zeros((nodes.size, nodes.size))
-        for local_i, u in enumerate(nodes):
-            nbrs = g.neighbors_of(u)
-            adj[local_i, pos[nbrs]] = 1.0
-        vals, vecs = _component_eigs(adj)
+        vals, vecs = _component_eigs(g.adjacency[nodes][:, nodes].toarray())
         for j in range(1, nodes.size):  # drop the trivial pair
             pairs.append((float(vals[j]), nodes, vecs[:, j]))
     pairs.sort(key=lambda t: t[0])

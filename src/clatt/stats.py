@@ -5,55 +5,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import InputError
 from .graphs import Graph
 
 
-def _bfs_int(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source``; -1 marks unreachable nodes."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    offs, nbrs = g.offsets, g.neighbors
-    d = 0
-    while frontier.size:
-        starts = offs[frontier]
-        counts = offs[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = nbrs[np.repeat(starts - cum, counts) + np.arange(total)]
-        cand = flat[dist[flat] < 0]
-        if cand.size == 0:
-            break
-        frontier = np.unique(cand)
-        d += 1
-        dist[frontier] = d
-    return dist
-
-
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source`` as floats, inf for unreachable nodes."""
-    if not 0 <= source < g.n:
+def bfs_distances(g: Graph, source) -> np.ndarray:
+    """Hop distances as floats, inf for unreachable nodes: shape (n,) from
+    an int ``source``, (k, n) from an array of k sources."""
+    sources = np.asarray(source)
+    if np.any((sources < 0) | (sources >= g.n)):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    d = _bfs_int(g, source).astype(np.float64)
-    d[d < 0] = np.inf
-    return d
+    return csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=source)
 
 
 def connected_components(g: Graph) -> tuple[np.ndarray, int]:
-    """Component label per node (0-based, by discovery order) and count."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    c = 0
-    for s in range(g.n):
-        if labels[s] >= 0:
-            continue
-        reach = _bfs_int(g, s) >= 0
-        labels[reach] = c
-        c += 1
-    return labels, c
+    """Component label per node and the count; components are numbered in
+    the order of their smallest node."""
+    count, labels = csgraph.connected_components(g.adjacency, directed=False)
+    return labels.astype(np.int64), count
+
+
+# distances one shortest_path call returns at most: 16 MB of float64
+_BLOCK_DISTANCES = 1 << 21
+
+
+def _component_distances(g: Graph, sources: np.ndarray, nodes: np.ndarray):
+    """Distances from ``sources`` to the ``nodes`` of their component, one
+    block of sources at a time. They are whole numbers, so float sums of
+    them are exact."""
+    step = max(1, _BLOCK_DISTANCES // g.n)
+    for lo in range(0, sources.size, step):
+        yield bfs_distances(g, sources[lo : lo + step])[:, nodes]
 
 
 @dataclass
@@ -85,26 +69,24 @@ def distance_stats(g: Graph, exact_threshold: int = 20000,
     if nc <= exact_threshold:
         total = 0
         diam = 0
-        for s in nodes:
-            d = _bfs_int(g, int(s))
-            inside = d[d > 0]
-            total += int(inside.sum())
-            diam = max(diam, int(inside.max()))
+        for d in _component_distances(g, nodes, nodes):
+            total += int(d.sum())
+            diam = max(diam, int(d.max()))
         avg = total / (nc * (nc - 1))
         return DistanceStats(float(diam), float(avg), True, nc, ncomp)
     rng = np.random.default_rng(seed)
     sources = rng.choice(nodes, size=min(num_sources, nc), replace=False)
-    acc = 0.0
+    means = []
     diam = 0
+    for d in _component_distances(g, sources, nodes):
+        means.append(d.sum(axis=1) / (nc - 1))
+        diam = max(diam, int(d.max()))
+    # a running sum in source order; a pairwise sum would round differently
+    acc = np.cumsum(np.concatenate(means))[-1]
     far = int(sources[0])
-    for s in sources:
-        d = _bfs_int(g, int(s))
-        inside = d[d > 0]
-        acc += inside.sum() / inside.size
-        if inside.max() > diam:
-            diam = int(inside.max())
     for _ in range(4):  # farthest-point sweeps tighten the diameter bound
-        d = _bfs_int(g, far)
+        d = bfs_distances(g, far)
+        d[np.isinf(d)] = -1  # nodes outside the component must not win argmax
         far = int(d.argmax())
         diam = max(diam, int(d.max()))
     return DistanceStats(float(diam), float(acc / len(sources)), False, nc, ncomp)
@@ -117,16 +99,12 @@ def clustering_coefficients(g: Graph) -> tuple[float, float]:
     transitivity when the graph has no wedges.
     """
     degs = g.degrees
-    edges = g.edge_array()
-    tri_at = np.zeros(g.n, dtype=np.int64)
-    closed = 0
-    for u, v in edges:
-        c = np.intersect1d(g.neighbors_of(int(u)), g.neighbors_of(int(v)),
-                           assume_unique=True).size
-        closed += c
-        tri_at[u] += c
-        tri_at[v] += c
-    tri_at //= 2
+    a = g.adjacency
+    # row u of (A @ A) * A: common neighbours of u and each of its neighbours,
+    # which counts each triangle at u twice
+    twice = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel().astype(np.int64)
+    closed = int(twice.sum()) // 2
+    tri_at = twice // 2
     wedges_at = degs * (degs - 1) // 2
     total_wedges = int(wedges_at.sum())
     global_cc = float("nan") if total_wedges == 0 else closed / total_wedges

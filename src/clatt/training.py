@@ -466,10 +466,11 @@ def run_experiment(
     seeds = check_seeds(seeds)
     specs = list(specs)
     tasks = [(spec, data, split, seed, steps, eval_every, j == 0) for spec in specs for j, seed in enumerate(seeds)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(workers) as pool:
             flat = pool.map(_run_one, tasks)
     else:
         flat = [_run_one(t) for t in tasks]

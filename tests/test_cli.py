@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -298,6 +299,23 @@ class TestConfig:
         with pytest.raises(cf.ConfigError, match=r"split\.stratified"):
             cf.load_config(path)
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [('models.1.use_clatt="false"', "models[1].use_clatt: expected true or false"),
+         ("models.0.layers=2.9", "models[0].layers: expected an integer"),
+         ('models.0.hidden="16"', "models[0].hidden: expected an integer"),
+         ('models.0.lr="1e-3"', "models[0].lr: expected a finite number"),
+         pytest.param("models.0.lr=1" + "0" * 400, "models[0].lr: expected a finite number", id="lr-too-large-for-float"),
+         ('models.1.clusterings="LA"', "models[1].clusterings: expected a list"),
+         ('models.1.clusterings=["LA","XX"]', "models[1].clusterings[1]: must be one of"),
+         ('split.stratified="false"', "split.stratified: expected true or false"),
+         ('dataset.directed="false"', "dataset.directed: expected true or false"),
+         ("max_cluster_size=513", f"max_cluster_size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 513")],
+    )
+    def test_fields_are_checked_not_coerced(self, tmp_path, capsys, override, field):
+        assert cli.main(["train", str(base_config(tmp_path, steps=3)), "--set", override]) == 2
+        assert field in capsys.readouterr().err
+
     def test_overrides(self, tmp_path):
         path = base_config(tmp_path)
         cfg = cf.load_config(path, overrides=["steps=50", "split.seed=3", "models.0.lr=0.001"])
@@ -361,6 +379,31 @@ class TestTrainCommand:
             save_checkpoint(ref, result.params)
             name = cli._safe_name(spec.name)
             assert (tmp_path / "out" / f"{name}.ckpt").read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        assert cli.main(["train", str(base_config(tmp_path)), "--jobs", jobs]) == 2
+        assert f"must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_pool_no_larger_than_task_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SequentialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SequentialPool)
+        assert cli.main(["train", str(base_config(tmp_path)), "--jobs", "1000"]) == 0
+        assert sizes == [4]  # two models times two seeds
 
     def test_set_override_changes_run(self, tmp_path):
         path = base_config(tmp_path)
@@ -454,6 +497,20 @@ class TestCheapChecksFirst:
         (tmp_path / "taken").write_text("")
         assert cli.main([command, str(base_config(tmp_path, steps=3)), "--set", override]) == 2
         assert "clustering LA:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
+    def test_graph_over_global_attention_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(nn, "GLOBAL_ATTENTION_MAX_NODES", 4)
+        pe_calls = []
+        monkeypatch.setattr(cli, "laplacian_pe", lambda *args, **kw: pe_calls.append(args))
+        ggt = {"conv_type": "GGT", "pe": "laplacian", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        args = [command, str(base_config(tmp_path, steps=3, models=[ggt]))]
+        if command == "analyze-attention":
+            args.append(str(tmp_path / "GGT.ckpt"))
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert "desk-scale limit of 4" in captured.err
+        assert "clustering LA:" not in captured.out and not pe_calls
 
 
 class TestSelectCommand:

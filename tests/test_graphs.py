@@ -57,6 +57,16 @@ class TestFromEdges:
         for i in range(g.n):
             for j in g.neighbors_of(i):
                 assert i in g.neighbors_of(int(j))
+        dense = np.zeros((12, 12))
+        for a, b in undirected:
+            dense[a, b] = dense[b, a] = 1.0
+        assert np.array_equal(g.adjacency.toarray(), dense)
+
+    def test_adjacency_built_once_and_read_only(self):
+        g = from_edges([0, 1], [1, 2], n=3)
+        assert g.adjacency is g.adjacency
+        with pytest.raises(ValueError, match="read-only"):
+            g.adjacency.data[0] = 2.0
 
 
 class TestWeightedGraph:

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from clatt import nn
+import scipy.sparse as sp
+
+from clatt import nn, pe
 from clatt import tensor as T
 from clatt.graphs import from_edges
 from clatt.partition import FilteredClustering
 from clatt.pe import deepwalk_pe, laplacian_pe
-from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, path_graph, star_graph
+from clatt.stats import connected_components
+from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph
 
 
 def fc(assignment):
@@ -216,7 +219,44 @@ class TestFuse:
         assert err < 1e-5
 
 
+def coo_graph_matrices(g):
+    """gcn_matrix, mean_matrix and neighborhood_table built entry by entry
+    from COO triples and a lexsort: the oracle of their CSR construction."""
+    n = g.n
+    rows = np.repeat(np.arange(n), g.degrees)
+    dinv = 1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0)
+    loop_rows = np.concatenate([rows, np.arange(n)])
+    loop_cols = np.concatenate([g.neighbors, np.arange(n)])
+    gcn = sp.csr_matrix((dinv[loop_rows] * dinv[loop_cols], (loop_rows, loop_cols)), shape=(n, n))
+    mean = sp.csr_matrix((1.0 / g.degrees.astype(np.float64)[rows], (rows, g.neighbors)), shape=(n, n))
+    order = np.lexsort((loop_cols, loop_rows))
+    ids, vals = loop_rows[order], loop_cols[order]
+    slots = np.arange(ids.size) - np.concatenate(([0], np.cumsum(g.degrees + 1)))[ids]
+    table = np.zeros((n, int(g.degrees.max()) + 1), dtype=np.int64)
+    mask = np.zeros(table.shape, dtype=bool)
+    table[ids, slots] = vals
+    mask[ids, slots] = True
+    return gcn, mean, table, mask
+
+
+def csr_bytes(m):
+    return [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)] + [m.shape]
+
+
 class TestConvs:
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(7), star_graph(9), erdos_renyi(40, 0.1, seed=2), from_edges([0, 2, 5], [1, 3, 6], n=9)],
+        ids=["cycle", "star", "er", "isolated-nodes"],
+    )
+    def test_graph_matrices_equal_coo_construction(self, g):
+        gcn, mean, table, mask = coo_graph_matrices(g)
+        assert csr_bytes(nn.gcn_matrix(g)) == csr_bytes(gcn)
+        assert csr_bytes(nn.mean_matrix(g)) == csr_bytes(mean)
+        got_table, got_mask = nn.neighborhood_table(g)
+        assert got_table.tobytes() == table.tobytes() and got_mask.tobytes() == mask.tobytes()
+        assert got_table.shape == table.shape and got_table.dtype == table.dtype
+
     def test_gcn_single_edge_symmetry(self):
         g = from_edges(np.array([0]), np.array([1]), 2)
         x = T.Tensor(np.eye(2))
@@ -599,6 +639,25 @@ class TestLaplacianPE:
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k < n"):
             laplacian_pe(cycle_graph(4), k=4)
+
+    def test_component_adjacency_equals_per_node_fill(self, monkeypatch):
+        # a triangle, two paths and isolated nodes, numbered out of order
+        g = from_edges([0, 0, 5, 7, 7, 9, 2, 3], [5, 9, 9, 4, 8, 5, 3, 11], n=13)
+        seen = []
+        eigs = pe._component_eigs
+        monkeypatch.setattr(pe, "_component_eigs", lambda adj: seen.append(adj) or eigs(adj))
+        laplacian_pe(g, k=6)
+        labels, count = connected_components(g)
+        comps = [c for c in (np.flatnonzero(labels == i) for i in range(count)) if c.size > 1]
+        assert len(seen) == len(comps) == 3
+        for nodes, adj in zip(comps, seen):
+            pos = np.full(g.n, -1)
+            pos[nodes] = np.arange(nodes.size)
+            want = np.zeros((nodes.size, nodes.size))
+            for i, u in enumerate(nodes):
+                want[i, pos[g.neighbors_of(u)]] = 1.0
+            assert adj.flags.c_contiguous and adj.dtype == want.dtype
+            assert adj.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         g = bridge_of_cliques([4, 4])

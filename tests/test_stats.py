@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clatt import stats
 from clatt.graphs import from_edges
 from clatt.stats import (
     bfs_distances,
@@ -70,6 +71,17 @@ class TestBfs:
     def test_bad_source(self):
         with pytest.raises(ValueError):
             bfs_distances(path_graph(3), 7)
+        with pytest.raises(ValueError):
+            bfs_distances(path_graph(3), np.array([0, -1]))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_source_array_stacks_single_rows(self, seed):
+        g = random_graph(n=15, p=0.12, seed=seed)
+        sources = np.random.default_rng(seed).integers(0, g.n, size=6)
+        block = bfs_distances(g, sources)
+        assert block.shape == (6, g.n)
+        assert np.array_equal(block, np.stack([bfs_distances(g, int(s)) for s in sources]))
 
 
 class TestComponents:
@@ -79,6 +91,16 @@ class TestComponents:
         assert c == 3
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[4] not in (labels[0], labels[2])
+
+    @given(st.integers(1, 30), st.floats(0.0, 0.2), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_labels_rank_components_by_smallest_node(self, n, p, seed):
+        g = random_graph(n=n, p=p, seed=seed)
+        smallest = np.array([np.flatnonzero(np.isfinite(row))[0] for row in floyd_warshall(g)])
+        expect = np.unique(smallest, return_inverse=True)[1]
+        labels, c = connected_components(g)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expect) and c == expect.max() + 1
 
 
 class TestDistanceStats:
@@ -112,6 +134,33 @@ class TestDistanceStats:
         assert not approx.exact
         assert approx.diameter <= exact.diameter
         assert approx.avg_distance == pytest.approx(exact.avg_distance, rel=0.1)
+
+    def test_sampled_on_disconnected_graph_stays_finite(self):
+        # sweeps start inside the largest component; unreachable nodes must
+        # not be taken as the farthest point
+        g = from_edges(np.r_[np.arange(29), 30, 31], np.r_[np.arange(1, 30), 31, 32], n=36)
+        exact = distance_stats(g)
+        approx = distance_stats(g, exact_threshold=5, num_sources=4, seed=0)
+        assert exact.exact and exact.diameter == 29.0
+        assert not approx.exact and np.isfinite(approx.diameter)
+        assert approx.diameter <= exact.diameter
+
+    @pytest.mark.parametrize("sources_per_block", [None, 7])
+    def test_sampled_mean_adds_source_means_in_order(self, monkeypatch, sources_per_block):
+        g = erdos_renyi(120, 0.04, seed=3)
+        if sources_per_block is not None:
+            monkeypatch.setattr(stats, "_BLOCK_DISTANCES", sources_per_block * g.n)
+        labels, _ = connected_components(g)
+        nodes = np.flatnonzero(labels == np.bincount(labels).argmax())
+        sources = np.random.default_rng(2).choice(nodes, size=50, replace=False)
+        acc = 0.0
+        for s in sources:
+            acc += bfs_distances(g, int(s))[nodes].sum() / (nodes.size - 1)
+        ds = distance_stats(g, exact_threshold=10, num_sources=50, seed=2)
+        assert ds.avg_distance == acc / 50
+        ref = floyd_warshall(g)[np.ix_(nodes, nodes)]
+        exact = distance_stats(g)
+        assert exact.diameter == ref.max() and exact.avg_distance == ref.sum() / (nodes.size * (nodes.size - 1))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
