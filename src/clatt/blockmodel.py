@@ -44,6 +44,65 @@ def _k_ladder(k_max: int) -> list[int]:
     return [int(k) for k in ks]
 
 
+# Cells one batch of lockstep runs may hold per state array, so that memory
+# stays bounded however large k_max or the graph is; a batch holds at least
+# one run.
+LOCKSTEP_MAX_CELLS = 1 << 20
+
+
+def _run_batches(ks: list[int], cells) -> list[slice]:
+    """Consecutive slices of the run list whose lockstep state holds at most
+    LOCKSTEP_MAX_CELLS cells each; ``cells(k)`` is one run's share when the
+    widest run of its batch has k blocks (``ks`` ascends)."""
+    if not ks:
+        return []
+    batches, start = [], 0
+    for end in range(2, len(ks) + 1):
+        if (end - start) * cells(ks[end - 1]) > LOCKSTEP_MAX_CELLS:
+            batches.append(slice(start, end - 1))
+            start = end - 1
+    batches.append(slice(start, len(ks)))
+    return batches
+
+
+def _block_mask(ks: list[int], K: int) -> np.ndarray:
+    """(runs, K) additive mask: 0 on each run's own blocks, -inf on its padding."""
+    return np.where(np.arange(K)[None, :] < np.asarray(ks)[:, None], 0.0, -np.inf)
+
+
+def _lockstep(state: dict, n: int, sweeps: int, visit) -> dict:
+    """Greedy sweeps over nodes 0..n-1 for every run at once.
+
+    ``state`` maps names to arrays whose leading axis is the run;
+    ``visit(state, v)`` moves node v in each run where that gains and returns
+    the mask of runs that moved. A run whose sweep moved nothing is at a fixed
+    point, which is where a run on its own stops, so it leaves the working
+    arrays; the loop ends when no run is left or after ``sweeps`` sweeps.
+    """
+    live = np.arange(state["comm"].shape[0])
+    work = dict(state)
+    for _ in range(sweeps):
+        if live.size == 0:
+            break
+        changed = np.zeros(live.size, dtype=bool)
+        for v in range(n):
+            changed |= visit(work, v)
+        for name, arr in work.items():
+            state[name][live] = arr
+        live = live[changed]
+        work = {name: arr[changed] for name, arr in work.items()}
+    return state
+
+
+def _best_run(comms, scores, fallback: np.ndarray) -> tuple[np.ndarray, float]:
+    """The first run, in ladder order, whose score beats every earlier one by _TOL."""
+    best_score, best = -np.inf, fallback
+    for comm, score in zip(comms, scores):
+        if score > best_score + _TOL:
+            best_score, best = score, comm
+    return best, float(best_score)
+
+
 def planted_partition_fit(g: Graph, k_max: int = 10, seed: int = 0,
                           sweeps: int = 50, restarts: int = 5) -> Clustering:
     """Fit the shared-rate planted-partition model by greedy node sweeps.
@@ -58,62 +117,72 @@ def planted_partition_fit(g: Graph, k_max: int = 10, seed: int = 0,
     total_pairs = g.n * (g.n - 1) / 2.0
     m = float(g.m)
     root = np.random.SeedSequence(seed)
-    best_score, best_assign = -np.inf, np.zeros(g.n, dtype=np.int64)
+    ks, comms = [], []
     for k in _k_ladder(min(k_max, g.n)):
         for sub in root.spawn(restarts):
-            rng = np.random.default_rng(sub)
-            comm = rng.integers(0, k, size=g.n)
-            comm, score = _pp_sweeps(g, comm, k, m, total_pairs, sweeps)
-            if score > best_score + _TOL:
-                best_score, best_assign = score, comm
+            ks.append(k)
+            comms.append(np.random.default_rng(sub).integers(0, k, size=g.n))
+    scores = []
+    for batch in _run_batches(ks, lambda k: g.n + k):
+        fitted, batch_scores = _pp_lockstep(g, ks[batch], np.stack(comms[batch]), m, total_pairs, sweeps)
+        comms[batch] = list(fitted)
+        scores.extend(batch_scores.tolist())
+    best_assign, best_score = _best_run(comms, scores, np.zeros(g.n, dtype=np.int64))
     return Clustering(assignment=relabel_by_first_occurrence(best_assign),
                       algorithm_tag="BPP",
                       params={"k_max": k_max, "seed": seed, "restarts": restarts,
-                              "score": float(best_score)})
+                              "score": best_score})
 
 
-def _pp_sweeps(g: Graph, comm: np.ndarray, k: int, m: float,
-               total_pairs: float, sweeps: int) -> tuple[np.ndarray, float]:
-    sizes = np.bincount(comm, minlength=k).astype(np.float64)
+def _pp_lockstep(g: Graph, ks: list[int], comm: np.ndarray, m: float,
+                 total_pairs: float, sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Planted-partition sweeps of every run in ``comm`` (runs, n), run r over
+    blocks 0..ks[r]-1; returns the fitted assignments and their scores."""
+    R, K = comm.shape[0], max(ks)
+    sizes = np.zeros((R, K))
+    np.add.at(sizes, (np.arange(R)[:, None], comm), 1.0)
     edges = g.edge_array()
-    m_in = float((comm[edges[:, 0]] == comm[edges[:, 1]]).sum()) if edges.size else 0.0
-    t_in = float((sizes * (sizes - 1)).sum() / 2.0)
+    m_in = (comm[:, edges[:, 0]] == comm[:, edges[:, 1]]).sum(axis=1).astype(np.float64)
+    t_in = (sizes * (sizes - 1)).sum(axis=1) / 2.0
+    occ_penalty = _penalty(np.arange(K + 2), total_pairs)  # by block count after a move
+    ids = np.arange(K)
 
-    def objective(mi, ti, kocc):
-        like = _bern(mi, ti) + _bern(m - mi, total_pairs - ti)
-        return float(like) - _penalty(kocc, total_pairs)
+    def visit(st, v):
+        comm, sizes, m_in, t_in = st["comm"], st["sizes"], st["m_in"], st["t_in"]
+        r = np.arange(comm.shape[0])
+        a = comm[:, v].copy()
+        w = np.zeros((r.size, K))
+        np.add.at(w, (r[:, None], comm[:, g.neighbors_of(v)]), 1.0)
+        s_a = sizes[r, a]
+        base_m = m_in - w[r, a]
+        base_t = t_in - (s_a - 1.0)
+        kocc = (sizes > 0).sum(axis=1)
+        cand_m = base_m[:, None] + w
+        cand_t = base_t[:, None] + sizes - (ids == a[:, None])
+        cand_k = kocc[:, None] - (s_a == 1.0)[:, None] + (sizes == 0.0)
+        cand_k[r, a] = kocc
+        score = (_bern(cand_m, cand_t)
+                 + _bern(m - cand_m, total_pairs - cand_t)
+                 - occ_penalty[cand_k])
+        gain = score - score[r, a][:, None] + st["mask"]
+        top = gain.max(axis=1)
+        b = (gain >= (top - _TOL)[:, None]).argmax(axis=1)
+        moved = (top > _TOL) & (b != a)
+        if moved.any():
+            r, a, b = r[moved], a[moved], b[moved]
+            comm[r, v] = b
+            sizes[r, a] -= 1.0
+            sizes[r, b] += 1.0
+            m_in[r] = cand_m[r, b]
+            t_in[r] = cand_t[r, b]
+        return moved
 
-    ids = np.arange(k)
-    for _ in range(sweeps):
-        changed = False
-        for v in range(g.n):
-            a = int(comm[v])
-            nbrs = g.neighbors_of(v)
-            w = np.bincount(comm[nbrs], minlength=k).astype(np.float64)
-            base_m = m_in - w[a]
-            base_t = t_in - (sizes[a] - 1.0)
-            kocc = _occupied(sizes)
-            cand_m = base_m + w
-            cand_t = base_t + sizes - (ids == a)
-            cand_k = kocc - (sizes[a] == 1.0) + (sizes == 0.0)
-            cand_k[a] = kocc
-            score = (_bern(cand_m, cand_t)
-                     + _bern(m - cand_m, total_pairs - cand_t)
-                     - 0.5 * (cand_k * (cand_k + 1) / 2.0) * np.log(max(total_pairs, 2.0)))
-            gain = score - score[a]
-            top = float(gain.max())
-            if top > _TOL:
-                b = int(np.where(gain >= top - _TOL)[0].min())
-                if b != a:
-                    comm[v] = b
-                    sizes[a] -= 1.0
-                    sizes[b] += 1.0
-                    m_in = float(cand_m[b])
-                    t_in = float(cand_t[b])
-                    changed = True
-        if not changed:
-            break
-    return comm, objective(m_in, t_in, _occupied(sizes))
+    st = _lockstep({"comm": comm, "sizes": sizes, "m_in": m_in, "t_in": t_in,
+                    "mask": _block_mask(ks, K)}, g.n, sweeps, visit)
+    m_in, t_in = st["m_in"], st["t_in"]
+    kocc = (st["sizes"] > 0).sum(axis=1)
+    score = _bern(m_in, t_in) + _bern(m - m_in, total_pairs - t_in) - _penalty(kocc, total_pairs)
+    return st["comm"], score
 
 
 def _block_matrices(units: WeightedGraph, comm: np.ndarray, k: int):
@@ -140,71 +209,91 @@ def _block_likelihood(M: np.ndarray, T: np.ndarray) -> float:
     return float(np.triu(b).sum())
 
 
-def _general_fit(units: WeightedGraph, k: int, seed, sweeps: int,
-                 total_pairs: float) -> tuple[np.ndarray, float]:
-    """Greedy sweeps for the full rate-matrix blockmodel on ``units``.
+def _general_score(units: WeightedGraph, comm: np.ndarray, k: int, total_pairs: float) -> float:
+    """Penalised likelihood of a full rate-matrix partition into k blocks.
 
-    The model-order penalty here charges both the k(k+1)/2 rate parameters
-    and the description length of the assignment itself (n log k), which
-    keeps small graphs from splintering into spurious blocks.
+    The model-order penalty charges both the k(k+1)/2 rate parameters and
+    the description length of the assignment itself (n log k), which keeps
+    small graphs from splintering into spurious blocks.
     """
-    rng = np.random.default_rng(seed)
-    n = units.n
-    n_orig = float(units.sizes.sum())
-    comm = rng.integers(0, k, size=n).astype(np.int64) if k > 1 else np.zeros(n, dtype=np.int64)
-    M, sizes = _block_matrices(units, comm, k)
-    log_pairs = np.log(max(total_pairs, 2.0))
-    for _ in range(sweeps):
-        changed = False
-        for v in range(n):
-            a = int(comm[v])
-            s_v = units.sizes[v]
-            l_v = units.loops[v]
-            nbrs, wts = units.neighbor_data(v)
-            w = np.zeros(k)
-            np.add.at(w, comm[nbrs], wts)
-            # state with v parked outside every community
-            M0 = M.copy()
-            M0[a, :] -= w
-            M0[:, a] -= w
-            M0[a, a] += w[a] - l_v  # -= hit the diagonal twice
-            sizes0 = sizes.copy()
-            sizes0[a] -= s_v
-            base_rows = _bern(M0, _pair_matrix(sizes0))
-            base_like = float(np.triu(base_rows).sum())
-            # candidate b: add w to row b of M0 and s_v to sizes0[b];
-            # all candidate rows evaluated at once
-            new_rows = M0 + w[None, :]
-            new_rows[np.diag_indices(k)] = np.diag(M0) + w + l_v
-            grown = sizes0 + s_v
-            new_T = np.outer(grown, sizes0)
-            new_T[np.diag_indices(k)] = grown * (grown - 1) / 2.0
-            occ_after = _occupied(sizes0) + (sizes0 == 0).astype(np.int64)
-            gains = (base_like
-                     - base_rows.sum(axis=1)
-                     + _bern(new_rows, new_T).sum(axis=1)
-                     - 0.5 * (occ_after * (occ_after + 1) / 2.0) * log_pairs
-                     - n_orig * np.log(occ_after))
-            top = float(gains.max())
-            b = int(np.where(gains >= top - _TOL)[0].min())
-            if b != a and gains[b] > gains[a] + _TOL:
-                comm[v] = b
-                M[a, :] -= w
-                M[:, a] -= w
-                M[a, a] += w[a] - l_v
-                M[b, :] += w
-                M[:, b] += w
-                M[b, b] += l_v - w[b]
-                sizes[a] -= s_v
-                sizes[b] += s_v
-                changed = True
-        if not changed:
-            break
     M, sizes = _block_matrices(units, comm, k)
     like = _block_likelihood(M, _pair_matrix(sizes))
     kocc = _occupied(sizes)
-    score = like - _penalty(kocc, total_pairs) - n_orig * np.log(kocc)
-    return comm, float(score)
+    return float(like - _penalty(kocc, total_pairs) - float(units.sizes.sum()) * np.log(kocc))
+
+
+def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, sweeps: int,
+                      total_pairs: float) -> np.ndarray:
+    """Full rate-matrix sweeps of every run in ``comm`` (runs, n), run r over
+    blocks 0..ks[r]-1; returns the fitted assignments.
+
+    A visit parks v outside every block and scores each candidate block b by
+    the likelihood change of the rows it touches, for all runs at once.
+    """
+    R, K = comm.shape[0], max(ks)
+    n_orig = float(units.sizes.sum())
+    # penalty and assignment code length n log k by block count after a
+    # move, which is never 0
+    occ = np.arange(K + 2)
+    occ_penalty = _penalty(occ, total_pairs)
+    occ_code = n_orig * np.log(np.maximum(occ, 1))
+    pairs = [_block_matrices(units, c, K) for c in comm]
+    M = np.stack([p[0] for p in pairs])
+    sizes = np.stack([p[1] for p in pairs])
+    d = np.arange(K)
+    upper = np.triu(np.ones((K, K), dtype=bool))
+
+    def visit(st, v):
+        comm, M, sizes = st["comm"], st["M"], st["sizes"]
+        r = np.arange(comm.shape[0])
+        a = comm[:, v].copy()
+        s_v = units.sizes[v]
+        l_v = units.loops[v]
+        nbrs, wts = units.neighbor_data(v)
+        w = np.zeros((r.size, K))
+        np.add.at(w, (r[:, None], comm[:, nbrs]), wts)
+        # state with v parked outside every block
+        M0 = M.copy()
+        M0[r, a, :] -= w
+        M0[r, :, a] -= w
+        M0[r, a, a] += w[r, a] - l_v  # -= hit the diagonal twice
+        sizes0 = sizes.copy()
+        sizes0[r, a] -= s_v
+        T0 = sizes0[:, :, None] * sizes0[:, None, :]
+        T0[:, d, d] = sizes0 * (sizes0 - 1) / 2.0
+        base_rows = _bern(M0, T0)
+        base_like = np.where(upper, base_rows, 0.0).sum(axis=(1, 2))
+        # candidate b: add w to row b of M0 and s_v to sizes0[b];
+        # all candidate rows evaluated at once
+        new_rows = M0 + w[:, None, :]
+        new_rows[:, d, d] = M0[:, d, d] + w + l_v
+        grown = sizes0 + s_v
+        new_T = grown[:, :, None] * sizes0[:, None, :]
+        new_T[:, d, d] = grown * (grown - 1) / 2.0
+        occ_after = (sizes0 > 0).sum(axis=1)[:, None] + (sizes0 == 0)
+        gains = (base_like[:, None]
+                 - base_rows.sum(axis=2)
+                 + _bern(new_rows, new_T).sum(axis=2)
+                 - occ_penalty[occ_after]
+                 - occ_code[occ_after]
+                 + st["mask"])
+        top = gains.max(axis=1)
+        b = (gains >= (top - _TOL)[:, None]).argmax(axis=1)
+        moved = (b != a) & (gains[r, b] > gains[r, a] + _TOL)
+        if moved.any():
+            r, b, w = r[moved], b[moved], w[moved]
+            comm[r, v] = b
+            M[r] = M0[r]  # v leaves block a exactly as in M0
+            M[r, b, :] += w
+            M[r, :, b] += w
+            M[r, b, b] += l_v - w[np.arange(r.size), b]
+            sizes[r] = sizes0[r]
+            sizes[r, b] += s_v
+        return moved
+
+    st = _lockstep({"comm": comm, "M": M, "sizes": sizes, "mask": _block_mask(ks, K)},
+                   units.n, sweeps, visit)
+    return st["comm"]
 
 
 def general_blockmodel_fit(units: WeightedGraph, k_max: int, seed,
@@ -216,13 +305,18 @@ def general_blockmodel_fit(units: WeightedGraph, k_max: int, seed,
     if total_pairs is None:
         total_pairs = n_orig * (n_orig - 1) / 2.0
     root = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
-    best_score, best = -np.inf, np.zeros(units.n, dtype=np.int64)
     ladder = [k for k in _k_ladder(min(k_max, units.n)) if k >= min(k_min, units.n)]
+    ks, comms = [], []
     for k in ladder:
         for sub in root.spawn(restarts):
-            comm, score = _general_fit(units, k, sub, sweeps, total_pairs)
-            if score > best_score + _TOL:
-                best_score, best = score, comm
+            ks.append(k)
+            rng = np.random.default_rng(sub)
+            comms.append(rng.integers(0, k, size=units.n).astype(np.int64) if k > 1
+                         else np.zeros(units.n, dtype=np.int64))
+    for batch in _run_batches(ks, lambda k: units.n + k * k):
+        comms[batch] = list(_general_lockstep(units, ks[batch], np.stack(comms[batch]), sweeps, total_pairs))
+    scores = [_general_score(units, comm, k, total_pairs) for k, comm in zip(ks, comms)]
+    best, best_score = _best_run(comms, scores, np.zeros(units.n, dtype=np.int64))
     return relabel_by_first_occurrence(best), best_score
 
 

@@ -33,7 +33,7 @@ from .graphs import TableSchema, load_edge_list, load_node_table, save_stats_jso
 from .kmeans import kmeans
 from .leiden import leiden_cpm
 from .partition import filter_clusters, load_clustering, save_clustering
-from .pe import deepwalk_pe, laplacian_pe
+from .pe import check_deepwalk_size, check_laplacian_size, deepwalk_pe, laplacian_pe
 from .stats import compute_graph_stats, stats_to_dict
 
 
@@ -105,24 +105,34 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _compare_labels(paths, tags) -> list[str]:
+    """Row and column names: the algorithm tags when they are all distinct,
+    else the file stems, else the paths as given."""
+    for labels in (tags, [Path(p).stem for p in paths]):
+        if len(set(labels)) == len(labels):
+            return labels
+    return list(paths)
+
+
 def cmd_compare(args) -> int:
     if len(args.clusterings) < 2:
         raise InputError("compare needs at least 2 clustering files")
-    loaded = []
+    loaded, tags = [], []
     for path in args.clusterings:
         ids, assignment, meta = load_clustering(path)
         order = np.argsort(ids, kind="stable")
-        tag = meta.get("algorithm_tag") or Path(path).stem
-        loaded.append((ids[order], assignment[order], tag))
+        loaded.append((ids[order], assignment[order]))
+        tags.append(meta.get("algorithm_tag") or Path(path).stem)
+    labels = _compare_labels(args.clusterings, tags)
     base_ids = loaded[0][0]
-    for ids, _, tag in loaded[1:]:
+    for (ids, _), label in zip(loaded[1:], labels[1:]):
         if not np.array_equal(ids, base_ids):
-            raise InputError(f"clustering {tag!r} covers different node ids")
+            raise InputError(f"clustering {label!r} covers different node ids")
     # nodes a size filter dropped anywhere are excluded from every pair
-    keep = np.all([a >= 0 for _, a, _ in loaded], axis=0)
+    keep = np.all([a >= 0 for _, a in loaded], axis=0)
     if keep.sum() < 2:
         raise InputError("fewer than 2 nodes assigned everywhere; nothing to compare")
-    objs = [SimpleNamespace(assignment=a[keep], algorithm_tag=tag) for _, a, tag in loaded]
+    objs = [SimpleNamespace(assignment=a[keep], algorithm_tag=label) for (_, a), label in zip(loaded, labels)]
     export_similarity_matrix(objs, args.out)
     with open(args.out) as fh:
         _echo(fh.read().rstrip())
@@ -130,11 +140,17 @@ def cmd_compare(args) -> int:
 
 
 def _dataset_for_training(cfg: ExperimentConfig, specs=()) -> tr.TrainData:
-    """Graph and node table; a graph too large for a GGT model in ``specs`` fails before any clustering."""
+    """Graph and node table; a graph too large for a GGT model or for the
+    positional encoding of a model in ``specs`` fails before any clustering."""
     ds = cfg.dataset
     g = load_edge_list(ds.edges, directed=ds.directed)
     if any(spec.conv_type == "GGT" for spec in specs):
         nn.check_global_attention_size(g.n)
+    pe_kinds = {spec.pe for spec in specs}
+    if "deepwalk" in pe_kinds:
+        check_deepwalk_size(g.n)  # _pe_for runs deepwalk_pe with its defaults
+    if "laplacian" in pe_kinds:
+        check_laplacian_size(g)
     if ds.nodes is None:
         raise ConfigError("dataset.nodes: required for this command")
     if ds.target_column is None:

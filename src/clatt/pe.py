@@ -7,7 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LaplacianPE", "laplacian_pe", "deepwalk_pe"]
+from .errors import InputError
+
+__all__ = ["LaplacianPE", "laplacian_pe", "deepwalk_pe", "check_laplacian_size", "check_deepwalk_size"]
+
+# Largest connected component given a dense eigendecomposition: several
+# float64 matrices of its size squared, about 2.4 GB at the bound.
+LAPLACIAN_PE_MAX_NODES = 10_000
+# Walk steps plus (center, context) pairs DeepWalk may hold at once: a
+# Python int per step and two int64 per pair, about 2 GB at the bound.
+DEEPWALK_MAX_SLOTS = 100_000_000
 
 
 @dataclass
@@ -28,6 +37,21 @@ def _component_eigs(adj_dense: np.ndarray):
     return vals, vecs
 
 
+def check_laplacian_size(g) -> tuple[np.ndarray, int]:
+    """Connected components of g (labels, count); refuses a graph whose
+    largest component is past the dense-eigh bound."""
+    from .stats import connected_components
+
+    comp, num_comp = connected_components(g)
+    largest = int(np.bincount(comp).max()) if g.n else 0
+    if largest > LAPLACIAN_PE_MAX_NODES:
+        raise InputError(
+            f"Laplacian PE decomposes each connected component as a dense matrix: the largest has "
+            f"{largest} nodes, past the desk-scale limit of {LAPLACIAN_PE_MAX_NODES}"
+        )
+    return comp, num_comp
+
+
 def laplacian_pe(g, k: int = 128) -> LaplacianPE:
     """Eigenvectors of the k smallest nontrivial normalized-Laplacian modes.
 
@@ -38,12 +62,10 @@ def laplacian_pe(g, k: int = 128) -> LaplacianPE:
     Signs are fixed by making each vector's largest-magnitude entry
     positive.
     """
-    from .stats import connected_components
-
     n = g.n
     if k >= n:
         raise ValueError(f"laplacian_pe needs k < n, got k={k}, n={n}")
-    comp, num_comp = connected_components(g)
+    comp, num_comp = check_laplacian_size(g)
     pairs = []  # (eigenvalue, node index array, vector on component)
     for c in range(num_comp):
         nodes = np.nonzero(comp == c)[0]
@@ -84,6 +106,18 @@ def _random_walks(g, walks_per_node: int, walk_len: int, rng: np.random.Generato
     return walks
 
 
+def check_deepwalk_size(n: int, walks_per_node: int = 10, walk_len: int = 80, window: int = 5) -> None:
+    """Refuse walks and a pair cache past DEEPWALK_MAX_SLOTS; the defaults
+    are deepwalk_pe's."""
+    steps = n * walks_per_node * walk_len
+    slots = steps * (1 + 2 * window)
+    if slots > DEEPWALK_MAX_SLOTS:
+        raise InputError(
+            f"DeepWalk stores {steps} walk steps and about {slots - steps} (center, context) pairs "
+            f"({slots} slots for n={n}), past the desk-scale limit of {DEEPWALK_MAX_SLOTS} slots"
+        )
+
+
 def deepwalk_pe(
     g,
     dim: int = 128,
@@ -102,6 +136,7 @@ def deepwalk_pe(
     bitwise-deterministic for a fixed seed.
     """
     n = g.n
+    check_deepwalk_size(n, walks_per_node, walk_len, window)
     rng = np.random.default_rng(seed)
     walks = _random_walks(g, walks_per_node, walk_len, rng)
 

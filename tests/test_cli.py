@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from clatt import cli
 from clatt import config as cf
 from clatt import nn
+from clatt import pe
 from clatt import tensor
 from clatt import training as tr
 from clatt.checkpoint import load_checkpoint, save_checkpoint
@@ -175,6 +176,32 @@ class TestCompare:
         assert float(rows[1][1]) == 1.0 and float(rows[2][2]) == 1.0
         assert rows[1][2] == rows[2][1]
         assert "1.000000" in capsys.readouterr().out
+
+    def test_same_tag_files_labelled_by_stem_then_path(self, tmp_path, capsys):
+        g = bridge_of_cliques([5, 5])
+        edges = write_edges(tmp_path / "e.csv", g)
+        (tmp_path / "x").mkdir()
+        paths = [tmp_path / f"seed{s}.csv" for s in range(3)]
+        for seed, path in enumerate(paths):
+            assert cli.main(["cluster", edges, "--algo", "LA", "--seed", str(seed), "--out", str(path)]) == 0
+        out = tmp_path / "cc.csv"
+
+        def header(files):
+            assert cli.main(["compare", *map(str, files), "--out", str(out)]) == 0
+            with open(out) as fh:
+                rows = list(csv.reader(fh))
+            assert [row[0] for row in rows[1:]] == rows[0][1:]
+            return rows[0][1:]
+
+        assert header(paths) == ["seed0", "seed1", "seed2"]
+        clash = tmp_path / "x" / "seed0.csv"
+        for suffix in ("", ".meta.json"):
+            Path(str(clash) + suffix).write_bytes(Path(str(paths[0]) + suffix).read_bytes())
+        assert header([paths[0], clash, paths[2]]) == [str(paths[0]), str(clash), str(paths[2])]
+        bpp = tmp_path / "x" / "seed1.csv"
+        assert cli.main(["cluster", edges, "--algo", "BPP", "--k-max", "3", "--out", str(bpp)]) == 0
+        assert header([paths[0], bpp]) == ["LA", "BPP"]  # distinct tags stay as they are
+        capsys.readouterr()
 
     def test_single_file_exit_2(self, tmp_path):
         g = bridge_of_cliques([5, 5])
@@ -507,6 +534,21 @@ class TestCheapChecksFirst:
         args = [command, str(base_config(tmp_path, steps=3, models=[ggt]))]
         if command == "analyze-attention":
             args.append(str(tmp_path / "GGT.ckpt"))
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert "desk-scale limit of 4" in captured.err
+        assert "clustering LA:" not in captured.out and not pe_calls
+
+    @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
+    @pytest.mark.parametrize("kind, bound", [("deepwalk", "DEEPWALK_MAX_SLOTS"), ("laplacian", "LAPLACIAN_PE_MAX_NODES")])
+    def test_graph_over_pe_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command, kind, bound):
+        monkeypatch.setattr(pe, bound, 4)
+        pe_calls = []
+        monkeypatch.setattr(cli, f"{kind}_pe", lambda *args, **kw: pe_calls.append(args))
+        model = {"conv_type": "GCN", "pe": kind, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        args = [command, str(base_config(tmp_path, steps=3, models=[model]))]
+        if command == "analyze-attention":
+            args.append(str(tmp_path / "GCN.ckpt"))
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert "desk-scale limit of 4" in captured.err

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clatt import blockmodel
 from clatt.blockmodel import hierarchical_fit, planted_partition_fit
-from clatt.graphs import from_edges
+from clatt.graphs import WeightedGraph, from_edges
 from clatt.kmeans import kmeans
 from clatt.leiden import cpm_quality, default_gamma, leiden_cpm
 from clatt.partition import (
@@ -242,6 +243,207 @@ class TestRecordedAssignments:
         c = hierarchical_fit(g, k_max=6, seed=0, restarts=2)
         assert self.digits(c) == "000000001111111111111111111111110000000000000000"
         assert c.params["levels"] == [5, 2, 2]  # two quotients, the second with loops
+
+    def test_library_defaults_six_blocks(self):
+        g, _ = sbm_graph([20, 22, 24, 26, 28, 30], 0.3, 0.03, seed=3)
+        c = planted_partition_fit(g, seed=0)  # k_max 10, restarts 5, sweeps 50
+        assert self.digits(c) == (
+            "00000000010000000000222222222222222222221233333333333333333333333344444444444444444444"
+            "4444445555555555555555555555555555666666666166616666666666666666")
+        assert c.params["score"] == float.fromhex("-0x1.477db02903949p+11")
+        c = hierarchical_fit(g, seed=0)  # k_max round(sqrt(150)) = 12, restarts 5, sweeps 30
+        assert self.digits(c) == (
+            "00000000000000000000111111111111111111111100000000000000000000000022222222222222222222"
+            "2222223333333333333333333333333333444444444444444444444444444444")
+        assert c.params["levels"] == [5, 5]
+
+    def test_planted_partition_k_max_10(self):
+        g, _ = sbm_graph([30] * 8, 0.3, 0.03, seed=4)
+        c = planted_partition_fit(g, k_max=10, seed=0)
+        assert self.digits(c) == (
+            "000000000000000000000000000000111111111111111111111111111111222222222222222222222222222222"
+            "333333333333333333333333333333444444444444444444444444444444555555555555555555555555555555"
+            "666666666666666666606666666666777777777777777777777777777777")
+        assert c.params["score"] == float.fromhex("-0x1.6493214349c69p+12")
+
+
+def pp_sweeps_oracle(g, comm, k, m, total_pairs, sweeps):
+    """One planted-partition run on its own, as the fitter ran before the
+    lockstep loop: (assignment, score, sweeps run)."""
+    bern, occupied = blockmodel._bern, blockmodel._occupied
+    sizes = np.bincount(comm, minlength=k).astype(np.float64)
+    edges = g.edge_array()
+    m_in = float((comm[edges[:, 0]] == comm[edges[:, 1]]).sum()) if edges.size else 0.0
+    t_in = float((sizes * (sizes - 1)).sum() / 2.0)
+    ids = np.arange(k)
+    done = 0
+    for _ in range(sweeps):
+        done += 1
+        changed = False
+        for v in range(g.n):
+            a = int(comm[v])
+            w = np.bincount(comm[g.neighbors_of(v)], minlength=k).astype(np.float64)
+            base_m = m_in - w[a]
+            base_t = t_in - (sizes[a] - 1.0)
+            kocc = occupied(sizes)
+            cand_m = base_m + w
+            cand_t = base_t + sizes - (ids == a)
+            cand_k = kocc - (sizes[a] == 1.0) + (sizes == 0.0)
+            cand_k[a] = kocc
+            score = (bern(cand_m, cand_t)
+                     + bern(m - cand_m, total_pairs - cand_t)
+                     - 0.5 * (cand_k * (cand_k + 1) / 2.0) * np.log(max(total_pairs, 2.0)))
+            gain = score - score[a]
+            top = float(gain.max())
+            if top > blockmodel._TOL:
+                b = int(np.where(gain >= top - blockmodel._TOL)[0].min())
+                if b != a:
+                    comm[v] = b
+                    sizes[a] -= 1.0
+                    sizes[b] += 1.0
+                    m_in = float(cand_m[b])
+                    t_in = float(cand_t[b])
+                    changed = True
+        if not changed:
+            break
+    like = bern(m_in, t_in) + bern(m - m_in, total_pairs - t_in)
+    return comm, float(like) - blockmodel._penalty(occupied(sizes), total_pairs), done
+
+
+def general_fit_oracle(units, comm, k, sweeps, total_pairs):
+    """One full rate-matrix run on its own, as the fitter ran before the
+    lockstep loop: (assignment, score, sweeps run)."""
+    bern, occupied, tol = blockmodel._bern, blockmodel._occupied, blockmodel._TOL
+    n_orig = float(units.sizes.sum())
+    M, sizes = blockmodel._block_matrices(units, comm, k)
+    log_pairs = np.log(max(total_pairs, 2.0))
+    done = 0
+    for _ in range(sweeps):
+        done += 1
+        changed = False
+        for v in range(units.n):
+            a = int(comm[v])
+            s_v = units.sizes[v]
+            l_v = units.loops[v]
+            nbrs, wts = units.neighbor_data(v)
+            w = np.zeros(k)
+            np.add.at(w, comm[nbrs], wts)
+            M0 = M.copy()
+            M0[a, :] -= w
+            M0[:, a] -= w
+            M0[a, a] += w[a] - l_v
+            sizes0 = sizes.copy()
+            sizes0[a] -= s_v
+            base_rows = bern(M0, blockmodel._pair_matrix(sizes0))
+            base_like = float(np.triu(base_rows).sum())
+            new_rows = M0 + w[None, :]
+            new_rows[np.diag_indices(k)] = np.diag(M0) + w + l_v
+            grown = sizes0 + s_v
+            new_T = np.outer(grown, sizes0)
+            new_T[np.diag_indices(k)] = grown * (grown - 1) / 2.0
+            occ_after = occupied(sizes0) + (sizes0 == 0).astype(np.int64)
+            gains = (base_like
+                     - base_rows.sum(axis=1)
+                     + bern(new_rows, new_T).sum(axis=1)
+                     - 0.5 * (occ_after * (occ_after + 1) / 2.0) * log_pairs
+                     - n_orig * np.log(occ_after))
+            top = float(gains.max())
+            b = int(np.where(gains >= top - tol)[0].min())
+            if b != a and gains[b] > gains[a] + tol:
+                comm[v] = b
+                M[a, :] -= w
+                M[:, a] -= w
+                M[a, a] += w[a] - l_v
+                M[b, :] += w
+                M[:, b] += w
+                M[b, b] += l_v - w[b]
+                sizes[a] -= s_v
+                sizes[b] += s_v
+                changed = True
+        if not changed:
+            break
+    return comm, blockmodel._general_score(units, comm, k, total_pairs), done
+
+
+def random_starts(n, ladder, restarts, seed):
+    """(k, initial assignment) of every run, drawn as the fitters draw them."""
+    root = np.random.SeedSequence(seed)
+    runs = []
+    for k in ladder:
+        for sub in root.spawn(restarts):
+            runs.append((k, np.random.default_rng(sub).integers(0, k, size=n).astype(np.int64)))
+    return runs
+
+
+class TestLockstepFits:
+    """Every lockstep run equals the same run fitted on its own."""
+
+    @staticmethod
+    def check_pp(g, ladder, restarts, sweeps, seed=0):
+        runs = random_starts(g.n, ladder, restarts, seed)
+        total_pairs, m = g.n * (g.n - 1) / 2.0, float(g.m)
+        ks = [k for k, _ in runs]
+        comm, scores = blockmodel._pp_lockstep(g, ks, np.stack([c.copy() for _, c in runs]), m, total_pairs, sweeps)
+        done = set()
+        for r, (k, start) in enumerate(runs):
+            want, want_score, n_sweeps = pp_sweeps_oracle(g, start.copy(), k, m, total_pairs, sweeps)
+            assert np.array_equal(comm[r], want), (k, r)
+            assert scores[r] == want_score, (k, r)  # bitwise
+            done.add(n_sweeps)
+        return done
+
+    @staticmethod
+    def check_general(units, ladder, restarts, sweeps, total_pairs, seed=0):
+        runs = random_starts(units.n, ladder, restarts, seed)
+        ks = [k for k, _ in runs]
+        comm = blockmodel._general_lockstep(units, ks, np.stack([c.copy() for _, c in runs]), sweeps, total_pairs)
+        done = set()
+        for r, (k, start) in enumerate(runs):
+            want, want_score, n_sweeps = general_fit_oracle(units, start.copy(), k, sweeps, total_pairs)
+            assert np.array_equal(comm[r], want), (k, r)
+            assert blockmodel._general_score(units, comm[r], k, total_pairs) == want_score
+            done.add(n_sweeps)
+        return done
+
+    def test_planted_partition_runs_with_wide_ladder(self):
+        g, _ = sbm_graph([12] * 6, 0.4, 0.04, seed=21)
+        done = self.check_pp(g, list(range(1, 11)), restarts=2, sweeps=50)
+        assert len(done) > 1  # runs converge at different sweeps
+
+    def test_planted_partition_single_sweep(self):
+        g, _ = sbm_graph([15, 10, 20], 0.3, 0.05, seed=22)
+        assert self.check_pp(g, [1, 2, 3, 4, 5], restarts=3, sweeps=1) == {1}
+
+    def test_general_runs_with_wide_ladder(self):
+        g, _ = sbm_graph([10] * 5, 0.5, 0.05, seed=23)
+        done = self.check_general(WeightedGraph.from_graph(g), list(range(1, 10)), 2, 30, g.n * (g.n - 1) / 2.0)
+        assert len(done) > 1
+
+    def test_general_runs_on_weighted_quotient_with_loops(self):
+        g, _ = sbm_graph([12] * 5, 0.5, 0.03, seed=24)
+        units = WeightedGraph.from_graph(g).quotient(np.arange(g.n) % 20)
+        assert units.loops.sum() > 0 and (units.weights > 1).any()
+        done = self.check_general(units, [1, 2, 3, 4, 6, 8, 10], 2, 30, g.n * (g.n - 1) / 2.0)
+        assert len(done) > 1
+
+    def test_general_single_sweep(self):
+        g, _ = sbm_graph([10, 15, 10], 0.4, 0.05, seed=25)
+        assert self.check_general(WeightedGraph.from_graph(g), [2, 3, 4], 3, 1, g.n * (g.n - 1) / 2.0) == {1}
+
+    def test_run_batches_split_by_cell_budget(self, monkeypatch):
+        g, _ = sbm_graph([10, 12, 14], 0.4, 0.05, seed=26)
+        bpp = planted_partition_fit(g, k_max=6, seed=1, restarts=2)
+        h1 = hierarchical_fit(g, k_max=6, seed=1, restarts=2)
+        monkeypatch.setattr(blockmodel, "LOCKSTEP_MAX_CELLS", 1)  # one run per batch
+        assert blockmodel._run_batches([1, 1, 2], lambda k: 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        one = planted_partition_fit(g, k_max=6, seed=1, restarts=2)
+        assert np.array_equal(one.assignment, bpp.assignment) and one.params["score"] == bpp.params["score"]
+        assert np.array_equal(hierarchical_fit(g, k_max=6, seed=1, restarts=2).assignment, h1.assignment)
+
+    def test_empty_ladder_returns_one_block(self):
+        g, _ = sbm_graph([6, 6], 0.6, 0.1, seed=27)
+        c = hierarchical_fit(g, k_max=1, seed=0)
+        assert c.num_clusters == 1 and c.params["collapsed"]
 
 
 class TestKmeans:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from clatt import nn, pe
 from clatt import tensor as T
+from clatt.errors import InputError
 from clatt.graphs import from_edges
 from clatt.partition import FilteredClustering
 from clatt.pe import deepwalk_pe, laplacian_pe
@@ -687,6 +688,53 @@ class TestDeepwalkPE:
         intra = sims[same & off_diag].mean()
         inter = sims[~same].mean()
         assert intra > inter
+
+
+class TestPEGuards:
+    def test_deepwalk_over_bound_fails_before_walking(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(pe, "DEEPWALK_MAX_SLOTS", 1000)
+        g = star_graph(2000)  # library defaults: 1.6M walk steps, 16M pairs
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"1600000 walk steps .*\(17600000 slots for n=2000\).*1000 slots"):
+                deepwalk_pe(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_deepwalk_at_bound_runs(self, monkeypatch):
+        kw = dict(dim=4, walks_per_node=2, walk_len=10, window=2, neg=2, epochs=1)
+        monkeypatch.setattr(pe, "DEEPWALK_MAX_SLOTS", 12 * 2 * 10 * 5)
+        assert deepwalk_pe(cycle_graph(12), **kw).shape == (12, 4)
+        with pytest.raises(InputError, match="desk-scale limit"):
+            deepwalk_pe(cycle_graph(13), **kw)
+
+    def test_laplacian_over_bound_fails_before_dense_matrix(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(pe, "LAPLACIAN_PE_MAX_NODES", 1000)
+        monkeypatch.setattr(pe, "_component_eigs", lambda adj: pytest.fail("dense eigh ran"))
+        g = star_graph(3000)  # a dense 3000 x 3000 component: 72 MB
+        g.adjacency  # the cached CSR is built before tracing starts
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"largest has 3000 nodes, past the desk-scale limit of 1000"):
+                laplacian_pe(g, k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_laplacian_bound_is_per_component(self, monkeypatch):
+        monkeypatch.setattr(pe, "LAPLACIAN_PE_MAX_NODES", 5)
+        two_paths = from_edges(np.array([0, 1, 2, 3, 5, 6, 7, 8]), np.array([1, 2, 3, 4, 6, 7, 8, 9]), 10)
+        assert laplacian_pe(two_paths, k=4).num_valid == 4
+        pe.check_laplacian_size(two_paths)
+        with pytest.raises(InputError, match="largest has 6 nodes"):
+            pe.check_laplacian_size(cycle_graph(6))
 
 
 class TestModelSpec:
