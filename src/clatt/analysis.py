@@ -7,11 +7,11 @@ training. Distances are exact BFS hop counts in the underlying graph.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from .errors import InputError
 from .similarity import similarity_matrix
 from .stats import bfs_distances
@@ -70,17 +70,16 @@ KINDS = ("cluster", "local", "global")
 CHUNK_ELEMENTS = 1 << 18
 
 
-def _average_distances(bfs_row, rec, rows, queries):
+def _average_distances(dist, rec, rows, queries):
     """Attention-weighted average hop distance of each (row, query) pair of
-    rec and each head, plus the number of attended targets dropped because
-    they are unreachable from the query node."""
-    table, mask = rec["index_table"], rec["mask"]
-    nodes = rec["nodes"][rows, queries]
-    dist = np.array([bfs_row(i)[table[r]] for r, i in zip(rows, nodes.tolist())]).reshape(rows.size, table.shape[1])
+    rec and each head, given ``dist`` (pairs, S), the hop distance from each
+    pair's query node to each of its row's keys; plus the number of attended
+    targets dropped because they are unreachable from the query node."""
+    mask = rec["mask"][rows]
     p = rec["probs"][rows, :, queries, :]  # (pairs, heads, S)
     finite = np.isfinite(dist)
-    dropped = int(np.count_nonzero((mask[rows] & ~finite)[:, None, :] & (p > 0)))
-    keep = mask[rows] & finite
+    dropped = int(np.count_nonzero((mask & ~finite)[:, None, :] & (p > 0)))
+    keep = mask & finite
     # Sum each (pair, head) over its kept targets only, packed into rows of
     # equal length, so the sums round as a 1-D sum over those targets would.
     count = keep.sum(axis=1)
@@ -92,7 +91,7 @@ def _average_distances(bfs_row, rec, rows, queries):
         ds = np.broadcast_to(dist[sel][:, None, :], ps.shape)[pick].reshape(ps.shape[:2] + (c,))
         ps = ps[pick].reshape(ds.shape)
         avg[sel] = (ps * ds).sum(axis=-1) / ps.sum(axis=-1)
-    return nodes, avg, dropped
+    return avg, dropped
 
 
 def attention_distance_profile(records, g) -> AttentionProfile:
@@ -106,24 +105,50 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     way. Padding slots carry no mass and are excluded outright; nodes not
     assigned to any cluster yield no cluster entries. Entries come in
     (record, row, query, head) order.
+
+    Distances come from one multi-source BFS per block of attending nodes,
+    shared by every record; a block's distance matrix holds at most
+    ``stats.BLOCK_DISTANCES`` floats.
     """
-    bfs_row = functools.cache(lambda node: bfs_distances(g, node))
-    entries = []
-    unreachable = 0
     for rec in records:
         if rec["kind"] not in KINDS:
             raise ValueError(f"unknown attention record kind {rec['kind']!r}")
-        _, heads, _, width = rec["probs"].shape
+    live = []  # per record: rows and queries of the live pairs, their nodes
+    for rec in records:
         rows, queries = np.nonzero(rec["nodes"] >= 0)
-        step = max(1, CHUNK_ELEMENTS // (heads * width))
-        for lo in range(0, rows.size, step):
-            nodes, avg, dropped = _average_distances(bfs_row, rec, rows[lo : lo + step], queries[lo : lo + step])
-            unreachable += dropped
-            entries.extend(
-                AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
-                for i, row in zip(nodes.tolist(), avg.tolist())
-                for h, a in enumerate(row)
-            )
+        live.append((rows, queries, rec["nodes"][rows, queries]))
+    attending = np.unique(np.concatenate([np.zeros(0, np.int64)] + [nodes for _, _, nodes in live]))
+    step = max(1, stats.BLOCK_DISTANCES // max(g.n, 1))
+    # per record: each pair's node's index in attending, and the pairs
+    # grouped by block: block b's are by_block[bounds[b] : bounds[b + 1]]
+    groups = []
+    for _, _, nodes in live:
+        slot = np.searchsorted(attending, nodes)
+        by_block = np.argsort(slot, kind="stable")
+        bounds = np.append(np.searchsorted(slot[by_block], np.arange(0, attending.size, step)), slot.size)
+        groups.append((slot, by_block, bounds))
+    avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
+    unreachable = 0
+    for b, lo in enumerate(range(0, attending.size, step)):
+        dist = bfs_distances(g, attending[lo : lo + step])
+        for rec, (rows, queries, _), (slot, by_block, bounds), avg in zip(records, live, groups, avgs):
+            _, heads, _, width = rec["probs"].shape
+            chunk = max(1, CHUNK_ELEMENTS // (heads * width))
+            in_block = by_block[bounds[b] : bounds[b + 1]]
+            for c in range(0, in_block.size, chunk):
+                sel = in_block[c : c + chunk]
+                pos = slot[sel] - lo
+                avg[sel], dropped = _average_distances(
+                    dist[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
+                )
+                unreachable += dropped
+    entries = []
+    for rec, (_, _, nodes), avg in zip(records, live, avgs):
+        entries.extend(
+            AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
+            for i, row in zip(nodes.tolist(), avg.tolist())
+            for h, a in enumerate(row)
+        )
     return AttentionProfile(entries, unreachable)
 
 

@@ -328,12 +328,15 @@ def hierarchical_fit(g: Graph, seed: int = 0, k_max: int | None = None,
     Rates are free per block pair, so disassortative groups (roles) are
     found as readily as communities. When every level collapses to one
     cluster the finest fitted level is returned with ``collapsed`` set in
-    the params.
+    the params. ``k_max`` must be at least 2, since every level fits at
+    least two blocks.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if k_max is None:
         k_max = max(2, min(25, int(round(np.sqrt(g.n)))))
+    if k_max < 2:
+        raise InputError(f"H1 k_max must be at least 2, got {k_max}")
     units = WeightedGraph.from_graph(g)
     to_unit = np.arange(g.n, dtype=np.int64)
     total_pairs = g.n * (g.n - 1) / 2.0

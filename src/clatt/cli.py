@@ -88,6 +88,8 @@ def _resmlp_points(args, g):
 
 
 def cmd_cluster(args) -> int:
+    if args.min_size is not None and args.max_size is not None and args.min_size > args.max_size:
+        raise InputError(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
     g = _load_graph(args)
     if args.algo == "LA":
         c = leiden_cpm(g, gamma=args.gamma, seed=args.seed)
@@ -394,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, help="LA resolution; default graph density")
     sp.add_argument("--k-max", type=_int_at_least(1), default=10, help="BPP/H1 block count ceiling")
     sp.add_argument("--k", type=int, help="KM cluster count; default n/128 in [2, n]")
-    sp.add_argument("--min-size", type=int, help="apply the size filter before saving")
-    sp.add_argument("--max-size", type=int)
+    sp.add_argument("--min-size", type=_int_at_least(1), help="apply the size filter before saving")
+    sp.add_argument("--max-size", type=_int_at_least(1))
     sp.add_argument("--km-hidden", type=_int_at_least(1), default=64)
-    sp.add_argument("--km-layers", type=int, default=2)
-    sp.add_argument("--km-steps", type=int, default=300)
+    sp.add_argument("--km-layers", type=_int_at_least(0), default=2)
+    sp.add_argument("--km-steps", type=_int_at_least(0), default=300)
     add_table_flags(sp, "node table CSV (required for KM)")
     sp.set_defaults(func=cmd_cluster)
 

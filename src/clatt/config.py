@@ -163,7 +163,7 @@ def _choices(options):
 CLUSTERING_PARAMS = {
     "LA": {"gamma": _or_null(_positive), "seed": _seed, "max_passes": _count(1)},
     "BPP": {"k_max": _count(1), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
-    "H1": {"k_max": _or_null(_count(1)), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
+    "H1": {"k_max": _or_null(_count(2)), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
     "KM": {
         "k": _or_null(_count(1)),
         "seed": _seed,

@@ -10,10 +10,12 @@ import scipy.sparse.csgraph as csgraph
 
 from clatt import analysis as an
 from clatt import nn
+from clatt import stats
 from clatt import tensor as T
 from clatt import training as tr
 from clatt.partition import FilteredClustering
 from clatt.pe import laplacian_pe
+from clatt.stats import bfs_distances
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi
 
 
@@ -81,6 +83,27 @@ def cluster_records(g, assignment, d=8, heads=2, seed=0):
     return capture
 
 
+def assert_matches_oracle(profile, records, g):
+    """Entries equal a per-pair loop over all-pairs scipy distances, in
+    (record, row, query, head) order."""
+    dists = sp_distances(g)
+    expect = []
+    for rec in records:
+        table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
+        for r in range(table.shape[0]):
+            keys = table[r, mask[r]]
+            for qi in np.nonzero(rec["nodes"][r] >= 0)[0]:
+                i = rec["nodes"][r, qi]
+                for h in range(probs.shape[1]):
+                    p = probs[r, h, qi, mask[r]]
+                    avg = float((p * dists[i, keys]).sum() / p.sum())
+                    expect.append((int(i), rec["layer"], h, rec["kind"], rec["clustering"], avg))
+    assert len(profile.entries) == len(expect)
+    for e, want in zip(profile.entries, expect):
+        assert (e.node, e.layer, e.head, e.kind, e.clustering_tag) == want[:5]
+        assert abs(e.avg_distance - want[5]) < 1e-12
+
+
 class TestProfile:
     def test_self_only_attention_is_zero(self):
         g = cycle_graph(4)
@@ -123,27 +146,73 @@ class TestProfile:
         # neighbourhoods of an LGT-CLATT forward and a GGT forward
         g = bridge_of_cliques([4, 3])
         assignment = [0, 0, 0, 0, 1, 1, -1]
-        dists = sp_distances(g)
         kinds = set()
         for records in (cluster_records(g, assignment), *lgt_and_ggt_records(g, assignment, layers=2)):
             profile = an.attention_distance_profile(records, g)
-            expect = []
-            for rec in records:
-                table, mask, probs = rec["index_table"], rec["mask"], rec["probs"]
-                for r in range(table.shape[0]):
-                    keys = table[r, mask[r]]
-                    for qi in np.nonzero(rec["nodes"][r] >= 0)[0]:
-                        i = rec["nodes"][r, qi]
-                        for h in range(probs.shape[1]):
-                            p = probs[r, h, qi, mask[r]]
-                            avg = float((p * dists[i, keys]).sum() / p.sum())
-                            expect.append((int(i), rec["layer"], h, rec["kind"], rec["clustering"], avg))
-            assert len(profile.entries) == len(expect)
-            for e, want in zip(profile.entries, expect):
-                assert (e.node, e.layer, e.head, e.kind, e.clustering_tag) == want[:5]
-                assert abs(e.avg_distance - want[5]) < 1e-12
+            assert_matches_oracle(profile, records, g)
             kinds |= {e.kind for e in profile.entries}
         assert kinds == {"cluster", "local", "global"}
+
+    @pytest.mark.parametrize("block_nodes", [1, 3, 40])
+    def test_block_budget_does_not_change_entries(self, monkeypatch, block_nodes):
+        # records of every kind share nodes; blocks of one node, of a few and
+        # of every node reduce to the same entries, bit for bit
+        g = erdos_renyi(40, 0.1, seed=4)
+        assignment = np.random.default_rng(4).integers(-1, 4, size=g.n)
+        lgt, ggt = lgt_and_ggt_records(g, assignment, layers=2)
+        records = lgt + ggt
+        default = an.attention_distance_profile(records, g)
+        monkeypatch.setattr(stats, "BLOCK_DISTANCES", block_nodes * g.n)
+        blocked = an.attention_distance_profile(records, g)
+        assert blocked.entries == default.entries
+        assert blocked.unreachable_pairs == default.unreachable_pairs
+        assert_matches_oracle(blocked, records, g)
+
+    def test_one_bfs_per_attending_node_across_records(self, monkeypatch):
+        g = bridge_of_cliques([4, 3])
+        lgt, ggt = lgt_and_ggt_records(g, [0, 0, 0, 0, 1, 1, -1], layers=2)
+        records = lgt + ggt
+        held = [np.unique(rec["nodes"][rec["nodes"] >= 0]) for rec in records]
+        attending, times = np.unique(np.concatenate(held), return_counts=True)
+        assert times.min() > 1  # every node attends in several records
+        sources = []
+
+        def counted(graph, block):
+            sources.append(np.asarray(block).copy())
+            return bfs_distances(graph, block)
+
+        monkeypatch.setattr(an, "bfs_distances", counted)
+        monkeypatch.setattr(stats, "BLOCK_DISTANCES", 3 * g.n)
+        an.attention_distance_profile(records, g)
+        assert len(sources) == math.ceil(attending.size / 3)
+        assert np.array_equal(np.concatenate(sources), attending)
+
+    def test_memory_linear_in_graph_with_many_attending_nodes(self):
+        import tracemalloc
+
+        # one local record over a 3000-cycle: a BFS row kept per attending
+        # node would hold n^2 floats (72 MB)
+        g = cycle_graph(3000)
+        n = g.n
+        table = np.stack([np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n], axis=1)
+        rec = {
+            "kind": "local",
+            "layer": 0,
+            "clustering": None,
+            "probs": np.full((n, 1, 1, 3), 1 / 3),
+            "nodes": np.arange(n)[:, None],
+            "index_table": table,
+            "mask": np.ones((n, 3), dtype=bool),
+        }
+        tracemalloc.start()
+        try:
+            profile = an.attention_distance_profile([rec], g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profile.entries) == n
+        assert all(abs(e.avg_distance - 2 / 3) < 1e-12 for e in profile.entries)
+        assert peak < 8 * stats.BLOCK_DISTANCES + 1000 * (n + g.m)
 
     def test_records_share_one_layout(self):
         g = bridge_of_cliques([4, 3])

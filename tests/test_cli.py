@@ -153,6 +153,22 @@ class TestCluster:
         edges = triangle_edges(tmp_path)
         assert cli.main(["cluster", edges, "--algo", "XX", "--out", "x.csv"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--algo", "H1", "--k-max", "1"], "H1 k_max must be at least 2, got 1"),
+         (["--algo", "LA", "--min-size", "0"], "--min-size: must be >= 1, got 0"),
+         (["--algo", "LA", "--max-size", "0"], "--max-size: must be >= 1, got 0"),
+         (["--algo", "LA", "--min-size", "50", "--max-size", "10"], "--min-size 50 exceeds --max-size 10"),
+         (["--algo", "KM", "--km-layers", "-1"], "--km-layers: must be >= 0, got -1"),
+         (["--algo", "KM", "--km-steps", "-5"], "--km-steps: must be >= 0, got -5")],
+    )
+    def test_bad_flags_exit_2_and_save_nothing(self, tmp_path, capsys, flags, message):
+        edges = write_edges(tmp_path / "e.csv", bridge_of_cliques([5, 5]))
+        out = tmp_path / "c.csv"
+        assert cli.main(["cluster", edges, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_km_without_nodes_exit_2(self, tmp_path, capsys):
         edges = triangle_edges(tmp_path)
         rc = cli.main(["cluster", edges, "--algo", "KM", "--out", str(tmp_path / "km.csv")])
@@ -504,6 +520,7 @@ class TestSetOverrides:
         "override, message",
         [("clusterings.LA.gamma=\"x\"", "clusterings.LA.gamma: expected a finite number"),
          ("clusterings.LA.seed=-1", "clusterings.LA.seed: must be >= 0"),
+         ('clusterings={"H1":{"k_max":1}}', "clusterings.H1.k_max: must be >= 2, got 1"),
          ("split.ratios=[0,0.5,0.5]", "leave the train subset empty"),
          ("seeds=[0]", "at least 2 seeds"),
          ("output_dir=taken", "taken exists and is not a directory"),

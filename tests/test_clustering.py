@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clatt import blockmodel
 from clatt.blockmodel import hierarchical_fit, planted_partition_fit
+from clatt.errors import InputError
 from clatt.graphs import WeightedGraph, from_edges
 from clatt.kmeans import kmeans
 from clatt.leiden import cpm_quality, default_gamma, leiden_cpm
@@ -440,10 +441,13 @@ class TestLockstepFits:
         assert np.array_equal(one.assignment, bpp.assignment) and one.params["score"] == bpp.params["score"]
         assert np.array_equal(hierarchical_fit(g, k_max=6, seed=1, restarts=2).assignment, h1.assignment)
 
-    def test_empty_ladder_returns_one_block(self):
+    def test_k_max_below_two_is_input_error(self):
+        # every H1 level fits at least two blocks, so k_max 1 would leave an
+        # empty ladder and a one-block fallback that looks like a fit
         g, _ = sbm_graph([6, 6], 0.6, 0.1, seed=27)
-        c = hierarchical_fit(g, k_max=1, seed=0)
-        assert c.num_clusters == 1 and c.params["collapsed"]
+        for k_max in (1, 0, -3):
+            with pytest.raises(InputError, match=f"k_max must be at least 2, got {k_max}"):
+                hierarchical_fit(g, k_max=k_max, seed=0)
 
 
 class TestKmeans:

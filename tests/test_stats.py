@@ -69,10 +69,11 @@ class TestBfs:
         assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
 
     def test_bad_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"source 7 \(of 1\) out of range for n=3"):
             bfs_distances(path_graph(3), 7)
-        with pytest.raises(ValueError):
-            bfs_distances(path_graph(3), np.array([0, -1]))
+        # a block names its first bad source and its size, not every source
+        with pytest.raises(ValueError, match=r"^source -1 \(of 5\) out of range for n=3$"):
+            bfs_distances(path_graph(3), np.array([0, -1, 1, 9, 2]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -149,7 +150,7 @@ class TestDistanceStats:
     def test_sampled_mean_adds_source_means_in_order(self, monkeypatch, sources_per_block):
         g = erdos_renyi(120, 0.04, seed=3)
         if sources_per_block is not None:
-            monkeypatch.setattr(stats, "_BLOCK_DISTANCES", sources_per_block * g.n)
+            monkeypatch.setattr(stats, "BLOCK_DISTANCES", sources_per_block * g.n)
         labels, _ = connected_components(g)
         nodes = np.flatnonzero(labels == np.bincount(labels).argmax())
         sources = np.random.default_rng(2).choice(nodes, size=50, replace=False)
