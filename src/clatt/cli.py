@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import InputError
 from .graphs import TableSchema, load_edge_list, load_node_table, save_stats_json, transform_features
 from .kmeans import kmeans
 from .leiden import leiden_cpm
-from .partition import filter_clusters, load_clustering, save_clustering
+from .partition import Clustering, filter_clusters, load_clustering, save_clustering
 from .pe import check_deepwalk_size, check_laplacian_size, deepwalk_pe, laplacian_pe
 from .stats import compute_graph_stats, stats_to_dict
 
@@ -72,7 +71,25 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _resmlp_points(args, g):
+def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split: tr.Split | None = None) -> Clustering:
+    """Run clustering algorithm ``tag`` on ``g``. ``params`` takes the keys
+    of ``config.CLUSTERING_PARAMS[tag]``; KM clusters the ResMLP
+    representations of ``data`` trained on ``split``."""
+    params = dict(params)
+    seed = int(params.pop("seed", 0))
+    if tag == "LA":
+        return leiden_cpm(g, seed=seed, **params)
+    if tag == "BPP":
+        return planted_partition_fit(g, seed=seed, **params)
+    if tag == "H1":
+        return hierarchical_fit(g, seed=seed, **params)
+    k = params.pop("k", None)
+    max_iters = params.pop("max_iters", 100)
+    reps = tr.resmlp_representations(data, split, seed=seed, **params)
+    return kmeans(reps, k=k, seed=seed, max_iters=max_iters)[0]
+
+
+def _resmlp_inputs(args, g) -> tuple[tr.TrainData, tr.Split]:
     if not args.nodes:
         raise InputError("--nodes is required for KM (auxiliary model needs features and targets)")
     nd = load_node_table(args.nodes, _schema_from_args(args), g)
@@ -82,24 +99,21 @@ def _resmlp_points(args, g):
     labels = nd.targets if nd.task != "regression" else np.zeros(g.n, dtype=np.int64)
     split = tr.make_split(labels, seed=args.seed, stratified=nd.task != "regression")
     split.check_nonempty()
-    return tr.resmlp_representations(
-        data, split, seed=args.seed, hidden=args.km_hidden, layers=args.km_layers, steps=args.km_steps
-    )
+    return data, split
 
 
 def cmd_cluster(args) -> int:
     if args.min_size is not None and args.max_size is not None and args.min_size > args.max_size:
         raise InputError(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
     g = _load_graph(args)
-    if args.algo == "LA":
-        c = leiden_cpm(g, gamma=args.gamma, seed=args.seed)
-    elif args.algo == "BPP":
-        c = planted_partition_fit(g, k_max=args.k_max, seed=args.seed)
-    elif args.algo == "H1":
-        c = hierarchical_fit(g, seed=args.seed, k_max=args.k_max)
-    else:  # KM
-        points = _resmlp_points(args, g)
-        c, _ = kmeans(points, k=args.k, seed=args.seed)
+    params = {
+        "LA": {"gamma": args.gamma},
+        "BPP": {"k_max": args.k_max},
+        "H1": {"k_max": args.k_max},
+        "KM": {"k": args.k, "hidden": args.km_hidden, "layers": args.km_layers, "steps": args.km_steps},
+    }[args.algo]
+    data, split = _resmlp_inputs(args, g) if args.algo == "KM" else (None, None)
+    c = _cluster(args.algo, g, {"seed": args.seed, **params}, data, split)
     if args.min_size is not None or args.max_size is not None:
         c = filter_clusters(c, min_size=args.min_size or 1, max_size=args.max_size or g.n)
     save_clustering(args.out, c, node_ids=g.node_ids)
@@ -134,8 +148,8 @@ def cmd_compare(args) -> int:
     keep = np.all([a >= 0 for _, a in loaded], axis=0)
     if keep.sum() < 2:
         raise InputError("fewer than 2 nodes assigned everywhere; nothing to compare")
-    objs = [SimpleNamespace(assignment=a[keep], algorithm_tag=label) for (_, a), label in zip(loaded, labels)]
-    export_similarity_matrix(objs, args.out)
+    clusterings = [Clustering(a[keep], algorithm_tag=label) for (_, a), label in zip(loaded, labels)]
+    export_similarity_matrix(clusterings, args.out)
     with open(args.out) as fh:
         _echo(fh.read().rstrip())
     return 0
@@ -178,19 +192,7 @@ def _split_for(cfg: ExperimentConfig, data: tr.TrainData) -> tr.Split:
 
 def _build_clusterings(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, tags) -> None:
     for tag in tags:
-        params = dict(cfg.clusterings.get(tag, {}))
-        seed = int(params.pop("seed", 0))
-        if tag == "LA":
-            c = leiden_cpm(data.g, gamma=params.pop("gamma", None), seed=seed, **params)
-        elif tag == "BPP":
-            c = planted_partition_fit(data.g, seed=seed, **params)
-        elif tag == "H1":
-            c = hierarchical_fit(data.g, seed=seed, **params)
-        else:  # KM
-            k = params.pop("k", None)
-            max_iters = params.pop("max_iters", 100)
-            reps = tr.resmlp_representations(data, split, seed=seed, **params)
-            c, _ = kmeans(reps, k=k, seed=seed, max_iters=max_iters)
+        c = _cluster(tag, data.g, cfg.clusterings.get(tag, {}), data, split)
         fc = filter_clusters(c, min_size=cfg.min_cluster_size, max_size=cfg.max_cluster_size)
         data.clusterings[tag] = fc
         _echo(
@@ -338,10 +340,10 @@ def cmd_analyze_attention(args) -> int:
     data = _dataset_for_training(cfg, [spec])
     split = _split_for(cfg, data)
     out_dir = _output_dir(cfg)
+    params = load_checkpoint(args.checkpoint)
     _build_clusterings(cfg, data, split, spec.clusterings)
     if spec.pe != "none":
         data = replace(data, pe=_pe_for(spec.pe, data.g, args.pe_dim))
-    params = load_checkpoint(args.checkpoint)
     pe_dim = data.pe.shape[1] if data.pe is not None else None
     expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim)
     _check_checkpoint(args.checkpoint, spec, params, expected)

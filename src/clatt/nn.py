@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import InputError
-from .partition import FilteredClustering
+from .partition import Clustering
 
 __all__ = [
     "CONV_TYPES",
@@ -127,9 +127,9 @@ class ClusterBatch:
         ]
 
 
-def build_cluster_batch(fc: FilteredClustering) -> ClusterBatch:
+def build_cluster_batch(fc: Clustering) -> ClusterBatch:
     """Lay retained clusters out as rows, members as node-id-sorted slots."""
-    a = np.asarray(fc.assignment)
+    a = fc.assignment
     retained = np.nonzero(a >= 0)[0]
     if retained.size == 0:
         raise InputError("build_cluster_batch: no retained clusters")

@@ -14,7 +14,8 @@ from .errors import InputError, read_text
 
 @dataclass
 class Clustering:
-    """A partition of nodes 0..n-1 into contiguous cluster ids 0..k-1."""
+    """Nodes 0..n-1 in contiguous cluster ids 0..k-1; id -1 marks a node
+    left unassigned (by the size filter, or in a saved file)."""
 
     assignment: np.ndarray
     algorithm_tag: str = "LA"
@@ -31,58 +32,27 @@ class Clustering:
     def num_clusters(self) -> int:
         return int(self.assignment.max()) + 1 if self.n else 0
 
+    @property
+    def unassigned(self) -> np.ndarray:
+        return np.flatnonzero(self.assignment < 0)
+
     def clusters(self) -> list[np.ndarray]:
-        """Member arrays indexed by cluster id."""
+        """Member arrays indexed by cluster id; unassigned nodes sort first
+        and fall outside every bound."""
         order = np.argsort(self.assignment, kind="stable")
         bounds = np.searchsorted(self.assignment[order], np.arange(self.num_clusters + 1))
         return [order[bounds[i] : bounds[i + 1]] for i in range(self.num_clusters)]
 
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.num_clusters)
+        return np.bincount(self.assignment[self.assignment >= 0], minlength=self.num_clusters)
 
     def validate(self) -> None:
         if self.n == 0:
             raise ValueError("empty clustering")
-        if self.assignment.min() < 0:
-            raise ValueError("negative cluster id in a full partition")
+        if self.assignment.min() < -1:
+            raise ValueError("cluster id below -1")
         if np.any(self.sizes() == 0):
-            raise ValueError("empty cluster id")
-
-
-@dataclass
-class FilteredClustering:
-    """Retained clusters (contiguously renumbered) plus unassigned nodes.
-
-    ``assignment`` holds -1 for every unassigned node.
-    """
-
-    assignment: np.ndarray
-    unassigned: np.ndarray
-    algorithm_tag: str = "LA"
-    params: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
-    def num_clusters(self) -> int:
-        m = int(self.assignment.max())
-        return m + 1 if m >= 0 else 0
-
-    def clusters(self) -> list[np.ndarray]:
-        out = []
-        for cid in range(self.num_clusters):
-            out.append(np.where(self.assignment == cid)[0])
-        return out
-
-    def validate(self) -> None:
-        mask = self.assignment < 0
-        if not np.array_equal(np.where(mask)[0], np.sort(self.unassigned)):
-            raise ValueError("unassigned set inconsistent with assignment")
-        sizes = np.bincount(self.assignment[~mask], minlength=self.num_clusters)
-        if self.num_clusters and sizes.min() == 0:
-            raise ValueError("gap in retained cluster ids")
+            raise ValueError("gap in cluster ids")
 
 
 def relabel_by_first_occurrence(assignment: np.ndarray) -> np.ndarray:
@@ -96,7 +66,7 @@ def relabel_by_first_occurrence(assignment: np.ndarray) -> np.ndarray:
     return lut[dense]
 
 
-def filter_clusters(c: Clustering, min_size: int = 4, max_size: int = 512) -> FilteredClustering:
+def filter_clusters(c: Clustering, min_size: int = 4, max_size: int = 512) -> Clustering:
     """Drop clusters outside [min_size, max_size]; members become unassigned.
 
     Retained clusters keep their membership untouched and are renumbered
@@ -104,20 +74,15 @@ def filter_clusters(c: Clustering, min_size: int = 4, max_size: int = 512) -> Fi
     """
     sizes = c.sizes()
     keep = (sizes >= min_size) & (sizes <= max_size)
-    new_id = np.full(sizes.shape[0], -1, dtype=np.int64)
-    new_id[keep] = np.arange(int(keep.sum()))
-    assignment = new_id[c.assignment]
-    unassigned = np.where(assignment < 0)[0]
-    return FilteredClustering(assignment=assignment, unassigned=unassigned,
-                              algorithm_tag=c.algorithm_tag,
-                              params={**c.params, "min_size": min_size, "max_size": max_size})
+    new_id = np.full(sizes.shape[0] + 1, -1, dtype=np.int64)  # the last slot maps -1 to -1
+    new_id[:-1][keep] = np.arange(int(keep.sum()))
+    return Clustering(assignment=new_id[c.assignment], algorithm_tag=c.algorithm_tag,
+                      params={**c.params, "min_size": min_size, "max_size": max_size})
 
 
-def save_clustering(path, c, node_ids: np.ndarray | None = None) -> None:
-    """Write ``node_id,cluster_id`` rows plus a .meta.json sidecar.
-
-    Unassigned nodes (FilteredClustering) get cluster id -1.
-    """
+def save_clustering(path, c: Clustering, node_ids: np.ndarray | None = None) -> None:
+    """Write ``node_id,cluster_id`` rows plus a .meta.json sidecar; an
+    unassigned node keeps cluster id -1."""
     path = Path(path)
     ids = np.arange(c.n) if node_ids is None else np.asarray(node_ids)
     if ids.shape[0] != c.n:
@@ -131,7 +96,7 @@ def save_clustering(path, c, node_ids: np.ndarray | None = None) -> None:
         "algorithm_tag": c.algorithm_tag,
         "params": _json_safe(c.params),
         "num_clusters": int(c.num_clusters),
-        "num_unassigned": int((np.asarray(c.assignment) < 0).sum()),
+        "num_unassigned": int(c.unassigned.size),
     }
     with open(path.with_suffix(path.suffix + ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -141,9 +106,9 @@ def save_clustering(path, c, node_ids: np.ndarray | None = None) -> None:
 def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a clustering CSV; returns (node_ids, assignment, metadata).
 
-    A short row, an id that is not a 64-bit integer or a repeated node id
-    raises InputError naming the file and line, as does metadata that is not
-    a JSON object.
+    A short row, an id that is not a 64-bit integer, a cluster id below -1
+    (-1 means unassigned) or a repeated node id raises InputError naming the
+    file and line, as does metadata that is not a JSON object.
     """
     path = Path(path)
     ids, cids, seen = [], [], {}
@@ -163,6 +128,8 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
             node = cid = None
         if node is None or max(abs(node), abs(cid)) >= 2**63:
             raise InputError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
+        if cid < -1:
+            raise InputError(f"{where}: cluster_id {cid} is below -1, the id of an unassigned node")
         if node in seen:
             raise InputError(f"{where}: node {node} already assigned on line {seen[node]}")
         seen[node] = reader.line_num

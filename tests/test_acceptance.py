@@ -23,7 +23,7 @@ from clatt import training as tr
 from clatt.blockmodel import hierarchical_fit
 from clatt.graphs import TableSchema, load_edge_list, load_node_table
 from clatt.leiden import leiden_cpm
-from clatt.partition import FilteredClustering, filter_clusters
+from clatt.partition import Clustering, filter_clusters
 from clatt.similarity import correlation_coefficient, pair_counts
 from clatt.stats import compute_graph_stats
 from clatt.synthetic import bridge_of_cliques, erdos_renyi, noisy_onehot_features, sbm_graph
@@ -36,8 +36,7 @@ def _verdict(num: int, msg: str) -> None:
 
 
 def fc(assignment, tag="LA"):
-    a = np.asarray(assignment, dtype=np.int64)
-    return FilteredClustering(a, np.where(a < 0)[0], algorithm_tag=tag)
+    return Clustering(assignment, algorithm_tag=tag)
 
 
 # ---------------------------------------------------------------- criterion 1

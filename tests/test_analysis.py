@@ -13,7 +13,7 @@ from clatt import nn
 from clatt import stats
 from clatt import tensor as T
 from clatt import training as tr
-from clatt.partition import FilteredClustering
+from clatt.partition import Clustering
 from clatt.pe import laplacian_pe
 from clatt.stats import bfs_distances
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi
@@ -28,8 +28,7 @@ def sp_distances(g):
 
 
 def fc(assignment, tag="LA"):
-    a = np.asarray(assignment, dtype=np.int64)
-    return FilteredClustering(a, np.where(a < 0)[0], algorithm_tag=tag)
+    return Clustering(assignment, algorithm_tag=tag)
 
 
 def rand_qkv(d, seed):

@@ -18,7 +18,8 @@ from clatt import pe
 from clatt import tensor
 from clatt import training as tr
 from clatt.checkpoint import load_checkpoint, save_checkpoint
-from clatt.graphs import GraphFormatError, load_edge_list
+from clatt.graphs import GraphFormatError, TableSchema, load_edge_list, load_node_table
+from clatt.kmeans import kmeans
 from clatt.partition import load_clustering
 from clatt.synthetic import bridge_of_cliques, noisy_onehot_features, sbm_graph
 
@@ -124,6 +125,17 @@ class TestStats:
             assert rc in (0, 2)
 
 
+@st.composite
+def clustering_rows(draw):
+    """Rows for node ids 0..5 in any order, cluster ids anywhere in int64,
+    plus at most one row with an arbitrary int64 node id."""
+    cluster_id = st.integers(-2, 3) | st.integers(-(2**63), 2**63 - 1)
+    lines = [f"{node},{draw(cluster_id)}" for node in draw(st.permutations(range(6)))]
+    for node in draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), f"{node},{draw(cluster_id)}")
+    return lines
+
+
 class TestCluster:
     def test_leiden_on_bridge_of_cliques(self, tmp_path, capsys):
         g = bridge_of_cliques([5, 5])
@@ -168,6 +180,24 @@ class TestCluster:
         assert cli.main(["cluster", edges, "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_km_matches_resmlp_then_kmeans(self, tmp_path, capsys):
+        edges, nodes = classification_fixture(tmp_path)
+        out = tmp_path / "km.csv"
+        rc = cli.main(["cluster", edges, "--algo", "KM", "--out", str(out), "--nodes", nodes, "--target-column", "target",
+                       "--seed", "3", "--k", "3", "--km-hidden", "8", "--km-layers", "1", "--km-steps", "20"])
+        assert rc == 0
+        g = load_edge_list(edges)
+        nd = load_node_table(nodes, TableSchema(target_column="target"), g)
+        data = tr.TrainData(g, nd.features, nd.targets, nd.task, num_classes=nd.num_classes)
+        split = tr.make_split(nd.targets, seed=3)
+        reps = tr.resmlp_representations(data, split, seed=3, hidden=8, layers=1, steps=20)
+        want, _ = kmeans(reps, k=3, seed=3)
+        ids, assignment, meta = load_clustering(out)
+        assert ids.tolist() == g.node_ids.tolist()
+        assert assignment.tolist() == want.assignment.tolist()
+        assert meta["params"]["inertia"] == want.params["inertia"]
+        assert "KM: 3 clusters" in capsys.readouterr().out
 
     def test_km_without_nodes_exit_2(self, tmp_path, capsys):
         edges = triangle_edges(tmp_path)
@@ -232,7 +262,8 @@ class TestCompare:
          ("3,x", "line 4: node_id and cluster_id must be 64-bit integers"),
          ("2.5,1", "line 4: node_id and cluster_id must be 64-bit integers"),
          ("99999999999999999999,1", "line 4: node_id and cluster_id must be 64-bit integers"),
-         ("1,0", "line 4: node 1 already assigned on line 3")],
+         ("1,0", "line 4: node 1 already assigned on line 3"),
+         ("3,-7", "line 4: cluster_id -7 is below -1, the id of an unassigned node")],
     )
     def test_malformed_clustering_row_exit_2(self, tmp_path, capsys, bad_row, message):
         good = tmp_path / "good.csv"
@@ -246,7 +277,23 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
-    @given(st.lists(st.text(alphabet="0123456789-,.x \"", max_size=8), max_size=6))
+    def test_far_cluster_ids_compare_like_dense_ones(self, tmp_path, capsys):
+        dense = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: -1}
+        far = {0: 10**12, 1: 10**12, 2: 2**63 - 1, 3: 2**63 - 1, 4: 0, 5: -1}
+        good = tmp_path / "good.csv"
+        good.write_text("node_id,cluster_id\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
+        matrices = []
+        for name, rows in (("dense", dense), ("far", far)):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "c.csv"
+            path.write_text("node_id,cluster_id\n" + "".join(f"{i},{c}\n" for i, c in rows.items()))
+            out = tmp_path / name / "cc.csv"
+            assert cli.main(["compare", str(good), str(path), "--out", str(out)]) == 0
+            matrices.append(out.read_text())
+        assert matrices[0] == matrices[1]
+        capsys.readouterr()
+
+    @given(st.lists(st.text(alphabet="0123456789-,.x \"", max_size=8), max_size=6) | clustering_rows())
     @settings(max_examples=150, deadline=None)
     def test_fuzzed_clustering_rows_exit_0_or_2(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
@@ -541,6 +588,14 @@ class TestCheapChecksFirst:
         (tmp_path / "taken").write_text("")
         assert cli.main([command, str(base_config(tmp_path, steps=3)), "--set", override]) == 2
         assert "clustering LA:" not in capsys.readouterr().out
+
+    def test_missing_checkpoint_fails_before_clustering(self, tmp_path, capsys):
+        clatt = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3, "use_clatt": True, "clusterings": ["LA"]}
+        missing = tmp_path / "missing.ckpt"
+        assert cli.main(["analyze-attention", str(base_config(tmp_path, steps=3, models=[clatt])), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert "clustering LA:" not in captured.out
 
     @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
     def test_graph_over_global_attention_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command):

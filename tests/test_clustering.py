@@ -1,5 +1,7 @@
 """Clustering algorithms against exhaustive and brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from clatt.kmeans import kmeans
 from clatt.leiden import cpm_quality, default_gamma, leiden_cpm
 from clatt.partition import (
     Clustering,
-    FilteredClustering,
     filter_clusters,
     load_clustering,
     relabel_by_first_occurrence,
@@ -522,6 +523,27 @@ class TestFilter:
             assert orig.size == 1
             assert np.array_equal(np.where(c.assignment == orig[0])[0], np.sort(cl))
 
+    def test_unassigned_nodes_in_one_type(self):
+        c = Clustering(np.array([1, -1, 0, 1, -1, 0, 1]))
+        c.validate()
+        assert c.num_clusters == 2
+        assert c.sizes().tolist() == [2, 3]
+        assert [cl.tolist() for cl in c.clusters()] == [[2, 5], [0, 3, 6]]
+        assert c.unassigned.tolist() == [1, 4]
+        assert Clustering(np.full(3, -1)).num_clusters == 0
+        Clustering(np.full(3, -1)).validate()
+
+    @pytest.mark.parametrize("assignment, message", [([0, -2, 0], "below -1"), ([0, -1, 2], "gap"), ([], "empty")])
+    def test_validate_rejects(self, assignment, message):
+        with pytest.raises(ValueError, match=message):
+            Clustering(np.array(assignment, dtype=np.int64)).validate()
+
+    def test_refilter_keeps_unassigned(self):
+        f = filter_clusters(self.build([2, 6, 5]), min_size=4)
+        g = filter_clusters(f, min_size=6)
+        assert g.unassigned.tolist() == list(range(2)) + list(range(8, 13))
+        assert g.num_clusters == 1 and g.params["min_size"] == 6
+
 
 def brute_pair_counts(a, b):
     n = len(a)
@@ -557,6 +579,25 @@ class TestPairCounts:
         pc = pair_counts(a, b)
         assert (pc.n11, pc.n10, pc.n01, pc.n00) == brute_pair_counts(a, b)
         assert pc.total == n * (n - 1) // 2
+
+    def test_cluster_ids_only_name_clusters(self):
+        a = np.array([3, 3, 0, 7, 0, 3])
+        b = np.array([1, 1, 1, 2, 0, 0])
+        far_a = np.array([10**12, 10**12, -(2**62), 2**63 - 1, -(2**62), 10**12])
+        far_b = b * 10**15 - 5
+        assert pair_counts(far_a, far_b) == pair_counts(a, b)
+
+    def test_memory_linear_in_n_for_singletons(self):
+        n = 3000
+        a = np.arange(n)
+        tracemalloc.start()
+        try:
+            pc = pair_counts(a, a[::-1].copy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (pc.n11, pc.n00) == (0, n * (n - 1) // 2)
+        assert peak < 200 * n  # a dense ka x kb contingency table would take 8 n^2 bytes
 
 
 class TestCorrelationCoefficient:

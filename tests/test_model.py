@@ -9,15 +9,14 @@ from clatt import nn, pe
 from clatt import tensor as T
 from clatt.errors import InputError
 from clatt.graphs import from_edges
-from clatt.partition import FilteredClustering
+from clatt.partition import Clustering
 from clatt.pe import deepwalk_pe, laplacian_pe
 from clatt.stats import connected_components
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph
 
 
 def fc(assignment):
-    a = np.asarray(assignment, dtype=np.int64)
-    return FilteredClustering(a, np.where(a < 0)[0])
+    return Clustering(assignment)
 
 
 def softmax_rows(z):

@@ -11,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 from clatt import nn
 from clatt import training as tr
 from clatt.kmeans import kmeans
-from clatt.partition import FilteredClustering
+from clatt.partition import Clustering
 from clatt.similarity import correlation_coefficient
 from clatt.synthetic import bridge_of_cliques, erdos_renyi, gaussian_features, noisy_onehot_features, sbm_graph
 
 
 def perfect_clustering(labels, tag):
-    a = np.asarray(labels, dtype=np.int64)
-    return FilteredClustering(a, np.empty(0, dtype=np.int64), algorithm_tag=tag)
+    return Clustering(labels, algorithm_tag=tag)
 
 
 def toy_classification(n_per=16, sigma=0.05, clusterings=False):
