@@ -164,7 +164,7 @@ def _dataset_for_training(cfg: ExperimentConfig, specs=()) -> tr.TrainData:
         nn.check_global_attention_size(g.n)
     pe_kinds = {spec.pe for spec in specs}
     if "deepwalk" in pe_kinds:
-        check_deepwalk_size(g.n)  # _pe_for runs deepwalk_pe with its defaults
+        check_deepwalk_size(g.n)  # the same bound deepwalk_pe checks: one dense n x n matrix
     if "laplacian" in pe_kinds:
         check_laplacian_size(g)
     if ds.nodes is None:

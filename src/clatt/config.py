@@ -181,24 +181,26 @@ def _parse_dataset(raw, base: Path) -> DatasetConfig:
     _check_keys(raw, "dataset", ("edges", "nodes", "id_column", "feature_columns", "target_column", "task", "directed"))
     if "edges" not in raw:
         _fail("dataset.edges", "required")
-    edges = base / str(raw["edges"])
+    edges = base / _path_field(raw["edges"], "dataset.edges")
     if not edges.is_file():
         _fail("dataset.edges", f"file not found: {edges}")
     nodes = None
     if raw.get("nodes") is not None:
-        nodes = base / str(raw["nodes"])
+        nodes = base / _path_field(raw["nodes"], "dataset.nodes")
         if not nodes.is_file():
             _fail("dataset.nodes", f"file not found: {nodes}")
     task = _choice(TASKS)(raw.get("task", "multiclass"), "dataset.task")
     cols = raw.get("feature_columns")
     if cols is not None:
-        cols = tuple(_expect(cols, "dataset.feature_columns", list, "a list"))
+        _expect(cols, "dataset.feature_columns", list, "a list")
+        cols = tuple(_expect(c, f"dataset.feature_columns[{i}]", str, "a string") for i, c in enumerate(cols))
+    target = raw.get("target_column")
     return DatasetConfig(
         edges=edges,
         nodes=nodes,
-        id_column=str(raw.get("id_column", "id")),
+        id_column=_expect(raw.get("id_column", "id"), "dataset.id_column", str, "a string"),
         feature_columns=cols,
-        target_column=raw.get("target_column"),
+        target_column=None if target is None else _expect(target, "dataset.target_column", str, "a string or null"),
         task=task,
         directed=_bool_field(raw.get("directed", False), "dataset.directed"),
     )

@@ -126,7 +126,7 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
             node, cid = int(row[0]), int(row[1])
         except ValueError:
             node = cid = None
-        if node is None or max(abs(node), abs(cid)) >= 2**63:
+        if node is None or not (-(2**63) <= node < 2**63 and -(2**63) <= cid < 2**63):
             raise InputError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
         if cid < -1:
             raise InputError(f"{where}: cluster_id {cid} is below -1, the id of an unassigned node")

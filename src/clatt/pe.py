@@ -1,22 +1,24 @@
-"""Positional encodings: normalized-Laplacian eigenvectors and skip-gram
-embeddings trained on random walks."""
+"""Positional encodings: normalized-Laplacian eigenvectors and DeepWalk
+embeddings, the latter in closed form as the eigendecomposition of the
+shifted PMI matrix of the expected walk corpus."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError
 
 __all__ = ["LaplacianPE", "laplacian_pe", "deepwalk_pe", "check_laplacian_size", "check_deepwalk_size"]
 
-# Largest connected component given a dense eigendecomposition: several
-# float64 matrices of its size squared, about 2.4 GB at the bound.
-LAPLACIAN_PE_MAX_NODES = 10_000
-# Walk steps plus (center, context) pairs DeepWalk may hold at once: a
-# Python int per step and two int64 per pair, about 2 GB at the bound.
-DEEPWALK_MAX_SLOTS = 100_000_000
+# Nodes in one dense matrix: a connected component for Laplacian PE, the
+# whole graph for DeepWalk PE. tracemalloc peaks on a 3000-node SBM were
+# 32 n^2 bytes for Laplacian PE and 17 n^2 for DeepWalk PE, so 3.2 and
+# 1.7 GB at the bound; LAPACK's eigh workspace, outside tracemalloc's view,
+# adds up to 25 n^2 bytes more (ru_maxrss of eigh alone).
+PE_MAX_NODES = 10_000
 
 
 @dataclass
@@ -44,10 +46,10 @@ def check_laplacian_size(g) -> tuple[np.ndarray, int]:
 
     comp, num_comp = connected_components(g)
     largest = int(np.bincount(comp).max()) if g.n else 0
-    if largest > LAPLACIAN_PE_MAX_NODES:
+    if largest > PE_MAX_NODES:
         raise InputError(
             f"Laplacian PE decomposes each connected component as a dense matrix: the largest has "
-            f"{largest} nodes, past the desk-scale limit of {LAPLACIAN_PE_MAX_NODES}"
+            f"{largest} nodes, past the desk-scale limit of {PE_MAX_NODES}"
         )
     return comp, num_comp
 
@@ -88,33 +90,12 @@ def laplacian_pe(g, k: int = 128) -> LaplacianPE:
     return LaplacianPE(vectors, values, len(pairs), num_comp > 1)
 
 
-def _random_walks(g, walks_per_node: int, walk_len: int, rng: np.random.Generator) -> list:
-    walks = []
-    nodes = np.arange(g.n)
-    for _ in range(walks_per_node):
-        rng.shuffle(nodes)
-        for start in nodes:
-            walk = [int(start)]
-            cur = int(start)
-            for _ in range(walk_len - 1):
-                nbrs = g.neighbors_of(cur)
-                if nbrs.size == 0:
-                    break
-                cur = int(nbrs[rng.integers(nbrs.size)])
-                walk.append(cur)
-            walks.append(walk)
-    return walks
-
-
-def check_deepwalk_size(n: int, walks_per_node: int = 10, walk_len: int = 80, window: int = 5) -> None:
-    """Refuse walks and a pair cache past DEEPWALK_MAX_SLOTS; the defaults
-    are deepwalk_pe's."""
-    steps = n * walks_per_node * walk_len
-    slots = steps * (1 + 2 * window)
-    if slots > DEEPWALK_MAX_SLOTS:
+def check_deepwalk_size(n: int) -> None:
+    """Refuse a graph whose dense n x n walk-count matrix is past PE_MAX_NODES."""
+    if n > PE_MAX_NODES:
         raise InputError(
-            f"DeepWalk stores {steps} walk steps and about {slots - steps} (center, context) pairs "
-            f"({slots} slots for n={n}), past the desk-scale limit of {DEEPWALK_MAX_SLOTS} slots"
+            f"DeepWalk PE factorises a dense matrix over all nodes: the graph has {n} nodes, "
+            f"past the desk-scale limit of {PE_MAX_NODES}"
         )
 
 
@@ -126,73 +107,51 @@ def deepwalk_pe(
     window: int = 5,
     neg: int = 5,
     epochs: int = 5,
-    seed: int = 0,
-    lr: float = 0.025,
 ) -> np.ndarray:
-    """Skip-gram-with-negative-sampling embeddings over uniform walks.
+    """DeepWalk embeddings as the factorisation skip-gram with negative
+    sampling converges to (Levy & Goldberg 2014; Qiu et al. 2018).
 
-    Updates are batched per walk (all center/context pairs of one walk
-    step together), which keeps the whole thing numpy-vectorized and
-    bitwise-deterministic for a fixed seed.
+    The corpus is the exact expectation of one uniform walk of ``walk_len``
+    nodes from every node, with (center, context) pairs at offsets
+    1..``window`` in both directions: with P = D^-1 A and
+    S_r = sum_{i=0..walk_len-1-r} 1^T P^i, the pair counts are
+    C = F + F^T for F = sum_{r=1..window} diag(S_r) P^r. With c = C 1 and
+    vol = 1^T c, the target is M = log max(C vol / (neg c c^T), 1), and
+    the result is U sqrt|lambda| for the ``dim`` eigenpairs of M of
+    largest |lambda|, columns past n zero, each column's sign fixed by its
+    largest-magnitude entry. ``walks_per_node`` and ``epochs`` scale every
+    count alike, so they cancel in M and do not change the result.
     """
     n = g.n
-    check_deepwalk_size(n, walks_per_node, walk_len, window)
-    rng = np.random.default_rng(seed)
-    walks = _random_walks(g, walks_per_node, walk_len, rng)
-
-    # negative-sampling distribution: degree^0.75, uniform fallback
+    check_deepwalk_size(n)
     deg = g.degrees.astype(np.float64)
-    weights = deg**0.75
-    if weights.sum() == 0:
-        weights = np.ones(n)
-    cdf = np.cumsum(weights / weights.sum())
-
-    emb = (rng.random((n, dim)) - 0.5) / dim
-    ctx = np.zeros((n, dim))
-
-    pair_cache = []
-    for walk in walks:
-        L = len(walk)
-        arr = np.asarray(walk, dtype=np.int64)
-        centers = []
-        contexts = []
-        for off in range(1, window + 1):
-            if off >= L:
-                break
-            centers.append(arr[:-off])
-            contexts.append(arr[off:])
-            centers.append(arr[off:])
-            contexts.append(arr[:-off])
-        if centers:
-            pair_cache.append((np.concatenate(centers), np.concatenate(contexts)))
-        else:
-            pair_cache.append((np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
-
-    total = epochs * max(1, len(walks))
-    step = 0
-    order = np.arange(len(walks))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for wi in order:
-            centers, contexts = pair_cache[wi]
-            step += 1
-            if centers.size == 0:
-                continue
-            cur_lr = lr * max(1e-4, 1.0 - step / total)
-            negs = np.searchsorted(cdf, rng.random((centers.size, neg)))
-            ce = emb[centers]  # (m, dim)
-            # positive pair gradients
-            co = ctx[contexts]
-            s = 1.0 / (1.0 + np.exp(-(ce * co).sum(axis=1)))
-            coef = (s - 1.0)[:, None]
-            g_ce = coef * co
-            g_co = coef * ce
-            # negative samples
-            cn = ctx[negs]  # (m, neg, dim)
-            sn = 1.0 / (1.0 + np.exp(-(cn * ce[:, None, :]).sum(axis=2)))
-            g_ce += (sn[:, :, None] * cn).sum(axis=1)
-            g_cn = sn[:, :, None] * ce[:, None, :]
-            np.add.at(emb, centers, -cur_lr * g_ce)
-            np.add.at(ctx, contexts, -cur_lr * g_co)
-            np.add.at(ctx, negs.ravel(), -cur_lr * g_cn.reshape(-1, dim))
+    back = (g.adjacency @ sparse.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0))).tocsr()  # P^T
+    offsets = max(min(window, walk_len - 1), 0)
+    # sums[r - 1] = S_r: expected visits to each node over steps 0..walk_len-1-r
+    sums = np.zeros((offsets, n))
+    visits, seen = np.ones(n), np.zeros(n)
+    for step in range(walk_len - 1):
+        seen += visits
+        if walk_len - 1 - step <= offsets:
+            sums[walk_len - 2 - step] = seen
+        visits = back @ visits
+    # F^T = sum_r (P^T)^r diag(S_r) by Horner's rule
+    counts = np.zeros((n, n))
+    diag = np.diag_indices(n)
+    for r in range(offsets, 0, -1):
+        counts[diag] += sums[r - 1]
+        counts = back @ counts
+    counts += counts.T
+    total = counts.sum(axis=1)
+    inv = np.divide(1.0, total, out=np.zeros(n), where=total > 0)
+    counts *= total.sum() / neg
+    counts *= inv[:, None]
+    counts *= inv[None, :]
+    np.log(np.maximum(counts, 1.0, out=counts), out=counts)
+    vals, vecs = np.linalg.eigh(counts)
+    keep = np.argsort(-np.abs(vals), kind="stable")[:dim]
+    vecs = vecs[:, keep] * np.sqrt(np.abs(vals[keep]))
+    vecs *= np.where(vecs[np.abs(vecs).argmax(axis=0), np.arange(keep.size)] < 0, -1.0, 1.0)
+    emb = np.zeros((n, dim))
+    emb[:, : keep.size] = vecs
     return emb

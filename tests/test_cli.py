@@ -262,6 +262,8 @@ class TestCompare:
          ("3,x", "line 4: node_id and cluster_id must be 64-bit integers"),
          ("2.5,1", "line 4: node_id and cluster_id must be 64-bit integers"),
          ("99999999999999999999,1", "line 4: node_id and cluster_id must be 64-bit integers"),
+         (f"{-(2**63) - 1},1", "line 4: node_id and cluster_id must be 64-bit integers"),
+         (f"3,{2**63}", "line 4: node_id and cluster_id must be 64-bit integers"),
          ("1,0", "line 4: node 1 already assigned on line 3"),
          ("3,-7", "line 4: cluster_id -7 is below -1, the id of an unassigned node")],
     )
@@ -291,6 +293,16 @@ class TestCompare:
             assert cli.main(["compare", str(good), str(path), "--out", str(out)]) == 0
             matrices.append(out.read_text())
         assert matrices[0] == matrices[1]
+        capsys.readouterr()
+
+    def test_int64_minimum_node_id_clusters_and_compares(self, tmp_path, capsys):
+        edges = tmp_path / "e.csv"
+        edges.write_text(f"{-(2**63)},1\n1,2\n2,{-(2**63)}\n2,3\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["cluster", str(edges), "--algo", "LA", "--out", str(a)]) == 0
+        assert cli.main(["cluster", str(edges), "--algo", "LA", "--seed", "1", "--out", str(b)]) == 0
+        assert load_clustering(a)[0].tolist() == [-(2**63), 1, 2, 3]
+        assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cc.csv")]) == 0
         capsys.readouterr()
 
     @given(st.lists(st.text(alphabet="0123456789-,.x \"", max_size=8), max_size=6) | clustering_rows())
@@ -406,6 +418,23 @@ class TestConfig:
         assert cli.main(["train", str(base_config(tmp_path, steps=3)), "--set", override]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields, error",
+        [({"edges": ["edges.csv"]}, "dataset.edges: expected a path string, got ['edges.csv']"),
+         ({"nodes": 3}, "dataset.nodes: expected a path string, got 3"),
+         ({"id_column": None}, "dataset.id_column: expected a string, got NoneType"),
+         ({"id_column": 0}, "dataset.id_column: expected a string, got int"),
+         ({"target_column": 7}, "dataset.target_column: expected a string or null, got int"),
+         ({"feature_columns": "f0"}, "dataset.feature_columns: expected a list, got str"),
+         ({"feature_columns": [1, None]}, "dataset.feature_columns[0]: expected a string, got int"),
+         ({"feature_columns": ["f0", None]}, "dataset.feature_columns[1]: expected a string, got NoneType")],
+        ids=["edges-list", "nodes-int", "id-null", "id-int", "target-int", "features-str", "feature-int", "feature-null"],
+    )
+    def test_dataset_fields_are_checked_not_coerced(self, tmp_path, capsys, fields, error):
+        dataset = {"edges": "edges.csv", "nodes": "nodes.csv", "target_column": "target", **fields}
+        assert cli.main(["train", str(base_config(tmp_path, dataset=dataset))]) == 2
+        assert error in capsys.readouterr().err
+
     def test_overrides(self, tmp_path):
         path = base_config(tmp_path)
         cfg = cf.load_config(path, overrides=["steps=50", "split.seed=3", "models.0.lr=0.001"])
@@ -514,6 +543,15 @@ class TestTrainCommand:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_ggt_deepwalk_pe_trains_bitwise_identical(self, tmp_path):
+        ggt = {"conv_type": "GGT", "pe": "deepwalk", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        path = base_config(tmp_path, models=[ggt])
+        assert cli.main(["train", str(path)]) == 0
+        first = (tmp_path / "out" / "results.csv").read_bytes()
+        assert first.decode().splitlines()[1].startswith("GGT,")
+        assert cli.main(["train", str(path)]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
     def test_lgt_table_over_bound_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 10)
         path = base_config(tmp_path, models=[{"conv_type": "LGT", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}])
@@ -612,9 +650,9 @@ class TestCheapChecksFirst:
         assert "clustering LA:" not in captured.out and not pe_calls
 
     @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
-    @pytest.mark.parametrize("kind, bound", [("deepwalk", "DEEPWALK_MAX_SLOTS"), ("laplacian", "LAPLACIAN_PE_MAX_NODES")])
-    def test_graph_over_pe_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command, kind, bound):
-        monkeypatch.setattr(pe, bound, 4)
+    @pytest.mark.parametrize("kind", ["deepwalk", "laplacian"])
+    def test_graph_over_pe_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command, kind):
+        monkeypatch.setattr(pe, "PE_MAX_NODES", 4)
         pe_calls = []
         monkeypatch.setattr(cli, f"{kind}_pe", lambda *args, **kw: pe_calls.append(args))
         model = {"conv_type": "GCN", "pe": kind, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}

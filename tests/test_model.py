@@ -666,18 +666,100 @@ class TestLaplacianPE:
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
+def enumerated_walk_counts(g, walk_len, window):
+    """(center, context) counts of every walk of walk_len nodes, one from
+    each start node, weighted by its probability; a walk stops early only
+    at a node with no neighbours."""
+    counts = np.zeros((g.n, g.n))
+
+    def extend(walk, prob):
+        nbrs = g.neighbors_of(walk[-1])
+        if len(walk) < walk_len and nbrs.size:
+            for v in nbrs:
+                extend(walk + [int(v)], prob / nbrs.size)
+            return
+        for off in range(1, window + 1):
+            for u, v in zip(walk, walk[off:]):
+                counts[u, v] += prob
+                counts[v, u] += prob
+
+    for start in range(g.n):
+        extend([start], 1.0)
+    return counts
+
+
+def enumerated_deepwalk(g, walk_len, window, neg):
+    """Eigenpairs (by descending |lambda|) of log max(C vol / (neg c c^T), 1)
+    for the enumerated counts C."""
+    counts = enumerated_walk_counts(g, walk_len, window)
+    c = counts.sum(axis=1)
+    ratio = np.divide(counts * c.sum(), neg * np.outer(c, c), out=np.zeros_like(counts), where=counts > 0)
+    vals, vecs = np.linalg.eigh(np.log(np.maximum(ratio, 1.0)))
+    order = np.argsort(-np.abs(vals))
+    return vals[order], vecs[:, order]
+
+
 class TestDeepwalkPE:
+    # a triangle with a two-edge tail, and a triangle with a pendant plus an
+    # isolated node: every nonzero |lambda| below is apart from the others
+    ORACLE_GRAPHS = {
+        "tailed_triangle": lambda: from_edges([0, 0, 1, 2, 3], [1, 2, 2, 3, 4], n=5),
+        "paw_and_isolated": lambda: from_edges([0, 0, 1, 2], [1, 2, 2, 3], n=5),
+    }
+
+    @pytest.mark.parametrize("walk_len, window", [(5, 2), (6, 3), (4, 5)])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_enumerated_walks(self, name, walk_len, window):
+        g = self.ORACLE_GRAPHS[name]()
+        vals, vecs = enumerated_deepwalk(g, walk_len, window, neg=1)
+        k = int((np.abs(vals) > 1e-8).sum())
+        assert k >= 4 and np.all(np.abs(np.diff(np.abs(vals[:k]))) > 1e-3)
+        want = vecs[:, :k] * np.sqrt(np.abs(vals[:k]))
+        got = deepwalk_pe(g, dim=k, walk_len=walk_len, window=window, neg=1)
+        peaks = got[np.abs(got).argmax(axis=0), np.arange(k)]
+        assert np.all(peaks > 0)
+        # an automorphism can tie a column's two largest |entries|, so the
+        # oracle's signs are matched to deepwalk_pe's, not fixed on their own
+        signs = np.sign((want * got).sum(axis=0))
+        np.testing.assert_allclose(got, want * signs, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("neg", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_gram_matches_enumerated_walks(self, name, neg):
+        # E E^T = U |Lambda| U^T whatever the signs and ties of the columns
+        g = self.ORACLE_GRAPHS[name]()
+        vals, vecs = enumerated_deepwalk(g, walk_len=3, window=1, neg=neg)
+        assert np.abs(vals).max() > 0.05
+        got = deepwalk_pe(g, dim=g.n, walk_len=3, window=1, neg=neg)
+        np.testing.assert_allclose(got @ got.T, (vecs * np.abs(vals)) @ vecs.T, rtol=0, atol=1e-10)
+
     def test_shape_and_determinism(self):
         g = cycle_graph(12)
-        a = deepwalk_pe(g, dim=8, walks_per_node=2, walk_len=10, window=2, neg=2, epochs=1, seed=5)
-        b = deepwalk_pe(g, dim=8, walks_per_node=2, walk_len=10, window=2, neg=2, epochs=1, seed=5)
+        a = deepwalk_pe(g, dim=8, walk_len=10, window=2, neg=2)
+        b = deepwalk_pe(g, dim=8, walk_len=10, window=2, neg=2)
         assert a.shape == (12, 8)
         assert np.isfinite(a).all()
-        np.testing.assert_array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+    def test_dim_past_n_pads_zero_columns(self):
+        g = bridge_of_cliques([4, 4])
+        emb = deepwalk_pe(g, dim=12, walk_len=10, window=3, neg=1)
+        assert emb.shape == (8, 12)
+        assert np.abs(emb[:, :8]).max() > 0
+        assert not emb[:, 8:].any()
+        np.testing.assert_array_equal(emb[:, :8], deepwalk_pe(g, dim=8, walk_len=10, window=3, neg=1))
+
+    def test_walk_and_epoch_counts_do_not_change_result(self):
+        g = erdos_renyi(30, 0.2, seed=3)
+        base = deepwalk_pe(g, dim=8, walk_len=12, window=3, neg=1)
+        for walks_per_node, epochs in [(1, 1), (2, 7), (50, 3)]:
+            emb = deepwalk_pe(g, dim=8, walks_per_node=walks_per_node, walk_len=12, window=3, neg=1, epochs=epochs)
+            assert emb.tobytes() == base.tobytes()
 
     def test_clique_structure_separates(self):
         g = bridge_of_cliques([20, 20])
-        emb = deepwalk_pe(g, dim=16, walks_per_node=4, walk_len=20, window=3, neg=3, epochs=2, seed=0)
+        # neg >= 3 clips every entry of the target to log 1 = 0 on this graph
+        emb = deepwalk_pe(g, dim=16, walk_len=20, window=3, neg=1)
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         unit = emb / np.maximum(norms, 1e-12)
         sims = unit @ unit.T
@@ -693,11 +775,11 @@ class TestPEGuards:
     def test_deepwalk_over_bound_fails_before_walking(self, monkeypatch):
         import tracemalloc
 
-        monkeypatch.setattr(pe, "DEEPWALK_MAX_SLOTS", 1000)
-        g = star_graph(2000)  # library defaults: 1.6M walk steps, 16M pairs
+        monkeypatch.setattr(pe, "PE_MAX_NODES", 1000)
+        g = star_graph(3000)  # a dense 3000 x 3000 count matrix: 72 MB
         tracemalloc.start()
         try:
-            with pytest.raises(InputError, match=r"1600000 walk steps .*\(17600000 slots for n=2000\).*1000 slots"):
+            with pytest.raises(InputError, match=r"has 3000 nodes, past the desk-scale limit of 1000"):
                 deepwalk_pe(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -705,16 +787,16 @@ class TestPEGuards:
         assert peak < 1_000_000
 
     def test_deepwalk_at_bound_runs(self, monkeypatch):
-        kw = dict(dim=4, walks_per_node=2, walk_len=10, window=2, neg=2, epochs=1)
-        monkeypatch.setattr(pe, "DEEPWALK_MAX_SLOTS", 12 * 2 * 10 * 5)
+        kw = dict(dim=4, walk_len=10, window=2, neg=2)
+        monkeypatch.setattr(pe, "PE_MAX_NODES", 12)
         assert deepwalk_pe(cycle_graph(12), **kw).shape == (12, 4)
-        with pytest.raises(InputError, match="desk-scale limit"):
+        with pytest.raises(InputError, match="desk-scale limit of 12"):
             deepwalk_pe(cycle_graph(13), **kw)
 
     def test_laplacian_over_bound_fails_before_dense_matrix(self, monkeypatch):
         import tracemalloc
 
-        monkeypatch.setattr(pe, "LAPLACIAN_PE_MAX_NODES", 1000)
+        monkeypatch.setattr(pe, "PE_MAX_NODES", 1000)
         monkeypatch.setattr(pe, "_component_eigs", lambda adj: pytest.fail("dense eigh ran"))
         g = star_graph(3000)  # a dense 3000 x 3000 component: 72 MB
         g.adjacency  # the cached CSR is built before tracing starts
@@ -728,7 +810,7 @@ class TestPEGuards:
         assert peak < 1_000_000
 
     def test_laplacian_bound_is_per_component(self, monkeypatch):
-        monkeypatch.setattr(pe, "LAPLACIAN_PE_MAX_NODES", 5)
+        monkeypatch.setattr(pe, "PE_MAX_NODES", 5)
         two_paths = from_edges(np.array([0, 1, 2, 3, 5, 6, 7, 8]), np.array([1, 2, 3, 4, 6, 7, 8, 9]), 10)
         assert laplacian_pe(two_paths, k=4).num_valid == 4
         pe.check_laplacian_size(two_paths)
