@@ -155,9 +155,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _dataset_for_training(cfg: ExperimentConfig, specs=()) -> tr.TrainData:
-    """Graph and node table; a graph too large for a GGT model or for the
-    positional encoding of a model in ``specs`` fails before any clustering."""
+def _prepare_run(cfg: ExperimentConfig, specs) -> tuple[tr.TrainData, tr.Split, Path]:
+    """Graph, node table, split and output directory of a config command.
+    Runs no clustering, so a graph too large for a GGT model or for the
+    positional encoding of a model in ``specs`` fails before any runs."""
     ds = cfg.dataset
     g = load_edge_list(ds.edges, directed=ds.directed)
     if any(spec.conv_type == "GGT" for spec in specs):
@@ -178,19 +179,20 @@ def _dataset_for_training(cfg: ExperimentConfig, specs=()) -> tr.TrainData:
         task=ds.task,
     )
     nd = load_node_table(ds.nodes, schema, g)
-    return tr.TrainData(
-        g, nd.features, nd.targets, ds.task, num_classes=nd.num_classes or None
-    )
-
-
-def _split_for(cfg: ExperimentConfig, data: tr.TrainData) -> tr.Split:
-    labels = data.targets if cfg.split.stratified else np.zeros(data.g.n, dtype=np.int64)
+    data = tr.TrainData(g, nd.features, nd.targets, ds.task, num_classes=nd.num_classes or None)
+    labels = data.targets if cfg.split.stratified else np.zeros(g.n, dtype=np.int64)
     split = tr.make_split(labels, ratios=cfg.split.ratios, seed=cfg.split.seed, stratified=cfg.split.stratified)
     split.check_nonempty()
-    return split
+    out_dir = Path(cfg.output_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise InputError(f"output_dir: {out_dir} exists and is not a directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return data, split, out_dir
 
 
-def _build_clusterings(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, tags) -> None:
+def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, specs, tags, pe_dim: int) -> list[tr.TrainData]:
+    """One TrainData per spec. Each clustering in ``tags`` and each PE kind
+    of ``specs`` is computed once and shared by every spec that uses it."""
     for tag in tags:
         c = _cluster(tag, data.g, cfg.clusterings.get(tag, {}), data, split)
         fc = filter_clusters(c, min_size=cfg.min_cluster_size, max_size=cfg.max_cluster_size)
@@ -199,22 +201,13 @@ def _build_clusterings(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Spli
             f"clustering {tag}: {c.num_clusters} raw, {fc.num_clusters} retained, "
             f"{fc.unassigned.size} nodes unassigned"
         )
-
-
-def _pe_for(kind: str, g, dim: int):
-    if kind == "none":
-        return None
-    if kind == "deepwalk":
-        return deepwalk_pe(g, dim=dim)
-    return laplacian_pe(g, k=min(dim, g.n - 1)).vectors
-
-
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    out_dir = Path(cfg.output_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise InputError(f"output_dir: {out_dir} exists and is not a directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    pes = {"none": None}
+    for kind in sorted({spec.pe for spec in specs} - {"none"}):
+        if kind == "deepwalk":
+            pes[kind] = deepwalk_pe(data.g, dim=pe_dim)
+        else:
+            pes[kind] = laplacian_pe(data.g, k=min(pe_dim, data.g.n - 1)).vectors
+    return [replace(data, pe=pes[spec.pe]) for spec in specs]
 
 
 def _safe_name(name: str) -> str:
@@ -224,18 +217,14 @@ def _safe_name(name: str) -> str:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or ())
     tr.check_seeds(cfg.seeds)
-    data = _dataset_for_training(cfg, cfg.models)
-    split = _split_for(cfg, data)
-    out_dir = _output_dir(cfg)
-    _build_clusterings(cfg, data, split, cfg.needed_tags())
-
-    # choose (transform, pe) variants; grid-tune each spec when asked
-    plans = []  # (spec, transform)
-    for spec in cfg.models:
-        if cfg.grid is not None:
-            tuned, transform, _, _ = tr.grid_search(
+    data, split, out_dir = _prepare_run(cfg, cfg.models)
+    specs = list(cfg.models)
+    datas = _model_data(cfg, data, split, specs, cfg.needed_tags(), args.pe_dim)
+    if cfg.grid is not None:
+        for i, spec in enumerate(specs):
+            specs[i], transform, _, _ = tr.grid_search(
                 spec,
-                data,
+                datas[i],
                 split,
                 lrs=cfg.grid.lrs,
                 dropouts=cfg.grid.dropouts,
@@ -244,40 +233,19 @@ def cmd_train(args) -> int:
                 steps=cfg.steps,
                 eval_every=cfg.eval_every,
             )
-            _echo(f"grid {spec.name}: lr={tuned.lr:g} dropout={tuned.dropout:g} transform={transform}")
-            plans.append((tuned, transform))
-        else:
-            plans.append((spec, "none"))
+            datas[i] = replace(datas[i], features=transform_features(datas[i].features, transform))
+            _echo(f"grid {spec.name}: lr={specs[i].lr:g} dropout={specs[i].dropout:g} transform={transform}")
 
-    pe_cache: dict[str, np.ndarray | None] = {}
-    rows_by_name = {}
-    groups: dict[tuple, list] = {}
-    for spec, transform in plans:
-        groups.setdefault((transform, spec.pe), []).append(spec)
-    for (transform, pe_kind), specs in groups.items():
-        if pe_kind not in pe_cache:
-            pe_cache[pe_kind] = _pe_for(pe_kind, data.g, args.pe_dim)
-        variant = replace(
-            data,
-            features=transform_features(data.features, transform),
-            transform=transform,
-            pe=pe_cache[pe_kind],
-        )
-        rows = tr.run_experiment(
-            variant, specs, split, seeds=cfg.seeds, steps=cfg.steps, eval_every=cfg.eval_every, jobs=args.jobs
-        )
-        for row in rows:
-            rows_by_name[row.model] = row
-            save_checkpoint(out_dir / f"{_safe_name(row.model)}.ckpt", row.params)
-
-    ordered = [rows_by_name[spec.name] for spec, _ in plans]
+    rows = tr.run_experiment(datas, specs, split, seeds=cfg.seeds, steps=cfg.steps, eval_every=cfg.eval_every, jobs=args.jobs)
+    for row in rows:
+        save_checkpoint(out_dir / f"{_safe_name(row.model)}.ckpt", row.params)
     results = out_dir / "results.csv"
     with open(results, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["model", "metric", "mean", "std", "significant"])
-        for row in ordered:
+        for row in rows:
             w.writerow([row.model, row.metric, repr(row.mean), repr(row.std), "" if row.significant is None else str(row.significant)])
-    _echo(tr.render_table(ordered))
+    _echo(tr.render_table(rows))
     _echo(f"results -> {results}")
     return 0
 
@@ -294,13 +262,10 @@ def _selection_base(cfg: ExperimentConfig) -> nn.ModelSpec:
 def cmd_select_clusterings(args) -> int:
     cfg = load_config(args.config, args.set or ())
     base = replace(_selection_base(cfg), use_clatt=False, clusterings=())
-    data = _dataset_for_training(cfg, [base])
-    split = _split_for(cfg, data)
+    data, split, out_dir = _prepare_run(cfg, [base])
     candidates = tuple(t for t in CANONICAL_TAGS if t in cfg.clusterings) or CANONICAL_TAGS
-    out = _output_dir(cfg) / "selected_clusterings.json"
-    _build_clusterings(cfg, data, split, candidates)
-    if base.pe != "none":
-        data = replace(data, pe=_pe_for(base.pe, data.g, args.pe_dim))
+    out = out_dir / "selected_clusterings.json"
+    (data,) = _model_data(cfg, data, split, [base], candidates, args.pe_dim)
     selected, details = tr.select_clusterings(
         base, data, split, candidates=candidates, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every
     )
@@ -337,13 +302,9 @@ def cmd_analyze_attention(args) -> int:
         spec = by_name[args.model]
     else:
         raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
-    data = _dataset_for_training(cfg, [spec])
-    split = _split_for(cfg, data)
-    out_dir = _output_dir(cfg)
+    data, split, out_dir = _prepare_run(cfg, [spec])
     params = load_checkpoint(args.checkpoint)
-    _build_clusterings(cfg, data, split, spec.clusterings)
-    if spec.pe != "none":
-        data = replace(data, pe=_pe_for(spec.pe, data.g, args.pe_dim))
+    (data,) = _model_data(cfg, data, split, [spec], spec.clusterings, args.pe_dim)
     pe_dim = data.pe.shape[1] if data.pe is not None else None
     expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim)
     _check_checkpoint(args.checkpoint, spec, params, expected)

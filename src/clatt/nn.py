@@ -314,6 +314,8 @@ class ModelSpec:
             raise InputError("use_clatt requires a non-empty clusterings list")
         if self.conv_type == "GGT" and self.pe == "none":
             raise InputError("GGT requires a positional encoding")
+        if self.conv_type != "GGT" and self.pe != "none":
+            raise InputError(f"pe {self.pe!r} applies only to GGT; {self.conv_type} needs pe \"none\"")
         if self.layers < 1:
             raise InputError("layers must be >= 1")
         if self.hidden < 1:

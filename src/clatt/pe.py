@@ -15,9 +15,10 @@ __all__ = ["LaplacianPE", "laplacian_pe", "deepwalk_pe", "check_laplacian_size",
 
 # Nodes in one dense matrix: a connected component for Laplacian PE, the
 # whole graph for DeepWalk PE. tracemalloc peaks on a 3000-node SBM were
-# 32 n^2 bytes for Laplacian PE and 17 n^2 for DeepWalk PE, so 3.2 and
-# 1.7 GB at the bound; LAPACK's eigh workspace, outside tracemalloc's view,
-# adds up to 25 n^2 bytes more (ru_maxrss of eigh alone).
+# 16 n^2 bytes for Laplacian PE (the component matrix, turned into the
+# Laplacian in place, and eigh's eigenvectors) and 17 n^2 for DeepWalk PE,
+# so 1.6 and 1.7 GB at the bound; LAPACK's eigh workspace, outside
+# tracemalloc's view, adds up to 25 n^2 bytes more (ru_maxrss of eigh alone).
 PE_MAX_NODES = 10_000
 
 
@@ -30,13 +31,17 @@ class LaplacianPE:
 
 
 def _component_eigs(adj_dense: np.ndarray):
+    """Eigenpairs of I - D^-1/2 A D^-1/2; the Laplacian is built in place
+    in ``adj_dense``, a float array the caller gives up."""
     deg = adj_dense.sum(axis=1)
     dinv = np.zeros_like(deg)
     nz = deg > 0
     dinv[nz] = 1.0 / np.sqrt(deg[nz])
-    lap = np.eye(adj_dense.shape[0]) - (dinv[:, None] * adj_dense) * dinv[None, :]
-    vals, vecs = np.linalg.eigh(lap)
-    return vals, vecs
+    adj_dense *= dinv[:, None]
+    adj_dense *= dinv[None, :]
+    lap = np.subtract(0.0, adj_dense, out=adj_dense)
+    lap[np.diag_indices(lap.shape[0])] += 1.0
+    return np.linalg.eigh(lap)
 
 
 def check_laplacian_size(g) -> tuple[np.ndarray, int]:

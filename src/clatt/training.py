@@ -171,7 +171,6 @@ class TrainData:
     num_classes: int | None = None
     clusterings: dict = field(default_factory=dict)
     pe: np.ndarray | None = None
-    transform: str = "none"
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -362,7 +361,7 @@ def grid_search(
             raise ValueError(f"unknown feature transform {t!r}")
     trials = []
     for t_idx, tname in enumerate(transforms):
-        variant = replace(data, features=transform_features(data.features, tname), transform=tname)
+        variant = replace(data, features=transform_features(data.features, tname))
         for lr in lrs:
             for dropout in dropouts:
                 spec = replace(template, lr=lr, dropout=dropout)
@@ -448,7 +447,7 @@ def check_seeds(seeds) -> tuple:
 
 
 def run_experiment(
-    data: TrainData,
+    data: TrainData | list[TrainData],
     specs,
     split: Split,
     seeds=tuple(range(10)),
@@ -458,14 +457,19 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Per-spec multi-seed test metrics, with base-vs-CLATT significance.
 
-    A CLATT spec is paired with the plain spec of the same conv type (if
-    present); the flag is a two-sided Welch t-test over seed-level test
-    metrics at alpha 0.05. Standard deviations use ddof=1. Each row keeps
-    the best params of its ``seeds[0]`` run and of no other seed.
+    ``data`` is one TrainData for every spec or a list with one per spec.
+    A CLATT spec is paired with the first plain spec of the same conv type
+    and PE kind in ``specs`` (if present), whatever its data; the flag is a
+    two-sided Welch t-test over seed-level test metrics at alpha 0.05.
+    Standard deviations use ddof=1. Each row keeps the best params of its
+    ``seeds[0]`` run and of no other seed.
     """
     seeds = check_seeds(seeds)
     specs = list(specs)
-    tasks = [(spec, data, split, seed, steps, eval_every, j == 0) for spec in specs for j, seed in enumerate(seeds)]
+    datas = list(data) if isinstance(data, (list, tuple)) else [data] * len(specs)
+    if len(datas) != len(specs):
+        raise ValueError(f"run_experiment got {len(datas)} datasets for {len(specs)} specs")
+    tasks = [(spec, d, split, seed, steps, eval_every, j == 0) for spec, d in zip(specs, datas) for j, seed in enumerate(seeds)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         import multiprocessing as mp
@@ -474,22 +478,18 @@ def run_experiment(
             flat = pool.map(_run_one, tasks)
     else:
         flat = [_run_one(t) for t in tasks]
-    values = {}
-    for i, spec in enumerate(specs):
-        values[i] = [m for m, _ in flat[i * len(seeds) : (i + 1) * len(seeds)]]
-    metric = metric_name_for(data.task)
+    values = [[m for m, _ in flat[i * len(seeds) : (i + 1) * len(seeds)]] for i in range(len(specs))]
     rows = []
-    for i, spec in enumerate(specs):
+    for i, (spec, d) in enumerate(zip(specs, datas)):
         vals = values[i]
         sig = None
         if spec.use_clatt:
-            base_idx = [j for j, s in enumerate(specs) if s.conv_type == spec.conv_type and not s.use_clatt]
+            base_idx = [j for j, s in enumerate(specs) if (s.conv_type, s.pe) == (spec.conv_type, spec.pe) and not s.use_clatt]
             if base_idx:
                 sig, _ = welch_test(vals, values[base_idx[0]])
         first_params = flat[i * len(seeds)][1]
-        rows.append(
-            ResultRow(spec.name, metric, float(np.mean(vals)), float(np.std(vals, ddof=1)), list(vals), sig, first_params)
-        )
+        metric = metric_name_for(d.task)
+        rows.append(ResultRow(spec.name, metric, float(np.mean(vals)), float(np.std(vals, ddof=1)), list(vals), sig, first_params))
     return rows
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import multiprocessing
+import re
 import tempfile
 from pathlib import Path
 
@@ -377,6 +378,7 @@ class TestConfig:
             ({"banana": 1}, r"banana: unknown config key"),
             ({"models": [{"layers": 2}]}, r"models\[0\]\.conv_type: required"),
             ({"models": [{"conv_type": "GGT", "pe": "none"}]}, r"models\[0\]: GGT"),
+            ({"models": [{"conv_type": "GCN", "pe": "laplacian"}]}, r"models\[0\]: pe 'laplacian' applies only to GGT"),
         ]
         for extra, pattern in cases:
             path = base_config(tmp_path, **extra)
@@ -489,11 +491,10 @@ class TestTrainCommand:
         assert cli.main(["train", str(path), "--jobs", jobs]) == 0
         # an independent run of the first seed, on the same data and split
         cfg = cf.load_config(path)
-        data = cli._dataset_for_training(cfg)
-        split = cli._split_for(cfg, data)
-        cli._build_clusterings(cfg, data, split, cfg.needed_tags())
-        for spec in cfg.models:
-            result = tr.train(spec, data, split, seed=3, steps=cfg.steps, eval_every=cfg.eval_every)
+        data, split, _ = cli._prepare_run(cfg, cfg.models)
+        datas = cli._model_data(cfg, data, split, cfg.models, cfg.needed_tags(), pe_dim=64)
+        for spec, spec_data in zip(cfg.models, datas):
+            result = tr.train(spec, spec_data, split, seed=3, steps=cfg.steps, eval_every=cfg.eval_every)
             ref = tmp_path / "ref.ckpt"
             save_checkpoint(ref, result.params)
             name = cli._safe_name(spec.name)
@@ -551,6 +552,26 @@ class TestTrainCommand:
         assert first.decode().splitlines()[1].startswith("GGT,")
         assert cli.main(["train", str(path)]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    def test_ggt_grid_search_trains_bitwise_identical(self, tmp_path):
+        # the grid tunes each model on its own data, which holds its PE
+        ggt = {"conv_type": "GGT", "pe": "laplacian", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        path = base_config(tmp_path, models=[ggt], steps=5, grid={"lrs": [3e-3], "dropouts": [0.0]})
+        assert cli.main(["train", str(path)]) == 0
+        first = (tmp_path / "out" / "results.csv").read_bytes()
+        assert first.decode().splitlines()[1].startswith("GGT,")
+        assert cli.main(["train", str(path)]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    def test_significance_pairs_models_whose_grid_transforms_differ(self, tmp_path, capsys):
+        grid = {"lrs": [3e-3, 3e-5], "dropouts": [0.0], "transforms": ["none", "quantile_normal", "standard"]}
+        assert cli.main(["train", str(base_config(tmp_path, steps=5, grid=grid))]) == 0
+        chosen = dict(re.findall(r"grid (\S+): .* transform=(\S+)", capsys.readouterr().out))
+        assert chosen["GCN"] != chosen["GCN-CLATT(LA)"]  # the two models train on different features
+        with open(tmp_path / "out" / "results.csv") as fh:
+            rows = {r["model"]: r["significant"] for r in csv.DictReader(fh)}
+        assert rows == {"GCN": "", "GCN-CLATT(LA)": rows["GCN-CLATT(LA)"]}
+        assert rows["GCN-CLATT(LA)"] in ("True", "False")
 
     def test_lgt_table_over_bound_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 10)
@@ -655,10 +676,10 @@ class TestCheapChecksFirst:
         monkeypatch.setattr(pe, "PE_MAX_NODES", 4)
         pe_calls = []
         monkeypatch.setattr(cli, f"{kind}_pe", lambda *args, **kw: pe_calls.append(args))
-        model = {"conv_type": "GCN", "pe": kind, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        model = {"conv_type": "GGT", "pe": kind, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
         args = [command, str(base_config(tmp_path, steps=3, models=[model]))]
         if command == "analyze-attention":
-            args.append(str(tmp_path / "GCN.ckpt"))
+            args.append(str(tmp_path / "GGT.ckpt"))
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert "desk-scale limit of 4" in captured.err

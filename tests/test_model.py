@@ -12,7 +12,7 @@ from clatt.graphs import from_edges
 from clatt.partition import Clustering
 from clatt.pe import deepwalk_pe, laplacian_pe
 from clatt.stats import connected_components
-from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph
+from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, sbm_graph, star_graph
 
 
 def fc(assignment):
@@ -645,7 +645,7 @@ class TestLaplacianPE:
         g = from_edges([0, 0, 5, 7, 7, 9, 2, 3], [5, 9, 9, 4, 8, 5, 3, 11], n=13)
         seen = []
         eigs = pe._component_eigs
-        monkeypatch.setattr(pe, "_component_eigs", lambda adj: seen.append(adj) or eigs(adj))
+        monkeypatch.setattr(pe, "_component_eigs", lambda adj: seen.append(adj.copy()) or eigs(adj))
         laplacian_pe(g, k=6)
         labels, count = connected_components(g)
         comps = [c for c in (np.flatnonzero(labels == i) for i in range(count)) if c.size > 1]
@@ -658,6 +658,37 @@ class TestLaplacianPE:
                 want[i, pos[g.neighbors_of(u)]] = 1.0
             assert adj.flags.c_contiguous and adj.dtype == want.dtype
             assert adj.tobytes() == want.tobytes()
+
+    def test_in_place_laplacian_matches_formula(self, monkeypatch):
+        # a self-loop and an isolated node (zero degree) alongside plain edges
+        adj = np.array([[1.0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+        dinv = np.zeros(4)
+        dinv[:3] = 1.0 / np.sqrt(adj[:3].sum(axis=1))
+        want = np.eye(4) - (dinv[:, None] * adj) * dinv[None, :]
+        eigh, seen = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.copy()) or eigh(m))
+        vals, vecs = pe._component_eigs(adj.copy())
+        assert seen[0].tobytes() == want.tobytes()
+        want_vals, want_vecs = eigh(want)
+        assert vals.tobytes() == want_vals.tobytes() and vecs.tobytes() == want_vecs.tobytes()
+
+    def test_dense_path_peak_memory(self):
+        import tracemalloc
+
+        g, _ = sbm_graph([250] * 4, 0.05, 0.005, seed=0)
+        # the first call's imports and g's cached adjacency stay out of the peak
+        laplacian_pe(bridge_of_cliques([4, 4]), k=2)
+        g.adjacency
+        tracemalloc.start()
+        try:
+            res = laplacian_pe(g, k=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.num_valid == 64
+        # the component matrix, turned into the Laplacian in place, and eigh's
+        # eigenvectors; the out-of-place formula peaked at about 32 n^2
+        assert peak < 20 * g.n**2
 
     def test_deterministic(self):
         g = bridge_of_cliques([4, 4])

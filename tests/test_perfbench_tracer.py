@@ -3,8 +3,9 @@
 The tracer wraps clatt's public functions at the attribute each caller looks
 up and reads the autodiff tape after every backward pass, so a rename or a
 tape change can break ``perfbench/run.py --trace 1`` without any other test
-noticing. This runs ``clatt train`` under ``tracer.install_all`` in a fresh
-process, so the wrappers do not leak into the test session.
+noticing. This runs ``clatt train`` and then ``clatt analyze-attention`` under
+``tracer.install_all`` in a fresh process, so the wrappers do not leak into
+the test session.
 """
 
 import json
@@ -27,6 +28,8 @@ from clatt import cli
 t = tracer.Tracer()
 tracer.install_all(t)
 rc = cli.main(["train", sys.argv[1], "--jobs", "1"])
+if rc == 0:
+    rc = cli.main(["analyze-attention", sys.argv[1], "out/GCN-CLATT_LA.ckpt", "--model", "GCN-CLATT(LA)"])
 print(json.dumps({"rc": rc, "metrics": tracer.layer_metrics(t, int(sys.argv[2]))}))
 """
 
@@ -73,3 +76,5 @@ def test_traced_train_gives_finite_layer_metrics(tmp_path):
     assert metrics["nn.attention_logits_per_step"] > 0
     assert metrics["tensor.tape_nodes"] > 0
     assert metrics["training.train_calls"] == 4
+    assert metrics["analysis.entries"] > 0
+    assert metrics["stats.bfs_calls"] > 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from clatt import nn
 from clatt import training as tr
+from clatt.graphs import transform_features
 from clatt.kmeans import kmeans
 from clatt.partition import Clustering
 from clatt.similarity import correlation_coefficient
@@ -440,6 +441,23 @@ class TestRunExperiment:
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="at least 2 seeds"):
             tr.run_experiment(self.data, self.specs, self.split, seeds=(0,))
+
+    def test_per_spec_data_pairs_across_transforms(self):
+        standard = replace(self.data, features=transform_features(self.data.features, "standard"))
+        rows = tr.run_experiment([standard, self.data], self.specs, self.split, seeds=(0, 1), steps=30)
+        assert rows[0].significant is None
+        assert isinstance(rows[1].significant, bool)
+        for row, spec, data in zip(rows, self.specs, [standard, self.data]):
+            ref = tr.train(spec, data, self.split, seed=0, steps=30)
+            assert row.values[0] == ref.test_metric
+            assert all(np.array_equal(row.params[k], ref.params[k]) for k in ref.params)
+
+    def test_pairing_needs_the_same_pe_kind(self):
+        data = replace(self.data, pe=np.random.default_rng(0).normal(size=(self.data.g.n, 4)))
+        plain = small_spec(conv_type="GGT", pe="deepwalk")
+        clatt = small_spec(conv_type="GGT", pe="laplacian", use_clatt=True, clusterings=("LA",))
+        rows = tr.run_experiment(data, [plain, clatt], self.split, seeds=(0, 1), steps=5)
+        assert [r.significant for r in rows] == [None, None]
 
 
 class TestTableFormat:
