@@ -2,7 +2,9 @@
 
 A single JSON file drives a whole experiment run. Validation errors
 always name the offending field by its dotted path so a typo in a large
-config is findable without reading the schema source.
+config is findable without reading the schema source. Each section's
+accepted keys and their checks form one ``{key: check}`` table; a key left
+out of the JSON takes the default of its dataclass field.
 """
 
 from __future__ import annotations
@@ -70,24 +72,14 @@ class ExperimentConfig:
     output_dir: Path = Path(".")
 
     def needed_tags(self) -> tuple:
-        tags = set()
-        for m in self.models:
-            tags.update(m.clusterings)
-        if self.selection_model is not None:
-            tags.update(CANONICAL_TAGS)
-        return tuple(t for t in CANONICAL_TAGS if t in tags)
+        """The clusterings the models list, in canonical order."""
+        return tuple(t for t in CANONICAL_TAGS if any(t in m.clusterings for m in self.models))
 
 
 def _expect(raw, path, typ, what):
     if not isinstance(raw, typ):
         _fail(path, f"expected {what}, got {type(raw).__name__}")
     return raw
-
-
-def _check_keys(raw: dict, path: str, allowed):
-    for key in raw:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown config key")
 
 
 def _int_field(raw, path, minimum=None, maximum=None):
@@ -133,12 +125,16 @@ def _seed(raw, path):
     return _int_field(raw, path, minimum=0)
 
 
-def _count(minimum):
-    return lambda raw, path: _int_field(raw, path, minimum)
+def _count(minimum, maximum=None):
+    return lambda raw, path: _int_field(raw, path, minimum, maximum)
 
 
 def _positive(raw, path):
     return _number_field(raw, path, positive=True)
+
+
+def _of_type(typ, what):
+    return lambda raw, path: _expect(raw, path, typ, what)
 
 
 def _or_null(check):
@@ -154,12 +150,91 @@ def _choice(options):
     return check
 
 
-def _choices(options):
-    """A list whose every item is one of ``options``, as a tuple."""
-    return lambda raw, path: tuple(_choice(options)(v, f"{path}[{i}]") for i, v in enumerate(_expect(raw, path, list, "a list")))
+def _list_of(check, nonempty=None):
+    """A list checked item by item, as a tuple; an empty one fails with the
+    message ``nonempty`` when that is given."""
+
+    def checked(raw, path):
+        _expect(raw, path, list, "a list")
+        if nonempty and not raw:
+            _fail(path, nonempty)
+        return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+    return checked
 
 
-# accepted keys per clustering algorithm's params block, each with its check
+def _ratios(raw, path):
+    if isinstance(raw, list) and len(raw) != 3:
+        _fail(path, f"expected 3 values, got {len(raw)}")
+    ratios = _list_of(_number_field)(raw, path)
+    if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
+        _fail(path, f"must be non-negative and sum to 1, got {ratios}")
+    return ratios
+
+
+def _valid(spec: ModelSpec, path: str) -> ModelSpec:
+    try:
+        spec.validate()
+    except InputError as e:
+        _fail(path, str(e))
+    return spec
+
+
+def _spec_number(key):
+    """A number that ModelSpec.validate accepts as the field ``key``."""
+    return lambda raw, path: getattr(_valid(ModelSpec("GCN", **{key: _number_field(raw, path)}), path), key)
+
+
+def _object(raw, path: str, fields: dict, required=(), unknown="unknown config key") -> dict:
+    """The keys present in a config object, each run through its check in
+    ``fields``; a key left out takes the default of its dataclass field."""
+    _expect(raw, path or "config", dict, "an object")
+
+    def at(key):
+        return f"{path}.{key}" if path else key
+
+    for key in raw:
+        if key not in fields:
+            _fail(at(key), unknown)
+    for key in required:
+        if key not in raw:
+            _fail(at(key), "required")
+    return {key: fields[key](value, at(key)) for key, value in raw.items()}
+
+
+def _section(fields, build=dict, **kw):
+    """The check of a nested config object: ``build`` of its checked keys."""
+    return lambda raw, path: build(**_object(raw, path, fields, **kw))
+
+
+# accepted keys per section, each with its check
+DATASET_FIELDS = {
+    "edges": _path_field,
+    "nodes": _or_null(_path_field),
+    "id_column": _of_type(str, "a string"),
+    "feature_columns": _or_null(_list_of(_of_type(str, "a string"))),
+    "target_column": _or_null(_of_type(str, "a string or null")),
+    "task": _choice(TASKS),
+    "directed": _bool_field,
+}
+SPLIT_FIELDS = {"ratios": _ratios, "seed": _seed, "stratified": _bool_field}
+GRID_FIELDS = {
+    "lrs": _list_of(_spec_number("lr"), nonempty="must be non-empty"),
+    "dropouts": _list_of(_spec_number("dropout"), nonempty="must be non-empty"),
+    "transforms": _list_of(_choice(FEATURE_TRANSFORMS), nonempty="must be non-empty"),
+}
+MODEL_FIELDS = {
+    "conv_type": _choice(CONV_TYPES),
+    "use_clatt": _bool_field,
+    "clusterings": _list_of(_choice(CANONICAL_TAGS)),
+    "pe": _choice(PE_KINDS),
+    "layers": _count(1),
+    "hidden": _count(1),
+    "heads": _count(1),
+    "dropout": _number_field,
+    "lr": _number_field,
+}
+# the params block of each clustering algorithm
 CLUSTERING_PARAMS = {
     "LA": {"gamma": _or_null(_positive), "seed": _seed, "max_passes": _count(1)},
     "BPP": {"k_max": _count(1), "seed": _seed, "sweeps": _count(1), "restarts": _count(1)},
@@ -176,171 +251,54 @@ CLUSTERING_PARAMS = {
 }
 
 
-def _parse_dataset(raw, base: Path) -> DatasetConfig:
-    _expect(raw, "dataset", dict, "an object")
-    _check_keys(raw, "dataset", ("edges", "nodes", "id_column", "feature_columns", "target_column", "task", "directed"))
-    if "edges" not in raw:
-        _fail("dataset.edges", "required")
-    edges = base / _path_field(raw["edges"], "dataset.edges")
-    if not edges.is_file():
-        _fail("dataset.edges", f"file not found: {edges}")
-    nodes = None
-    if raw.get("nodes") is not None:
-        nodes = base / _path_field(raw["nodes"], "dataset.nodes")
-        if not nodes.is_file():
-            _fail("dataset.nodes", f"file not found: {nodes}")
-    task = _choice(TASKS)(raw.get("task", "multiclass"), "dataset.task")
-    cols = raw.get("feature_columns")
-    if cols is not None:
-        _expect(cols, "dataset.feature_columns", list, "a list")
-        cols = tuple(_expect(c, f"dataset.feature_columns[{i}]", str, "a string") for i, c in enumerate(cols))
-    target = raw.get("target_column")
-    return DatasetConfig(
-        edges=edges,
-        nodes=nodes,
-        id_column=_expect(raw.get("id_column", "id"), "dataset.id_column", str, "a string"),
-        feature_columns=cols,
-        target_column=None if target is None else _expect(target, "dataset.target_column", str, "a string or null"),
-        task=task,
-        directed=_bool_field(raw.get("directed", False), "dataset.directed"),
-    )
+def _model(raw, path: str) -> ModelSpec:
+    return _valid(_section(MODEL_FIELDS, ModelSpec, required=("conv_type",))(raw, path), path)
 
 
-def _parse_split(raw, task: str) -> SplitConfig:
-    _expect(raw, "split", dict, "an object")
-    _check_keys(raw, "split", ("ratios", "seed", "stratified"))
-    ratios = raw.get("ratios", [0.1, 0.1, 0.8])
-    _expect(ratios, "split.ratios", list, "a list")
-    if len(ratios) != 3:
-        _fail("split.ratios", f"expected 3 values, got {len(ratios)}")
-    ratios = tuple(_number_field(r, f"split.ratios[{i}]") for i, r in enumerate(ratios))
-    if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        _fail("split.ratios", f"must be non-negative and sum to 1, got {ratios}")
-    stratified = _bool_field(raw.get("stratified", task != "regression"), "split.stratified")
-    if stratified and task == "regression":
-        _fail("split.stratified", "stratified splits need discrete labels; use false for regression")
-    return SplitConfig(ratios=ratios, seed=_seed(raw.get("seed", 0), "split.seed"), stratified=stratified)
-
-
-# accepted keys of a model block, each with its check
-MODEL_FIELDS = {
-    "conv_type": _choice(CONV_TYPES),
-    "use_clatt": _bool_field,
-    "clusterings": _choices(CANONICAL_TAGS),
-    "pe": _choice(PE_KINDS),
-    "layers": _count(1),
-    "hidden": _count(1),
-    "heads": _count(1),
-    "dropout": _number_field,
-    "lr": _number_field,
+TOP_FIELDS = {
+    "dataset": _section(DATASET_FIELDS, required=("edges",)),
+    "split": _section(SPLIT_FIELDS),
+    "models": _list_of(_model, nonempty="must list at least one model"),
+    "clusterings": _section(
+        {tag: _section(params) for tag, params in CLUSTERING_PARAMS.items()},
+        unknown=f"unknown tag, expected one of {CANONICAL_TAGS}",
+    ),
+    "min_cluster_size": _count(1),
+    # cluster attention lays out no cluster larger than MAX_CLUSTER_SLOTS
+    "max_cluster_size": _count(1, MAX_CLUSTER_SLOTS),
+    "grid": _or_null(_section(GRID_FIELDS, GridConfig)),
+    "seeds": _list_of(_seed, nonempty="must be non-empty"),
+    "steps": _count(0),
+    "eval_every": _count(1),
+    "selection_model": _or_null(_model),
+    "output_dir": _or_null(_path_field),
 }
-
-
-def _parse_model(raw, path: str) -> ModelSpec:
-    _expect(raw, path, dict, "an object")
-    _check_keys(raw, path, MODEL_FIELDS)
-    if "conv_type" not in raw:
-        _fail(f"{path}.conv_type", "required")
-    spec = ModelSpec(**{key: MODEL_FIELDS[key](value, f"{path}.{key}") for key, value in raw.items()})
-    try:
-        spec.validate()
-    except InputError as e:
-        _fail(path, str(e))
-    return spec
-
-
-def _parse_clusterings(raw) -> dict:
-    _expect(raw, "clusterings", dict, "an object")
-    out = {}
-    for tag, params in raw.items():
-        if tag not in CANONICAL_TAGS:
-            _fail(f"clusterings.{tag}", f"unknown tag, expected one of {CANONICAL_TAGS}")
-        _expect(params, f"clusterings.{tag}", dict, "an object")
-        checks = CLUSTERING_PARAMS[tag]
-        _check_keys(params, f"clusterings.{tag}", checks)
-        out[tag] = {key: checks[key](value, f"clusterings.{tag}.{key}") for key, value in params.items()}
-    return out
-
-
-def _parse_grid(raw) -> GridConfig:
-    _expect(raw, "grid", dict, "an object")
-    _check_keys(raw, "grid", ("lrs", "dropouts", "transforms"))
-    lrs = _expect(raw.get("lrs", list(GRID_LRS)), "grid.lrs", list, "a list")
-    lrs = tuple(_number_field(v, f"grid.lrs[{i}]") for i, v in enumerate(lrs))
-    dropouts = _expect(raw.get("dropouts", list(GRID_DROPOUTS)), "grid.dropouts", list, "a list")
-    dropouts = tuple(_number_field(v, f"grid.dropouts[{i}]") for i, v in enumerate(dropouts))
-    transforms = _choices(FEATURE_TRANSFORMS)(raw.get("transforms", ["none"]), "grid.transforms")
-    if not lrs:
-        _fail("grid.lrs", "must be non-empty")
-    if not dropouts:
-        _fail("grid.dropouts", "must be non-empty")
-    return GridConfig(lrs=lrs, dropouts=dropouts, transforms=transforms)
-
-
-TOP_KEYS = (
-    "dataset",
-    "split",
-    "models",
-    "clusterings",
-    "min_cluster_size",
-    "max_cluster_size",
-    "grid",
-    "seeds",
-    "steps",
-    "eval_every",
-    "selection_model",
-    "output_dir",
-)
 
 
 def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     """Validate a raw JSON object; relative paths resolve against base_dir."""
     base = Path(base_dir)
-    _expect(raw, "config", dict, "an object")
-    _check_keys(raw, "", TOP_KEYS)
-    if "dataset" not in raw:
-        _fail("dataset", "required")
-    dataset = _parse_dataset(raw["dataset"], base)
-    models_raw = raw.get("models", [])
-    _expect(models_raw, "models", list, "a list")
-    if not models_raw:
-        _fail("models", "must list at least one model")
-    models = tuple(_parse_model(m, f"models[{i}]") for i, m in enumerate(models_raw))
+    fields = _object(raw, "", TOP_FIELDS, required=("dataset", "models"))
+    dataset = fields["dataset"]
+    for key in ("edges", "nodes"):
+        if dataset.get(key) is not None:
+            dataset[key] = base / dataset[key]
+            if not dataset[key].is_file():
+                _fail(f"dataset.{key}", f"file not found: {dataset[key]}")
+    dataset = fields["dataset"] = DatasetConfig(**dataset)
     first_with = {}
-    for i, spec in enumerate(models):
+    for i, spec in enumerate(fields["models"]):
         if spec.name in first_with:
             # results rows and checkpoint files are keyed by model name
             _fail(f"models[{i}]", f"duplicate model name {spec.name!r}, also models[{first_with[spec.name]}]")
         first_with[spec.name] = i
-    split = _parse_split(raw.get("split", {}), dataset.task)
-    clusterings = _parse_clusterings(raw.get("clusterings", {}))
-    seeds_raw = _expect(raw.get("seeds", list(range(10))), "seeds", list, "a list")
-    if not seeds_raw:
-        _fail("seeds", "must be non-empty")
-    seeds = tuple(_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
-    grid = _parse_grid(raw["grid"]) if raw.get("grid") is not None else None
-    selection = None
-    if raw.get("selection_model") is not None:
-        selection = _parse_model(raw["selection_model"], "selection_model")
-    out_raw = raw.get("output_dir")
-    if out_raw is not None:
-        _path_field(out_raw, "output_dir")
-    out_raw = out_raw or os.environ.get(OUTPUT_DIR_ENV) or "."
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        models=models,
-        split=split,
-        clusterings=clusterings,
-        min_cluster_size=_int_field(raw.get("min_cluster_size", 4), "min_cluster_size", minimum=1),
-        # cluster attention lays out no cluster larger than MAX_CLUSTER_SLOTS
-        max_cluster_size=_int_field(raw.get("max_cluster_size", 512), "max_cluster_size", 1, MAX_CLUSTER_SLOTS),
-        grid=grid,
-        seeds=seeds,
-        steps=_int_field(raw.get("steps", 1000), "steps", minimum=0),
-        eval_every=_int_field(raw.get("eval_every", 10), "eval_every", minimum=1),
-        selection_model=selection,
-        output_dir=base / out_raw,
-    )
+    split = fields.get("split", {})
+    split.setdefault("stratified", dataset.task != "regression")
+    if split["stratified"] and dataset.task == "regression":
+        _fail("split.stratified", "stratified splits need discrete labels; use false for regression")
+    fields["split"] = SplitConfig(**split)
+    out_dir = fields.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV) or "."
+    cfg = ExperimentConfig(**fields, output_dir=base / out_dir)
     if cfg.min_cluster_size > cfg.max_cluster_size:
         _fail("min_cluster_size", "exceeds max_cluster_size")
     return cfg

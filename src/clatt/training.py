@@ -224,7 +224,6 @@ def _fit(
     lr: float,
     steps: int,
     eval_every: int,
-    scale_targets: bool = True,
 ):
     """Full-batch Adam on ``forward(training) -> logits`` with best-validation
     checkpoint selection; the best parameters are restored in place.
@@ -236,7 +235,7 @@ def _fit(
     """
     target_scale = None
     loss_targets = data.targets
-    if data.task == "regression" and scale_targets:
+    if data.task == "regression":
         t_train = data.targets[split.train].astype(np.float64)
         shift = float(t_train.mean())
         scale = max(float(t_train.std()), 1e-12)
@@ -303,7 +302,6 @@ def train(
     seed: int = 0,
     steps: int = 1000,
     eval_every: int = 10,
-    scale_targets: bool = True,
 ) -> TrainResult:
     """Full-batch Adam with best-validation-checkpoint selection.
 
@@ -321,7 +319,7 @@ def train(
         return nn.model_forward(spec, params, inp, training=training, dropout_rng=dropout_rng)
 
     best_step, best_val, best_snapshot, history, metric = _fit(
-        params, forward, data, split, spec.lr, steps, eval_every, scale_targets
+        params, forward, data, split, spec.lr, steps, eval_every
     )
     test_metric = metric(split.test)
     if best_val == -math.inf:  # steps == 0
@@ -438,11 +436,14 @@ def _run_one(args):
 
 
 def check_seeds(seeds) -> tuple:
-    """The seeds of a multi-seed experiment: at least two, so that each
-    row has a standard deviation and a t-test."""
+    """The seeds of a multi-seed experiment: at least two distinct ones, so
+    that each row has a standard deviation and a t-test."""
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise InputError(f"run_experiment needs at least 2 seeds, got {len(seeds)}")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise InputError(f"run_experiment needs distinct seeds; seed {seed} is repeated")
     return seeds
 
 

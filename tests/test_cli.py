@@ -355,6 +355,12 @@ class TestConfig:
         assert cfg.output_dir == tmp_path / "out"
         assert cfg.split.ratios == (0.5, 0.25, 0.25)
 
+    def test_selection_model_adds_no_clusterings_to_train(self, tmp_path, capsys):
+        path = base_config(tmp_path, steps=3, selection_model={"conv_type": "GCN", "layers": 1, "hidden": 8})
+        assert cf.load_config(path).needed_tags() == ("LA",)
+        assert cli.main(["train", str(path)]) == 0
+        assert re.findall(r"^clustering (\S+):", capsys.readouterr().out, re.M) == ["LA"]
+
     def test_missing_config_file(self):
         with pytest.raises(cf.ConfigError, match="config: file not found"):
             cf.load_config("/no/such/config.json")
@@ -580,14 +586,14 @@ class TestTrainCommand:
         assert "desk-scale limit of 10 slots" in capsys.readouterr().err
 
 
-SET_KEYS = (
-    [
-        "dataset", "split", "models", "clusterings", "min_cluster_size", "max_cluster_size",
-        "grid", "seeds", "steps", "eval_every", "selection_model", "output_dir",
-    ]
-    + [f"split.{k}" for k in ("ratios", "seed", "stratified")]
-    + [f"models.0.{k}" for k in ("conv_type", "use_clatt", "clusterings", "pe", "layers", "hidden", "heads", "dropout", "lr")]
-    + [f"clusterings.LA.{k}" for k in ("gamma", "seed", "max_passes")]
+# every key of the config schema, drawn from its tables, so a key the schema gains is fuzzed too
+SET_KEYS = sorted(
+    [*cf.TOP_FIELDS]
+    + [f"dataset.{k}" for k in cf.DATASET_FIELDS]
+    + [f"split.{k}" for k in cf.SPLIT_FIELDS]
+    + [f"grid.{k}" for k in cf.GRID_FIELDS]
+    + [f"{prefix}.{k}" for prefix in ("models.0", "selection_model") for k in cf.MODEL_FIELDS]
+    + [f"clusterings.{tag}.{k}" for tag, params in cf.CLUSTERING_PARAMS.items() for k in params]
 )
 # "taken" names a file beside the config, so output_dir=taken is not a directory;
 # free text has no "/", "\\" or ".", so an output_dir stays inside the test's directory
@@ -629,6 +635,10 @@ class TestSetOverrides:
          ('clusterings={"H1":{"k_max":1}}', "clusterings.H1.k_max: must be >= 2, got 1"),
          ("split.ratios=[0,0.5,0.5]", "leave the train subset empty"),
          ("seeds=[0]", "at least 2 seeds"),
+         ("seeds=[0,1,0]", "seed 0 is repeated"),
+         ("grid.dropouts=[0.0,1.5]", "grid.dropouts[1]: dropout must be in [0, 1)"),
+         ("grid.lrs=[-1]", "grid.lrs[0]: lr must be a finite number >= 0, got -1.0"),
+         ("grid.transforms=[]", "grid.transforms: must be non-empty"),
          ("output_dir=taken", "taken exists and is not a directory"),
          pytest.param("steps=" + "[" * 5000 + "]" * 5000, "steps: expected an integer", id="too-deep-json")],
     )
@@ -641,7 +651,7 @@ class TestSetOverrides:
 class TestCheapChecksFirst:
     @pytest.mark.parametrize(
         "command, override",
-        [("train", "seeds=[0]"), ("train", "output_dir=\"taken\""), ("select-clusterings", "output_dir=\"taken\"")],
+        [("train", "seeds=[0]"), ("train", "seeds=[0,0]"), ("train", "output_dir=\"taken\""), ("select-clusterings", "output_dir=\"taken\"")],
     )
     def test_fails_before_clustering(self, tmp_path, capsys, command, override):
         (tmp_path / "taken").write_text("")
