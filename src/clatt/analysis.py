@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ __all__ = [
 DEFAULT_QS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
-@dataclass(frozen=True)
-class AttentionEntry:
+class AttentionEntry(NamedTuple):
     node: int
     layer: int
     head: int

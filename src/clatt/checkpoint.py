@@ -11,7 +11,9 @@ The JSON header is {"entries": [...]} where each entry carries name,
 shape (list of ints), dtype (numpy little-endian string such as "<f8"),
 offset (relative to the payload start) and nbytes. Entries appear in
 payload order, so the format can be read from any language with a JSON
-parser and a seek.
+parser and a seek. ``clatt train`` adds two keys: "spec", the model's
+``ModelSpec.to_json()`` object as the grid tuned it, and "transform", the
+feature transform the model was trained on.
 """
 
 from __future__ import annotations
@@ -22,15 +24,25 @@ import os
 
 import numpy as np
 
+from .config import model_record
 from .errors import InputError
+from .graphs import FEATURE_TRANSFORMS
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"CLT1"
 
 
 class CheckpointError(InputError):
     """Malformed or truncated checkpoint file."""
+
+
+class Checkpoint(dict):
+    """Arrays by name, in payload order, plus the ModelSpec and feature
+    transform the header records (None in a checkpoint without them)."""
+
+    spec = None
+    transform = None
 
 
 def _as_array(value) -> np.ndarray:
@@ -41,8 +53,9 @@ def _as_array(value) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
 
 
-def save_checkpoint(path, params: dict) -> None:
-    """Write named arrays (or Tensors; .data is used) to a single file."""
+def save_checkpoint(path, params: dict, spec=None, transform: str | None = None) -> None:
+    """Write named arrays (or Tensors; .data is used) to a single file, with
+    the model's ModelSpec and feature transform in the header when given."""
     entries = []
     blobs = []
     offset = 0
@@ -60,7 +73,12 @@ def save_checkpoint(path, params: dict) -> None:
         )
         blobs.append(raw)
         offset += len(raw)
-    header = json.dumps({"entries": entries}).encode("utf-8")
+    header = {"entries": entries}
+    if spec is not None:
+        header["spec"] = json.loads(spec.to_json())
+    if transform is not None:
+        header["transform"] = transform
+    header = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array(len(header), dtype="<u8").tobytes())
@@ -96,11 +114,13 @@ def _entry_array(i: int, entry, payload: bytes, seen) -> tuple[str, np.ndarray]:
     return name, arr.copy()
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back as an ordered name -> ndarray mapping.
 
     Every malformed file raises CheckpointError; the header length is
-    checked against the file size before the header is read.
+    checked against the file size before the header is read, and a
+    recorded spec or transform against the schema of a config's model and
+    the known transforms.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -124,8 +144,17 @@ def load_checkpoint(path) -> dict:
     entries = header.get("entries", []) if isinstance(header, dict) else None
     if not isinstance(entries, list):
         raise CheckpointError("header is not an object with an entries list")
-    out = {}
+    out = Checkpoint()
     for i, entry in enumerate(entries):
         name, arr = _entry_array(i, entry, payload, out.keys())
         out[name] = arr
+    if "spec" in header:
+        try:
+            out.spec = model_record(header["spec"], "spec")
+        except InputError as exc:
+            raise CheckpointError(f"header {exc}") from None
+    if "transform" in header:
+        out.transform = header["transform"]
+        if not isinstance(out.transform, str) or out.transform not in FEATURE_TRANSFORMS:
+            raise CheckpointError(f"header transform {out.transform!r} is not one of {FEATURE_TRANSFORMS}")
     return out

@@ -16,12 +16,14 @@ import csv
 import json
 import re
 import sys
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, record
 from . import training as tr
 from .analysis import export_histogram, export_profile, export_similarity_matrix, profile_model, quantile_table
 from .blockmodel import hierarchical_fit, planted_partition_fit
@@ -190,24 +192,57 @@ def _prepare_run(cfg: ExperimentConfig, specs) -> tuple[tr.TrainData, tr.Split, 
     return data, split, out_dir
 
 
-def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, specs, tags, pe_dim: int) -> list[tr.TrainData]:
-    """One TrainData per spec. Each clustering in ``tags`` and each PE kind
-    of ``specs`` is computed once and shared by every spec that uses it."""
+def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, specs, tags, pe_dim: int):
+    """One TrainData per spec, and one manifest entry per clustering and PE.
+
+    Each clustering in ``tags`` and each PE kind of ``specs`` is built once
+    and shared by every spec that uses it. The run directory is its record:
+    an artifact whose record in ``cfg.output_dir`` matches its key is
+    loaded, any other is computed and its record written over (see
+    ``record``). The raw clustering is recorded; the size filter runs on
+    every use."""
+    g = data.g
+    out_dir = cfg.output_dir
+    graph = record.array_digest(g.node_ids, g.offsets, g.neighbors)
+    entries = []
+
+    def entry(artifact, name, path, want, reused, t0):
+        entries.append({"artifact": artifact, "name": name, "path": str(path.relative_to(out_dir)), "key": want,
+                        "status": "reused" if reused else "computed", "seconds": time.perf_counter() - t0})
+
     for tag in tags:
-        c = _cluster(tag, data.g, cfg.clusterings.get(tag, {}), data, split)
+        t0 = time.perf_counter()
+        params = {"seed": 0, **cfg.clusterings.get(tag, {})}
+        parts = {"artifact": "clustering", "tag": tag, "params": params, "graph": graph}
+        if tag == "KM":  # clusters ResMLP representations trained on the split
+            parts.update(task=data.task, data=record.array_digest(data.features, data.targets, split.train, split.val, split.test))
+        want = record.key(**parts)
+        path = record.clustering_path(out_dir, tag)
+        c = record.load_clustering_record(out_dir, tag, want, g.node_ids)
+        reused = c is not None
+        if not reused:
+            c = _cluster(tag, g, params, data, split)
+            record.save_clustering_record(out_dir, tag, c, want, g.node_ids)
+        entry("clustering", tag, path, want, reused, t0)
         fc = filter_clusters(c, min_size=cfg.min_cluster_size, max_size=cfg.max_cluster_size)
         data.clusterings[tag] = fc
         _echo(
             f"clustering {tag}: {c.num_clusters} raw, {fc.num_clusters} retained, "
-            f"{fc.unassigned.size} nodes unassigned"
+            f"{fc.unassigned.size} nodes unassigned" + (f" (reused {path})" if reused else "")
         )
     pes = {"none": None}
     for kind in sorted({spec.pe for spec in specs} - {"none"}):
-        if kind == "deepwalk":
-            pes[kind] = deepwalk_pe(data.g, dim=pe_dim)
-        else:
-            pes[kind] = laplacian_pe(data.g, k=min(pe_dim, data.g.n - 1)).vectors
-    return [replace(data, pe=pes[spec.pe]) for spec in specs]
+        t0 = time.perf_counter()
+        want = record.key(artifact="pe", kind=kind, dim=pe_dim, graph=graph)
+        width = pe_dim if kind == "deepwalk" else min(pe_dim, g.n - 1)
+        pe = record.load_pe_record(out_dir, kind, pe_dim, want, (g.n, width))
+        reused = pe is not None
+        if not reused:
+            pe = deepwalk_pe(g, dim=pe_dim) if kind == "deepwalk" else laplacian_pe(g, k=width).vectors
+            record.save_pe_record(out_dir, kind, pe_dim, pe, want)
+        entry("pe", kind, record.pe_path(out_dir, kind, pe_dim), want, reused, t0)
+        pes[kind] = pe
+    return [replace(data, pe=pes[spec.pe]) for spec in specs], entries
 
 
 def _safe_name(name: str) -> str:
@@ -215,14 +250,20 @@ def _safe_name(name: str) -> str:
 
 
 def cmd_train(args) -> int:
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     cfg = load_config(args.config, args.set or ())
     tr.check_seeds(cfg.seeds)
+    phases = {}
+    t0 = time.perf_counter()
     data, split, out_dir = _prepare_run(cfg, cfg.models)
+    phases["setup"] = time.perf_counter() - t0
     specs = list(cfg.models)
-    datas = _model_data(cfg, data, split, specs, cfg.needed_tags(), args.pe_dim)
+    datas, records = _model_data(cfg, data, split, specs, cfg.needed_tags(), args.pe_dim)
+    transforms = ["none"] * len(specs)
     if cfg.grid is not None:
+        t0 = time.perf_counter()
         for i, spec in enumerate(specs):
-            specs[i], transform, _, _ = tr.grid_search(
+            specs[i], transforms[i], _, _ = tr.grid_search(
                 spec,
                 datas[i],
                 split,
@@ -233,18 +274,35 @@ def cmd_train(args) -> int:
                 steps=cfg.steps,
                 eval_every=cfg.eval_every,
             )
-            datas[i] = replace(datas[i], features=transform_features(datas[i].features, transform))
-            _echo(f"grid {spec.name}: lr={specs[i].lr:g} dropout={specs[i].dropout:g} transform={transform}")
+            datas[i] = replace(datas[i], features=transform_features(datas[i].features, transforms[i]))
+            _echo(f"grid {spec.name}: lr={specs[i].lr:g} dropout={specs[i].dropout:g} transform={transforms[i]}")
+        phases["grid"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     rows = tr.run_experiment(datas, specs, split, seeds=cfg.seeds, steps=cfg.steps, eval_every=cfg.eval_every, jobs=args.jobs)
-    for row in rows:
-        save_checkpoint(out_dir / f"{_safe_name(row.model)}.ckpt", row.params)
+    phases["training"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for row, spec, transform in zip(rows, specs, transforms):
+        save_checkpoint(out_dir / f"{_safe_name(row.model)}.ckpt", row.params, spec=spec, transform=transform)
+    phases["checkpoints"] = time.perf_counter() - t0
     results = out_dir / "results.csv"
     with open(results, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["model", "metric", "mean", "std", "significant"])
         for row in rows:
             w.writerow([row.model, row.metric, repr(row.mean), repr(row.std), "" if row.significant is None else str(row.significant)])
+    manifest = {
+        "command": "train",
+        "started": started,
+        "versions": record.versions(),
+        "seeds": {"runs": list(cfg.seeds), "split": cfg.split.seed,
+                  "clusterings": {tag: cfg.clusterings.get(tag, {}).get("seed", 0) for tag in cfg.needed_tags()}},
+        "records": records,
+        "phases_s": phases,
+    }
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
     _echo(tr.render_table(rows))
     _echo(f"results -> {results}")
     return 0
@@ -265,7 +323,7 @@ def cmd_select_clusterings(args) -> int:
     data, split, out_dir = _prepare_run(cfg, [base])
     candidates = tuple(t for t in CANONICAL_TAGS if t in cfg.clusterings) or CANONICAL_TAGS
     out = out_dir / "selected_clusterings.json"
-    (data,) = _model_data(cfg, data, split, [base], candidates, args.pe_dim)
+    (data,), _ = _model_data(cfg, data, split, [base], candidates, args.pe_dim)
     selected, details = tr.select_clusterings(
         base, data, split, candidates=candidates, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every
     )
@@ -277,9 +335,14 @@ def cmd_select_clusterings(args) -> int:
     return 0
 
 
-def _check_checkpoint(path, spec: nn.ModelSpec, params: dict, expected: dict) -> None:
+# ModelSpec fields the grid tunes; a checkpoint may differ from its config there
+TUNED_FIELDS = ("lr", "dropout")
+
+
+def _check_checkpoint(path, spec: nn.ModelSpec, params, expected: dict) -> None:
     """Refuse a checkpoint unless it holds exactly the model's arrays, each in
-    its shape; the message names the first array that differs."""
+    its shape, and, when it records its spec, the model's spec outside
+    TUNED_FIELDS; the message names the first array or field that differs."""
     where = f"checkpoint {path} does not match model {spec.name}"
     for name, want in expected.items():
         if name not in params:
@@ -289,6 +352,12 @@ def _check_checkpoint(path, spec: nn.ModelSpec, params: dict, expected: dict) ->
     extra = [name for name in params if name not in expected]
     if extra:
         raise InputError(f"{where}: unexpected array {extra[0]}")
+    if params.spec is None:
+        return
+    for f in fields(spec):
+        recorded, configured = getattr(params.spec, f.name), getattr(spec, f.name)
+        if f.name not in TUNED_FIELDS and recorded != configured:
+            raise InputError(f"{where}: {f.name} is {recorded!r} in the checkpoint, {configured!r} in the config")
 
 
 def cmd_analyze_attention(args) -> int:
@@ -304,7 +373,9 @@ def cmd_analyze_attention(args) -> int:
         raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
     data, split, out_dir = _prepare_run(cfg, [spec])
     params = load_checkpoint(args.checkpoint)
-    (data,) = _model_data(cfg, data, split, [spec], spec.clusterings, args.pe_dim)
+    (data,), _ = _model_data(cfg, data, split, [spec], spec.clusterings, args.pe_dim)
+    if params.transform not in (None, "none"):  # the feature transform the grid chose
+        data = replace(data, features=transform_features(data.features, params.transform))
     pe_dim = data.pe.shape[1] if data.pe is not None else None
     expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim)
     _check_checkpoint(args.checkpoint, spec, params, expected)

@@ -255,6 +255,12 @@ def _model(raw, path: str) -> ModelSpec:
     return _valid(_section(MODEL_FIELDS, ModelSpec, required=("conv_type",))(raw, path), path)
 
 
+def model_record(raw, path: str) -> ModelSpec:
+    """A ModelSpec as ``ModelSpec.to_json`` writes it: every field present,
+    each checked as a config model's is."""
+    return _valid(_section(MODEL_FIELDS, ModelSpec, required=tuple(MODEL_FIELDS))(raw, path), path)
+
+
 TOP_FIELDS = {
     "dataset": _section(DATASET_FIELDS, required=("edges",)),
     "split": _section(SPLIT_FIELDS),

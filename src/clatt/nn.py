@@ -340,10 +340,11 @@ class ModelSpec:
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
-        d = json.loads(text)
-        spec = ModelSpec(**{**d, "clusterings": tuple(d.get("clusterings", ()))})
-        spec.validate()
-        return spec
+        """The spec ``to_json`` wrote; every field must be present and pass
+        the checks of a config's model, else ConfigError."""
+        from .config import model_record  # config imports this module
+
+        return model_record(json.loads(text), "spec")
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,23 +82,27 @@ def filter_clusters(c: Clustering, min_size: int = 4, max_size: int = 512) -> Cl
                       params={**c.params, "min_size": min_size, "max_size": max_size})
 
 
-def save_clustering(path, c: Clustering, node_ids: np.ndarray | None = None) -> None:
+def save_clustering(path, c: Clustering, node_ids: np.ndarray | None = None, meta: dict | None = None) -> None:
     """Write ``node_id,cluster_id`` rows plus a .meta.json sidecar; an
-    unassigned node keeps cluster id -1."""
+    unassigned node keeps cluster id -1. The sidecar holds the sha256 of
+    the CSV bytes and any extra keys in ``meta``."""
     path = Path(path)
     ids = np.arange(c.n) if node_ids is None else np.asarray(node_ids)
     if ids.shape[0] != c.n:
         raise ValueError("node_ids length mismatch")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "cluster_id"])
-        for nid, cid in zip(ids, c.assignment):
-            w.writerow([int(nid), int(cid)])
+    text = io.StringIO(newline="")
+    w = csv.writer(text)
+    w.writerow(["node_id", "cluster_id"])
+    w.writerows(zip(ids.astype(np.int64).tolist(), c.assignment.tolist()))
+    raw = text.getvalue().encode()
+    path.write_bytes(raw)
     meta = {
         "algorithm_tag": c.algorithm_tag,
         "params": _json_safe(c.params),
         "num_clusters": int(c.num_clusters),
         "num_unassigned": int(c.unassigned.size),
+        "sha256": hashlib.sha256(raw).hexdigest(),
+        **(meta or {}),
     }
     with open(path.with_suffix(path.suffix + ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

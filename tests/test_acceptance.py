@@ -527,4 +527,7 @@ def test_criterion_9_rerun_determinism(tmp_path):
     assert cli.main(["train", str(path)]) == 0
     second = (tmp_path / "out" / "results.csv").read_bytes()
     assert first == second
-    _verdict(9, f"results identical across reruns ({len(first)} bytes)")
+    # the rerun loads the clustering the first run recorded in output_dir
+    records = json.loads((tmp_path / "out" / "manifest.json").read_text())["records"]
+    assert [(r["name"], r["status"]) for r in records] == [("LA", "reused")]
+    _verdict(9, f"results identical across reruns ({len(first)} bytes), LA reused from the run directory")

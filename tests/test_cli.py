@@ -5,7 +5,9 @@ import json
 import math
 import multiprocessing
 import re
+import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,9 @@ from clatt import nn
 from clatt import pe
 from clatt import tensor
 from clatt import training as tr
+from clatt.analysis import export_profile, profile_model
 from clatt.checkpoint import load_checkpoint, save_checkpoint
-from clatt.graphs import GraphFormatError, TableSchema, load_edge_list, load_node_table
+from clatt.graphs import GraphFormatError, TableSchema, load_edge_list, load_node_table, transform_features
 from clatt.kmeans import kmeans
 from clatt.partition import load_clustering
 from clatt.synthetic import bridge_of_cliques, noisy_onehot_features, sbm_graph
@@ -498,11 +501,11 @@ class TestTrainCommand:
         # an independent run of the first seed, on the same data and split
         cfg = cf.load_config(path)
         data, split, _ = cli._prepare_run(cfg, cfg.models)
-        datas = cli._model_data(cfg, data, split, cfg.models, cfg.needed_tags(), pe_dim=64)
+        datas, _ = cli._model_data(cfg, data, split, cfg.models, cfg.needed_tags(), pe_dim=64)
         for spec, spec_data in zip(cfg.models, datas):
             result = tr.train(spec, spec_data, split, seed=3, steps=cfg.steps, eval_every=cfg.eval_every)
             ref = tmp_path / "ref.ckpt"
-            save_checkpoint(ref, result.params)
+            save_checkpoint(ref, result.params, spec=spec, transform="none")
             name = cli._safe_name(spec.name)
             assert (tmp_path / "out" / f"{name}.ckpt").read_bytes() == ref.read_bytes()
 
@@ -796,6 +799,183 @@ class TestAnalyzeCommand:
         save_checkpoint(ckpt, params)
         assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 2
         assert "unexpected array layer0.conv.bk" in capsys.readouterr().err
+
+
+class TestCheckpointSpec:
+    def lgt_config(self, tmp_path, **extra):
+        model = {"conv_type": "LGT", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        return base_config(tmp_path, models=[model], steps=20, **extra)
+
+    def test_heads_mismatch_exit_2(self, tmp_path, capsys):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        assert load_checkpoint(ckpt).spec == cf.load_config(path).models[0]
+        capsys.readouterr()
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.heads=4"]) == 2
+        assert "heads is 2 in the checkpoint, 4 in the config" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
+
+    def test_tuned_fields_may_differ(self, tmp_path):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.lr=0.1", "--set", "models.0.dropout=0.5"]) == 0
+
+    def test_checkpoint_without_spec_gets_the_shape_check(self, tmp_path, capsys):
+        path = self.lgt_config(tmp_path)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
+        profile = (tmp_path / "out" / "attention_profile_LGT.csv").read_bytes()
+        save_checkpoint(ckpt, load_checkpoint(ckpt))  # no spec, no transform
+        assert load_checkpoint(ckpt).spec is None and load_checkpoint(ckpt).transform is None
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.heads=4"]) == 0
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
+        assert (tmp_path / "out" / "attention_profile_LGT.csv").read_bytes() == profile
+        capsys.readouterr()
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.hidden=16"]) == 2
+        assert "enc.w has shape (2, 8), the model needs (2, 16)" in capsys.readouterr().err
+
+    def test_profile_uses_the_grid_transform(self, tmp_path):
+        grid = {"lrs": [3e-3], "dropouts": [0.0], "transforms": ["quantile_normal"]}
+        path = self.lgt_config(tmp_path, grid=grid)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "LGT.ckpt"
+        params = load_checkpoint(ckpt)
+        assert params.transform == "quantile_normal"
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
+        cfg = cf.load_config(path)
+        data, split, _ = cli._prepare_run(cfg, cfg.models)
+        (data,), _ = cli._model_data(cfg, data, split, cfg.models, (), pe_dim=64)
+        refs = {}
+        for transform in ("quantile_normal", "none"):
+            variant = replace(data, features=transform_features(data.features, transform))
+            refs[transform] = tmp_path / f"{transform}.csv"
+            export_profile(profile_model(cfg.models[0], params, variant), refs[transform])
+        profile = (tmp_path / "out" / "attention_profile_LGT.csv").read_bytes()
+        assert profile == refs["quantile_normal"].read_bytes()
+        assert profile != refs["none"].read_bytes()
+
+
+# a GGT model with cluster attention: one clustering and one PE record
+RECORDED_MODEL = {"conv_type": "GGT", "pe": "laplacian", "use_clatt": True, "clusterings": ["LA"],
+                  "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+RECORD_FILES = ("clusterings/LA.csv", "clusterings/LA.csv.meta.json", "pe/laplacian_64.npy", "pe/laplacian_64.npy.meta.json")
+ANALYZE_OUTPUTS = ("attention_profile_GGT-CLATT_LA.csv", "attention_histogram_GGT-CLATT_LA.csv")
+
+
+@pytest.fixture(scope="class")
+def trained_run(tmp_path_factory):
+    """A config with RECORDED_MODEL, trained once into its out/."""
+    tmp = tmp_path_factory.mktemp("run")
+    path = base_config(tmp, models=[RECORDED_MODEL], steps=20)
+    assert cli.main(["train", str(path)]) == 0
+    return path
+
+
+def counted_builders(monkeypatch) -> dict:
+    """Count the calls of the clustering and PE functions clatt looks up."""
+    calls = {"leiden_cpm": 0, "laplacian_pe": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(cli, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+class TestRunDirectory:
+    @staticmethod
+    def analyze(config, out, *extra) -> dict:
+        args = ["analyze-attention", str(config), str(out / "GGT-CLATT_LA.ckpt"), "--set", f"output_dir={json.dumps(str(out))}"]
+        assert cli.main(args + list(extra)) == 0
+        return {name: (out / name).read_bytes() for name in ANALYZE_OUTPUTS}
+
+    @staticmethod
+    def copy_run(config, dest) -> Path:
+        shutil.copytree(config.parent / "out", dest)
+        return dest
+
+    @staticmethod
+    def forget(out) -> None:
+        """Delete the record files: the next command recomputes them."""
+        for name in RECORD_FILES:
+            (out / name).unlink(missing_ok=True)
+
+    def test_analyze_reuses_what_train_recorded(self, trained_run, tmp_path, monkeypatch, capsys):
+        out = self.copy_run(trained_run, tmp_path / "out")
+        calls = counted_builders(monkeypatch)
+        reused = self.analyze(trained_run, out)
+        assert calls == {"leiden_cpm": 0, "laplacian_pe": 0}
+        assert "(reused " in capsys.readouterr().out
+        self.forget(out)
+        assert self.analyze(trained_run, out) == reused
+        assert calls == {"leiden_cpm": 1, "laplacian_pe": 1}
+        assert "(reused " not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "damage, extra, stale",
+        [
+            (None, ["--set", "clusterings.LA.seed=1"], "leiden_cpm"),
+            ("csv_row", [], "leiden_cpm"),
+            ("npy_byte", [], "laplacian_pe"),
+            ("meta_json", [], "leiden_cpm"),
+        ],
+    )
+    def test_stale_record_is_recomputed_once(self, trained_run, tmp_path, monkeypatch, damage, extra, stale):
+        out = self.copy_run(trained_run, tmp_path / "out")
+        if damage == "csv_row":
+            csv_path = out / "clusterings" / "LA.csv"
+            lines = csv_path.read_text().splitlines(keepends=True)
+            node, cluster = lines[1].strip().split(",")
+            lines[1] = f"{node},{1 - int(cluster)}\r\n"
+            csv_path.write_text("".join(lines))
+        elif damage == "npy_byte":
+            npy = out / "pe" / "laplacian_64.npy"
+            raw = bytearray(npy.read_bytes())
+            raw[-3] ^= 0x10
+            npy.write_bytes(bytes(raw))
+        elif damage == "meta_json":
+            (out / "clusterings" / "LA.csv.meta.json").write_text('{"key": ')
+        calls = counted_builders(monkeypatch)
+        fresh = self.analyze(trained_run, out, *extra)
+        assert calls == {name: int(name == stale) for name in calls}
+        assert self.analyze(trained_run, out, *extra) == fresh  # the record was written over
+        assert calls == {name: int(name == stale) for name in calls}
+        self.forget(out)
+        assert self.analyze(trained_run, out, *extra) == fresh
+
+    @given(name=st.sampled_from(RECORD_FILES), raw=st.binary(max_size=64))
+    @example(name=RECORD_FILES[1], raw=b'{"key": null, "sha256": []}')
+    @example(name=RECORD_FILES[3], raw=b"[1e999999]")
+    @example(name=RECORD_FILES[2], raw=b"")
+    @settings(max_examples=25, deadline=None)
+    def test_fuzzed_record_files_exit_0(self, trained_run, name, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = self.copy_run(trained_run, Path(tmp) / "out")
+            (out / name).write_bytes(raw)
+            self.analyze(trained_run, out)
+
+    def test_train_manifest(self, tmp_path):
+        path = base_config(tmp_path, models=[RECORDED_MODEL], steps=20)
+        out = tmp_path / "out"
+        manifests, outputs = [], []
+        for _ in range(2):
+            assert cli.main(["train", str(path)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            outputs.append([(out / name).read_bytes() for name in ("results.csv", "GGT-CLATT_LA.ckpt")])
+        assert outputs[0] == outputs[1]
+        first, second = manifests
+        assert [(r["artifact"], r["name"], r["path"]) for r in first["records"]] == [
+            ("clustering", "LA", "clusterings/LA.csv"), ("pe", "laplacian", "pe/laplacian_64.npy")]
+        assert [r["status"] for r in first["records"]] == ["computed", "computed"]
+        assert [r["status"] for r in second["records"]] == ["reused", "reused"]
+        assert [r["key"] for r in first["records"]] == [r["key"] for r in second["records"]]
+        assert first["seeds"] == {"runs": [0, 1], "split": 0, "clusterings": {"LA": 0}}
+        assert set(first["versions"]) == {"numpy", "scipy", "clatt_sources"}
+        assert {"setup", "training", "checkpoints"} <= set(first["phases_s"])
 
 
 class TestExitCodes:

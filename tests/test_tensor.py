@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import tempfile
 import weakref
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clatt import checkpoint as ck
+from clatt import nn
 from clatt import tensor as T
 
 
@@ -676,6 +678,53 @@ class TestCheckpoint:
         header = {"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}]}
         loaded = ck.load_checkpoint(self.with_header(tmp_path / "ok.ckpt", header))
         np.testing.assert_array_equal(loaded["a"], [0.0, 0.0])
+
+    SPEC = {"conv_type": "LGT", "use_clatt": True, "clusterings": ["LA"], "pe": "none", "layers": 1,
+            "hidden": 8, "heads": 2, "dropout": 0.0, "lr": 0.003}
+
+    def test_spec_and_transform_roundtrip(self, tmp_path):
+        spec = nn.ModelSpec.from_json(json.dumps(self.SPEC))
+        path = tmp_path / "spec.ckpt"
+        ck.save_checkpoint(path, {"w": np.ones(2)}, spec=spec, transform="standard")
+        loaded = ck.load_checkpoint(path)
+        assert loaded.spec == spec and loaded.transform == "standard"
+        ck.save_checkpoint(path, {"w": np.ones(2)})
+        assert ck.load_checkpoint(path).spec is None and ck.load_checkpoint(path).transform is None
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [({"spec": [1]}, "spec: expected an object"),
+         ({"spec": {**SPEC, "heads": "2"}}, "spec.heads: expected an integer"),
+         ({"spec": {k: v for k, v in SPEC.items() if k != "heads"}}, "spec.heads: required"),
+         ({"spec": {**SPEC, "depth": 3}}, "spec.depth: unknown"),
+         ({"spec": {**SPEC, "heads": 3}}, "heads"),
+         ({"spec": {**SPEC, "lr": float("nan")}}, "spec.lr: expected a finite number"),
+         ({"transform": "log"}, "transform 'log' is not one of"),
+         ({"transform": None}, "transform None is not one of")],
+    )
+    def test_bad_spec_or_transform(self, tmp_path, extra, message):
+        header = {"entries": [], **extra}
+        with pytest.raises(ck.CheckpointError, match=re.escape(message)):
+            ck.load_checkpoint(self.with_header(tmp_path / "bad.ckpt", header))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_checkpoint_with_spec_loads_or_raises_checkpoint_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "valid.ckpt"
+            spec = nn.ModelSpec.from_json(json.dumps(self.SPEC))
+            ck.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)}, spec=spec, transform="quantile_normal")
+            raw = bytearray(path.read_bytes())
+            header_end = 12 + int.from_bytes(raw[4:12], "little")
+            for at, bits in data.draw(st.lists(st.tuples(st.integers(12, header_end - 1), st.integers(1, 255)), max_size=3)):
+                raw[at] ^= bits
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = ck.load_checkpoint(path)
+            except ck.CheckpointError:
+                return
+            assert loaded.spec is None or isinstance(loaded.spec, nn.ModelSpec)
+            assert loaded.transform is None or loaded.transform in ("none", "standard", "quantile_normal")
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
