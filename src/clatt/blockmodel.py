@@ -44,6 +44,18 @@ def _k_ladder(k_max: int) -> list[int]:
     return [int(k) for k in ks]
 
 
+def _start_runs(ladder, root: np.random.SeedSequence, restarts: int, n: int):
+    """The (k, restart) runs of a fit, k in ``ladder``: each run's block
+    count and its uniform random start over n units, drawn from a generator
+    of its own spawned from ``root`` (a k = 1 start is all zeros)."""
+    ks, comms = [], []
+    for k in ladder:
+        for sub in root.spawn(restarts):
+            ks.append(k)
+            comms.append(np.random.default_rng(sub).integers(0, k, size=n))
+    return ks, comms
+
+
 # Cells one batch of lockstep runs may hold per state array, so that memory
 # stays bounded however large k_max or the graph is; a batch holds at least
 # one run.
@@ -116,12 +128,7 @@ def planted_partition_fit(g: Graph, k_max: int = 10, seed: int = 0,
         raise InputError("k_max must be at least 1")
     total_pairs = g.n * (g.n - 1) / 2.0
     m = float(g.m)
-    root = np.random.SeedSequence(seed)
-    ks, comms = [], []
-    for k in _k_ladder(min(k_max, g.n)):
-        for sub in root.spawn(restarts):
-            ks.append(k)
-            comms.append(np.random.default_rng(sub).integers(0, k, size=g.n))
+    ks, comms = _start_runs(_k_ladder(min(k_max, g.n)), np.random.SeedSequence(seed), restarts, g.n)
     scores = []
     for batch in _run_batches(ks, lambda k: g.n + k):
         fitted, batch_scores = _pp_lockstep(g, ks[batch], np.stack(comms[batch]), m, total_pairs, sweeps)
@@ -306,13 +313,7 @@ def general_blockmodel_fit(units: WeightedGraph, k_max: int, seed,
         total_pairs = n_orig * (n_orig - 1) / 2.0
     root = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
     ladder = [k for k in _k_ladder(min(k_max, units.n)) if k >= min(k_min, units.n)]
-    ks, comms = [], []
-    for k in ladder:
-        for sub in root.spawn(restarts):
-            ks.append(k)
-            rng = np.random.default_rng(sub)
-            comms.append(rng.integers(0, k, size=units.n).astype(np.int64) if k > 1
-                         else np.zeros(units.n, dtype=np.int64))
+    ks, comms = _start_runs(ladder, root, restarts, units.n)
     for batch in _run_batches(ks, lambda k: units.n + k * k):
         comms[batch] = list(_general_lockstep(units, ks[batch], np.stack(comms[batch]), sweeps, total_pairs))
     scores = [_general_score(units, comm, k, total_pairs) for k, comm in zip(ks, comms)]

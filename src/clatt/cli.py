@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -39,7 +40,14 @@ from .stats import compute_graph_stats, stats_to_dict
 
 
 def _echo(msg: str) -> None:
-    print(msg)
+    """Print msg. A closed stdout is no error: stdout is pointed at the null
+    device and the command carries on, so it still writes its files."""
+    try:
+        print(msg, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_graph(args):
@@ -75,8 +83,9 @@ def cmd_stats(args) -> int:
 
 def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split: tr.Split | None = None) -> Clustering:
     """Run clustering algorithm ``tag`` on ``g``. ``params`` takes the keys
-    of ``config.CLUSTERING_PARAMS[tag]``; KM clusters the ResMLP
-    representations of ``data`` trained on ``split``."""
+    of ``config.CLUSTERING_PARAMS[tag]``; KM clusters the representations
+    of an ``MLP`` model (``training.resmlp_representations``) of ``data``
+    trained on ``split``."""
     params = dict(params)
     seed = int(params.pop("seed", 0))
     if tag == "LA":
@@ -114,6 +123,7 @@ def cmd_cluster(args) -> int:
         "H1": {"k_max": args.k_max},
         "KM": {"k": args.k, "hidden": args.km_hidden, "layers": args.km_layers, "steps": args.km_steps},
     }[args.algo]
+    params = {key: value for key, value in params.items() if value is not None}  # unset: the algorithm's default
     data, split = _resmlp_inputs(args, g) if args.algo == "KM" else (None, None)
     c = _cluster(args.algo, g, {"seed": args.seed, **params}, data, split)
     if args.min_size is not None or args.max_size is not None:
@@ -428,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--gamma", type=float, help="LA resolution; default graph density")
-    sp.add_argument("--k-max", type=_int_at_least(1), default=10, help="BPP/H1 block count ceiling")
+    sp.add_argument("--k-max", type=_int_at_least(1), help="BPP/H1 block count ceiling; default BPP 10, H1 round(sqrt(n)) in [2, 25]")
     sp.add_argument("--k", type=int, help="KM cluster count; default n/128 in [2, n]")
     sp.add_argument("--min-size", type=_int_at_least(1), help="apply the size filter before saving")
     sp.add_argument("--max-size", type=_int_at_least(1))
     sp.add_argument("--km-hidden", type=_int_at_least(1), default=64)
-    sp.add_argument("--km-layers", type=_int_at_least(0), default=2)
+    sp.add_argument("--km-layers", type=_int_at_least(1), default=2)
     sp.add_argument("--km-steps", type=_int_at_least(0), default=300)
     add_table_flags(sp, "node table CSV (required for KM)")
     sp.set_defaults(func=cmd_cluster)

@@ -243,7 +243,7 @@ CLUSTERING_PARAMS = {
         "k": _or_null(_count(1)),
         "seed": _seed,
         "hidden": _count(1),
-        "layers": _count(0),
+        "layers": _count(1),
         "steps": _count(0),
         "lr": _positive,
         "max_iters": _count(1),

@@ -46,10 +46,12 @@ __all__ = [
     "global_attention",
     "init_params",
     "prepare_inputs",
+    "hidden_and_logits",
     "model_forward",
 ]
 
-CONV_TYPES = ("GCN", "SAGE", "LGT", "GGT")
+# MLP is a layer with no message-passing or attention step of its own
+CONV_TYPES = ("GCN", "SAGE", "LGT", "GGT", "MLP")
 PE_KINDS = ("none", "deepwalk", "laplacian")
 
 GLOBAL_ATTENTION_MAX_NODES = 20_000
@@ -204,8 +206,11 @@ def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, 
     )
 
 
-def fuse(mp_out: T.Tensor, clatt_out: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-    return T.linear(T.concat_last_dim([mp_out, clatt_out]), w, b)
+def fuse(mp_out: T.Tensor | None, clatt_out: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Linear map of the message-passing and cluster attention outputs,
+    concatenated; an MLP layer has no message-passing output (None)."""
+    x = clatt_out if mp_out is None else T.concat_last_dim([mp_out, clatt_out])
+    return T.linear(x, w, b)
 
 
 def _self_looped(g) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -305,6 +310,12 @@ class ModelSpec:
     dropout: float = 0.0
     lr: float = 3e-4
 
+    @property
+    def has_mix(self) -> bool:
+        """Whether a layer has a Mix step (and so its norm1): every conv
+        type but MLP, and any model with CLATT."""
+        return self.conv_type != "MLP" or self.use_clatt
+
     def validate(self) -> None:
         if self.conv_type not in CONV_TYPES:
             raise InputError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
@@ -379,7 +390,8 @@ def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_di
     b("enc.b", d)
     for i in range(spec.layers):
         lp = f"layer{i}"
-        norm(lp + ".norm1")
+        if spec.has_mix:
+            norm(lp + ".norm1")
         if spec.conv_type == "GCN":
             w(lp + ".conv.w", d, d)
             b(lp + ".conv.b", d)
@@ -388,7 +400,7 @@ def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_di
             b(lp + ".conv.b", d)
         elif spec.conv_type == "LGT":
             qkv(lp + ".conv")
-        else:  # GGT
+        elif spec.conv_type == "GGT":
             if pe_dim is None:
                 raise ValueError("GGT needs pe_dim at init time")
             dx = d // 2
@@ -400,7 +412,8 @@ def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_di
         if spec.use_clatt:
             for tag in spec.clusterings:
                 qkv(f"{lp}.clatt.{tag}")
-            w(lp + ".fuse.w", d + d * len(spec.clusterings), d)
+            mp_dim = 0 if spec.conv_type == "MLP" else d
+            w(lp + ".fuse.w", mp_dim + d * len(spec.clusterings), d)
             b(lp + ".fuse.b", d)
         norm(lp + ".norm2")
         w(lp + ".mlp.w1", d, d)
@@ -440,7 +453,7 @@ def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict |
         inp.mean_mat = mean_matrix(g)
     elif spec.conv_type == "LGT":
         inp.nbr_classes = neighborhood_classes(*neighborhood_table(g))
-    else:
+    elif spec.conv_type == "GGT":
         if pe is None:
             raise ValueError("GGT requires a positional encoding array")
     if pe is not None:
@@ -463,15 +476,16 @@ def _layer_prm(params: dict, prefix: str) -> dict:
     return {k[plen:]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-def model_forward(
+def hidden_and_logits(
     spec: ModelSpec,
     params: dict,
     inp: ModelInputs,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
     capture=None,
-) -> T.Tensor:
-    """Encoder, residual Mix/MLP blocks, final norm plus linear head."""
+) -> tuple[T.Tensor, T.Tensor]:
+    """Encoder, residual Mix/MLP blocks, final norm plus linear head; returns
+    the final-norm activations and the logits."""
     spec.validate()
     use_dropout = training and spec.dropout > 0.0
     if use_dropout and dropout_rng is None:
@@ -481,7 +495,9 @@ def model_forward(
     pe_t = T.Tensor(inp.pe) if inp.pe is not None else None
     for i in range(spec.layers):
         lp = f"layer{i}"
-        z = T.layer_norm(h, params[lp + ".norm1.g"], params[lp + ".norm1.b"])
+        mix = None
+        if spec.has_mix:
+            z = T.layer_norm(h, params[lp + ".norm1.g"], params[lp + ".norm1.b"])
         if spec.conv_type == "GCN":
             mix = gcn_conv(z, inp.adj_norm, params[lp + ".conv.w"], params[lp + ".conv.b"])
         elif spec.conv_type == "SAGE":
@@ -490,19 +506,32 @@ def model_forward(
             mix = local_attention_conv(
                 z, inp.nbr_classes, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
             )
-        else:
+        elif spec.conv_type == "GGT":
             mix = global_attention(z, pe_t, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i)
         if spec.use_clatt:
             groups = [_layer_prm(params, f"{lp}.clatt.{tag}.") for tag in spec.clusterings]
             cl = clatt_forward(z, inp.batches, groups, spec.heads, capture=capture, tags=inp.tags, layer=i)
             mix = fuse(mix, cl, params[lp + ".fuse.w"], params[lp + ".fuse.b"])
-        if use_dropout:
-            mix = T.dropout(mix, spec.dropout, dropout_rng)
-        h = T.add(h, mix)
+        if mix is not None:  # None: an MLP layer without CLATT has no Mix step
+            if use_dropout:
+                mix = T.dropout(mix, spec.dropout, dropout_rng)
+            h = T.add(h, mix)
         z2 = T.layer_norm(h, params[lp + ".norm2.g"], params[lp + ".norm2.b"])
         m = T.linear(T.gelu(T.linear(z2, params[lp + ".mlp.w1"], params[lp + ".mlp.b1"])), params[lp + ".mlp.w2"], params[lp + ".mlp.b2"])
         if use_dropout:
             m = T.dropout(m, spec.dropout, dropout_rng)
         h = T.add(h, m)
     hn = T.layer_norm(h, params["final_norm.g"], params["final_norm.b"])
-    return T.linear(hn, params["head.w"], params["head.b"])
+    return hn, T.linear(hn, params["head.w"], params["head.b"])
+
+
+def model_forward(
+    spec: ModelSpec,
+    params: dict,
+    inp: ModelInputs,
+    training: bool = False,
+    dropout_rng: np.random.Generator | None = None,
+    capture=None,
+) -> T.Tensor:
+    """The logits of hidden_and_logits."""
+    return hidden_and_logits(spec, params, inp, training, dropout_rng, capture)[1]

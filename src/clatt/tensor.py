@@ -29,11 +29,9 @@ __all__ = [
     "matmul",
     "linear",
     "concat_last_dim",
-    "relu",
     "gelu",
     "masked_softmax",
     "layer_norm",
-    "segment_reduce",
     "softmax_cross_entropy",
     "binary_cross_entropy_with_logits",
     "mse",
@@ -294,13 +292,6 @@ def concat_last_dim(parts) -> Tensor:
     return _op(out, parts, back)
 
 
-def relu(x: Tensor) -> Tensor:
-    def back(g):
-        return (g * (x.data > 0.0),)
-
-    return _op(np.maximum(x.data, 0.0), (x,), back)
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -368,32 +359,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return gx, g_gain, g_bias
 
     return _op(out, (x, gain, bias), back)
-
-
-def segment_reduce(values: Tensor, segments: np.ndarray, num_segments: int, mode: str = "sum") -> Tensor:
-    """Per-segment sum or mean of rows; empty segments give zero rows."""
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"segment_reduce: unknown mode {mode!r}")
-    seg = np.asarray(segments, dtype=np.int64)
-    if seg.ndim != 1 or seg.shape[0] != values.data.shape[0]:
-        _shape_error("segment_reduce", values.data.shape, seg.shape)
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ValueError("segment_reduce: segment id out of range")
-    out = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-    np.add.at(out, seg, values.data)
-    tail = (1,) * (out.ndim - 1)
-    if mode == "mean":
-        counts = np.bincount(seg, minlength=num_segments).astype(values.data.dtype)
-        denom = np.maximum(counts, 1.0)
-        out = out / denom.reshape((-1,) + tail)
-
-    def back(g):
-        gv = g[seg]
-        if mode == "mean":
-            gv = gv / denom[seg].reshape((-1,) + tail[: gv.ndim - 1])
-        return (gv,)
-
-    return _op(out, (values,), back)
 
 
 def _check_idx(idx) -> np.ndarray:

@@ -4,8 +4,11 @@ import csv
 import json
 import math
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -175,8 +178,9 @@ class TestCluster:
          (["--algo", "LA", "--min-size", "0"], "--min-size: must be >= 1, got 0"),
          (["--algo", "LA", "--max-size", "0"], "--max-size: must be >= 1, got 0"),
          (["--algo", "LA", "--min-size", "50", "--max-size", "10"], "--min-size 50 exceeds --max-size 10"),
-         (["--algo", "KM", "--km-layers", "-1"], "--km-layers: must be >= 0, got -1"),
-         (["--algo", "KM", "--km-steps", "-5"], "--km-steps: must be >= 0, got -5")],
+         (["--algo", "KM", "--km-layers", "-1"], "--km-layers: must be >= 1, got -1"),
+         (["--algo", "KM", "--km-steps", "-5"], "--km-steps: must be >= 0, got -5"),
+         (["--algo", "KM", "--km-layers", "0"], "--km-layers: must be >= 1, got 0")],
     )
     def test_bad_flags_exit_2_and_save_nothing(self, tmp_path, capsys, flags, message):
         edges = write_edges(tmp_path / "e.csv", bridge_of_cliques([5, 5]))
@@ -202,6 +206,19 @@ class TestCluster:
         assert assignment.tolist() == want.assignment.tolist()
         assert meta["params"]["inertia"] == want.params["inertia"]
         assert "KM: 3 clusters" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo, k_max", [("H1", 8), ("BPP", 10)])  # H1: round(sqrt(60))
+    def test_k_max_defaults_as_the_library_does(self, tmp_path, algo, k_max):
+        g, _ = sbm_graph([20, 20, 20], 0.4, 0.03, seed=2)
+        edges = write_edges(tmp_path / "e.csv", g)
+        out = tmp_path / "c.csv"
+        assert cli.main(["cluster", edges, "--algo", algo, "--out", str(out)]) == 0
+        g = load_edge_list(edges)
+        want = cli._cluster(algo, g, {"seed": 0})
+        assert want.params["k_max"] == k_max
+        ids, assignment, meta = load_clustering(out)
+        assert dict(zip(ids.tolist(), assignment.tolist())) == dict(zip(g.node_ids.tolist(), want.assignment.tolist()))
+        assert meta["params"]["k_max"] == k_max
 
     def test_km_without_nodes_exit_2(self, tmp_path, capsys):
         edges = triangle_edges(tmp_path)
@@ -636,6 +653,7 @@ class TestSetOverrides:
         [("clusterings.LA.gamma=\"x\"", "clusterings.LA.gamma: expected a finite number"),
          ("clusterings.LA.seed=-1", "clusterings.LA.seed: must be >= 0"),
          ('clusterings={"H1":{"k_max":1}}', "clusterings.H1.k_max: must be >= 2, got 1"),
+         ('clusterings={"KM":{"layers":0}}', "clusterings.KM.layers: must be >= 1, got 0"),
          ("split.ratios=[0,0.5,0.5]", "leave the train subset empty"),
          ("seeds=[0]", "at least 2 seeds"),
          ("seeds=[0,1,0]", "seed 0 is repeated"),
@@ -749,6 +767,20 @@ class TestAnalyzeCommand:
         assert rows
         assert all(float(r["avg_distance"]) <= 1.0 + 1e-12 for r in rows)
         assert (tmp_path / "out" / "attention_histogram_LGT.csv").exists()
+
+    def test_mlp_models_train_and_plain_mlp_has_no_sites(self, tmp_path, capsys):
+        mlp = {"conv_type": "MLP", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        path = base_config(tmp_path, models=[mlp, {**mlp, "use_clatt": True, "clusterings": ["LA"]}], steps=20)
+        assert cli.main(["train", str(path)]) == 0
+        with open(tmp_path / "out" / "results.csv") as fh:
+            assert [r["model"] for r in csv.DictReader(fh)] == ["MLP", "MLP-CLATT(LA)"]
+        capsys.readouterr()
+        assert cli.main(["analyze-attention", str(path), str(tmp_path / "out" / "MLP.ckpt"), "--model", "MLP"]) == 2
+        assert "model MLP has no attention sites" in capsys.readouterr().err
+        ckpt = tmp_path / "out" / "MLP-CLATT_LA.ckpt"
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--model", "MLP-CLATT(LA)"]) == 0
+        with open(tmp_path / "out" / "attention_profile_MLP-CLATT_LA.csv") as fh:
+            assert {r["kind"] for r in csv.DictReader(fh)} == {"cluster"}
 
     def test_wrong_model_name_exit_2(self, tmp_path, capsys):
         path = self.lgt_config(tmp_path)
@@ -999,6 +1031,24 @@ class TestExitCodes:
             rc = cli.main(["train", str(base_config(tmp_path))])
             assert rc == 3
             assert f"internal error: {type(error).__name__}" in capsys.readouterr().err
+
+    def test_closed_stdout_exit_0_and_files_written(self, tmp_path):
+        # the stats JSON is echoed before it is saved
+        out = tmp_path / "s.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "clatt.cli", "stats", triangle_edges(tmp_path), "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "internal error" not in proc.stderr
+        assert json.loads(out.read_text())["num_nodes"] == 3
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

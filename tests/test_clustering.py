@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clatt import blockmodel
+from clatt import training as tr
 from clatt.blockmodel import hierarchical_fit, planted_partition_fit
 from clatt.errors import InputError
 from clatt.graphs import WeightedGraph, from_edges
@@ -30,6 +31,7 @@ from clatt.synthetic import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    noisy_onehot_features,
     sbm_graph,
     star_graph,
 )
@@ -267,6 +269,18 @@ class TestRecordedAssignments:
             "333333333333333333333333333333444444444444444444444444444444555555555555555555555555555555"
             "666666666666666666606666666666777777777777777777777777777777")
         assert c.params["score"] == float.fromhex("-0x1.6493214349c69p+12")
+
+    def test_kmeans_on_resmlp_representations(self):
+        g, labels = sbm_graph([10, 14, 8, 16], 0.3, 0.05, seed=11)
+        x = noisy_onehot_features(labels, 4, flip_rate=0.3, sigma=0.5, seed=0)
+        data = tr.TrainData(g, x, labels, "multiclass", num_classes=4)
+        reps = tr.resmlp_representations(data, tr.make_split(labels, seed=0), seed=0, hidden=8, layers=2, steps=40)
+        assert reps.shape == (48, 8)
+        assert [reps[i, j].hex() for i, j in [(0, 0), (17, 3), (47, 7)]] == [
+            "-0x1.b92e2c6907aaap-1", "-0x1.d2907e5272cddp+0", "-0x1.f736cbb784734p-2"]
+        c, inertia = kmeans(reps, k=4, seed=0)
+        assert self.digits(c) == "010213313110121111310011001010333322231312323322"
+        assert inertia == float.fromhex("0x1.e105c30f7451ap+6")
 
 
 def pp_sweeps_oracle(g, comm, k, m, total_pairs, sweeps):

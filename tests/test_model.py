@@ -942,28 +942,49 @@ class TestModelForward:
         with pytest.raises(ValueError, match="dropout_rng"):
             nn.model_forward(spec, params, inp, training=True)
 
+    def test_mlp_layers_mix_only_cluster_attention(self):
+        rng = np.random.default_rng(27)
+        g, cl = tiny_graph_and_clusterings()
+        cl["KM"] = fc(np.tile([0, 1], 6))
+        x = rng.standard_normal((g.n, 4))
+        plain = nn.ModelSpec(conv_type="MLP", layers=2, hidden=8)
+        params = nn.init_params(plain, 4, 3, seed=7)
+        assert not [k for k in params if ".norm1." in k or ".conv." in k or ".fuse." in k]
+        # graph-agnostic: the graph does not change the outputs
+        hidden, logits = nn.hidden_and_logits(plain, params, nn.prepare_inputs(g, x, plain))
+        other = nn.prepare_inputs(cycle_graph(g.n), x, plain)
+        np.testing.assert_array_equal(nn.model_forward(plain, params, other).data, logits.data)
+        np.testing.assert_array_equal(logits.data, hidden.data @ params["head.w"].data + params["head.b"].data)
+
+        spec = nn.ModelSpec(conv_type="MLP", use_clatt=True, clusterings=("LA", "KM"), layers=2, hidden=8, heads=2)
+        params = nn.init_params(spec, 4, 3, seed=7)
+        assert params["layer1.norm1.g"].data.shape == (8,)
+        assert params["layer1.fuse.w"].data.shape == (2 * 8, 8)  # cluster attention outputs only
+        assert nn.model_forward(spec, params, nn.prepare_inputs(g, x, spec, cl)).data.shape == (g.n, 3)
+
     def test_full_stack_grad_check(self):
         rng = np.random.default_rng(25)
         g = bridge_of_cliques([6, 6])
         assignment = np.array([0] * 6 + [1] * 6)
-        spec = nn.ModelSpec(conv_type="GCN", use_clatt=True, clusterings=("LA",), layers=2, hidden=4, heads=2)
         x = rng.standard_normal((g.n, 3))
         labels = np.array([0] * 6 + [1] * 6)
-        params = nn.init_params(spec, 3, 2, seed=5)
-        inp = nn.prepare_inputs(g, x, spec, {"LA": fc(assignment)})
         idx = np.arange(g.n)
+        for conv_type in ("GCN", "MLP"):
+            spec = nn.ModelSpec(conv_type=conv_type, use_clatt=True, clusterings=("LA",), layers=2, hidden=4, heads=2)
+            params = nn.init_params(spec, 3, 2, seed=5)
+            inp = nn.prepare_inputs(g, x, spec, {"LA": fc(assignment)})
 
-        # The key bias is a flat direction of attention (a uniform key
-        # shift moves each row's logits by a per-query constant, which
-        # softmax cancels), so its analytic gradient is exactly zero and
-        # the central difference returns pure rounding noise. Gradient
-        # correctness is scale-free; keep the loss small so that noise
-        # sits below the checker's 1e-8 absolute floor.
-        def f():
-            return T.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
+            # The key bias is a flat direction of attention (a uniform key
+            # shift moves each row's logits by a per-query constant, which
+            # softmax cancels), so its analytic gradient is exactly zero and
+            # the central difference returns pure rounding noise. Gradient
+            # correctness is scale-free; keep the loss small so that noise
+            # sits below the checker's 1e-8 absolute floor.
+            def f():
+                return T.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
 
-        err = T.grad_check(f, list(params.values()))
-        assert err < 1e-5
+            err = T.grad_check(f, list(params.values()))
+            assert err < 1e-5, conv_type
 
     def test_ggt_forward_runs(self):
         rng = np.random.default_rng(26)

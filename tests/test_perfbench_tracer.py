@@ -29,7 +29,7 @@ t = tracer.Tracer()
 tracer.install_all(t)
 rc = cli.main(["train", sys.argv[1], "--jobs", "1"])
 if rc == 0:
-    rc = cli.main(["analyze-attention", sys.argv[1], "out/GCN-CLATT_LA.ckpt", "--model", "GCN-CLATT(LA)"])
+    rc = cli.main(["analyze-attention", sys.argv[1], "out/GCN-CLATT_LA_KM.ckpt", "--model", "GCN-CLATT(LA,KM)"])
 print(json.dumps({"rc": rc, "metrics": tracer.layer_metrics(t, int(sys.argv[2]))}))
 """
 
@@ -47,8 +47,8 @@ def tiny_config(tmp_path):
     config = {
         "dataset": {"edges": "edges.csv", "nodes": "nodes.csv", "target_column": "target"},
         "split": {"ratios": [0.5, 0.25, 0.25], "seed": 0},
-        "models": [{"conv_type": "GCN", "use_clatt": True, "clusterings": ["LA"], **model}, {"conv_type": "LGT", **model}],
-        "clusterings": {"LA": {"seed": 0}},
+        "models": [{"conv_type": "GCN", "use_clatt": True, "clusterings": ["LA", "KM"], **model}, {"conv_type": "LGT", **model}],
+        "clusterings": {"LA": {"seed": 0}, "KM": {"hidden": 8, "steps": 20}},
         "min_cluster_size": 2,
         "seeds": [0, 1],
         "steps": 3,
@@ -75,6 +75,10 @@ def test_traced_train_gives_finite_layer_metrics(tmp_path):
     assert not bad
     assert metrics["nn.attention_logits_per_step"] > 0
     assert metrics["tensor.tape_nodes"] > 0
+    # KM's MLP trains outside training.train and nn.prepare_inputs, so these
+    # count only the configured models' runs and the analysis forward
     assert metrics["training.train_calls"] == 4
+    assert metrics["nn.prepare_inputs_calls"] == 5
+    assert metrics["training.resmlp_s"] > 0
     assert metrics["analysis.entries"] > 0
     assert metrics["stats.bfs_calls"] > 0

@@ -104,10 +104,6 @@ class TestForwardValues:
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert got[6] == 0.0
 
-    def test_relu(self):
-        z = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(T.relu(T.Tensor(z)).data, [0.0, 0.0, 3.0])
-
 
 class TestMaskedSoftmax:
     def test_equal_logits(self):
@@ -190,40 +186,6 @@ class TestLayerNorm:
         want = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
         got = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-class TestSegmentReduce:
-    def test_two_segment_sum(self):
-        vals = T.Tensor(np.array([[1.0], [2.0], [3.0]]))
-        out = T.segment_reduce(vals, np.array([0, 0, 1]), 2, mode="sum").data
-        np.testing.assert_array_equal(out, [[3.0], [3.0]])
-
-    def test_singleton_mean(self):
-        vals = T.Tensor(np.array([[4.0, 5.0]]))
-        out = T.segment_reduce(vals, np.array([0]), 1, mode="mean").data
-        np.testing.assert_array_equal(out, [[4.0, 5.0]])
-
-    def test_empty_segment_zero_row(self):
-        vals = T.Tensor(np.array([[1.0], [1.0]]))
-        out = T.segment_reduce(vals, np.array([0, 2]), 3, mode="mean").data
-        np.testing.assert_array_equal(out[1], [0.0])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        vals = rng.standard_normal((20, 3))
-        seg = rng.integers(0, 5, 20)
-        for mode in ("sum", "mean"):
-            got = T.segment_reduce(T.Tensor(vals), seg, 5, mode=mode).data
-            want = np.zeros((5, 3))
-            for s in range(5):
-                rows = vals[seg == s]
-                if rows.size:
-                    want[s] = rows.sum(axis=0) if mode == "sum" else rows.mean(axis=0)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_bad_segment_id(self):
-        with pytest.raises(ValueError, match="out of range"):
-            T.segment_reduce(T.Tensor(np.ones((2, 1))), np.array([0, 5]), 2)
 
 
 class TestLosses:
@@ -435,12 +397,6 @@ class TestGradCheck:
 
         assert T.grad_check(f, [a, b]) < 1e-6
 
-    def test_relu_off_kink(self):
-        rng = np.random.default_rng(25)
-        x = T.Tensor(rng.standard_normal((4, 4)) + np.sign(rng.standard_normal((4, 4))) * 0.1, requires_grad=True)
-        x.data[np.abs(x.data) < 0.05] = 0.5
-        assert T.grad_check(lambda: T.tsum(T.relu(x)), [x]) < 1e-6
-
     def test_gelu(self):
         rng = np.random.default_rng(26)
         x = rand_tensor(rng, (5, 3))
@@ -469,18 +425,6 @@ class TestGradCheck:
             return T.tsum(T.mul(T.layer_norm(x, gain, bias), weights))
 
         assert T.grad_check(f, [x, gain, bias]) < 1e-5
-
-    def test_segment_reduce_both_modes(self):
-        rng = np.random.default_rng(29)
-        vals = rand_tensor(rng, (8, 3))
-        seg = rng.integers(0, 4, 8)
-        weights = T.Tensor(rng.standard_normal((4, 3)))
-        for mode in ("sum", "mean"):
-
-            def f():
-                return T.tsum(T.mul(T.segment_reduce(vals, seg, 4, mode=mode), weights))
-
-            assert T.grad_check(f, [vals]) < 1e-6
 
     def test_gather_reshape_swap_concat(self):
         rng = np.random.default_rng(30)

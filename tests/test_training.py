@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from clatt import nn
 from clatt import training as tr
+from clatt.errors import InputError
 from clatt.graphs import transform_features
 from clatt.kmeans import kmeans
 from clatt.partition import Clustering
@@ -491,6 +492,12 @@ class TestResMLP:
         b = tr.resmlp_representations(data, split, hidden=16, layers=1, steps=60)
         assert a.shape == (60, 16)
         assert np.array_equal(a, b)
+
+    def test_layers_below_one_is_input_error(self):
+        data = self.make_blobs()
+        split = tr.make_split(data.targets, ratios=(0.4, 0.3, 0.3), seed=0)
+        with pytest.raises(InputError, match="layers must be >= 1"):
+            tr.resmlp_representations(data, split, layers=0)
 
     def test_kmeans_on_representations_recovers_classes(self):
         data = self.make_blobs()
