@@ -33,27 +33,11 @@ def _penalty(k: int, total_pairs: float) -> float:
     return 0.5 * (k * (k + 1) / 2.0) * np.log(max(total_pairs, 2.0))
 
 
-def _occupied(sizes: np.ndarray) -> int:
-    return int((sizes > 0).sum())
-
-
 def _k_ladder(k_max: int) -> list[int]:
     if k_max <= 12:
         return list(range(1, k_max + 1))
     ks = np.unique(np.round(np.geomspace(1, k_max, 14)).astype(int))
     return [int(k) for k in ks]
-
-
-def _start_runs(ladder, root: np.random.SeedSequence, restarts: int, n: int):
-    """The (k, restart) runs of a fit, k in ``ladder``: each run's block
-    count and its uniform random start over n units, drawn from a generator
-    of its own spawned from ``root`` (a k = 1 start is all zeros)."""
-    ks, comms = [], []
-    for k in ladder:
-        for sub in root.spawn(restarts):
-            ks.append(k)
-            comms.append(np.random.default_rng(sub).integers(0, k, size=n))
-    return ks, comms
 
 
 # Cells one batch of lockstep runs may hold per state array, so that memory
@@ -106,9 +90,28 @@ def _lockstep(state: dict, n: int, sweeps: int, visit) -> dict:
     return state
 
 
-def _best_run(comms, scores, fallback: np.ndarray) -> tuple[np.ndarray, float]:
-    """The first run, in ladder order, whose score beats every earlier one by _TOL."""
-    best_score, best = -np.inf, fallback
+def _fit_ladder(ladder, root: np.random.SeedSequence, restarts: int, n: int,
+                cells, lockstep) -> tuple[np.ndarray, float]:
+    """Fit ``restarts`` runs for each block count k in ``ladder`` and keep
+    the first, in ladder order, whose score beats every earlier one by _TOL.
+
+    Each run starts from a uniform random assignment of the n units to k
+    blocks, drawn from a generator of its own spawned from ``root`` (a
+    k = 1 start is all zeros). The runs are fitted in batches of at most
+    LOCKSTEP_MAX_CELLS cells (see _run_batches); ``lockstep(ks, comm)``
+    fits one batch and returns its assignments and their scores.
+    """
+    ks, comms = [], []
+    for k in ladder:
+        for sub in root.spawn(restarts):
+            ks.append(k)
+            comms.append(np.random.default_rng(sub).integers(0, k, size=n))
+    scores = []
+    for batch in _run_batches(ks, cells):
+        fitted, batch_scores = lockstep(ks[batch], np.stack(comms[batch]))
+        comms[batch] = list(fitted)
+        scores.extend(batch_scores.tolist())
+    best_score, best = -np.inf, np.zeros(n, dtype=np.int64)
     for comm, score in zip(comms, scores):
         if score > best_score + _TOL:
             best_score, best = score, comm
@@ -128,13 +131,9 @@ def planted_partition_fit(g: Graph, k_max: int = 10, seed: int = 0,
         raise InputError("k_max must be at least 1")
     total_pairs = g.n * (g.n - 1) / 2.0
     m = float(g.m)
-    ks, comms = _start_runs(_k_ladder(min(k_max, g.n)), np.random.SeedSequence(seed), restarts, g.n)
-    scores = []
-    for batch in _run_batches(ks, lambda k: g.n + k):
-        fitted, batch_scores = _pp_lockstep(g, ks[batch], np.stack(comms[batch]), m, total_pairs, sweeps)
-        comms[batch] = list(fitted)
-        scores.extend(batch_scores.tolist())
-    best_assign, best_score = _best_run(comms, scores, np.zeros(g.n, dtype=np.int64))
+    best_assign, best_score = _fit_ladder(
+        _k_ladder(min(k_max, g.n)), np.random.SeedSequence(seed), restarts, g.n, lambda k: g.n + k,
+        lambda ks, comm: _pp_lockstep(g, ks, comm, m, total_pairs, sweeps))
     return Clustering(assignment=relabel_by_first_occurrence(best_assign),
                       algorithm_tag="BPP",
                       params={"k_max": k_max, "seed": seed, "restarts": restarts,
@@ -205,37 +204,17 @@ def _block_matrices(units: WeightedGraph, comm: np.ndarray, k: int):
     return M, sizes
 
 
-def _pair_matrix(sizes: np.ndarray) -> np.ndarray:
-    T = np.outer(sizes, sizes)
-    np.fill_diagonal(T, sizes * (sizes - 1) / 2.0)
-    return T
-
-
-def _block_likelihood(M: np.ndarray, T: np.ndarray) -> float:
-    b = _bern(M, T)
-    return float(np.triu(b).sum())
-
-
-def _general_score(units: WeightedGraph, comm: np.ndarray, k: int, total_pairs: float) -> float:
-    """Penalised likelihood of a full rate-matrix partition into k blocks.
-
-    The model-order penalty charges both the k(k+1)/2 rate parameters and
-    the description length of the assignment itself (n log k), which keeps
-    small graphs from splintering into spurious blocks.
-    """
-    M, sizes = _block_matrices(units, comm, k)
-    like = _block_likelihood(M, _pair_matrix(sizes))
-    kocc = _occupied(sizes)
-    return float(like - _penalty(kocc, total_pairs) - float(units.sizes.sum()) * np.log(kocc))
-
-
 def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, sweeps: int,
-                      total_pairs: float) -> np.ndarray:
+                      total_pairs: float) -> tuple[np.ndarray, np.ndarray]:
     """Full rate-matrix sweeps of every run in ``comm`` (runs, n), run r over
-    blocks 0..ks[r]-1; returns the fitted assignments.
+    blocks 0..ks[r]-1; returns the fitted assignments and their scores.
 
     A visit parks v outside every block and scores each candidate block b by
-    the likelihood change of the rows it touches, for all runs at once.
+    the likelihood change of the rows it touches, for all runs at once. A
+    run's score is its likelihood over its own k x k blocks less a
+    model-order penalty that charges both the k(k+1)/2 rate parameters and
+    the description length of the assignment itself (n log k), which keeps
+    small graphs from splintering into spurious blocks.
     """
     R, K = comm.shape[0], max(ks)
     n_orig = float(units.sizes.sum())
@@ -249,6 +228,12 @@ def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, swe
     sizes = np.stack([p[1] for p in pairs])
     d = np.arange(K)
     upper = np.triu(np.ones((K, K), dtype=bool))
+
+    def pair_counts(s):
+        """(runs, K, K) node pairs within and between blocks of sizes s."""
+        t = s[:, :, None] * s[:, None, :]
+        t[:, d, d] = s * (s - 1) / 2.0
+        return t
 
     def visit(st, v):
         comm, M, sizes = st["comm"], st["M"], st["sizes"]
@@ -266,9 +251,7 @@ def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, swe
         M0[r, a, a] += w[r, a] - l_v  # -= hit the diagonal twice
         sizes0 = sizes.copy()
         sizes0[r, a] -= s_v
-        T0 = sizes0[:, :, None] * sizes0[:, None, :]
-        T0[:, d, d] = sizes0 * (sizes0 - 1) / 2.0
-        base_rows = _bern(M0, T0)
+        base_rows = _bern(M0, pair_counts(sizes0))
         base_like = np.where(upper, base_rows, 0.0).sum(axis=(1, 2))
         # candidate b: add w to row b of M0 and s_v to sizes0[b];
         # all candidate rows evaluated at once
@@ -300,25 +283,10 @@ def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, swe
 
     st = _lockstep({"comm": comm, "M": M, "sizes": sizes, "mask": _block_mask(ks, K)},
                    units.n, sweeps, visit)
-    return st["comm"]
-
-
-def general_blockmodel_fit(units: WeightedGraph, k_max: int, seed,
-                           sweeps: int = 30, restarts: int = 5,
-                           total_pairs: float | None = None,
-                           k_min: int = 1) -> tuple[np.ndarray, float]:
-    """Model-selected full-rate-matrix fit on an aggregated graph."""
-    n_orig = float(units.sizes.sum())
-    if total_pairs is None:
-        total_pairs = n_orig * (n_orig - 1) / 2.0
-    root = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
-    ladder = [k for k in _k_ladder(min(k_max, units.n)) if k >= min(k_min, units.n)]
-    ks, comms = _start_runs(ladder, root, restarts, units.n)
-    for batch in _run_batches(ks, lambda k: units.n + k * k):
-        comms[batch] = list(_general_lockstep(units, ks[batch], np.stack(comms[batch]), sweeps, total_pairs))
-    scores = [_general_score(units, comm, k, total_pairs) for k, comm in zip(ks, comms)]
-    best, best_score = _best_run(comms, scores, np.zeros(units.n, dtype=np.int64))
-    return relabel_by_first_occurrence(best), best_score
+    b = _bern(st["M"], pair_counts(st["sizes"]))
+    like = np.array([np.triu(b[r, :k, :k]).sum() for r, k in enumerate(ks)])
+    kocc = (st["sizes"] > 0).sum(axis=1)
+    return st["comm"], like - _penalty(kocc, total_pairs) - n_orig * np.log(kocc)
 
 
 def hierarchical_fit(g: Graph, seed: int = 0, k_max: int | None = None,
@@ -347,10 +315,10 @@ def hierarchical_fit(g: Graph, seed: int = 0, k_max: int | None = None,
     for depth in range(16):
         # base levels always consider at least two blocks so the hierarchy
         # has somewhere to go; collapse is decided at the top instead
-        comm, _ = general_blockmodel_fit(units, min(k_max, units.n),
-                                         level_seeds[depth], sweeps=sweeps,
-                                         restarts=restarts, total_pairs=total_pairs,
-                                         k_min=2)
+        ladder = [k for k in _k_ladder(min(k_max, units.n)) if k >= min(2, units.n)]
+        comm, _ = _fit_ladder(ladder, level_seeds[depth], restarts, units.n, lambda k: units.n + k * k,
+                              lambda ks, c: _general_lockstep(units, ks, c, sweeps, total_pairs))
+        comm = relabel_by_first_occurrence(comm)
         k = int(comm.max()) + 1
         assignment = comm[to_unit]
         levels.append((assignment, k))

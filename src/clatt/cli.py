@@ -50,10 +50,6 @@ def _echo(msg: str) -> None:
         os.close(devnull)
 
 
-def _load_graph(args):
-    return load_edge_list(args.edges, directed=getattr(args, "directed", False))
-
-
 def _schema_from_args(args) -> TableSchema:
     cols = None
     if getattr(args, "feature_columns", None):
@@ -67,7 +63,7 @@ def _schema_from_args(args) -> TableSchema:
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args)
+    g = load_edge_list(args.edges)
     targets = None
     if args.nodes:
         nd = load_node_table(args.nodes, _schema_from_args(args), g)
@@ -116,7 +112,7 @@ def _resmlp_inputs(args, g) -> tuple[tr.TrainData, tr.Split]:
 def cmd_cluster(args) -> int:
     if args.min_size is not None and args.max_size is not None and args.min_size > args.max_size:
         raise InputError(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
-    g = _load_graph(args)
+    g = load_edge_list(args.edges)
     params = {
         "LA": {"gamma": args.gamma},
         "BPP": {"k_max": args.k_max},
@@ -169,12 +165,15 @@ def cmd_compare(args) -> int:
 
 def _prepare_run(cfg: ExperimentConfig, specs) -> tuple[tr.TrainData, tr.Split, Path]:
     """Graph, node table, split and output directory of a config command.
-    Runs no clustering, so a graph too large for a GGT model or for the
-    positional encoding of a model in ``specs`` fails before any runs."""
+    Runs no clustering, so a graph too large for a GGT or LGT model or for
+    the positional encoding of a model in ``specs`` fails before any runs."""
     ds = cfg.dataset
-    g = load_edge_list(ds.edges, directed=ds.directed)
-    if any(spec.conv_type == "GGT" for spec in specs):
+    g = load_edge_list(ds.edges)
+    conv_types = {spec.conv_type for spec in specs}
+    if "GGT" in conv_types:
         nn.check_global_attention_size(g.n)
+    if "LGT" in conv_types:
+        nn.check_neighborhood_size(g)
     pe_kinds = {spec.pe for spec in specs}
     if "deepwalk" in pe_kinds:
         check_deepwalk_size(g.n)  # the same bound deepwalk_pe checks: one dense n x n matrix
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="structural statistics of an edge-list graph")
     sp.add_argument("edges")
     add_table_flags(sp, "node table CSV; enables homophily/target assortativity")
-    sp.add_argument("--directed", action="store_true", help="edge list is directed (symmetrised on load)")
     sp.add_argument("--out", help="also write the JSON here")
     sp.set_defaults(func=cmd_stats)
 

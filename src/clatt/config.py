@@ -39,7 +39,6 @@ class DatasetConfig:
     feature_columns: tuple | None = None
     target_column: str | None = None
     task: str = "multiclass"
-    directed: bool = False
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,6 @@ DATASET_FIELDS = {
     "feature_columns": _or_null(_list_of(_of_type(str, "a string"))),
     "target_column": _or_null(_of_type(str, "a string or null")),
     "task": _choice(TASKS),
-    "directed": _bool_field,
 }
 SPLIT_FIELDS = {"ratios": _ratios, "seed": _seed, "stratified": _bool_field}
 GRID_FIELDS = {

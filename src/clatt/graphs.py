@@ -159,12 +159,12 @@ def _parse_id(tok: str, where: str) -> int:
     return value
 
 
-def load_edge_list(path, directed: bool = False) -> Graph:
+def load_edge_list(path) -> Graph:
     """Read a whitespace- or comma-separated edge list.
 
     Node ids are arbitrary integers; they are compacted to 0..n-1 in order
     of first appearance (the original ids live in ``Graph.node_ids``).
-    Directed input is symmetrised. Lines starting with '#' and blank lines
+    Every edge is taken as undirected. Lines starting with '#' and blank lines
     are skipped; a header line of two non-integer tokens is tolerated.
     """
     path = Path(path)
@@ -191,7 +191,6 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     compact = np.empty_like(by_appearance)
     compact[by_appearance] = np.arange(ids.shape[0])
     stream = compact[inverse]
-    # directed input is symmetrised; storage is the same either way
     return from_edges(stream[0::2], stream[1::2], n=ids.shape[0],
                       node_ids=ids[by_appearance])
 

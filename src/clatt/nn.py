@@ -34,6 +34,7 @@ __all__ = [
     "SlotClass",
     "build_cluster_batch",
     "check_global_attention_size",
+    "check_neighborhood_size",
     "clatt_forward",
     "fuse",
     "gcn_matrix",
@@ -235,16 +236,23 @@ def mean_matrix(g) -> sp.csr_matrix:
     return m
 
 
-def neighborhood_table(g):
-    """(n, max_deg+1) node-id table over N(i) and i, with validity mask."""
+def check_neighborhood_size(g) -> int:
+    """Refuse a graph whose (n, max_deg+1) neighborhood table is past the
+    bound; returns the table's width."""
     n = g.n
-    counts = g.degrees + 1
-    size = int(counts.max())
+    size = int(g.degrees.max()) + 1
     if n * size > NEIGHBORHOOD_TABLE_MAX_SLOTS:
         raise InputError(
             f"neighborhood attention pads every node to max degree + 1: an {n} x {size} table "
             f"({n * size} slots) exceeds the desk-scale limit of {NEIGHBORHOOD_TABLE_MAX_SLOTS} slots"
         )
+    return size
+
+
+def neighborhood_table(g):
+    """(n, max_deg+1) node-id table over N(i) and i, with validity mask."""
+    n = g.n
+    size = check_neighborhood_size(g)
     a, ids = _self_looped(g)
     slots = np.arange(ids.size) - a.indptr[ids]
     table = np.zeros((n, size), dtype=np.int64)
@@ -348,14 +356,6 @@ class ModelSpec:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "ModelSpec":
-        """The spec ``to_json`` wrote; every field must be present and pass
-        the checks of a config's model, else ConfigError."""
-        from .config import model_record  # config imports this module
-
-        return model_record(json.loads(text), "spec")
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:

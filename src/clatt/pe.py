@@ -110,7 +110,7 @@ def deepwalk_pe(
     walks_per_node: int = 10,
     walk_len: int = 80,
     window: int = 5,
-    neg: int = 5,
+    neg: int = 1,
     epochs: int = 5,
 ) -> np.ndarray:
     """DeepWalk embeddings as the factorisation skip-gram with negative

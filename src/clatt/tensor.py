@@ -23,10 +23,6 @@ __all__ = [
     "no_grad",
     "backward",
     "add",
-    "sub",
-    "mul",
-    "scale",
-    "matmul",
     "linear",
     "concat_last_dim",
     "gelu",
@@ -37,12 +33,9 @@ __all__ = [
     "mse",
     "dropout",
     "spmm",
-    "take_rows",
     "slot_logits",
     "slot_context",
     "reshape",
-    "swap_axes",
-    "tsum",
     "AdamState",
     "adam_init",
     "adam_step",
@@ -201,52 +194,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         return _sum_to(g, a.data.shape), _sum_to(g, b.data.shape)
-
-    return _op(out, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError:
-        _shape_error("sub", a.data.shape, b.data.shape)
-
-    def back(g):
-        return _sum_to(g, a.data.shape), _sum_to(-g, b.data.shape)
-
-    return _op(out, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError:
-        _shape_error("mul", a.data.shape, b.data.shape)
-
-    def back(g):
-        return _sum_to(g * b.data, a.data.shape), _sum_to(g * a.data, b.data.shape)
-
-    return _op(out, (a, b), back)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def back(g):
-        return (g * c,)
-
-    return _op(x.data * c, (x,), back)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        _shape_error("matmul", a.data.shape, b.data.shape)
-    out = a.data @ b.data
-
-    def back(g):
-        ga = _sum_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
 
     return _op(out, (a, b), back)
 
@@ -454,19 +401,6 @@ def spmm(a, x: Tensor) -> Tensor:
     return _op(out, (x,), back)
 
 
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows of x by an integer index array (any index shape)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = x.data[idx]
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _op(out, (x,), back)
-
-
 def slot_logits(q: Tensor, k: Tensor, queries, keys, heads: int, q_scatter, k_scatter) -> Tensor:
     """Per-head scaled dot products of gathered query and key rows.
 
@@ -527,20 +461,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return _op(out, (x,), back)
-
-
-def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
-    def back(g):
-        return (np.swapaxes(g, a, b),)
-
-    return _op(np.swapaxes(x.data, a, b), (x,), back)
-
-
-def tsum(x: Tensor) -> Tensor:
-    def back(g):
-        return (np.full_like(x.data, float(g)),)
-
-    return _op(np.asarray(x.data.sum()), (x,), back)
 
 
 @dataclass

@@ -28,6 +28,8 @@ from clatt.similarity import correlation_coefficient, pair_counts
 from clatt.stats import compute_graph_stats
 from clatt.synthetic import bridge_of_cliques, erdos_renyi, noisy_onehot_features, sbm_graph
 
+import tape_ops as TO
+
 DATA_ENV = "CLATT_DATA_DIR"
 
 
@@ -149,27 +151,27 @@ def _op_cases():
         return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
     def weighted(y, w):
-        return T.tsum(T.mul(y, w))
+        return TO.tsum(TO.mul(y, w))
 
     cases = {}
 
     a, b = t(3, 4), t(4)
-    cases["add"] = (lambda: T.tsum(T.add(a, b)), [a, b])
+    cases["add"] = (lambda: TO.tsum(T.add(a, b)), [a, b])
     a2, b2 = t(3, 4), t(4)
-    cases["sub"] = (lambda: T.tsum(T.sub(a2, b2)), [a2, b2])
+    cases["sub"] = (lambda: TO.tsum(TO.sub(a2, b2)), [a2, b2])
     a3, b3 = t(3, 4), t(4)
-    cases["mul"] = (lambda: T.tsum(T.mul(a3, b3)), [a3, b3])
+    cases["mul"] = (lambda: TO.tsum(TO.mul(a3, b3)), [a3, b3])
     a4 = t(3, 4)
-    cases["scale"] = (lambda: T.tsum(T.scale(a4, 1.7)), [a4])
+    cases["scale"] = (lambda: TO.tsum(TO.scale(a4, 1.7)), [a4])
     m1, m2 = t(2, 3, 4), t(2, 4, 2)
-    cases["matmul"] = (lambda: T.tsum(T.matmul(m1, m2)), [m1, m2])
+    cases["matmul"] = (lambda: TO.tsum(TO.matmul(m1, m2)), [m1, m2])
     xl, wl, bl = t(5, 3), t(3, 4), t(4)
-    cases["linear"] = (lambda: T.tsum(T.linear(xl, wl, bl)), [xl, wl, bl])
+    cases["linear"] = (lambda: TO.tsum(T.linear(xl, wl, bl)), [xl, wl, bl])
     c1, c2 = t(3, 2), t(3, 3)
-    cases["concat_last_dim"] = (lambda: T.tsum(T.concat_last_dim([c1, c2])), [c1, c2])
+    cases["concat_last_dim"] = (lambda: TO.tsum(T.concat_last_dim([c1, c2])), [c1, c2])
 
     xg = t(4, 4)
-    cases["gelu"] = (lambda: T.tsum(T.gelu(xg)), [xg])
+    cases["gelu"] = (lambda: TO.tsum(T.gelu(xg)), [xg])
 
     # softmax rows sum to one, so weight the output to get a usable signal
     zs = t(3, 5)
@@ -198,10 +200,10 @@ def _op_cases():
 
     mat = sp.random(4, 6, density=0.5, random_state=3, format="csr")
     xs = t(6, 3)
-    cases["spmm"] = (lambda: T.tsum(T.spmm(mat, xs)), [xs])
+    cases["spmm"] = (lambda: TO.tsum(T.spmm(mat, xs)), [xs])
 
     xt = t(5, 3)
-    cases["take_rows"] = (lambda: T.tsum(T.take_rows(xt, np.array([0, 2, 2, 4]))), [xt])
+    cases["take_rows"] = (lambda: TO.tsum(TO.take_rows(xt, np.array([0, 2, 2, 4]))), [xt])
 
     # slot ops on 2 rows x 2 heads, 2 query and 3 key slots over 5 nodes;
     # the scatters are the gathers' exact transposes, repeated nodes included
@@ -226,9 +228,9 @@ def _op_cases():
     cases["reshape"] = (lambda: weighted(T.reshape(xre, (2, 12)), wre), [xre])
     xsw = t(2, 3, 4)
     wsw = T.Tensor(rng.standard_normal((4, 3, 2)))
-    cases["swap_axes"] = (lambda: weighted(T.swap_axes(xsw, 0, 2), wsw), [xsw])
+    cases["swap_axes"] = (lambda: weighted(TO.swap_axes(xsw, 0, 2), wsw), [xsw])
     xts = t(3, 3)
-    cases["tsum"] = (lambda: T.tsum(xts), [xts])
+    cases["tsum"] = (lambda: TO.tsum(xts), [xts])
     return cases
 
 
@@ -257,7 +259,7 @@ def test_criterion_3_gradient_suite():
     # analytic gradient is exactly zero; keep the loss small enough that
     # the finite-difference noise there stays under the checker's floor
     def f():
-        return T.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
+        return TO.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
 
     model_err = T.grad_check(f, list(params.values()))
     assert model_err <= 1e-5

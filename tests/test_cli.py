@@ -439,7 +439,7 @@ class TestConfig:
          ('models.1.clusterings="LA"', "models[1].clusterings: expected a list"),
          ('models.1.clusterings=["LA","XX"]', "models[1].clusterings[1]: must be one of"),
          ('split.stratified="false"', "split.stratified: expected true or false"),
-         ('dataset.directed="false"', "dataset.directed: expected true or false"),
+         ('dataset.directed="false"', "dataset.directed: unknown config key"),
          ("max_cluster_size=513", f"max_cluster_size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 513")],
     )
     def test_fields_are_checked_not_coerced(self, tmp_path, capsys, override, field):
@@ -576,6 +576,7 @@ class TestTrainCommand:
         assert cli.main(["train", str(path)]) == 0
         first = (tmp_path / "out" / "results.csv").read_bytes()
         assert first.decode().splitlines()[1].startswith("GGT,")
+        assert np.abs(np.load(tmp_path / "out" / "pe" / "deepwalk_64.npy")).max() > 0  # the model sees an encoding
         assert cli.main(["train", str(path)]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
 
@@ -700,6 +701,19 @@ class TestCheapChecksFirst:
         captured = capsys.readouterr()
         assert "desk-scale limit of 4" in captured.err
         assert "clustering LA:" not in captured.out and not pe_calls
+
+    @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
+    def test_graph_over_neighborhood_bound_fails_before_clustering(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(nn, "NEIGHBORHOOD_TABLE_MAX_SLOTS", 10)
+        lgt = {"conv_type": "LGT", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        clatt = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3, "use_clatt": True, "clusterings": ["LA"]}
+        args = [command, str(base_config(tmp_path, steps=3, models=[lgt, clatt]))]
+        if command == "analyze-attention":  # select-clusterings takes the LGT model as its base
+            args += [str(tmp_path / "LGT.ckpt"), "--model", "LGT"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert "desk-scale limit of 10 slots" in captured.err
+        assert "clustering LA:" not in captured.out
 
     @pytest.mark.parametrize("command", ["train", "select-clusterings", "analyze-attention"])
     @pytest.mark.parametrize("kind", ["deepwalk", "laplacian"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ import scipy.sparse as sp
 
 from clatt import nn, pe
 from clatt import tensor as T
+from clatt.config import model_record
 from clatt.errors import InputError
 from clatt.graphs import from_edges
 from clatt.partition import Clustering
 from clatt.pe import deepwalk_pe, laplacian_pe
 from clatt.stats import connected_components
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, sbm_graph, star_graph
+
+import tape_ops as TO
 
 
 def fc(assignment):
@@ -215,7 +219,7 @@ class TestFuse:
         cl = T.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         w = T.Tensor(rng.standard_normal((9, 3)), requires_grad=True)
         b = T.Tensor(rng.standard_normal(3), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(nn.fuse(mp, cl, w, b)), [mp, cl, w, b])
+        err = T.grad_check(lambda: TO.tsum(nn.fuse(mp, cl, w, b)), [mp, cl, w, b])
         assert err < 1e-5
 
 
@@ -406,7 +410,7 @@ class TestSizeClasses:
         # the key bias has an exactly-zero gradient; keep its finite-difference
         # noise under the checker's floor
         def f():
-            return T.scale(T.tsum(T.mul(nn.clatt_forward(x, [batch], [prm], heads=2), w)), 1e-4)
+            return TO.scale(TO.tsum(TO.mul(nn.clatt_forward(x, [batch], [prm], heads=2), w)), 1e-4)
 
         assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
 
@@ -420,7 +424,7 @@ class TestSizeClasses:
         w = T.Tensor(rng.standard_normal((g.n, 4)))
 
         def f():
-            return T.scale(T.tsum(T.mul(nn.local_attention_conv(x, classes, prm, heads=2), w)), 1e-4)
+            return TO.scale(TO.tsum(TO.mul(nn.local_attention_conv(x, classes, prm, heads=2), w)), 1e-4)
 
         assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
 
@@ -442,25 +446,6 @@ class TestSizeClasses:
             for r, i in enumerate(rec["nodes"][:, 0]):
                 hood = np.sort(np.concatenate([g.neighbors_of(i), [i]]))
                 np.testing.assert_array_equal(rec["index_table"][r, rec["mask"][r]], hood)
-
-
-def composed_slot_attention(x, cls, prm, heads):
-    """The fused ops' oracle: one class of slot attention as separate tape
-    ops (gather, split heads, scale, QK^T, masked softmax, PV, scatter)."""
-    d = x.data.shape[1]
-    rows, sq = cls.nodes.shape
-
-    def slotted(t, table):
-        g = T.take_rows(t, table)
-        return T.swap_axes(T.reshape(g, table.shape + (heads, d // heads)), 1, 2)
-
-    q = slotted(T.linear(x, prm["wq"], prm["bq"]), np.maximum(cls.nodes, 0))
-    k = slotted(T.linear(x, prm["wk"]), cls.table)
-    v = slotted(T.linear(x, prm["wv"], prm["bv"]), cls.table)
-    logits = T.matmul(T.scale(q, 1.0 / math.sqrt(d // heads)), T.swap_axes(k, -1, -2))
-    p = T.masked_softmax(logits, np.broadcast_to(cls.mask[:, None, None, :], logits.data.shape))
-    ctx = T.reshape(T.swap_axes(T.matmul(p, v), 1, 2), (rows * sq, d))
-    return T.spmm(cls.scatter, ctx)
 
 
 def fused_test_classes():
@@ -490,10 +475,10 @@ class TestFusedSlotAttention:
         leaves = [x, *prm.values()]
 
         def fused():
-            return T.tsum(T.mul(nn._slot_attention(x, [cls], prm, 2, None, {}), w))
+            return TO.tsum(TO.mul(nn._slot_attention(x, [cls], prm, 2, None, {}), w))
 
         def composed():
-            return T.tsum(T.mul(composed_slot_attention(x, cls, prm, 2), w))
+            return TO.tsum(TO.mul(TO.composed_slot_attention(x, cls, prm, 2), w))
 
         grads = []
         for f in (fused, composed):
@@ -507,7 +492,7 @@ class TestFusedSlotAttention:
             np.testing.assert_array_equal(a, b)
 
         def scaled():
-            return T.scale(fused(), 1e-4)
+            return TO.scale(fused(), 1e-4)
 
         assert T.grad_check(scaled, leaves) <= 1e-5
 
@@ -862,7 +847,7 @@ class TestModelSpec:
 
     def test_json_roundtrip(self):
         spec = nn.ModelSpec(conv_type="GCN", use_clatt=True, clusterings=("LA", "KM"), hidden=64, heads=4, dropout=0.1)
-        again = nn.ModelSpec.from_json(spec.to_json())
+        again = model_record(json.loads(spec.to_json()), "spec")
         assert again == spec
 
     def test_name(self):
@@ -981,7 +966,7 @@ class TestModelForward:
             # correctness is scale-free; keep the loss small so that noise
             # sits below the checker's 1e-8 absolute floor.
             def f():
-                return T.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
+                return TO.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
 
             err = T.grad_check(f, list(params.values()))
             assert err < 1e-5, conv_type

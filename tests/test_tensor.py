@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from clatt import checkpoint as ck
 from clatt import nn
 from clatt import tensor as T
+from clatt.config import model_record
+
+import tape_ops as TO
 
 
 def naive_matmul(a, b):
@@ -38,13 +41,13 @@ class TestForwardValues:
         rng = np.random.default_rng(0)
         x = T.Tensor(rng.standard_normal((4, 4)))
         eye = T.Tensor(np.eye(4))
-        np.testing.assert_array_equal(T.matmul(eye, x).data, x.data)
+        np.testing.assert_array_equal(TO.matmul(eye, x).data, x.data)
 
     def test_matmul_matches_naive(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((3, 2))
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        got = TO.matmul(T.Tensor(a), T.Tensor(b)).data
         np.testing.assert_allclose(got, naive_matmul(a, b), atol=1e-12)
 
     @given(
@@ -58,20 +61,20 @@ class TestForwardValues:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((p, q))
         b = rng.standard_normal((q, r))
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        got = TO.matmul(T.Tensor(a), T.Tensor(b)).data
         np.testing.assert_allclose(got, naive_matmul(a, b), atol=1e-12)
 
     def test_matmul_shape_error_names_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(a, b)
+            TO.matmul(a, b)
 
     def test_batched_matmul_broadcast(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 2, 4))
         b = rng.standard_normal((4, 5))
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        got = TO.matmul(T.Tensor(a), T.Tensor(b)).data
         for i in range(3):
             np.testing.assert_allclose(got[i], a[i] @ b, atol=1e-12)
 
@@ -232,25 +235,25 @@ class TestLosses:
 class TestBackwardMechanics:
     def test_sum_grad_is_ones(self):
         x = T.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        T.backward(T.tsum(x))
+        T.backward(TO.tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_elementwise_product_grad(self):
         rng = np.random.default_rng(5)
         x = rand_tensor(rng, (3, 4))
         y = rand_tensor(rng, (3, 4))
-        T.backward(T.tsum(T.mul(x, y)))
+        T.backward(TO.tsum(TO.mul(x, y)))
         np.testing.assert_allclose(x.grad, y.data, atol=1e-12)
         np.testing.assert_allclose(y.grad, x.data, atol=1e-12)
 
     def test_reused_tensor_accumulates(self):
         x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        T.backward(T.tsum(T.mul(x, x)))
+        T.backward(TO.tsum(TO.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
     def test_repeated_backward_errors(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
-        loss = T.tsum(x)
+        loss = TO.tsum(x)
         T.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             T.backward(loss)
@@ -264,7 +267,7 @@ class TestBackwardMechanics:
 
         def step():
             h = T.gelu(T.linear(x, w))
-            loss = T.tsum(h)
+            loss = TO.tsum(h)
             T.backward(loss)
             return loss, weakref.ref(h.data)
 
@@ -282,39 +285,39 @@ class TestBackwardMechanics:
     def test_output_of_consumed_tape_is_a_constant(self):
         rng = np.random.default_rng(7)
         w = rand_tensor(rng, (3,))
-        old = T.mul(w, w)
-        T.backward(T.tsum(old))
+        old = TO.mul(w, w)
+        T.backward(TO.tsum(old))
         T.zero_grad([w])
-        T.backward(T.tsum(T.mul(old, w)))
+        T.backward(TO.tsum(TO.mul(old, w)))
         np.testing.assert_allclose(w.grad, old.data, atol=1e-12)
 
     def test_non_scalar_loss_errors(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            T.backward(T.mul(x, x))
+            T.backward(TO.mul(x, x))
 
     def test_untracked_loss_errors(self):
         with pytest.raises(RuntimeError, match="not connected"):
-            T.backward(T.tsum(T.Tensor(np.ones(3))))
+            T.backward(TO.tsum(T.Tensor(np.ones(3))))
 
     def test_disconnected_param_stays_zero(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         unused = T.Tensor(np.ones(4), requires_grad=True)
-        T.backward(T.tsum(T.mul(x, x)))
+        T.backward(TO.tsum(TO.mul(x, x)))
         np.testing.assert_array_equal(unused.grad, 0.0)
 
     def test_no_grad_blocks_recording(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
-            out = T.tsum(T.mul(x, x))
+            out = TO.tsum(TO.mul(x, x))
         assert not out.requires_grad
         with pytest.raises(RuntimeError):
             T.backward(out)
 
     def test_grad_accumulates_across_backwards(self):
         x = T.Tensor(np.array([2.0]), requires_grad=True)
-        T.backward(T.tsum(x))
-        T.backward(T.tsum(T.scale(x, 3.0)))
+        T.backward(TO.tsum(x))
+        T.backward(TO.tsum(TO.scale(x, 3.0)))
         np.testing.assert_array_equal(x.grad, [4.0])
 
     def test_dropout_deterministic_and_scaled(self):
@@ -325,7 +328,7 @@ class TestBackwardMechanics:
         kept = a.data != 0
         np.testing.assert_array_equal(a.data[kept], 2.0)
         assert 0.35 < kept.mean() < 0.65
-        T.backward(T.tsum(a))
+        T.backward(TO.tsum(a))
         np.testing.assert_array_equal(x.grad[kept], 2.0)
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
 
@@ -341,20 +344,20 @@ class TestBackwardMechanics:
         out = T.spmm(a, x)
         np.testing.assert_allclose(out.data, dense @ x.data, atol=1e-12)
         g = rng.standard_normal((6, 3))
-        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        T.backward(TO.tsum(TO.mul(out, T.Tensor(g))))
         np.testing.assert_allclose(x.grad, dense.T @ g, atol=1e-12)
 
     def test_take_rows_scatter_grad(self):
         x = T.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
         idx = np.array([[0, 2], [2, 1]])
-        out = T.take_rows(x, idx)
+        out = TO.take_rows(x, idx)
         assert out.data.shape == (2, 2, 3)
-        T.backward(T.tsum(out))
+        T.backward(TO.tsum(out))
         np.testing.assert_array_equal(x.grad, [[1.0] * 3, [1.0] * 3, [2.0] * 3, [0.0] * 3])
 
 
 def quadratic_loss(x):
-    return T.tsum(T.mul(x, x))
+    return TO.tsum(TO.mul(x, x))
 
 
 class TestGradCheck:
@@ -372,7 +375,7 @@ class TestGradCheck:
         c = rand_tensor(rng, (4,))
 
         def f():
-            return T.tsum(T.mul(T.sub(T.add(a, c), b), T.scale(a, 0.5)))
+            return TO.tsum(TO.mul(TO.sub(T.add(a, c), b), TO.scale(a, 0.5)))
 
         assert T.grad_check(f, [a, b, c]) < 1e-6
 
@@ -383,7 +386,7 @@ class TestGradCheck:
         b = rand_tensor(rng, (2,))
 
         def f():
-            return T.tsum(T.linear(x, w, b))
+            return TO.tsum(T.linear(x, w, b))
 
         assert T.grad_check(f, [x, w, b]) < 1e-6
 
@@ -393,14 +396,14 @@ class TestGradCheck:
         b = rand_tensor(rng, (4, 3))
 
         def f():
-            return T.tsum(T.matmul(a, b))
+            return TO.tsum(TO.matmul(a, b))
 
         assert T.grad_check(f, [a, b]) < 1e-6
 
     def test_gelu(self):
         rng = np.random.default_rng(26)
         x = rand_tensor(rng, (5, 3))
-        assert T.grad_check(lambda: T.tsum(T.gelu(x)), [x]) < 1e-6
+        assert T.grad_check(lambda: TO.tsum(T.gelu(x)), [x]) < 1e-6
 
     def test_masked_softmax_composite(self):
         rng = np.random.default_rng(27)
@@ -410,7 +413,7 @@ class TestGradCheck:
         mask[:, 0] = True
 
         def f():
-            return T.tsum(T.mul(T.masked_softmax(logits, mask), weights))
+            return TO.tsum(TO.mul(T.masked_softmax(logits, mask), weights))
 
         assert T.grad_check(f, [logits]) < 1e-5
 
@@ -422,7 +425,7 @@ class TestGradCheck:
         weights = T.Tensor(rng.standard_normal((3, 6)))
 
         def f():
-            return T.tsum(T.mul(T.layer_norm(x, gain, bias), weights))
+            return TO.tsum(TO.mul(T.layer_norm(x, gain, bias), weights))
 
         assert T.grad_check(f, [x, gain, bias]) < 1e-5
 
@@ -432,10 +435,10 @@ class TestGradCheck:
         idx = np.array([[0, 3], [4, 1]])
 
         def f():
-            g = T.take_rows(x, idx)
-            g = T.swap_axes(g, 0, 1)
+            g = TO.take_rows(x, idx)
+            g = TO.swap_axes(g, 0, 1)
             flat = T.reshape(g, (4, 4))
-            return T.tsum(T.concat_last_dim([flat, T.scale(flat, -0.5)]))
+            return TO.tsum(T.concat_last_dim([flat, TO.scale(flat, -0.5)]))
 
         assert T.grad_check(f, [x]) < 1e-6
 
@@ -443,14 +446,14 @@ class TestGradCheck:
         rng = np.random.default_rng(31)
         a = sp.csr_matrix((rng.random((5, 5)) < 0.5) * rng.standard_normal((5, 5)))
         x = rand_tensor(rng, (5, 2))
-        assert T.grad_check(lambda: T.tsum(T.spmm(a, x)), [x]) < 1e-6
+        assert T.grad_check(lambda: TO.tsum(T.spmm(a, x)), [x]) < 1e-6
 
     def test_dropout_fixed_mask(self):
         rng = np.random.default_rng(32)
         x = rand_tensor(rng, (6, 3))
 
         def f():
-            return T.tsum(T.dropout(x, 0.4, np.random.default_rng(99)))
+            return TO.tsum(T.dropout(x, 0.4, np.random.default_rng(99)))
 
         assert T.grad_check(f, [x]) < 1e-6
 
@@ -627,7 +630,7 @@ class TestCheckpoint:
             "hidden": 8, "heads": 2, "dropout": 0.0, "lr": 0.003}
 
     def test_spec_and_transform_roundtrip(self, tmp_path):
-        spec = nn.ModelSpec.from_json(json.dumps(self.SPEC))
+        spec = model_record(self.SPEC, "spec")
         path = tmp_path / "spec.ckpt"
         ck.save_checkpoint(path, {"w": np.ones(2)}, spec=spec, transform="standard")
         loaded = ck.load_checkpoint(path)
@@ -656,7 +659,7 @@ class TestCheckpoint:
     def test_fuzzed_checkpoint_with_spec_loads_or_raises_checkpoint_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "valid.ckpt"
-            spec = nn.ModelSpec.from_json(json.dumps(self.SPEC))
+            spec = model_record(self.SPEC, "spec")
             ck.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)}, spec=spec, transform="quantile_normal")
             raw = bytearray(path.read_bytes())
             header_end = 12 + int.from_bytes(raw[4:12], "little")
