@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,15 +51,19 @@ def _echo(msg: str) -> None:
 
 
 def _schema_from_args(args) -> TableSchema:
-    cols = None
-    if getattr(args, "feature_columns", None):
-        cols = [c.strip() for c in args.feature_columns.split(",") if c.strip()]
-    return TableSchema(
-        id_column=args.id_column,
-        feature_columns=cols,
-        target_column=getattr(args, "target_column", None),
-        task=getattr(args, "task", "multiclass"),
-    )
+    cols = tuple(c.strip() for c in (args.feature_columns or "").split(",") if c.strip())
+    return TableSchema(id_column=args.id_column, feature_columns=cols or None,
+                       target_column=args.target_column, task=args.task)
+
+
+def _table_split(g, nodes, schema: TableSchema, **split) -> tuple[tr.TrainData, tr.Split]:
+    """The node table ``nodes`` of ``g`` as TrainData, and the split that
+    ``make_split(targets, **split)`` draws from it; no subset is empty."""
+    nd = load_node_table(nodes, schema, g)
+    data = tr.TrainData(g, nd.features, nd.targets, schema.task, num_classes=nd.num_classes or None)
+    split = tr.make_split(nd.targets, **split)  # an unstratified split reads only the node count
+    split.check_nonempty()
+    return data, split
 
 
 def cmd_stats(args) -> int:
@@ -99,14 +103,9 @@ def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split:
 def _resmlp_inputs(args, g) -> tuple[tr.TrainData, tr.Split]:
     if not args.nodes:
         raise InputError("--nodes is required for KM (auxiliary model needs features and targets)")
-    nd = load_node_table(args.nodes, _schema_from_args(args), g)
-    if nd.targets is None:
+    if args.target_column is None:
         raise InputError("--target-column is required for KM")
-    data = tr.TrainData(g, nd.features, nd.targets, nd.task, num_classes=nd.num_classes or None)
-    labels = nd.targets if nd.task != "regression" else np.zeros(g.n, dtype=np.int64)
-    split = tr.make_split(labels, seed=args.seed, stratified=nd.task != "regression")
-    split.check_nonempty()
-    return data, split
+    return _table_split(g, args.nodes, _schema_from_args(args), seed=args.seed, stratified=args.task != "regression")
 
 
 def cmd_cluster(args) -> int:
@@ -144,8 +143,7 @@ def cmd_compare(args) -> int:
     loaded, tags = [], []
     for path in args.clusterings:
         ids, assignment, meta = load_clustering(path)
-        order = np.argsort(ids, kind="stable")
-        loaded.append((ids[order], assignment[order]))
+        loaded.append((ids, assignment))
         tags.append(meta.get("algorithm_tag") or Path(path).stem)
     labels = _compare_labels(args.clusterings, tags)
     base_ids = loaded[0][0]
@@ -183,17 +181,7 @@ def _prepare_run(cfg: ExperimentConfig, specs) -> tuple[tr.TrainData, tr.Split, 
         raise ConfigError("dataset.nodes: required for this command")
     if ds.target_column is None:
         raise ConfigError("dataset.target_column: required for this command")
-    schema = TableSchema(
-        id_column=ds.id_column,
-        feature_columns=list(ds.feature_columns) if ds.feature_columns else None,
-        target_column=ds.target_column,
-        task=ds.task,
-    )
-    nd = load_node_table(ds.nodes, schema, g)
-    data = tr.TrainData(g, nd.features, nd.targets, ds.task, num_classes=nd.num_classes or None)
-    labels = data.targets if cfg.split.stratified else np.zeros(g.n, dtype=np.int64)
-    split = tr.make_split(labels, ratios=cfg.split.ratios, seed=cfg.split.seed, stratified=cfg.split.stratified)
-    split.check_nonempty()
+    data, split = _table_split(g, ds.nodes, ds, **asdict(cfg.split))
     out_dir = Path(cfg.output_dir)
     if out_dir.exists() and not out_dir.is_dir():
         raise InputError(f"output_dir: {out_dir} exists and is not a directory")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
-from .graphs import FEATURE_TRANSFORMS, TASKS
+from .graphs import FEATURE_TRANSFORMS, TASKS, TableSchema
 from .nn import CONV_TYPES, MAX_CLUSTER_SLOTS, PE_KINDS, ModelSpec
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS
 
@@ -31,14 +31,12 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+@dataclass(frozen=True, kw_only=True)
+class DatasetConfig(TableSchema):
+    """The node table's schema plus where the graph and the table live."""
+
     edges: Path
     nodes: Path | None = None
-    id_column: str = "id"
-    feature_columns: tuple | None = None
-    target_column: str | None = None
-    task: str = "multiclass"
 
 
 @dataclass(frozen=True)

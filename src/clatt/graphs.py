@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,14 +150,29 @@ def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:
     return Graph(n=n, offsets=offsets, neighbors=b.astype(np.int64), node_ids=ids)
 
 
-def _parse_id(tok: str, where: str) -> int:
+def _parse_id(tok: str, where: str, what: str = "node id") -> int:
+    """``tok`` as an id that fits in a signed 64-bit integer."""
     try:
         value = int(tok)
     except ValueError:
-        raise GraphFormatError(f"{where}: node id {tok!r} is not an integer") from None
-    if not -(2**63) <= value < 2**63:
-        raise GraphFormatError(f"{where}: node id {tok!r} is outside the 64-bit integer range")
+        value = None
+    if value is None or not -(2**63) <= value < 2**63:
+        raise GraphFormatError(f"{where}: {what} {tok!r} is not a 64-bit integer")
     return value
+
+
+def csv_rows(path):
+    """``(line, row)`` for each CSV row of ``path`` that has a non-blank cell,
+    the header included; ``line`` is the file line the row ends on. A row
+    the csv module refuses (a field over its size limit) is a
+    GraphFormatError."""
+    reader = csv.reader(read_text(path))
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as e:
+        raise GraphFormatError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def load_edge_list(path) -> Graph:
@@ -195,12 +211,13 @@ def load_edge_list(path) -> Graph:
                       node_ids=ids[by_appearance])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableSchema:
-    """Column roles for a node table CSV."""
+    """Column roles for a node table CSV; no feature columns means every
+    column but the id and target."""
 
     id_column: str = "id"
-    feature_columns: list | None = None
+    feature_columns: tuple | None = None
     target_column: str | None = None
     task: str = "multiclass"
 
@@ -215,33 +232,36 @@ class NodeData:
 
     features: np.ndarray
     targets: np.ndarray | None
-    task: str
     imputed: np.ndarray | None = None
     num_classes: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
 
 def _is_missing(tok: str) -> bool:
     return tok.strip() == "" or tok.strip().lower() in ("nan", "na", "null")
 
 
+def _number(tok: str, where: str, what: str, column: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise GraphFormatError(f"{where}: non-numeric {what} {tok!r} in column {column!r}") from None
+
+
 def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     """Read per-node features/targets and align rows to ``graph`` order.
 
-    The id column must cover exactly the graph's original node ids. Missing
-    numeric feature cells are imputed with the column mean and flagged in
-    ``NodeData.imputed``; non-numeric feature cells are an error.
+    Rows follow ``csv_rows``: blank rows are skipped and errors name the
+    file line. The id column must cover exactly the graph's original node
+    ids. Missing numeric feature cells are imputed with the column mean and
+    flagged in ``NodeData.imputed``; non-numeric feature cells, missing
+    targets and non-finite regression targets are errors.
     """
     path = Path(path)
-    reader = csv.reader(read_text(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise GraphFormatError(f"{path}: empty file") from None
-    rows = list(reader)
+    rows = csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise GraphFormatError(f"{path}: empty file")
+    rows = list(rows)
     header = [h.strip() for h in header]
     if schema.id_column not in header:
         raise GraphFormatError(f"{path}: id column {schema.id_column!r} not in header {header}")
@@ -251,7 +271,7 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
         if schema.target_column not in header:
             raise GraphFormatError(f"{path}: target column {schema.target_column!r} missing")
         tgt_idx = header.index(schema.target_column)
-    if schema.feature_columns is None:
+    if not schema.feature_columns:
         feat_names = [h for i, h in enumerate(header) if i != id_idx and i != tgt_idx]
     else:
         for c in schema.feature_columns:
@@ -262,34 +282,35 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
 
     if len(rows) != graph.n:
         raise GraphFormatError(f"{path}: {len(rows)} rows for a graph with {graph.n} nodes")
+    regression = schema.task == "regression"
     pos_of = {int(v): i for i, v in enumerate(graph.node_ids)}
     feats = np.full((graph.n, len(feat_idx)), np.nan)
     imputed = np.zeros_like(feats, dtype=bool)
     raw_targets = [None] * graph.n
     seen = np.zeros(graph.n, dtype=bool)
-    for rno, row in enumerate(rows, 2):
+    for line, row in rows:
+        where = f"{path}:{line}"
         if len(row) != len(header):
-            raise GraphFormatError(f"{path}:{rno}: expected {len(header)} cells, got {len(row)}")
-        nid = _parse_id(row[id_idx], f"{path}:{rno}")
+            raise GraphFormatError(f"{where}: expected {len(header)} cells, got {len(row)}")
+        nid = _parse_id(row[id_idx], where)
         if nid not in pos_of:
-            raise GraphFormatError(f"{path}:{rno}: node id {nid} not in graph")
+            raise GraphFormatError(f"{where}: node id {nid} not in graph")
         pos = pos_of[nid]
         if seen[pos]:
-            raise GraphFormatError(f"{path}:{rno}: duplicate node id {nid}")
+            raise GraphFormatError(f"{where}: duplicate node id {nid}")
         seen[pos] = True
         for j, ci in enumerate(feat_idx):
-            tok = row[ci]
-            if _is_missing(tok):
+            if _is_missing(row[ci]):
                 imputed[pos, j] = True
             else:
-                try:
-                    feats[pos, j] = float(tok)
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}:{rno}: non-numeric feature {tok!r} in column {feat_names[j]!r}"
-                    ) from None
+                feats[pos, j] = _number(row[ci], where, "feature", feat_names[j])
         if tgt_idx is not None:
-            raw_targets[pos] = row[tgt_idx]
+            tok = row[tgt_idx]
+            if _is_missing(tok):
+                raise GraphFormatError(f"{where}: missing target {tok!r} in column {schema.target_column!r}")
+            raw_targets[pos] = _number(tok, where, "regression target", schema.target_column) if regression else tok
+            if regression and not math.isfinite(raw_targets[pos]):
+                raise GraphFormatError(f"{where}: regression target {tok!r} is not finite")
 
     # the mean of each column's parsed cells; 0 for a column with none
     parsed = ~np.isnan(feats)
@@ -299,11 +320,8 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     targets = None
     num_classes = 0
     if tgt_idx is not None:
-        if schema.task == "regression":
-            try:
-                targets = np.array([float(t) for t in raw_targets], dtype=np.float64)
-            except ValueError:
-                raise GraphFormatError(f"{path}: non-numeric regression target") from None
+        if regression:
+            targets = np.array(raw_targets, dtype=np.float64)
         else:
             labels = sorted(set(raw_targets))
             lut = {v: i for i, v in enumerate(labels)}
@@ -311,8 +329,7 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
             num_classes = len(labels)
             if schema.task == "binary" and num_classes > 2:
                 raise GraphFormatError(f"{path}: {num_classes} distinct labels for a binary task")
-    return NodeData(features=feats, targets=targets, task=schema.task,
-                    imputed=imputed, num_classes=num_classes)
+    return NodeData(features=feats, targets=targets, imputed=imputed, num_classes=num_classes)
 
 
 def transform_features(x: np.ndarray, kind: str) -> np.ndarray:

@@ -331,6 +331,8 @@ class ModelSpec:
             raise InputError(f"pe must be one of {PE_KINDS}, got {self.pe!r}")
         if self.use_clatt and not self.clusterings:
             raise InputError("use_clatt requires a non-empty clusterings list")
+        if self.clusterings and not self.use_clatt:
+            raise InputError("clusterings apply only with use_clatt; set use_clatt or drop clusterings")
         if self.conv_type == "GGT" and self.pe == "none":
             raise InputError("GGT requires a positional encoding")
         if self.conv_type != "GGT" and self.pe != "none":

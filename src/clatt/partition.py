@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, read_text
+from .graphs import _parse_id, csv_rows
 
 
 @dataclass
@@ -110,35 +111,30 @@ def save_clustering(path, c: Clustering, node_ids: np.ndarray | None = None, met
 
 
 def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a clustering CSV; returns (node_ids, assignment, metadata).
+    """Read a clustering CSV; returns (node_ids, assignment, metadata),
+    sorted by node id.
 
-    A short row, an id that is not a 64-bit integer, a cluster id below -1
-    (-1 means unassigned) or a repeated node id raises InputError naming the
-    file and line, as does metadata that is not a JSON object.
+    Rows follow ``graphs.csv_rows``: blank rows are skipped. A short row, an
+    id that is not a 64-bit integer, a cluster id below -1 (-1 means
+    unassigned) or a repeated node id raises InputError naming the file and
+    line, as does metadata that is not a JSON object.
     """
     path = Path(path)
     ids, cids, seen = [], [], {}
-    reader = csv.reader(read_text(path))
-    header = next(reader, None)
+    rows = csv_rows(path)
+    _, header = next(rows, (None, None))
     if header is None or [h.strip() for h in header[:2]] != ["node_id", "cluster_id"]:
         raise InputError(f"{path}: expected header node_id,cluster_id")
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}, line {reader.line_num}"
+    for line, row in rows:
+        where = f"{path}:{line}"
         if len(row) < 2:
             raise InputError(f"{where}: expected node_id,cluster_id, got {len(row)} field")
-        try:
-            node, cid = int(row[0]), int(row[1])
-        except ValueError:
-            node = cid = None
-        if node is None or not (-(2**63) <= node < 2**63 and -(2**63) <= cid < 2**63):
-            raise InputError(f"{where}: node_id and cluster_id must be 64-bit integers, got {row[:2]}")
+        node, cid = _parse_id(row[0], where), _parse_id(row[1], where, "cluster id")
         if cid < -1:
             raise InputError(f"{where}: cluster_id {cid} is below -1, the id of an unassigned node")
         if node in seen:
             raise InputError(f"{where}: node {node} already assigned on line {seen[node]}")
-        seen[node] = reader.line_num
+        seen[node] = line
         ids.append(node)
         cids.append(cid)
     meta_path = path.with_suffix(path.suffix + ".meta.json")

@@ -5,7 +5,7 @@ needs. Every op records its output on an implicit tape; backward() walks
 that tape once in reverse execution order. The first recorded op after a
 backward() starts a new tape and cuts the consumed one, so a step's
 activations are freed as soon as the next step's forward pass begins.
-Double precision is the default; float32 inputs are kept as float32.
+Every tensor holds float64 data; other inputs are converted.
 """
 
 from __future__ import annotations
@@ -54,13 +54,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple = ()
         self._backward = None
         self._tape = None

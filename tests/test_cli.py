@@ -65,15 +65,18 @@ FUZZ_TEXT = st.text(alphabet="0123456789-,.#x \t\"", max_size=10)
 @st.composite
 def edge_list_and_node_table(draw):
     """Edge-list lines, id pairs and at most one fuzzed line, and node-table
-    rows for the ids they name, in any order, plus at most one fuzzed row."""
+    rows for the ids they name, in any order, plus at most one fuzzed row
+    and two blank ones; target cells may be missing or non-finite."""
     node_id = st.integers(-2, 6) | st.integers(-(2**70), 2**70)
     lines = draw(st.lists(st.tuples(node_id, node_id).map(lambda e: f"{e[0]} {e[1]}"), max_size=8))
     for junk in draw(st.lists(FUZZ_TEXT, max_size=1)):
         lines.insert(draw(st.integers(0, len(lines))), junk)
     ids = list(dict.fromkeys(tok for line in lines for tok in line.replace(",", " ").split()[:2]))
     cell = st.sampled_from(["0", "1.5", "", "nan", "1e999", "a", "b"])
-    rows = [f"{i},{draw(cell)},{draw(cell | FUZZ_TEXT)}" for i in draw(st.permutations(ids))]
-    for junk in draw(st.lists(FUZZ_TEXT, max_size=1)):
+    target = cell | st.sampled_from(["NA", " null ", "inf"]) | FUZZ_TEXT
+    rows = [f"{i},{draw(cell)},{draw(target)}" for i in draw(st.permutations(ids))]
+    blank = st.sampled_from(["", " ", ",,", " ,\t,"])
+    for junk in draw(st.lists(FUZZ_TEXT, max_size=1)) + draw(st.lists(blank, max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), junk)
     return lines, rows
 
@@ -114,10 +117,21 @@ class TestStats:
     def test_id_outside_int64_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "e.csv"
         edges.write_text(f"0 1\n{2**66} 1\n")
-        with pytest.raises(GraphFormatError, match=r"e\.csv:2: node id '73786976294838206464' is outside"):
+        with pytest.raises(GraphFormatError, match=r"e\.csv:2: node id '73786976294838206464' is not a 64-bit integer"):
             load_edge_list(edges)
         assert cli.main(["stats", str(edges)]) == 2
         assert f"{edges}:2:" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_exit_2(self, tmp_path, capsys):
+        edges, nodes, clusters = tmp_path / "e.csv", tmp_path / "n.csv", tmp_path / "c.csv"
+        edges.write_text("0 1\n")
+        long = "1" * (csv.field_size_limit() + 1)
+        nodes.write_text(f"id,f0\n0,1\n1,{long}\n")
+        clusters.write_text(f"node_id,cluster_id\n0,0\n1,{long}\n")
+        assert cli.main(["stats", str(edges), "--nodes", str(nodes)]) == 2
+        assert cli.main(["compare", str(clusters), str(clusters), "--out", str(tmp_path / "cc.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{nodes}:3: field larger than field limit" in err and f"{clusters}:3: field larger" in err
 
     @given(edge_list_and_node_table())
     @example(([f"{2**66} 1"], [f"{2**66},0,a", "1,0,b"]))
@@ -197,7 +211,7 @@ class TestCluster:
         assert rc == 0
         g = load_edge_list(edges)
         nd = load_node_table(nodes, TableSchema(target_column="target"), g)
-        data = tr.TrainData(g, nd.features, nd.targets, nd.task, num_classes=nd.num_classes)
+        data = tr.TrainData(g, nd.features, nd.targets, "multiclass", num_classes=nd.num_classes)
         split = tr.make_split(nd.targets, seed=3)
         reps = tr.resmlp_representations(data, split, seed=3, hidden=8, layers=1, steps=20)
         want, _ = kmeans(reps, k=3, seed=3)
@@ -279,14 +293,23 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "bad_row, message",
-        [("3", "line 4: expected node_id,cluster_id, got 1 field"),
-         ("3,x", "line 4: node_id and cluster_id must be 64-bit integers"),
-         ("2.5,1", "line 4: node_id and cluster_id must be 64-bit integers"),
-         ("99999999999999999999,1", "line 4: node_id and cluster_id must be 64-bit integers"),
-         (f"{-(2**63) - 1},1", "line 4: node_id and cluster_id must be 64-bit integers"),
-         (f"3,{2**63}", "line 4: node_id and cluster_id must be 64-bit integers"),
-         ("1,0", "line 4: node 1 already assigned on line 3"),
-         ("3,-7", "line 4: cluster_id -7 is below -1, the id of an unassigned node")],
+        [("3", "bad.csv:4: expected node_id,cluster_id, got 1 field"),
+         ("3,x", "bad.csv:4: cluster id 'x' is not a 64-bit integer"),
+         ("2.5,1", "bad.csv:4: node id '2.5' is not a 64-bit integer"),
+         ("99999999999999999999,1", "bad.csv:4: node id '99999999999999999999' is not a 64-bit integer"),
+         (f"{-(2**63) - 1},1", f"bad.csv:4: node id '{-(2**63) - 1}' is not a 64-bit integer"),
+         (f"3,{2**63}", f"bad.csv:4: cluster id '{2**63}' is not a 64-bit integer"),
+         ("1,0", "bad.csv:4: node 1 already assigned on line 3"),
+         ("3,-7", "bad.csv:4: cluster_id -7 is below -1, the id of an unassigned node")],
+        # each case by its row and what is wrong on line 4
+        ids=["3-line 4: expected node_id,cluster_id, got 1 field",
+             "3,x-line 4: node_id and cluster_id must be 64-bit integers",
+             "2.5,1-line 4: node_id and cluster_id must be 64-bit integers",
+             "99999999999999999999,1-line 4: node_id and cluster_id must be 64-bit integers",
+             "-9223372036854775809,1-line 4: node_id and cluster_id must be 64-bit integers",
+             "3,9223372036854775808-line 4: node_id and cluster_id must be 64-bit integers",
+             "1,0-line 4: node 1 already assigned on line 3",
+             "3,-7-line 4: cluster_id -7 is below -1, the id of an unassigned node"],
     )
     def test_malformed_clustering_row_exit_2(self, tmp_path, capsys, bad_row, message):
         good = tmp_path / "good.csv"
@@ -679,6 +702,24 @@ class TestCheapChecksFirst:
         (tmp_path / "taken").write_text("")
         assert cli.main([command, str(base_config(tmp_path, steps=3)), "--set", override]) == 2
         assert "clustering LA:" not in capsys.readouterr().out
+
+    def test_clusterings_without_use_clatt_fail_before_clustering(self, tmp_path, capsys):
+        gcn = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3, "clusterings": ["LA", "BPP"]}
+        assert cli.main(["train", str(base_config(tmp_path, steps=3, models=[gcn]))]) == 2
+        captured = capsys.readouterr()
+        assert "models[0]: clusterings apply only with use_clatt" in captured.err
+        assert "clustering" not in captured.out
+
+    def test_missing_target_fails_before_clustering(self, tmp_path, capsys):
+        path = base_config(tmp_path, steps=3)
+        nodes = tmp_path / "nodes.csv"
+        lines = nodes.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+        nodes.write_text("".join(lines))
+        assert cli.main(["train", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{nodes}:3: missing target 'nan' in column 'target'" in captured.err
+        assert "clustering LA:" not in captured.out
 
     def test_missing_checkpoint_fails_before_clustering(self, tmp_path, capsys):
         clatt = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3, "use_clatt": True, "clusterings": ["LA"]}

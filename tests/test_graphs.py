@@ -116,7 +116,7 @@ class TestLoadEdgeList:
 
     def test_non_integer_id(self, tmp_path):
         p = write(tmp_path, "e.txt", "1 2\nfoo 2\n")
-        with pytest.raises(GraphFormatError, match="not an integer"):
+        with pytest.raises(GraphFormatError, match="e.txt:2: node id 'foo' is not a 64-bit integer"):
             load_edge_list(p)
 
     def test_empty(self, tmp_path):
@@ -190,6 +190,37 @@ class TestNodeTable:
         nd = load_node_table(p, TableSchema(target_column="y", task="regression"), g)
         assert nd.targets.dtype == np.float64
         assert nd.targets.tolist() == [0.5, 1.5, 2.5]
+
+    def test_blank_rows_load_as_without_them(self, tmp_path):
+        g = self.make_graph()
+        schema = TableSchema(target_column="y")
+        plain = load_node_table(write(tmp_path, "a.csv", "id,f1,y\n30,3.0,b\n10,,a\n20,2.0,a\n"), schema, g)
+        blank = load_node_table(write(tmp_path, "b.csv", "id,f1,y\n30,3.0,b\n\n , ,\n10,,a\n20,2.0,a\n\n"), schema, g)
+        for name in ("features", "targets", "imputed"):
+            np.testing.assert_array_equal(getattr(blank, name), getattr(plain, name))
+        assert blank.num_classes == plain.num_classes == 2
+
+    def test_error_after_blank_row_names_file_line(self, tmp_path):
+        g = self.make_graph()
+        p = write(tmp_path, "t.csv", "id,f1\n10,1\n\n20,x\n30,2\n")
+        with pytest.raises(GraphFormatError, match=r"t\.csv:4: non-numeric feature 'x' in column 'f1'"):
+            load_node_table(p, TableSchema(), g)
+
+    @pytest.mark.parametrize(
+        "task, cell, message",
+        [("multiclass", "", "missing target '' in column 'y'"),
+         ("multiclass", "nan", "missing target 'nan' in column 'y'"),
+         ("binary", " NA ", "missing target ' NA ' in column 'y'"),
+         ("regression", "null", "missing target 'null' in column 'y'"),
+         ("regression", "inf", "regression target 'inf' is not finite"),
+         ("regression", "-1e999", "regression target '-1e999' is not finite"),
+         ("regression", "x", "non-numeric regression target 'x' in column 'y'")],
+    )
+    def test_missing_or_non_finite_target_names_file_line(self, tmp_path, task, cell, message):
+        g = self.make_graph()
+        p = write(tmp_path, "t.csv", f"id,f1,y\n10,1,0\n\n20,1,{cell}\n30,1,1\n")
+        with pytest.raises(GraphFormatError, match=r"t\.csv:4: " + message):
+            load_node_table(p, TableSchema(target_column="y", task=task), g)
 
 
 class TestTransforms:
