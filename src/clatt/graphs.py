@@ -181,10 +181,12 @@ def load_edge_list(path) -> Graph:
     Node ids are arbitrary integers; they are compacted to 0..n-1 in order
     of first appearance (the original ids live in ``Graph.node_ids``).
     Every edge is taken as undirected. Lines starting with '#' and blank lines
-    are skipped; a header line of two non-integer tokens is tolerated.
+    are skipped; the first other line may be a header of two non-integer
+    tokens.
     """
     path = Path(path)
     src, dst = [], []
+    first = 0  # file line of the first line that is neither blank nor a comment
     for lineno, raw in enumerate(read_text(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -192,7 +194,8 @@ def load_edge_list(path) -> Graph:
         toks = line.replace(",", " ").split()
         if len(toks) < 2:
             raise GraphFormatError(f"{path}:{lineno}: expected two node ids")
-        if lineno == 1 and not (toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()):
+        first = first or lineno
+        if lineno == first and not (toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()):
             continue
         src.append(_parse_id(toks[0], f"{path}:{lineno}"))
         dst.append(_parse_id(toks[1], f"{path}:{lineno}"))
@@ -241,10 +244,14 @@ def _is_missing(tok: str) -> bool:
 
 
 def _number(tok: str, where: str, what: str, column: str) -> float:
+    """``tok`` as a finite float; ``inf``, ``+nan`` or ``1e999`` is an error."""
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise GraphFormatError(f"{where}: non-numeric {what} {tok!r} in column {column!r}") from None
+    if not math.isfinite(value):
+        raise GraphFormatError(f"{where}: {what} {tok!r} is not finite in column {column!r}")
+    return value
 
 
 def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
@@ -253,8 +260,8 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     Rows follow ``csv_rows``: blank rows are skipped and errors name the
     file line. The id column must cover exactly the graph's original node
     ids. Missing numeric feature cells are imputed with the column mean and
-    flagged in ``NodeData.imputed``; non-numeric feature cells, missing
-    targets and non-finite regression targets are errors.
+    flagged in ``NodeData.imputed``; non-numeric or non-finite feature cells,
+    missing targets and non-finite regression targets are errors.
     """
     path = Path(path)
     rows = csv_rows(path)
@@ -309,8 +316,6 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
             if _is_missing(tok):
                 raise GraphFormatError(f"{where}: missing target {tok!r} in column {schema.target_column!r}")
             raw_targets[pos] = _number(tok, where, "regression target", schema.target_column) if regression else tok
-            if regression and not math.isfinite(raw_targets[pos]):
-                raise GraphFormatError(f"{where}: regression target {tok!r} is not finite")
 
     # the mean of each column's parsed cells; 0 for a column with none
     parsed = ~np.isnan(feats)

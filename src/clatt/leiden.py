@@ -8,6 +8,7 @@ so the quality never decreases from pass to pass.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -44,55 +45,63 @@ def cpm_quality(g: Graph, assignment: np.ndarray, gamma: float) -> float:
 
 def _local_move(level: WeightedGraph, comm: np.ndarray, gamma: float,
                 rng: np.random.Generator) -> bool:
-    """Queue-driven best single-node moves; returns True if anything moved."""
+    """Queue-driven best single-node moves; returns True if anything moved.
+
+    Visits run over plain lists: a neighbourhood holds a few dozen nodes, so
+    per-visit numpy calls would cost more than the arithmetic. Edge weights
+    are whole numbers, so every sum below is exact in any order.
+    """
     n = level.n
-    cap = int(comm.max()) + 1
-    comm_size = np.bincount(comm, weights=level.sizes, minlength=cap).astype(np.float64)
-    free = deque(sorted(np.where(comm_size[: cap] == 0)[0].tolist()))
-    order = rng.permutation(n)
-    queue = deque(order.tolist())
-    queued = np.ones(n, dtype=bool)
+    indptr, indices, weights = level.indptr.tolist(), level.indices.tolist(), level.weights.tolist()
+    sizes, cl = level.sizes.tolist(), comm.tolist()
+    comm_size = np.bincount(comm, weights=level.sizes).tolist()
+    free = [c for c, s in enumerate(comm_size) if s == 0]  # a sorted list is a min-heap
+    queue = deque(rng.permutation(n).tolist())
+    queued = [True] * n
     moved_any = False
     while queue:
         v = queue.popleft()
         queued[v] = False
-        a = comm[v]
-        s_v = level.sizes[v]
-        nbrs, wts = level.neighbor_data(v)
-        w_to = np.zeros(comm_size.shape[0])
-        np.add.at(w_to, comm[nbrs], wts)
-        cands = np.unique(comm[nbrs])
-        cands = cands[cands != a]
-        base = -w_to[a] + gamma * s_v * (comm_size[a] - s_v)
+        a = cl[v]
+        s_v = sizes[v]
+        gs = gamma * s_v
+        lo, hi = indptr[v], indptr[v + 1]
+        nbrs = indices[lo:hi]
+        w_to = {}
+        for u, w in zip(nbrs, weights[lo:hi]):
+            c = cl[u]
+            w_to[c] = w_to.get(c, 0.0) + w
+        base = -w_to.pop(a, 0.0) + gs * (comm_size[a] - s_v)
         best_c, best_gain = a, 0.0
-        if cands.size:
-            gains = base + w_to[cands] - gamma * s_v * comm_size[cands]
-            top = float(gains.max())
+        cands = sorted(w_to)
+        if cands:
+            gains = [(base + w_to[c]) - gs * comm_size[c] for c in cands]
+            top = max(gains)
             if top > best_gain + _EPS:
                 # ties go to the lowest candidate id
-                best_c = int(cands[gains >= top - _EPS].min())
+                best_c = next(c for c, g in zip(cands, gains) if g >= top - _EPS)
                 best_gain = top
         if comm_size[a] > s_v and base > best_gain + _EPS:
             # splitting off into a fresh community is the best move
             if not free:
-                comm_size = np.append(comm_size, 0.0)
-                free.append(comm_size.shape[0] - 1)
-            best_c, best_gain = free[0], float(base)
+                free.append(len(comm_size))
+                comm_size.append(0.0)
+            best_c, best_gain = free[0], base
         if best_c == a:
             continue
         if free and best_c == free[0]:
-            free.popleft()
+            heapq.heappop(free)
         comm_size[a] -= s_v
         comm_size[best_c] += s_v
-        comm[v] = best_c
+        cl[v] = best_c
         if comm_size[a] == 0:
-            free.appendleft(a)
-            free = deque(sorted(free))
+            heapq.heappush(free, a)
         moved_any = True
-        for u in nbrs[comm[nbrs] != best_c]:
-            if not queued[u]:
-                queue.append(int(u))
+        for u in nbrs:
+            if cl[u] != best_c and not queued[u]:
+                queue.append(u)
                 queued[u] = True
+    comm[:] = cl
     return moved_any
 
 
@@ -105,38 +114,36 @@ def _refine(level: WeightedGraph, comm: np.ndarray, gamma: float,
     gain is positive and the node is well connected to its community.
     """
     n = level.n
-    sub = np.arange(n, dtype=np.int64)
-    sub_size = level.sizes.copy()
-    comm_size = np.bincount(comm, weights=level.sizes).astype(np.float64)
-    for v in rng.permutation(n):
-        if sub_size[sub[v]] != level.sizes[v]:
+    indptr, indices, weights = level.indptr.tolist(), level.indices.tolist(), level.weights.tolist()
+    sizes, cl = level.sizes.tolist(), comm.tolist()
+    comm_size = np.bincount(comm, weights=level.sizes).tolist()
+    sub = list(range(n))
+    sub_size = list(sizes)
+    for v in rng.permutation(n).tolist():
+        s_v = sizes[v]
+        if sub_size[sub[v]] != s_v:
             continue  # already grew past a singleton
-        a = comm[v]
-        s_v = level.sizes[v]
-        nbrs, wts = level.neighbor_data(v)
-        inside = comm[nbrs] == a
-        if not inside.any():
+        a = cl[v]
+        lo, hi = indptr[v], indptr[v + 1]
+        inside = [(u, w) for u, w in zip(indices[lo:hi], weights[lo:hi]) if cl[u] == a]
+        if not inside:
             continue
-        w_comm = float(wts[inside].sum())
-        if w_comm < gamma * s_v * (comm_size[a] - s_v) - _EPS:
+        gs = gamma * s_v
+        if sum(w for _, w in inside) < gs * (comm_size[a] - s_v) - _EPS:
             continue  # poorly connected nodes stay singletons
-        w_to = {}
-        for u, w in zip(nbrs[inside], wts[inside]):
-            t = sub[u]
-            if t != sub[v]:
-                w_to[t] = w_to.get(t, 0.0) + w
-        if not w_to:
-            continue
-        cands = np.array(sorted(w_to))
-        gains = np.array([w_to[t] - gamma * s_v * sub_size[t] for t in cands])
-        top = gains.max()
+        w_to = {}  # v is alone in its sub-community, so no neighbour shares it
+        for u, w in inside:
+            w_to[sub[u]] = w_to.get(sub[u], 0.0) + w
+        cands = sorted(w_to)
+        gains = [w_to[t] - gs * sub_size[t] for t in cands]
+        top = max(gains)
         if top <= _EPS:
             continue
-        t = int(cands[gains >= top - _EPS].min())
+        t = next(c for c, g in zip(cands, gains) if g >= top - _EPS)
         sub_size[t] += s_v
         sub_size[sub[v]] -= s_v
         sub[v] = t
-    return sub
+    return np.array(sub, dtype=np.int64)
 
 
 def _aggregate(level: WeightedGraph, sub: np.ndarray, comm: np.ndarray

@@ -1,12 +1,13 @@
 """Clustering algorithms against exhaustive and brute-force oracles."""
 
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clatt import blockmodel
+from clatt import blockmodel, leiden
 from clatt import training as tr
 from clatt.blockmodel import hierarchical_fit, planted_partition_fit
 from clatt.errors import InputError
@@ -232,6 +233,16 @@ class TestRecordedAssignments:
         assert self.digits(a) == "000012320224444454444444052202551111111131131111"
         assert len(a.params["pass_qualities"]) == 3  # two aggregation steps
         assert self.digits(leiden_cpm(g, seed=1)) == "011220230034344433444444150010113555555555525555"
+
+    def test_leiden_aggregates_onto_weighted_levels(self):
+        # three aggregation steps; the later levels carry edge weights up to 17
+        g, _ = sbm_graph([20] * 6, 0.25, 0.03, seed=5)
+        a = leiden_cpm(g, gamma=0.1, seed=2)
+        assert self.digits(a) == (
+            "000000000010000000001121121111211111311144444444444444444444"
+            "222222222222222222425555505505655555553566666666666666666622")
+        assert [q.hex() for q in a.params["pass_qualities"]] == [
+            "0x1.72cccccccccccp+7", "0x1.859999999999ap+7", "0x1.8f33333333333p+7", "0x1.8f33333333333p+7"]
 
     def test_planted_partition(self):
         g, _ = sbm_graph([10, 14, 8, 16], 0.3, 0.05, seed=11)
@@ -484,6 +495,138 @@ class TestLockstepFits:
         for k_max in (1, 0, -3):
             with pytest.raises(InputError, match=f"k_max must be at least 2, got {k_max}"):
                 hierarchical_fit(g, k_max=k_max, seed=0)
+
+
+def local_move_oracle(level, comm, gamma, rng):
+    """Leiden's local-move sweep as numpy calls per visit, with free ids in
+    a deque re-sorted on every emptying; mutates ``comm``, returns moved."""
+    eps = leiden._EPS
+    n = level.n
+    cap = int(comm.max()) + 1
+    comm_size = np.bincount(comm, weights=level.sizes, minlength=cap).astype(np.float64)
+    free = deque(sorted(np.where(comm_size[: cap] == 0)[0].tolist()))
+    order = rng.permutation(n)
+    queue = deque(order.tolist())
+    queued = np.ones(n, dtype=bool)
+    moved_any = False
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        a = comm[v]
+        s_v = level.sizes[v]
+        nbrs, wts = level.neighbor_data(v)
+        w_to = np.zeros(comm_size.shape[0])
+        np.add.at(w_to, comm[nbrs], wts)
+        cands = np.unique(comm[nbrs])
+        cands = cands[cands != a]
+        base = -w_to[a] + gamma * s_v * (comm_size[a] - s_v)
+        best_c, best_gain = a, 0.0
+        if cands.size:
+            gains = base + w_to[cands] - gamma * s_v * comm_size[cands]
+            top = float(gains.max())
+            if top > best_gain + eps:
+                best_c = int(cands[gains >= top - eps].min())
+                best_gain = top
+        if comm_size[a] > s_v and base > best_gain + eps:
+            if not free:
+                comm_size = np.append(comm_size, 0.0)
+                free.append(comm_size.shape[0] - 1)
+            best_c, best_gain = free[0], float(base)
+        if best_c == a:
+            continue
+        if free and best_c == free[0]:
+            free.popleft()
+        comm_size[a] -= s_v
+        comm_size[best_c] += s_v
+        comm[v] = best_c
+        if comm_size[a] == 0:
+            free.appendleft(a)
+            free = deque(sorted(free))
+        moved_any = True
+        for u in nbrs[comm[nbrs] != best_c]:
+            if not queued[u]:
+                queue.append(int(u))
+                queued[u] = True
+    return moved_any
+
+
+def refine_oracle(level, comm, gamma, rng):
+    """Leiden's refinement sweep as numpy calls per visit."""
+    eps = leiden._EPS
+    n = level.n
+    sub = np.arange(n, dtype=np.int64)
+    sub_size = level.sizes.copy()
+    comm_size = np.bincount(comm, weights=level.sizes).astype(np.float64)
+    for v in rng.permutation(n):
+        if sub_size[sub[v]] != level.sizes[v]:
+            continue
+        a = comm[v]
+        s_v = level.sizes[v]
+        nbrs, wts = level.neighbor_data(v)
+        inside = comm[nbrs] == a
+        if not inside.any():
+            continue
+        w_comm = float(wts[inside].sum())
+        if w_comm < gamma * s_v * (comm_size[a] - s_v) - eps:
+            continue
+        w_to = {}
+        for u, w in zip(nbrs[inside], wts[inside]):
+            t = sub[u]
+            if t != sub[v]:
+                w_to[t] = w_to.get(t, 0.0) + w
+        if not w_to:
+            continue
+        cands = np.array(sorted(w_to))
+        gains = np.array([w_to[t] - gamma * s_v * sub_size[t] for t in cands])
+        top = gains.max()
+        if top <= eps:
+            continue
+        t = int(cands[gains >= top - eps].min())
+        sub_size[t] += s_v
+        sub_size[sub[v]] -= s_v
+        sub[v] = t
+    return sub
+
+
+class TestLeidenSweeps:
+    """The list-based sweeps make the numpy oracles' decisions, bit for bit."""
+
+    @staticmethod
+    def check(level, start, gamma, seed):
+        """Both local moves from ``start``, then both refinements of the
+        result; returns the local-move assignment."""
+        got, want = start.copy(), start.copy()
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert leiden._local_move(level, got, gamma, rng_got) == local_move_oracle(level, want, gamma, rng_want)
+        assert np.array_equal(got, want)
+        comm = relabel_by_first_occurrence(got)
+        sub = leiden._refine(level, comm, gamma, rng_got)
+        assert np.array_equal(sub, refine_oracle(level, comm, gamma, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        return want
+
+    @given(st.integers(0, 10_000), st.integers(2, 40), st.sampled_from([0.05, 0.15, 0.4]),
+           st.sampled_from([0.125, 0.25, 0.5, 1.0, 1 / 3, None]), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_and_quotient_levels(self, seed, n, p, gamma, coarsen):
+        # dyadic gammas times whole sizes and weights make exact ties
+        g = erdos_renyi(n, p, seed=seed)
+        level = WeightedGraph.from_graph(g)
+        rng = np.random.default_rng(seed)
+        for _ in range(coarsen):
+            level = level.quotient(relabel_by_first_occurrence(rng.integers(0, max(level.n // 2, 1), size=level.n)))
+        gamma = default_gamma(g) if gamma is None else gamma
+        # singletons as in a pass, or a random start with empty ids
+        start = np.arange(level.n) if seed % 2 else rng.integers(0, level.n + 2, size=level.n)
+        self.check(level, start.astype(np.int64), gamma, seed)
+
+    def test_empties_communities_and_splits_into_fresh_ids(self):
+        # the sweep splits node 11 off into id 3, past the last id, empties
+        # community 1, splits node 2 off into that freed id, then empties 0
+        g = bridge_of_cliques([4, 4, 4])
+        start = np.array([2, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 1], dtype=np.int64)
+        got = self.check(WeightedGraph.from_graph(g), start, 0.5, seed=3)
+        assert got.tolist() == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
 
 
 class TestKmeans:

@@ -1,5 +1,6 @@
 """Edge-list ingestion, CSR invariants and node-table handling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +120,14 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="e.txt:2: node id 'foo' is not a 64-bit integer"):
             load_edge_list(p)
 
+    def test_header_after_comments_and_blank_lines(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "e1.csv", "# graph\n\nsrc,dst\n0,1\n1,2\n"))
+        assert g.n == 3 and g.m == 2
+        # only the first such line may be a header
+        p = write(tmp_path, "e2.csv", "# graph\nsrc,dst\n0,1\na,b\n")
+        with pytest.raises(GraphFormatError, match="e2.csv:4: node id 'a' is not a 64-bit integer"):
+            load_edge_list(p)
+
     def test_empty(self, tmp_path):
         p = write(tmp_path, "e.txt", "# nothing\n")
         with pytest.raises(GraphFormatError, match="no edges"):
@@ -170,6 +179,13 @@ class TestNodeTable:
         g = self.make_graph()
         p = write(tmp_path, "t.csv", "id,f1\n10,x\n20,1\n30,2\n")
         with pytest.raises(GraphFormatError, match="non-numeric"):
+            load_node_table(p, TableSchema(), g)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "+nan", "-NaN", "1e999"])
+    def test_non_finite_feature_names_file_line_and_column(self, tmp_path, cell):
+        g = self.make_graph()
+        p = write(tmp_path, "t.csv", f"id,f1,f2\n10,1,0\n\n20,1,{cell}\n30,1,nan\n")
+        with pytest.raises(GraphFormatError, match=rf"t\.csv:4: feature '{re.escape(cell)}' is not finite in column 'f2'"):
             load_node_table(p, TableSchema(), g)
 
     def test_unknown_id(self, tmp_path):
