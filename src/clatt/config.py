@@ -169,17 +169,17 @@ def _ratios(raw, path):
     return ratios
 
 
-def _valid(spec: ModelSpec, path: str) -> ModelSpec:
+def _valid(path: str, **fields) -> ModelSpec:
+    """``ModelSpec(**fields)``; a spec it refuses fails at ``path``."""
     try:
-        spec.validate()
+        return ModelSpec(**fields)
     except InputError as e:
         _fail(path, str(e))
-    return spec
 
 
 def _spec_number(key):
-    """A number that ModelSpec.validate accepts as the field ``key``."""
-    return lambda raw, path: getattr(_valid(ModelSpec("GCN", **{key: _number_field(raw, path)}), path), key)
+    """A number that ModelSpec accepts as the field ``key``."""
+    return lambda raw, path: getattr(_valid(path, conv_type="GCN", **{key: _number_field(raw, path)}), key)
 
 
 def _object(raw, path: str, fields: dict, required=(), unknown="unknown config key") -> dict:
@@ -248,13 +248,13 @@ CLUSTERING_PARAMS = {
 
 
 def _model(raw, path: str) -> ModelSpec:
-    return _valid(_section(MODEL_FIELDS, ModelSpec, required=("conv_type",))(raw, path), path)
+    return _valid(path, **_object(raw, path, MODEL_FIELDS, required=("conv_type",)))
 
 
 def model_record(raw, path: str) -> ModelSpec:
     """A ModelSpec as ``ModelSpec.to_json`` writes it: every field present,
     each checked as a config model's is."""
-    return _valid(_section(MODEL_FIELDS, ModelSpec, required=tuple(MODEL_FIELDS))(raw, path), path)
+    return _valid(path, **_object(raw, path, MODEL_FIELDS, required=tuple(MODEL_FIELDS)))
 
 
 TOP_FIELDS = {

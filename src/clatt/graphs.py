@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from .errors import InputError, read_text
 
@@ -150,12 +151,17 @@ def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:
     return Graph(n=n, offsets=offsets, neighbors=b.astype(np.int64), node_ids=ids)
 
 
+def _int_or_none(tok: str) -> int | None:
+    """``int(tok)``, or None when ``tok`` is not an integer literal."""
+    try:
+        return int(tok)
+    except ValueError:
+        return None
+
+
 def _parse_id(tok: str, where: str, what: str = "node id") -> int:
     """``tok`` as an id that fits in a signed 64-bit integer."""
-    try:
-        value = int(tok)
-    except ValueError:
-        value = None
+    value = _int_or_none(tok)
     if value is None or not -(2**63) <= value < 2**63:
         raise GraphFormatError(f"{where}: {what} {tok!r} is not a 64-bit integer")
     return value
@@ -181,8 +187,8 @@ def load_edge_list(path) -> Graph:
     Node ids are arbitrary integers; they are compacted to 0..n-1 in order
     of first appearance (the original ids live in ``Graph.node_ids``).
     Every edge is taken as undirected. Lines starting with '#' and blank lines
-    are skipped; the first other line may be a header of two non-integer
-    tokens.
+    are skipped; the first other line is a header when one of its two tokens
+    is not an integer as ``int`` reads it (so ``+1`` and ``1_0`` are ids).
     """
     path = Path(path)
     src, dst = [], []
@@ -195,7 +201,7 @@ def load_edge_list(path) -> Graph:
         if len(toks) < 2:
             raise GraphFormatError(f"{path}:{lineno}: expected two node ids")
         first = first or lineno
-        if lineno == first and not (toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()):
+        if lineno == first and None in (_int_or_none(toks[0]), _int_or_none(toks[1])):
             continue
         src.append(_parse_id(toks[0], f"{path}:{lineno}"))
         dst.append(_parse_id(toks[1], f"{path}:{lineno}"))
@@ -204,8 +210,7 @@ def load_edge_list(path) -> Graph:
     raw = np.empty(2 * len(src), dtype=np.int64)
     raw[0::2] = src
     raw[1::2] = dst
-    ids, inverse = np.unique(raw, return_inverse=True)
-    _, first_pos = np.unique(inverse, return_index=True)
+    ids, first_pos, inverse = np.unique(raw, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first_pos, kind="stable")
     compact = np.empty_like(by_appearance)
     compact[by_appearance] = np.arange(ids.shape[0])
@@ -354,22 +359,7 @@ def transform_features(x: np.ndarray, kind: str) -> np.ndarray:
         sd = x.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
         return (x - mu) / sd
-    n = x.shape[0]
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        order = np.argsort(col, kind="stable")
-        ranks = np.empty(n, dtype=np.float64)
-        ranks[order] = np.arange(n, dtype=np.float64)
-        # average ranks over ties so equal inputs map to equal outputs
-        vals, inv = np.unique(col, return_inverse=True)
-        sums = np.zeros(vals.shape[0])
-        cnts = np.zeros(vals.shape[0])
-        np.add.at(sums, inv, ranks)
-        np.add.at(cnts, inv, 1.0)
-        ranks = (sums / cnts)[inv]
-        out[:, j] = ndtri((ranks + 0.5) / n)
-    return out
+    return ndtri((rankdata(x, axis=0) - 0.5) / x.shape[0])
 
 
 def save_stats_json(stats_dict: dict, path) -> None:

@@ -306,7 +306,8 @@ def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=N
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; serializes to/from plain JSON."""
+    """Architecture description, checked when it is made (an InputError
+    names the field at fault); serializes to/from plain JSON."""
 
     conv_type: str
     use_clatt: bool = False
@@ -324,7 +325,7 @@ class ModelSpec:
         type but MLP, and any model with CLATT."""
         return self.conv_type != "MLP" or self.use_clatt
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.conv_type not in CONV_TYPES:
             raise InputError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
         if self.pe not in PE_KINDS:
@@ -367,7 +368,6 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_dim: int | None = None) -> dict:
     """Fresh parameter dict; every layer gets its own attention weights."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     d = spec.hidden
     params: dict[str, T.Tensor] = {}
@@ -444,7 +444,6 @@ class ModelInputs:
 
 def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict | None = None, pe: np.ndarray | None = None) -> ModelInputs:
     """Build exactly the structures model_forward will touch."""
-    spec.validate()
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != g.n:
         raise ValueError(f"features have {features.shape[0]} rows for a {g.n}-node graph")
@@ -488,7 +487,6 @@ def hidden_and_logits(
 ) -> tuple[T.Tensor, T.Tensor]:
     """Encoder, residual Mix/MLP blocks, final norm plus linear head; returns
     the final-norm activations and the logits."""
-    spec.validate()
     use_dropout = training and spec.dropout > 0.0
     if use_dropout and dropout_rng is None:
         raise ValueError("training with dropout needs a dropout_rng")

@@ -61,11 +61,10 @@ class Clustering:
 def relabel_by_first_occurrence(assignment: np.ndarray) -> np.ndarray:
     """Renumber cluster ids so they appear in increasing node order."""
     assignment = np.asarray(assignment, dtype=np.int64)
-    _, first = np.unique(assignment, return_index=True)
+    _, first, dense = np.unique(assignment, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     lut = np.empty(order.shape[0], dtype=np.int64)
     lut[order] = np.arange(order.shape[0])
-    dense = np.searchsorted(np.unique(assignment), assignment)
     return lut[dense]
 
 

@@ -47,6 +47,8 @@ CANONICAL_TAGS = ("LA", "BPP", "H1", "KM")
 
 @dataclass(frozen=True)
 class Split:
+    """Disjoint train, validation and test node ids, checked when made."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
@@ -54,10 +56,9 @@ class Split:
     seed: int
     stratified: bool
 
-    def validate(self) -> None:
-        n = self.train.size + self.val.size + self.test.size
+    def __post_init__(self):
         combined = np.concatenate([self.train, self.val, self.test])
-        if np.unique(combined).size != n:
+        if np.unique(combined).size != combined.size:
             raise ValueError("split subsets overlap")
 
     def check_nonempty(self) -> None:
@@ -67,19 +68,9 @@ class Split:
                 raise InputError(f"split ratios {self.ratios} leave the {name} subset empty")
 
 
-def _hamilton(m: int, ratios) -> np.ndarray:
-    """Largest-remainder apportionment; each count is within 1 of m*r."""
-    quotas = m * np.asarray(ratios, dtype=np.float64)
-    counts = np.floor(quotas).astype(np.int64)
-    short = m - counts.sum()
-    if short > 0:
-        order = np.argsort(-(quotas - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
-
-
 def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool = True) -> Split:
-    """Shuffle-then-slice split, per class when stratified.
+    """Shuffle-then-slice split, per class when stratified; an unstratified
+    split is the split of one class that holds every node.
 
     Per-class rounding carries its residue into the next class so the
     overall subset sizes track n*ratios, while each class stays within
@@ -89,38 +80,33 @@ def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool =
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise InputError(f"ratios must be 3 values summing to 1, got {ratios}")
-    n = labels.shape[0]
+    if not stratified:
+        labels = np.zeros(labels.shape[0], dtype=np.int8)
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
-    if stratified:
-        carry = np.zeros(3)
-        for cls in np.unique(labels):
-            idx = np.nonzero(labels == cls)[0]
-            if idx.size < 3:
-                raise InputError(f"class {cls!r} has {idx.size} nodes, fewer than the 3 subsets")
-            rng.shuffle(idx)
-            quotas = idx.size * np.asarray(ratios)
-            counts = np.floor(quotas).astype(np.int64)
-            fracs = quotas - counts
-            short = idx.size - counts.sum()
-            if short > 0:
-                # leftover nodes go to the subsets most shorted so far
-                order = np.argsort(-(carry + fracs), kind="stable")
-                counts[order[:short]] += 1
-                fracs[order[:short]] -= 1.0
-            carry += fracs
-            stops = np.cumsum(counts)
-            parts[0].append(idx[: stops[0]])
-            parts[1].append(idx[stops[0] : stops[1]])
-            parts[2].append(idx[stops[1] :])
-    else:
-        idx = rng.permutation(n)
-        stops = np.cumsum(_hamilton(n, ratios))
-        parts = [[idx[: stops[0]]], [idx[stops[0] : stops[1]]], [idx[stops[1] :]]]
+    carry = np.zeros(3)
+    for cls in np.unique(labels):
+        idx = np.nonzero(labels == cls)[0]
+        if idx.size < 3:
+            what = f"class {cls!r}" if stratified else "the split"
+            raise InputError(f"{what} has {idx.size} nodes, fewer than the 3 subsets")
+        rng.shuffle(idx)
+        quotas = idx.size * np.asarray(ratios)
+        counts = np.floor(quotas).astype(np.int64)
+        fracs = quotas - counts
+        short = idx.size - counts.sum()
+        if short > 0:
+            # leftover nodes go to the subsets most shorted so far
+            order = np.argsort(-(carry + fracs), kind="stable")
+            counts[order[:short]] += 1
+            fracs[order[:short]] -= 1.0
+        carry += fracs
+        stops = np.cumsum(counts)
+        parts[0].append(idx[: stops[0]])
+        parts[1].append(idx[stops[0] : stops[1]])
+        parts[2].append(idx[stops[1] :])
     train, val, test = (np.sort(np.concatenate(p)) if p else np.empty(0, dtype=np.int64) for p in parts)
-    split = Split(train, val, test, ratios, seed, stratified)
-    split.validate()
-    return split
+    return Split(train, val, test, ratios, seed, stratified)
 
 
 def _masked(arr, idx):
@@ -162,7 +148,8 @@ def r_squared(pred, targets, idx) -> float:
 
 @dataclass
 class TrainData:
-    """One dataset: graph, features, targets, plus model-side extras."""
+    """One dataset: graph, features, targets, plus model-side extras;
+    checked when it is made."""
 
     g: object
     features: np.ndarray
@@ -172,7 +159,7 @@ class TrainData:
     clusterings: dict = field(default_factory=dict)
     pe: np.ndarray | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.task == "multiclass" and not self.num_classes:
@@ -308,8 +295,6 @@ def train(
     Deterministic per (spec, data, split, seed). Raises TrainingDiverged on
     a non-finite loss, naming the step.
     """
-    data.validate()
-    spec.validate()
     pe_dim = data.pe.shape[1] if data.pe is not None else None
     params = nn.init_params(spec, data.features.shape[1], _out_dim(data), seed=seed, pe_dim=pe_dim)
     inp = nn.prepare_inputs(data.g, data.features, spec, data.clusterings, data.pe)
@@ -532,7 +517,6 @@ def resmlp_representations(
     tracer's counts and timings of those names cover only the configured
     models, and this model's time stays in its own span.
     """
-    data.validate()
     spec = nn.ModelSpec("MLP", layers=layers, hidden=hidden, lr=lr)
     params = nn.init_params(spec, data.features.shape[1], _out_dim(data), seed=seed)
     inp = nn.ModelInputs(x=data.features.astype(np.float64), n=data.g.n)

@@ -593,6 +593,17 @@ class TestTrainCommand:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_unstratified_split_of_two_nodes_exit_2(self, tmp_path, capsys):
+        raw = json.loads(base_config(tmp_path).read_text())
+        (tmp_path / "edges.csv").write_text("1 2\n")
+        (tmp_path / "nodes.csv").write_text("id,f,target\n1,0.5,0\n2,0.1,1\n")
+        raw["split"]["stratified"] = False
+        raw["models"] = raw["models"][:1]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["train", str(path)]) == 2
+        assert "the split has 2 nodes, fewer than the 3 subsets" in capsys.readouterr().err
+
     def test_ggt_deepwalk_pe_trains_bitwise_identical(self, tmp_path):
         ggt = {"conv_type": "GGT", "pe": "deepwalk", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
         path = base_config(tmp_path, models=[ggt])

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from clatt.graphs import (
     Graph,
@@ -18,6 +20,26 @@ from clatt.graphs import (
     load_node_table,
     transform_features,
 )
+
+
+def quantile_normal_oracle(x):
+    """The former per-column loop of transform_features("quantile_normal"):
+    stable 0-based ranks, averaged over ties, at their midpoints."""
+    n = x.shape[0]
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        order = np.argsort(col, kind="stable")
+        ranks = np.empty(n, dtype=np.float64)
+        ranks[order] = np.arange(n, dtype=np.float64)
+        vals, inv = np.unique(col, return_inverse=True)
+        sums = np.zeros(vals.shape[0])
+        cnts = np.zeros(vals.shape[0])
+        np.add.at(sums, inv, ranks)
+        np.add.at(cnts, inv, 1.0)
+        ranks = (sums / cnts)[inv]
+        out[:, j] = ndtri((ranks + 0.5) / n)
+    return out
 
 
 def write(tmp_path, name, text):
@@ -127,6 +149,13 @@ class TestLoadEdgeList:
         p = write(tmp_path, "e2.csv", "# graph\nsrc,dst\n0,1\na,b\n")
         with pytest.raises(GraphFormatError, match="e2.csv:4: node id 'a' is not a 64-bit integer"):
             load_edge_list(p)
+
+    def test_signed_and_underscored_ids_are_no_header(self, tmp_path):
+        # the first line is a header only when a token is not an integer as int() reads it
+        g = load_edge_list(write(tmp_path, "plus.txt", "+1 +2\n2 3\n3 1\n"))
+        assert (g.n, g.m) == (3, 3)
+        g = load_edge_list(write(tmp_path, "under.txt", "1_0 2\n10 3\n"))
+        assert list(g.node_ids) == [10, 2, 3] and g.m == 2
 
     def test_empty(self, tmp_path):
         p = write(tmp_path, "e.txt", "# nothing\n")
@@ -257,6 +286,24 @@ class TestTransforms:
         z = transform_features(x, "quantile_normal")[:, 0]
         assert z[1] == z[2]
         assert z[1] < z[0] < z[4] < z[3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.just(n), st.integers(1, 4)),
+                elements=st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_quantile_equals_oracle(self, x, constant_first):
+        if constant_first:
+            x[:, 0] = x[0, 0]
+        got = transform_features(x, "quantile_normal")
+        want = quantile_normal_oracle(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_quantile_is_gaussian_like(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -837,13 +838,18 @@ class TestPEGuards:
 class TestModelSpec:
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="conv_type"):
-            nn.ModelSpec(conv_type="GAT").validate()
+            nn.ModelSpec(conv_type="GAT")
         with pytest.raises(ValueError, match="clusterings"):
-            nn.ModelSpec(conv_type="GCN", use_clatt=True).validate()
+            nn.ModelSpec(conv_type="GCN", use_clatt=True)
         with pytest.raises(ValueError, match="positional"):
-            nn.ModelSpec(conv_type="GGT").validate()
+            nn.ModelSpec(conv_type="GGT")
         with pytest.raises(ValueError, match="divisible"):
-            nn.ModelSpec(conv_type="LGT", hidden=6, heads=4).validate()
+            nn.ModelSpec(conv_type="LGT", hidden=6, heads=4)
+
+    def test_replace_is_checked(self):
+        spec = nn.ModelSpec(conv_type="GCN", use_clatt=True, clusterings=("LA",), hidden=16, heads=4)
+        with pytest.raises(InputError, match="hidden dim 16 is not divisible by 3 heads"):
+            replace(spec, heads=3)
 
     def test_json_roundtrip(self):
         spec = nn.ModelSpec(conv_type="GCN", use_clatt=True, clusterings=("LA", "KM"), hidden=64, heads=4, dropout=0.1)

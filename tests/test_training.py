@@ -31,6 +31,20 @@ def toy_classification(n_per=16, sigma=0.05, clusterings=False):
     return tr.TrainData(g, x, labels, "multiclass", num_classes=2, clusterings=cl)
 
 
+def unstratified_split_oracle(n, ratios, seed):
+    """The former unstratified branch of make_split: one permutation of the
+    n nodes, cut by largest-remainder apportionment of n * ratios."""
+    quotas = n * np.asarray(ratios, dtype=np.float64)
+    counts = np.floor(quotas).astype(np.int64)
+    short = n - counts.sum()
+    if short > 0:
+        order = np.argsort(-(quotas - counts), kind="stable")
+        counts[order[:short]] += 1
+    idx = np.random.default_rng(seed).permutation(n)
+    stops = np.cumsum(counts)
+    return [np.sort(part) for part in (idx[: stops[0]], idx[stops[0] : stops[1]], idx[stops[1] :])]
+
+
 def small_spec(**kw):
     base = dict(conv_type="GCN", layers=1, hidden=8, heads=2, lr=3e-3)
     base.update(kw)
@@ -78,6 +92,31 @@ class TestMakeSplit:
     def test_unstratified_ignores_tiny_classes(self):
         s = tr.make_split(np.array([0, 0, 0, 1, 1]), ratios=(0.4, 0.2, 0.4), stratified=False)
         assert s.train.size + s.val.size + s.test.size == 5
+
+    def test_unstratified_needs_three_nodes(self):
+        with pytest.raises(InputError, match="^the split has 2 nodes, fewer than the 3 subsets$"):
+            tr.make_split(np.array([0.5, 1.5]), stratified=False)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        ratios=st.one_of(
+            # each of these ties on the remainder for some n
+            st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.25, 0.25, 0.5), (0.4, 0.2, 0.4), (0.1, 0.1, 0.8), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5)]),
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 9)).map(lambda w: tuple(v / sum(w) for v in w)),
+        ),
+    )
+    def test_unstratified_equals_oracle(self, n, seed, ratios):
+        labels = np.random.default_rng(seed).integers(0, 5, size=n)  # ignored: one class holds every node
+        s = tr.make_split(labels, ratios=ratios, seed=seed, stratified=False)
+        for got, want in zip((s.train, s.val, s.test), unstratified_split_oracle(n, ratios, seed)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_split_checked_when_made(self):
+        s = tr.make_split(np.arange(12) % 2, ratios=(0.5, 0.25, 0.25))
+        with pytest.raises(ValueError, match="overlap"):
+            replace(s, val=s.train[:1])
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -511,11 +550,16 @@ class TestTrainData:
     def test_validation(self):
         g = erdos_renyi(5, 0.5, seed=0)
         with pytest.raises(ValueError, match="task"):
-            tr.TrainData(g, np.zeros((5, 2)), np.zeros(5), "ranking").validate()
+            tr.TrainData(g, np.zeros((5, 2)), np.zeros(5), "ranking")
         with pytest.raises(ValueError, match="num_classes"):
-            tr.TrainData(g, np.zeros((5, 2)), np.zeros(5, dtype=int), "multiclass").validate()
+            tr.TrainData(g, np.zeros((5, 2)), np.zeros(5, dtype=int), "multiclass")
         with pytest.raises(ValueError, match="row count"):
-            tr.TrainData(g, np.zeros((4, 2)), np.zeros(5, dtype=int), "multiclass", num_classes=2).validate()
+            tr.TrainData(g, np.zeros((4, 2)), np.zeros(5, dtype=int), "multiclass", num_classes=2)
+
+    def test_replace_is_checked(self):
+        data = tr.TrainData(erdos_renyi(5, 0.5, seed=0), np.zeros((5, 2)), np.zeros(5, dtype=int), "multiclass", num_classes=2)
+        with pytest.raises(ValueError, match="row count"):
+            replace(data, features=np.zeros((4, 2)))
 
     def test_metric_names(self):
         assert tr.metric_name_for("multiclass") == "accuracy"
