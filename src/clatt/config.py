@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS, TableSchema
 from .nn import CONV_TYPES, MAX_CLUSTER_SLOTS, PE_KINDS, ModelSpec
-from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS
+from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS, check_ratios
 
 OUTPUT_DIR_ENV = "CLATT_OUT_DIR"
 
@@ -164,9 +164,10 @@ def _ratios(raw, path):
     if isinstance(raw, list) and len(raw) != 3:
         _fail(path, f"expected 3 values, got {len(raw)}")
     ratios = _list_of(_number_field)(raw, path)
-    if abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        _fail(path, f"must be non-negative and sum to 1, got {ratios}")
-    return ratios
+    try:
+        return check_ratios(ratios)
+    except InputError as e:
+        _fail(path, str(e))
 
 
 def _valid(path: str, **fields) -> ModelSpec:

@@ -7,14 +7,16 @@ other modules (``ConfigError``, ``GraphFormatError``, ``CheckpointError``,
 ``DegenerateClusteringError``, ``TrainingDiverged``) derive from it. A bare
 ``ValueError`` or ``RuntimeError`` marks a broken internal invariant and
 exits 3. ``read_text`` reads a user-supplied text file so that bytes which do
-not decode are an InputError too.
+not decode are an InputError too; ``check_count`` refuses a loop bound that
+the config would refuse.
 """
 
 from __future__ import annotations
 
 import io
+import numbers
 
-__all__ = ["InputError", "read_text"]
+__all__ = ["InputError", "read_text", "check_count"]
 
 
 class InputError(ValueError):
@@ -30,3 +32,11 @@ def read_text(path) -> io.StringIO:
             return io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a text file: {e}") from None
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` when it is an integer of at least ``minimum``; otherwise an
+    InputError naming ``name``, the bound the config sets for that count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

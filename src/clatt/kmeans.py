@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .partition import Clustering, relabel_by_first_occurrence
 
 
@@ -48,6 +48,7 @@ def kmeans(points: np.ndarray, k: int | None = None, seed: int = 0,
     re-seeded with the point farthest from its centroid, so inertia never
     increases from one iteration to the next.
     """
+    max_iters = check_count("max_iters", max_iters, 1)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty 2d array")

@@ -11,7 +11,7 @@ import scipy.stats
 
 from . import nn
 from . import tensor as T
-from .errors import InputError
+from .errors import InputError, check_count
 from .graphs import FEATURE_TRANSFORMS, TASKS, transform_features
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "GRID_DROPOUTS",
     "CANONICAL_TAGS",
     "Split",
+    "check_ratios",
     "make_split",
     "accuracy",
     "average_precision",
@@ -68,6 +69,15 @@ class Split:
                 raise InputError(f"split ratios {self.ratios} leave the {name} subset empty")
 
 
+def check_ratios(ratios) -> tuple:
+    """Split ratios as a tuple of floats when they are 3 finite,
+    non-negative values that sum to 1; an InputError otherwise."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise InputError(f"ratios must be 3 finite, non-negative values summing to 1, got {ratios}")
+    return ratios
+
+
 def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool = True) -> Split:
     """Shuffle-then-slice split, per class when stratified; an unstratified
     split is the split of one class that holds every node.
@@ -77,9 +87,7 @@ def make_split(labels, ratios=(0.1, 0.1, 0.8), seed: int = 0, stratified: bool =
     one node of its own proportional target.
     """
     labels = np.asarray(labels)
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise InputError(f"ratios must be 3 values summing to 1, got {ratios}")
+    ratios = check_ratios(ratios)
     if not stratified:
         labels = np.zeros(labels.shape[0], dtype=np.int8)
     rng = np.random.default_rng(seed)
@@ -187,99 +195,96 @@ class TrainResult:
     history: list
 
 
-def _metric_from_logits(logits: np.ndarray, data: TrainData, idx, target_scale=None) -> float:
+def _task_targets(data: TrainData, split: Split):
+    """The targets the training loss compares logits with, row-aligned with
+    ``data``, and the (shift, scale) that maps a regression head back to
+    target units (None for the other tasks): regression targets are
+    standardized on the training subset."""
     if data.task == "multiclass":
-        return accuracy(logits.argmax(axis=1), data.targets, idx)
+        return data.targets, None
     if data.task == "binary":
-        return average_precision(logits[:, 0], data.targets, idx)
+        return data.targets.astype(np.float64), None
+    t_train = data.targets[split.train].astype(np.float64)
+    shift = float(t_train.mean())
+    scale = max(float(t_train.std()), 1e-12)
+    return (data.targets - shift) / scale, (shift, scale)
+
+
+def _task_loss(logits: T.Tensor, task: str, targets: np.ndarray, idx) -> T.Tensor:
+    """Mean training loss over the rows ``idx`` of ``logits``; ``targets``
+    is row-aligned with ``logits``, as ``_task_targets`` gives it."""
+    if task == "multiclass":
+        return T.softmax_cross_entropy(logits, targets, idx)
+    flat = T.reshape(logits, (logits.data.shape[0],))
+    if task == "binary":
+        return T.binary_cross_entropy_with_logits(flat, targets, idx)
+    return T.mse(flat, targets, idx)
+
+
+def _task_metric(logits: np.ndarray, task: str, targets, idx, target_scale=None) -> float:
+    """The task's metric over the rows ``idx`` of ``logits`` against the
+    row-aligned raw ``targets``."""
+    if task == "multiclass":
+        return accuracy(logits.argmax(axis=1), targets, idx)
+    if task == "binary":
+        return average_precision(logits[:, 0], targets, idx)
     pred = logits[:, 0]
     if target_scale is not None:
         shift, scale = target_scale
         pred = pred * scale + shift
-    return r_squared(pred, data.targets, idx)
+    return r_squared(pred, targets, idx)
 
 
 class TrainingDiverged(InputError):
     """The training loss became non-finite, e.g. under too large a learning rate."""
 
 
-def _fit(
-    params: dict,
-    forward,
-    data: TrainData,
-    split: Split,
-    lr: float,
-    steps: int,
-    eval_every: int,
-):
-    """Full-batch Adam on ``forward(training) -> logits`` with best-validation
-    checkpoint selection; the best parameters are restored in place.
+def _fit(params: dict, step_loss, evaluate, lr: float, steps: int, eval_every: int):
+    """Full-batch Adam with best-validation checkpoint selection; the best
+    parameters are restored in place.
 
-    Returns (best_step, best_val, best_snapshot, history, metric), where
-    ``metric(idx)`` scores the restored parameters on the nodes ``idx``
-    from the best eval's logits, with one forward pass of its own only
-    when no eval improved (``steps == 0`` or every val metric NaN).
+    Each step runs ``step_loss()``, a training forward pass that returns
+    the loss tensor, then backward and Adam. Every ``eval_every`` steps and
+    after the last, ``evaluate()`` runs a no-grad pass and returns
+    (validation metric, outputs). The loop never sees which rows the two
+    passes compute; the caller chooses: ``train`` runs both over the whole
+    graph, ``resmlp_representations`` over the train and the validation
+    rows only.
+
+    Returns (best_step, best_val, best_snapshot, history, best_outputs),
+    where best_outputs is what ``evaluate`` returned at the best eval, and
+    None when no eval improved (``steps == 0`` or every val metric NaN).
     """
-    target_scale = None
-    loss_targets = data.targets
-    if data.task == "regression":
-        t_train = data.targets[split.train].astype(np.float64)
-        shift = float(t_train.mean())
-        scale = max(float(t_train.std()), 1e-12)
-        target_scale = (shift, scale)
-        loss_targets = (data.targets - shift) / scale
-
-    def loss_fn() -> T.Tensor:
-        logits = forward(True)
-        if data.task == "multiclass":
-            return T.softmax_cross_entropy(logits, data.targets, split.train)
-        if data.task == "binary":
-            return T.binary_cross_entropy_with_logits(
-                T.reshape(logits, (data.g.n,)), loss_targets.astype(np.float64), split.train
-            )
-        return T.mse(T.reshape(logits, (data.g.n,)), loss_targets, split.train)
-
-    def eval_logits() -> np.ndarray:
-        with T.no_grad():
-            return forward(False).data
-
+    steps = check_count("steps", steps, 0)
+    eval_every = check_count("eval_every", eval_every, 1)
     plist = list(params.values())
     state = T.adam_init(plist)
     best_val = -math.inf
     best_step = 0
     best_snapshot = {k: v.data.copy() for k, v in params.items()}
-    best_logits = None
+    best_outputs = None
     history = []
     for step in range(1, steps + 1):
         T.zero_grad(plist)
-        loss = loss_fn()
+        loss = step_loss()
         value = loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(f"training diverged at step {step} (loss {value})")
         T.backward(loss)
         T.adam_step(plist, state, lr=lr)
         if step % eval_every == 0 or step == steps:
-            logits = eval_logits()
-            val = _metric_from_logits(logits, data, split.val, target_scale)
+            with T.no_grad():
+                val, outputs = evaluate()
             history.append({"step": step, "train_loss": value, "val_metric": val})
             if val > best_val:
                 best_val = val
                 best_step = step
                 best_snapshot = {k: v.data.copy() for k, v in params.items()}
-                best_logits = logits
+                best_outputs = outputs
 
     for k, p in params.items():
         p.data[...] = best_snapshot[k]
-
-    def metric(idx) -> float:
-        # the eval forward has no dropout, so the best eval's logits are
-        # exactly what the restored parameters would produce
-        nonlocal best_logits
-        if best_logits is None:
-            best_logits = eval_logits()
-        return _metric_from_logits(best_logits, data, idx, target_scale)
-
-    return best_step, best_val, best_snapshot, history, metric
+    return best_step, best_val, best_snapshot, history, best_outputs
 
 
 def train(
@@ -292,6 +297,10 @@ def train(
 ) -> TrainResult:
     """Full-batch Adam with best-validation-checkpoint selection.
 
+    Every forward pass, for the loss and for each eval, runs over the whole
+    graph, since a Mix step reads neighbours outside any subset. The test
+    metric comes from the best eval's logits: the eval forward has no
+    dropout, so they are what the restored parameters produce.
     Deterministic per (spec, data, split, seed). Raises TrainingDiverged on
     a non-finite loss, naming the step.
     """
@@ -299,16 +308,21 @@ def train(
     params = nn.init_params(spec, data.features.shape[1], _out_dim(data), seed=seed, pe_dim=pe_dim)
     inp = nn.prepare_inputs(data.g, data.features, spec, data.clusterings, data.pe)
     dropout_rng = np.random.default_rng([seed, 1])
+    targets, target_scale = _task_targets(data, split)
 
-    def forward(training: bool) -> T.Tensor:
-        return nn.model_forward(spec, params, inp, training=training, dropout_rng=dropout_rng)
+    def step_loss() -> T.Tensor:
+        logits = nn.model_forward(spec, params, inp, training=True, dropout_rng=dropout_rng)
+        return _task_loss(logits, data.task, targets, split.train)
 
-    best_step, best_val, best_snapshot, history, metric = _fit(
-        params, forward, data, split, spec.lr, steps, eval_every
-    )
-    test_metric = metric(split.test)
-    if best_val == -math.inf:  # steps == 0
-        best_val = metric(split.val)
+    def evaluate():
+        logits = nn.model_forward(spec, params, inp).data
+        return _task_metric(logits, data.task, data.targets, split.val, target_scale), logits
+
+    best_step, best_val, best_snapshot, history, logits = _fit(params, step_loss, evaluate, spec.lr, steps, eval_every)
+    if logits is None:  # no eval improved; score the restored parameters
+        with T.no_grad():
+            best_val, logits = evaluate()
+    test_metric = _task_metric(logits, data.task, data.targets, split.test, target_scale)
     return TrainResult(spec, seed, best_snapshot, best_step, best_val, test_metric, history)
 
 
@@ -510,16 +524,40 @@ def resmlp_representations(
 
     The auxiliary model sees only node features and the task labels on
     the training subset; the best-validation checkpoint provides the
-    representations that k-means later clusters. It trains through
-    ``_fit`` and ``nn.hidden_and_logits``, not ``train`` and
-    ``nn.model_forward``, and builds its inputs without
+    representations that k-means later clusters. An MLP layer has no Mix
+    step, so every op is row-wise and a pass over some rows computes those
+    rows of a pass over all of them: each training step runs over the
+    ``split.train`` rows only (the rows its loss reads), each eval over the
+    ``split.val`` rows only (the rows selection reads), and one final
+    no-grad pass over every row gives the representations. They equal
+    those of all-row training up to rounding, as the gradient sums over
+    fewer rows group their terms differently.
+
+    It trains through ``_fit`` and ``nn.hidden_and_logits``, not ``train``
+    and ``nn.model_forward``, and builds its inputs without
     ``nn.prepare_inputs``, which an MLP does not need; so the perfbench
     tracer's counts and timings of those names cover only the configured
     models, and this model's time stays in its own span.
     """
     spec = nn.ModelSpec("MLP", layers=layers, hidden=hidden, lr=lr)
     params = nn.init_params(spec, data.features.shape[1], _out_dim(data), seed=seed)
-    inp = nn.ModelInputs(x=data.features.astype(np.float64), n=data.g.n)
-    _fit(params, lambda training: nn.hidden_and_logits(spec, params, inp)[1], data, split, lr, steps, eval_every)
+    targets, target_scale = _task_targets(data, split)
+    x = data.features.astype(np.float64)
+
+    def pass_over(rows, t):
+        """The inputs of a pass over ``rows``, their targets, and every row index of that pass."""
+        return nn.ModelInputs(x=x[rows], n=rows.size), t[rows], np.arange(rows.size)
+
+    train_in, train_t, train_rows = pass_over(split.train, targets)
+    val_in, val_t, val_rows = pass_over(split.val, data.targets)
+
+    def step_loss() -> T.Tensor:
+        return _task_loss(nn.hidden_and_logits(spec, params, train_in)[1], data.task, train_t, train_rows)
+
+    def evaluate():
+        logits = nn.hidden_and_logits(spec, params, val_in)[1].data
+        return _task_metric(logits, data.task, val_t, val_rows, target_scale), None
+
+    _fit(params, step_loss, evaluate, lr, steps, eval_every)
     with T.no_grad():
-        return nn.hidden_and_logits(spec, params, inp)[0].data
+        return nn.hidden_and_logits(spec, params, nn.ModelInputs(x=x, n=data.g.n))[0].data

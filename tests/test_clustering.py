@@ -668,6 +668,11 @@ class TestKmeans:
         b, _ = kmeans(pts, k=5, seed=3)
         assert np.array_equal(a.assignment, b.assignment)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_is_input_error(self, max_iters):
+        with pytest.raises(InputError, match=f"^max_iters must be an integer >= 1, got {max_iters}$"):
+            kmeans(np.zeros((4, 2)), k=2, max_iters=max_iters)
+
 
 class TestFilter:
     def build(self, sizes):

@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from clatt import nn
+from clatt import tensor as T
 from clatt import training as tr
 from clatt.errors import InputError
 from clatt.graphs import transform_features
@@ -88,6 +89,12 @@ class TestMakeSplit:
     def test_bad_ratios_error(self):
         with pytest.raises(ValueError, match="summing to 1"):
             tr.make_split(np.zeros(10, dtype=int), ratios=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("ratios", [(1.2, -0.1, -0.1), (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (0.5, 0.5)])
+    def test_ratios_the_config_refuses_are_input_errors(self, ratios):
+        # the config's rule: 3 finite, non-negative values summing to 1
+        with pytest.raises(InputError, match="finite, non-negative values summing to 1"):
+            tr.make_split(np.zeros(40, dtype=int), ratios=ratios, stratified=False)
 
     def test_unstratified_ignores_tiny_classes(self):
         s = tr.make_split(np.array([0, 0, 0, 1, 1]), ratios=(0.4, 0.2, 0.4), stratified=False)
@@ -290,6 +297,17 @@ class TestTrain:
         logits = tr.predict(spec, result.params, data)
         assert result.test_metric == tr.accuracy(logits.argmax(axis=1), data.targets, split.test)
         assert result.best_val == tr.accuracy(logits.argmax(axis=1), data.targets, split.val)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"eval_every": 0}, "eval_every must be an integer >= 1, got 0"),
+        ({"eval_every": -1}, "eval_every must be an integer >= 1, got -1"),
+        ({"steps": -5}, "steps must be an integer >= 0, got -5"),
+    ])
+    def test_loop_bounds_the_config_refuses_are_input_errors(self, kw, message):
+        data = toy_classification()
+        split = tr.make_split(data.targets, ratios=(0.5, 0.25, 0.25), seed=0)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            tr.train(small_spec(), data, split, **{"steps": 5, **kw})
 
     def test_divergence_raises_with_step(self):
         g = erdos_renyi(20, 0.2, seed=0)
@@ -515,17 +533,108 @@ class TestTableFormat:
         assert lines[2].endswith("61.00 ± 0.10 *")
 
 
+def resmlp_full_rows_oracle(data, split, seed=0, hidden=64, layers=2, steps=300, lr=3e-4, eval_every=10):
+    """The former resmlp_representations: every training step and every eval
+    runs the MLP over all rows, and the loss and the metric mask them."""
+    spec = nn.ModelSpec("MLP", layers=layers, hidden=hidden, lr=lr)
+    out_dim = data.num_classes if data.task == "multiclass" else 1
+    params = nn.init_params(spec, data.features.shape[1], out_dim, seed=seed)
+    inp = nn.ModelInputs(x=data.features.astype(np.float64), n=data.g.n)
+    target_scale, loss_targets = None, data.targets
+    if data.task == "regression":
+        t_train = data.targets[split.train].astype(np.float64)
+        target_scale = (float(t_train.mean()), max(float(t_train.std()), 1e-12))
+        loss_targets = (data.targets - target_scale[0]) / target_scale[1]
+
+    def loss():
+        logits = nn.hidden_and_logits(spec, params, inp)[1]
+        if data.task == "multiclass":
+            return T.softmax_cross_entropy(logits, data.targets, split.train)
+        flat = T.reshape(logits, (data.g.n,))
+        if data.task == "binary":
+            return T.binary_cross_entropy_with_logits(flat, loss_targets.astype(np.float64), split.train)
+        return T.mse(flat, loss_targets, split.train)
+
+    def val_metric():
+        with T.no_grad():
+            logits = nn.hidden_and_logits(spec, params, inp)[1].data
+        if data.task == "multiclass":
+            return tr.accuracy(logits.argmax(axis=1), data.targets, split.val)
+        if data.task == "binary":
+            return tr.average_precision(logits[:, 0], data.targets, split.val)
+        return tr.r_squared(logits[:, 0] * target_scale[1] + target_scale[0], data.targets, split.val)
+
+    plist = list(params.values())
+    state = T.adam_init(plist)
+    best_val, best = -math.inf, {k: v.data.copy() for k, v in params.items()}
+    for step in range(1, steps + 1):
+        T.zero_grad(plist)
+        T.backward(loss())
+        T.adam_step(plist, state, lr=lr)
+        if step % eval_every == 0 or step == steps:
+            val = val_metric()
+            if val > best_val:
+                best_val, best = val, {k: v.data.copy() for k, v in params.items()}
+    for k, p in params.items():
+        p.data[...] = best[k]
+    with T.no_grad():
+        return nn.hidden_and_logits(spec, params, inp)[0].data
+
+
+def blob_data(task="multiclass"):
+    """60 nodes in two Gaussian blobs; regression targets are a noisy linear
+    function of the features."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.array([0, 1]), 30)
+    centers = np.array([[2.0, 0.0, -1.0, 0.5], [-2.0, 1.0, 1.0, -0.5]])
+    x = centers[labels] + 0.3 * rng.normal(size=(60, 4))
+    g = erdos_renyi(60, 0.05, seed=1)
+    if task == "regression":
+        return tr.TrainData(g, x, 10.0 + x @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.1 * rng.normal(size=60), task)
+    return tr.TrainData(g, x, labels, task, num_classes=2 if task == "multiclass" else None)
+
+
 class TestResMLP:
-    def make_blobs(self):
-        rng = np.random.default_rng(0)
-        labels = np.repeat(np.array([0, 1]), 30)
-        centers = np.array([[2.0, 0.0, -1.0, 0.5], [-2.0, 1.0, 1.0, -0.5]])
-        x = centers[labels] + 0.3 * rng.normal(size=(60, 4))
-        g = erdos_renyi(60, 0.05, seed=1)
-        return tr.TrainData(g, x, labels, "multiclass", num_classes=2)
+    @pytest.mark.parametrize("task", ["multiclass", "binary", "regression"])
+    @pytest.mark.parametrize("ratios", [(0.4, 0.3, 0.3), (0.1, 0.1, 0.8)])
+    def test_matches_full_row_oracle(self, task, ratios):
+        data = blob_data(task)
+        split = tr.make_split(data.targets, ratios=ratios, seed=2, stratified=task != "regression")
+        kw = dict(seed=1, hidden=16, layers=2, steps=60, lr=3e-3, eval_every=7)
+        got = tr.resmlp_representations(data, split, **kw)
+        want = resmlp_full_rows_oracle(data, split, **kw)
+        assert got.shape == want.shape == (60, 16)
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.array_equal(kmeans(got, k=3, seed=0)[0].assignment, kmeans(want, k=3, seed=0)[0].assignment)
+
+    def test_passes_compute_only_the_rows_they_read(self, monkeypatch):
+        data = blob_data()
+        split = tr.make_split(data.targets, ratios=(0.5, 0.2, 0.3), seed=0)
+        rows = []
+        real = nn.hidden_and_logits
+
+        def counting(spec, params, inp, *args, **kwargs):
+            rows.append(inp.n)
+            return real(spec, params, inp, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "hidden_and_logits", counting)
+        tr.resmlp_representations(data, split, hidden=8, layers=1, steps=20, eval_every=10)
+        # each step over the train rows, each eval over the val rows, then one pass over all
+        assert rows == [30] * 10 + [12] + [30] * 10 + [12] + [60]
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"eval_every": 0}, "eval_every must be an integer >= 1, got 0"),
+        ({"eval_every": -1}, "eval_every must be an integer >= 1, got -1"),
+        ({"steps": -5}, "steps must be an integer >= 0, got -5"),
+    ])
+    def test_loop_bounds_the_config_refuses_are_input_errors(self, kw, message):
+        data = blob_data()
+        split = tr.make_split(data.targets, ratios=(0.4, 0.3, 0.3), seed=0)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            tr.resmlp_representations(data, split, hidden=8, layers=1, **{"steps": 5, **kw})
 
     def test_shape_and_determinism(self):
-        data = self.make_blobs()
+        data = blob_data()
         split = tr.make_split(data.targets, ratios=(0.4, 0.3, 0.3), seed=0)
         a = tr.resmlp_representations(data, split, hidden=16, layers=1, steps=60)
         b = tr.resmlp_representations(data, split, hidden=16, layers=1, steps=60)
@@ -533,13 +642,13 @@ class TestResMLP:
         assert np.array_equal(a, b)
 
     def test_layers_below_one_is_input_error(self):
-        data = self.make_blobs()
+        data = blob_data()
         split = tr.make_split(data.targets, ratios=(0.4, 0.3, 0.3), seed=0)
         with pytest.raises(InputError, match="layers must be >= 1"):
             tr.resmlp_representations(data, split, layers=0)
 
     def test_kmeans_on_representations_recovers_classes(self):
-        data = self.make_blobs()
+        data = blob_data()
         split = tr.make_split(data.targets, ratios=(0.4, 0.3, 0.3), seed=0)
         reps = tr.resmlp_representations(data, split, hidden=16, layers=1, steps=80)
         clustering, _ = kmeans(reps, k=2, seed=0)
