@@ -119,22 +119,15 @@ def attention_distance_profile(records, g) -> AttentionProfile:
         live.append((rows, queries, rec["nodes"][rows, queries]))
     attending = np.unique(np.concatenate([np.zeros(0, np.int64)] + [nodes for _, _, nodes in live]))
     step = max(1, stats.BLOCK_DISTANCES // max(g.n, 1))
-    # per record: each pair's node's index in attending, and the pairs
-    # grouped by block: block b's are by_block[bounds[b] : bounds[b + 1]]
-    groups = []
-    for _, _, nodes in live:
-        slot = np.searchsorted(attending, nodes)
-        by_block = np.argsort(slot, kind="stable")
-        bounds = np.append(np.searchsorted(slot[by_block], np.arange(0, attending.size, step)), slot.size)
-        groups.append((slot, by_block, bounds))
+    slots = [np.searchsorted(attending, nodes) for _, _, nodes in live]  # each pair's node's index in attending
     avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
     unreachable = 0
-    for b, lo in enumerate(range(0, attending.size, step)):
+    for lo in range(0, attending.size, step):
         dist = bfs_distances(g, attending[lo : lo + step])
-        for rec, (rows, queries, _), (slot, by_block, bounds), avg in zip(records, live, groups, avgs):
+        for rec, (rows, queries, _), slot, avg in zip(records, live, slots, avgs):
             _, heads, _, width = rec["probs"].shape
             chunk = max(1, CHUNK_ELEMENTS // (heads * width))
-            in_block = by_block[bounds[b] : bounds[b + 1]]
+            in_block = np.flatnonzero((slot >= lo) & (slot < lo + step))
             for c in range(0, in_block.size, chunk):
                 sel = in_block[c : c + chunk]
                 pos = slot[sel] - lo

@@ -40,9 +40,9 @@ def _k_ladder(k_max: int) -> list[int]:
     return [int(k) for k in ks]
 
 
-# Cells one batch of lockstep runs may hold per state array, so that memory
-# stays bounded however large k_max or the graph is; a batch holds at least
-# one run.
+# Cells one batch of lockstep runs may hold per state array. A batch holds at
+# least one run, so this bounds memory only while one run fits: H1, whose
+# run state is K x K, refuses a K with K * K past it.
 LOCKSTEP_MAX_CELLS = 1 << 20
 
 
@@ -191,19 +191,6 @@ def _pp_lockstep(g: Graph, ks: list[int], comm: np.ndarray, m: float,
     return st["comm"], score
 
 
-def _block_matrices(units: WeightedGraph, comm: np.ndarray, k: int):
-    """Edge-weight matrix M and community size vector for a partition."""
-    src = np.repeat(np.arange(units.n), np.diff(units.indptr))
-    rows, cols = comm[src], comm[units.indices]
-    M = np.zeros((k, k))
-    np.add.at(M, (rows, cols), units.weights)
-    M = (M + M.T) / 2.0  # symmetric; off-diagonal now holds undirected weight
-    M[np.diag_indices(k)] /= 2.0
-    M[np.diag_indices(k)] += np.bincount(comm, weights=units.loops, minlength=k)
-    sizes = np.bincount(comm, weights=units.sizes, minlength=k)
-    return M, sizes
-
-
 def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, sweeps: int,
                       total_pairs: float) -> tuple[np.ndarray, np.ndarray]:
     """Full rate-matrix sweeps of every run in ``comm`` (runs, n), run r over
@@ -223,10 +210,15 @@ def _general_lockstep(units: WeightedGraph, ks: list[int], comm: np.ndarray, swe
     occ = np.arange(K + 2)
     occ_penalty = _penalty(occ, total_pairs)
     occ_code = n_orig * np.log(np.maximum(occ, 1))
-    pairs = [_block_matrices(units, c, K) for c in comm]
-    M = np.stack([p[0] for p in pairs])
-    sizes = np.stack([p[1] for p in pairs])
     d = np.arange(K)
+    # each run's edge weight between and (with loops) within blocks, and its
+    # block sizes: its quotient graph, padded to K blocks
+    M, sizes = np.zeros((R, K, K)), np.zeros((R, K))
+    for r, c in enumerate(comm):
+        q = units.quotient(c)
+        M[r, np.repeat(d[: q.n], np.diff(q.indptr)), q.indices] = q.weights
+        M[r, d[: q.n], d[: q.n]] = q.loops
+        sizes[r, : q.n] = q.sizes
     upper = np.triu(np.ones((K, K), dtype=bool))
 
     def pair_counts(s):
@@ -306,6 +298,10 @@ def hierarchical_fit(g: Graph, seed: int = 0, k_max: int | None = None,
         k_max = max(2, min(25, int(round(np.sqrt(g.n)))))
     if k_max < 2:
         raise InputError(f"H1 k_max must be at least 2, got {k_max}")
+    K = min(k_max, g.n)  # the widest level fits at most K blocks
+    if K * K > LOCKSTEP_MAX_CELLS:
+        raise InputError(f"H1 fits up to {K} blocks: a {K} x {K} block matrix exceeds "
+                         f"the {LOCKSTEP_MAX_CELLS} cell bound; lower k_max")
     units = WeightedGraph.from_graph(g)
     to_unit = np.arange(g.n, dtype=np.int64)
     total_pairs = g.n * (g.n - 1) / 2.0

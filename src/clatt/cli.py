@@ -31,7 +31,7 @@ from .blockmodel import hierarchical_fit, planted_partition_fit
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, load_config
 from .errors import InputError
-from .graphs import TableSchema, load_edge_list, load_node_table, save_stats_json, transform_features
+from .graphs import TableSchema, load_edge_list, load_node_table, transform_features
 from .kmeans import kmeans
 from .leiden import leiden_cpm
 from .partition import Clustering, filter_clusters, load_clustering, save_clustering
@@ -73,11 +73,10 @@ def cmd_stats(args) -> int:
         nd = load_node_table(args.nodes, _schema_from_args(args), g)
         targets = nd.targets
     stats = compute_graph_stats(g, targets=targets, task=args.task)
-    payload = stats_to_dict(stats)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(stats_to_dict(stats), indent=2, sort_keys=True)
     _echo(text)
     if args.out:
-        save_stats_json(payload, args.out)
+        Path(args.out).write_text(text + "\n")  # the bytes printed
     return 0
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,22 +70,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = src < self.neighbors
         return np.stack([src[keep], self.neighbors[keep]], axis=1)
-
-    def validate(self) -> None:
-        if self.offsets.shape != (self.n + 1,) or self.offsets[0] != 0:
-            raise GraphFormatError("bad offset array")
-        if self.offsets[-1] != self.neighbors.shape[0]:
-            raise GraphFormatError("offsets do not cover neighbor array")
-        if np.any(np.diff(self.offsets) < 0):
-            raise GraphFormatError("offsets not monotone")
-        if self.neighbors.size and (self.neighbors.min() < 0 or self.neighbors.max() >= self.n):
-            raise GraphFormatError("neighbor id out of range")
-        for i in range(self.n):
-            nb = self.neighbors_of(i)
-            if np.any(np.diff(nb) <= 0):
-                raise GraphFormatError(f"neighbors of {i} not strictly sorted")
-            if np.any(nb == i):
-                raise GraphFormatError(f"self loop at {i}")
 
 
 class WeightedGraph:
@@ -259,11 +242,22 @@ def _number(tok: str, where: str, what: str, column: str) -> float:
     return value
 
 
+def _refuse_repeats(names, where: str, what: str) -> None:
+    """GraphFormatError naming the first name of ``names`` seen twice and its
+    two 1-based positions."""
+    seen = {}
+    for i, name in enumerate(names, 1):
+        if name in seen:
+            raise GraphFormatError(f"{where} repeats {name!r} ({what} {seen[name]} and {i})")
+        seen[name] = i
+
+
 def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     """Read per-node features/targets and align rows to ``graph`` order.
 
     Rows follow ``csv_rows``: blank rows are skipped and errors name the
-    file line. The id column must cover exactly the graph's original node
+    file line. No two header cells and no two ``feature_columns`` may
+    share a name. The id column must cover exactly the graph's original node
     ids. Missing numeric feature cells are imputed with the column mean and
     flagged in ``NodeData.imputed``; non-numeric or non-finite feature cells,
     missing targets and non-finite regression targets are errors.
@@ -275,6 +269,7 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
         raise GraphFormatError(f"{path}: empty file")
     rows = list(rows)
     header = [h.strip() for h in header]
+    _refuse_repeats(header, f"{path}: header", "columns")
     if schema.id_column not in header:
         raise GraphFormatError(f"{path}: id column {schema.id_column!r} not in header {header}")
     id_idx = header.index(schema.id_column)
@@ -286,6 +281,7 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     if not schema.feature_columns:
         feat_names = [h for i, h in enumerate(header) if i != id_idx and i != tgt_idx]
     else:
+        _refuse_repeats(schema.feature_columns, f"{path}: feature_columns", "entries")
         for c in schema.feature_columns:
             if c not in header:
                 raise GraphFormatError(f"{path}: feature column {c!r} missing")
@@ -360,9 +356,3 @@ def transform_features(x: np.ndarray, kind: str) -> np.ndarray:
         sd = np.where(sd == 0.0, 1.0, sd)
         return (x - mu) / sd
     return ndtri((rankdata(x, axis=0) - 0.5) / x.shape[0])
-
-
-def save_stats_json(stats_dict: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")

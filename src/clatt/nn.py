@@ -44,6 +44,7 @@ __all__ = [
     "gcn_conv",
     "sage_conv",
     "local_attention_conv",
+    "global_classes",
     "global_attention",
     "init_params",
     "prepare_inputs",
@@ -131,30 +132,19 @@ class ClusterBatch:
 
 
 def build_cluster_batch(fc: Clustering) -> ClusterBatch:
-    """Lay retained clusters out as rows, members as node-id-sorted slots."""
-    a = fc.assignment
-    retained = np.nonzero(a >= 0)[0]
-    if retained.size == 0:
+    """Lay fc.clusters() out as rows, members as node-id-sorted slots; an id
+    with no member gives no row."""
+    members = [m for m in fc.clusters() if m.size]
+    if not members:
         raise InputError("build_cluster_batch: no retained clusters")
-    ids = a[retained]
-    uniq = np.unique(ids)
-    rows = np.searchsorted(uniq, ids)
-    sizes = np.bincount(rows)
+    sizes = np.array([m.size for m in members])
     max_size = int(sizes.max())
     if max_size > MAX_CLUSTER_SLOTS:
         raise InputError(f"cluster of size {max_size} exceeds the {MAX_CLUSTER_SLOTS} slot bound")
-    num = uniq.size
-    order = np.argsort(rows, kind="stable")  # retained is ascending, so slots sort by node id
-    rows_sorted = rows[order]
-    nodes_sorted = retained[order]
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    slots = np.arange(nodes_sorted.size) - starts[rows_sorted]
-
-    table = np.zeros((num, max_size), dtype=np.int64)
-    mask = np.zeros((num, max_size), dtype=bool)
-    table[rows_sorted, slots] = nodes_sorted
-    mask[rows_sorted, slots] = True
-    return ClusterBatch(table, mask, a.shape[0])
+    mask = np.arange(max_size) < sizes[:, None]
+    table = np.zeros(mask.shape, dtype=np.int64)
+    table[mask] = np.concatenate(members)
+    return ClusterBatch(table, mask, fc.n)
 
 
 def _check_heads(d: int, heads: int) -> int:
@@ -293,15 +283,22 @@ def check_global_attention_size(n: int) -> None:
         )
 
 
-def global_attention(x: T.Tensor, pe: T.Tensor, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
-    """All-to-all attention on concat(x projection, pe projection): one
-    cluster that holds every node."""
-    n = x.data.shape[0]
+def global_classes(n: int) -> list[SlotClass]:
+    """The layout of global attention: one row that holds all n nodes, each
+    a query and a key. Refuses an n past the bound."""
     check_global_attention_size(n)
-    u = T.concat_last_dim([T.linear(x, prm["wx"], prm["bx"]), T.linear(pe, prm["wpe"], prm["bpe"])])
     everyone = np.arange(n)[None, :]
-    one = SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)
-    return _slot_attention(u, [one], prm, heads, capture, {"kind": "global", "layer": layer, "clustering": None})
+    return [SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)]
+
+
+def global_attention(x: T.Tensor, pe: T.Tensor, classes, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:
+    """All-to-all attention on concat(x projection, pe projection): one
+    cluster that holds every node.
+
+    classes is global_classes(n).
+    """
+    u = T.concat_last_dim([T.linear(x, prm["wx"], prm["bx"]), T.linear(pe, prm["wpe"], prm["bpe"])])
+    return _slot_attention(u, classes, prm, heads, capture, {"kind": "global", "layer": layer, "clustering": None})
 
 
 @dataclass(frozen=True)
@@ -334,6 +331,9 @@ class ModelSpec:
             raise InputError("use_clatt requires a non-empty clusterings list")
         if self.clusterings and not self.use_clatt:
             raise InputError("clusterings apply only with use_clatt; set use_clatt or drop clusterings")
+        repeated = [t for i, t in enumerate(self.clusterings) if t in self.clusterings[:i]]
+        if repeated:
+            raise InputError(f"clusterings lists {repeated[0]!r} more than once")
         if self.conv_type == "GGT" and self.pe == "none":
             raise InputError("GGT requires a positional encoding")
         if self.conv_type != "GGT" and self.pe != "none":
@@ -430,16 +430,14 @@ def init_params(spec: ModelSpec, in_dim: int, out_dim: int, seed: int = 0, pe_di
 
 @dataclass
 class ModelInputs:
-    """Precomputed graph-side structures one model spec needs."""
+    """Precomputed graph-side structures one model spec needs: prop is the
+    GCN or SAGE propagation matrix, classes the LGT or GGT slot layout."""
 
     x: np.ndarray
-    n: int
-    adj_norm: sp.csr_matrix | None = None
-    mean_mat: sp.csr_matrix | None = None
-    nbr_classes: list | None = None
     pe: np.ndarray | None = None
+    prop: sp.csr_matrix | None = None
+    classes: list | None = None
     batches: list = field(default_factory=list)
-    tags: tuple = ()
 
 
 def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict | None = None, pe: np.ndarray | None = None) -> ModelInputs:
@@ -447,16 +445,17 @@ def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict |
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != g.n:
         raise ValueError(f"features have {features.shape[0]} rows for a {g.n}-node graph")
-    inp = ModelInputs(x=features, n=g.n)
+    inp = ModelInputs(x=features)
     if spec.conv_type == "GCN":
-        inp.adj_norm = gcn_matrix(g)
+        inp.prop = gcn_matrix(g)
     elif spec.conv_type == "SAGE":
-        inp.mean_mat = mean_matrix(g)
+        inp.prop = mean_matrix(g)
     elif spec.conv_type == "LGT":
-        inp.nbr_classes = neighborhood_classes(*neighborhood_table(g))
+        inp.classes = neighborhood_classes(*neighborhood_table(g))
     elif spec.conv_type == "GGT":
         if pe is None:
             raise ValueError("GGT requires a positional encoding array")
+        inp.classes = global_classes(g.n)
     if pe is not None:
         pe = np.asarray(pe, dtype=np.float64)
         if pe.shape[0] != g.n:
@@ -468,7 +467,6 @@ def prepare_inputs(g, features: np.ndarray, spec: ModelSpec, clusterings: dict |
         if missing:
             raise ValueError(f"missing clusterings for tags {missing}")
         inp.batches = [build_cluster_batch(clusterings[t]) for t in spec.clusterings]
-        inp.tags = tuple(spec.clusterings)
     return inp
 
 
@@ -499,18 +497,20 @@ def hidden_and_logits(
         if spec.has_mix:
             z = T.layer_norm(h, params[lp + ".norm1.g"], params[lp + ".norm1.b"])
         if spec.conv_type == "GCN":
-            mix = gcn_conv(z, inp.adj_norm, params[lp + ".conv.w"], params[lp + ".conv.b"])
+            mix = gcn_conv(z, inp.prop, params[lp + ".conv.w"], params[lp + ".conv.b"])
         elif spec.conv_type == "SAGE":
-            mix = sage_conv(z, inp.mean_mat, params[lp + ".conv.w"], params[lp + ".conv.b"])
+            mix = sage_conv(z, inp.prop, params[lp + ".conv.w"], params[lp + ".conv.b"])
         elif spec.conv_type == "LGT":
             mix = local_attention_conv(
-                z, inp.nbr_classes, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
+                z, inp.classes, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
             )
         elif spec.conv_type == "GGT":
-            mix = global_attention(z, pe_t, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i)
+            mix = global_attention(
+                z, pe_t, inp.classes, _layer_prm(params, lp + ".conv."), spec.heads, capture=capture, layer=i
+            )
         if spec.use_clatt:
             groups = [_layer_prm(params, f"{lp}.clatt.{tag}.") for tag in spec.clusterings]
-            cl = clatt_forward(z, inp.batches, groups, spec.heads, capture=capture, tags=inp.tags, layer=i)
+            cl = clatt_forward(z, inp.batches, groups, spec.heads, capture=capture, tags=spec.clusterings, layer=i)
             mix = fuse(mix, cl, params[lp + ".fuse.w"], params[lp + ".fuse.b"])
         if mix is not None:  # None: an MLP layer without CLATT has no Mix step
             if use_dropout:

@@ -23,10 +23,6 @@ class PairCounts:
     n01: int
     n00: int
 
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
 
 def _assignment(c) -> np.ndarray:
     a = getattr(c, "assignment", c)

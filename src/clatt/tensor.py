@@ -40,7 +40,6 @@ __all__ = [
     "adam_init",
     "adam_step",
     "zero_grad",
-    "grad_check",
 ]
 
 
@@ -511,36 +510,3 @@ def zero_grad(params) -> None:
             p.grad[...] = 0.0
         elif p.requires_grad:
             p.grad = np.zeros_like(p.data)
-
-
-def grad_check(f, params, eps: float = 1e-6) -> float:
-    """Max relative error between backward() grads and central differences.
-
-    f must be a deterministic zero-argument callable returning a scalar
-    Tensor built from the given parameter tensors, with dropout off.
-    """
-    params = list(params)
-    zero_grad(params)
-    loss = f()
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    def value() -> float:
-        with no_grad():
-            return float(f().data)
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = value()
-            flat[i] = orig - eps
-            lo = value()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            rel = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, rel)
-    return worst

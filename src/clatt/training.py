@@ -546,7 +546,7 @@ def resmlp_representations(
 
     def pass_over(rows, t):
         """The inputs of a pass over ``rows``, their targets, and every row index of that pass."""
-        return nn.ModelInputs(x=x[rows], n=rows.size), t[rows], np.arange(rows.size)
+        return nn.ModelInputs(x=x[rows]), t[rows], np.arange(rows.size)
 
     train_in, train_t, train_rows = pass_over(split.train, targets)
     val_in, val_t, val_rows = pass_over(split.val, data.targets)
@@ -560,4 +560,4 @@ def resmlp_representations(
 
     _fit(params, step_loss, evaluate, lr, steps, eval_every)
     with T.no_grad():
-        return nn.hidden_and_logits(spec, params, nn.ModelInputs(x=x, n=data.g.n))[0].data
+        return nn.hidden_and_logits(spec, params, nn.ModelInputs(x=x))[0].data

@@ -2,6 +2,7 @@
 itself never runs: elementwise sub and mul, scale, batched matmul, row
 gather, axis swap and full sum, plus the composed slot-attention oracle of
 the fused ops. Each op records on clatt.tensor's tape like the ops there.
+grad_check compares the tape's gradients with central differences.
 
 Test modules import it by name (``import tape_ops as O``): pytest puts the
 directory of a test module on sys.path before importing it.
@@ -88,6 +89,38 @@ def tsum(x: Tensor) -> Tensor:
         return (np.full_like(x.data, float(g)),)
 
     return _op(np.asarray(x.data.sum()), (x,), back)
+
+
+def grad_check(f, params, eps: float = 1e-6) -> float:
+    """Max relative error between backward() grads and central differences.
+
+    f must be a deterministic zero-argument callable returning a scalar
+    Tensor built from the given parameter tensors, with dropout off.
+    """
+    params = list(params)
+    T.zero_grad(params)
+    T.backward(f())
+    analytic = [p.grad.copy() for p in params]
+
+    def value() -> float:
+        with T.no_grad():
+            return float(f().data)
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = value()
+            flat[i] = orig - eps
+            lo = value()
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            rel = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+            worst = max(worst, rel)
+    return worst
 
 
 def composed_slot_attention(x, cls, prm, heads):

@@ -238,7 +238,7 @@ def test_criterion_3_gradient_suite():
     worst_op, worst_err = None, 0.0
     cases = _op_cases()
     for name, (f, params) in cases.items():
-        err = T.grad_check(f, params)
+        err = TO.grad_check(f, params)
         if err > worst_err:
             worst_op, worst_err = name, err
         assert err <= 1e-5, f"{name}: rel err {err:.2e}"
@@ -261,7 +261,7 @@ def test_criterion_3_gradient_suite():
     def f():
         return TO.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
 
-    model_err = T.grad_check(f, list(params.values()))
+    model_err = TO.grad_check(f, list(params.values()))
     assert model_err <= 1e-5
     _verdict(3, f"{len(cases)} ops (worst {worst_op} {worst_err:.2e}) and "
                 f"3-layer model ({model_err:.2e}) within 1e-5")

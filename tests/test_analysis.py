@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
@@ -103,7 +104,66 @@ def assert_matches_oracle(profile, records, g):
         assert abs(e.avg_distance - want[5]) < 1e-12
 
 
+def argsort_blocks_profile_oracle(records, g):
+    """The former attention_distance_profile, which grouped each record's
+    pairs by BFS block with a stable argsort of their slots and searchsorted
+    bounds; everything else as the program does it."""
+    live = []
+    for rec in records:
+        rows, queries = np.nonzero(rec["nodes"] >= 0)
+        live.append((rows, queries, rec["nodes"][rows, queries]))
+    attending = np.unique(np.concatenate([np.zeros(0, np.int64)] + [nodes for _, _, nodes in live]))
+    step = max(1, stats.BLOCK_DISTANCES // max(g.n, 1))
+    groups = []
+    for _, _, nodes in live:
+        slot = np.searchsorted(attending, nodes)
+        by_block = np.argsort(slot, kind="stable")
+        bounds = np.append(np.searchsorted(slot[by_block], np.arange(0, attending.size, step)), slot.size)
+        groups.append((slot, by_block, bounds))
+    avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
+    unreachable = 0
+    for b, lo in enumerate(range(0, attending.size, step)):
+        dist = bfs_distances(g, attending[lo : lo + step])
+        for rec, (rows, queries, _), (slot, by_block, bounds), avg in zip(records, live, groups, avgs):
+            _, heads, _, width = rec["probs"].shape
+            chunk = max(1, an.CHUNK_ELEMENTS // (heads * width))
+            in_block = by_block[bounds[b] : bounds[b + 1]]
+            for c in range(0, in_block.size, chunk):
+                sel = in_block[c : c + chunk]
+                pos = slot[sel] - lo
+                avg[sel], dropped = an._average_distances(
+                    dist[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
+                )
+                unreachable += dropped
+    entries = []
+    for rec, (_, _, nodes), avg in zip(records, live, avgs):
+        entries.extend(
+            an.AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
+            for i, row in zip(nodes.tolist(), avg.tolist())
+            for h, a in enumerate(row)
+        )
+    return an.AttentionProfile(entries, unreachable)
+
+
 class TestProfile:
+    @given(st.integers(0, 10_000), st.sampled_from([1, 40, 97, 400, 1 << 18]))
+    @settings(max_examples=25, deadline=None)
+    def test_slot_range_blocks_match_former_argsort_blocks(self, seed, block_distances):
+        # blocks of one node up to one block of every node, on graphs that
+        # may be disconnected, so some attended targets are unreachable
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi(int(rng.integers(5, 30)), 0.12, seed=seed)
+        assignment = rng.integers(-1, 4, size=g.n)
+        assignment[0] = 0
+        lgt, ggt = lgt_and_ggt_records(g, assignment, layers=1)
+        records = lgt + ggt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "BLOCK_DISTANCES", block_distances)
+            got = an.attention_distance_profile(records, g)
+            want = argsort_blocks_profile_oracle(records, g)
+        assert got.entries == want.entries
+        assert got.unreachable_pairs == want.unreachable_pairs
+
     def test_self_only_attention_is_zero(self):
         g = cycle_graph(4)
         rec = {

@@ -106,7 +106,7 @@ class TestStats:
         assert rc == 0
         saved = json.loads(out.read_text())
         assert saved["unbiased_homophily"] is not None
-        assert saved == json.loads(capsys.readouterr().out)
+        assert out.read_text() == capsys.readouterr().out  # the bytes printed
 
     def test_undecodable_edge_list_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "e.csv"
@@ -719,6 +719,15 @@ class TestCheapChecksFirst:
         assert cli.main(["train", str(base_config(tmp_path, steps=3, models=[gcn]))]) == 2
         captured = capsys.readouterr()
         assert "models[0]: clusterings apply only with use_clatt" in captured.err
+        assert "clustering" not in captured.out
+
+    def test_repeated_clustering_fails_before_clustering(self, tmp_path, capsys):
+        # one q/k/v set per tag: a repeated tag would share one set under two sites
+        gcn = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        twice = {**gcn, "use_clatt": True, "clusterings": ["LA", "BPP", "LA"]}
+        assert cli.main(["train", str(base_config(tmp_path, steps=3, models=[gcn, twice]))]) == 2
+        captured = capsys.readouterr()
+        assert "models[1]: clusterings lists 'LA' more than once" in captured.err
         assert "clustering" not in captured.out
 
     def test_missing_target_fails_before_clustering(self, tmp_path, capsys):

@@ -304,12 +304,27 @@ def pair_matrix(sizes):
     return T
 
 
+def block_matrices_oracle(units, comm, k):
+    """The former H1 block state of a partition into k blocks, aggregated
+    with its own np.add.at pass: edge-weight matrix M (loops on the
+    diagonal) and block sizes."""
+    src = np.repeat(np.arange(units.n), np.diff(units.indptr))
+    rows, cols = comm[src], comm[units.indices]
+    M = np.zeros((k, k))
+    np.add.at(M, (rows, cols), units.weights)
+    M = (M + M.T) / 2.0  # symmetric; off-diagonal now holds undirected weight
+    M[np.diag_indices(k)] /= 2.0
+    M[np.diag_indices(k)] += np.bincount(comm, weights=units.loops, minlength=k)
+    sizes = np.bincount(comm, weights=units.sizes, minlength=k)
+    return M, sizes
+
+
 def general_score_oracle(units, comm, k, total_pairs):
     """Penalised likelihood of a full rate-matrix partition into k blocks,
     from scratch: block matrices of the assignment, the likelihood over
     their upper triangle, the model-order penalty and the code length
     n log k of the assignment."""
-    M, sizes = blockmodel._block_matrices(units, comm, k)
+    M, sizes = block_matrices_oracle(units, comm, k)
     like = float(np.triu(blockmodel._bern(M, pair_matrix(sizes))).sum())
     kocc = occupied(sizes)
     return float(like - blockmodel._penalty(kocc, total_pairs) - float(units.sizes.sum()) * np.log(kocc))
@@ -363,7 +378,7 @@ def general_fit_oracle(units, comm, k, sweeps, total_pairs):
     lockstep loop: (assignment, score, sweeps run)."""
     bern, tol = blockmodel._bern, blockmodel._TOL
     n_orig = float(units.sizes.sum())
-    M, sizes = blockmodel._block_matrices(units, comm, k)
+    M, sizes = block_matrices_oracle(units, comm, k)
     log_pairs = np.log(max(total_pairs, 2.0))
     done = 0
     for _ in range(sweeps):
@@ -486,7 +501,53 @@ class TestLockstepFits:
         assert blockmodel._run_batches([1, 1, 2], lambda k: 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
         one = planted_partition_fit(g, k_max=6, seed=1, restarts=2)
         assert np.array_equal(one.assignment, bpp.assignment) and one.params["score"] == bpp.params["score"]
+        # the least budget H1 with k_max 6 accepts (6 x 6 blocks): one run per
+        # batch on the first level, whose runs hold 36 + k * k cells each
+        monkeypatch.setattr(blockmodel, "LOCKSTEP_MAX_CELLS", 36)
         assert np.array_equal(hierarchical_fit(g, k_max=6, seed=1, restarts=2).assignment, h1.assignment)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_block_state_matches_former_aggregation_bitwise(self, seed, levels, runs):
+        # weighted levels with loops, and runs whose blocks stop short of the batch's K
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi(int(rng.integers(2, 30)), 0.25, seed=seed)
+        units = WeightedGraph.from_graph(g)
+        for _ in range(levels):
+            units = units.quotient(relabel_by_first_occurrence(rng.integers(0, max(units.n // 2, 1), size=units.n)))
+        ks = sorted(int(k) for k in rng.integers(1, units.n + 1, size=runs))
+        comm = np.stack([rng.integers(0, k, size=units.n) for k in ks])
+        start = {}
+        real = blockmodel._lockstep
+
+        def spy(state, n, sweeps, visit):
+            start.update(M=state["M"].copy(), sizes=state["sizes"].copy())
+            return real(state, n, sweeps, visit)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockmodel, "_lockstep", spy)
+            blockmodel._general_lockstep(units, ks, comm.copy(), 0, max(g.n * (g.n - 1) / 2.0, 1.0))
+        for r, c in enumerate(comm):
+            M, sizes = block_matrices_oracle(units, c, max(ks))
+            assert start["M"][r].tobytes() == M.tobytes() and start["sizes"][r].tobytes() == sizes.tobytes()
+
+    def test_h1_refuses_a_run_past_the_cell_budget_before_fitting(self, monkeypatch):
+        # one run's K x K state would otherwise be allocated whatever its size
+        g, _ = sbm_graph([10, 12, 14], 0.4, 0.05, seed=26)
+
+        class Fitting(Exception):
+            pass
+
+        def fit(*args):
+            raise Fitting
+
+        monkeypatch.setattr(blockmodel, "_fit_ladder", fit)
+        monkeypatch.setattr(blockmodel, "LOCKSTEP_MAX_CELLS", 24)
+        with pytest.raises(InputError, match="H1 fits up to 5 blocks: a 5 x 5 block matrix exceeds the 24 cell bound"):
+            hierarchical_fit(g, k_max=5, seed=0)
+        monkeypatch.setattr(blockmodel, "LOCKSTEP_MAX_CELLS", 25)
+        with pytest.raises(Fitting):
+            hierarchical_fit(g, k_max=5, seed=0)
 
     def test_k_max_below_two_is_input_error(self):
         # every H1 level fits at least two blocks, so k_max 1 would leave an
@@ -761,7 +822,7 @@ class TestPairCounts:
         b = rng.integers(0, 7, size=n)
         pc = pair_counts(a, b)
         assert (pc.n11, pc.n10, pc.n01, pc.n00) == brute_pair_counts(a, b)
-        assert pc.total == n * (n - 1) // 2
+        assert pc.n11 + pc.n10 + pc.n01 + pc.n00 == n * (n - 1) // 2
 
     def test_cluster_ids_only_name_clusters(self):
         a = np.array([3, 3, 0, 7, 0, 3])

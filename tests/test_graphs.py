@@ -22,6 +22,19 @@ from clatt.graphs import (
 )
 
 
+def check_csr(g: Graph) -> None:
+    """The CSR invariants of a Graph: offsets start at 0, grow and cover the
+    neighbor array; each node's neighbors are in range, strictly sorted and
+    never the node itself."""
+    assert g.offsets.shape == (g.n + 1,) and g.offsets[0] == 0
+    assert g.offsets[-1] == g.neighbors.shape[0]
+    assert np.all(np.diff(g.offsets) >= 0)
+    assert g.neighbors.size == 0 or (g.neighbors.min() >= 0 and g.neighbors.max() < g.n)
+    for i in range(g.n):
+        nb = g.neighbors_of(i)
+        assert np.all(np.diff(nb) > 0) and not np.any(nb == i)
+
+
 def quantile_normal_oracle(x):
     """The former per-column loop of transform_features("quantile_normal"):
     stable 0-based ranks, averaged over ties, at their midpoints."""
@@ -54,7 +67,7 @@ class TestFromEdges:
         assert g.n == 3 and g.m == 2
         assert list(g.neighbors_of(0)) == [1]
         assert list(g.neighbors_of(1)) == [0, 2]
-        g.validate()
+        check_csr(g)
 
     def test_degrees_sum(self):
         g = from_edges([0, 1, 2], [1, 2, 3], n=4)
@@ -72,7 +85,7 @@ class TestFromEdges:
         else:
             src, dst = [], []
         g = from_edges(list(src), list(dst), n=12)
-        g.validate()
+        check_csr(g)
         undirected = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
         assert g.m == len(undirected)
         assert int(g.degrees.sum()) == 2 * g.m
@@ -266,6 +279,22 @@ class TestNodeTable:
         p = write(tmp_path, "t.csv", f"id,f1,y\n10,1,0\n\n20,1,{cell}\n30,1,1\n")
         with pytest.raises(GraphFormatError, match=r"t\.csv:4: " + message):
             load_node_table(p, TableSchema(target_column="y", task=task), g)
+
+    @pytest.mark.parametrize(
+        "header, schema, message",
+        [("id,f,f,target", TableSchema(target_column="target"), "header repeats 'f' (columns 2 and 3)"),
+         ("id,f0,target,target", TableSchema(target_column="target"), "header repeats 'target' (columns 3 and 4)"),
+         ("id,id,target", TableSchema(target_column="target"), "header repeats 'id' (columns 1 and 2)"),
+         ("id,f0,f1,target", TableSchema(feature_columns=("f1", "f0", "f1"), target_column="target"),
+          "feature_columns repeats 'f1' (entries 1 and 3)")],
+    )
+    def test_repeated_column_name_is_refused(self, tmp_path, header, schema, message):
+        # a repeated name would load one column twice, or a target or id as a feature
+        g = self.make_graph()
+        cells = ",".join(["1"] * header.count(","))
+        p = write(tmp_path, "t.csv", header + "".join(f"\n{node},{cells}" for node in (10, 20, 30)) + "\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"t.csv: {message}")):
+            load_node_table(p, schema, g)
 
 
 class TestTransforms:

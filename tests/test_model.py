@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 
@@ -62,7 +63,41 @@ def as_tensors(prm, requires_grad=False):
     return {k: T.Tensor(v, requires_grad=requires_grad) for k, v in prm.items()}
 
 
+def cluster_rows_oracle(a):
+    """The former build_cluster_batch layout, derived with its own
+    unique/searchsorted/argsort/cumsum pass: (index_table, mask)."""
+    retained = np.nonzero(a >= 0)[0]
+    ids = a[retained]
+    uniq = np.unique(ids)
+    rows = np.searchsorted(uniq, ids)
+    sizes = np.bincount(rows)
+    order = np.argsort(rows, kind="stable")  # retained is ascending, so slots sort by node id
+    rows_sorted = rows[order]
+    nodes_sorted = retained[order]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    slots = np.arange(nodes_sorted.size) - starts[rows_sorted]
+    table = np.zeros((uniq.size, int(sizes.max())), dtype=np.int64)
+    mask = np.zeros((uniq.size, int(sizes.max())), dtype=bool)
+    table[rows_sorted, slots] = nodes_sorted
+    mask[rows_sorted, slots] = True
+    return table, mask
+
+
 class TestClusterBatch:
+    @given(st.lists(st.integers(-1, 9), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_former_layout_bitwise(self, assignment):
+        # ids may skip values, as a size filter leaves them, and nodes may be unassigned
+        a = np.array(assignment, dtype=np.int64)
+        if (a < 0).all():
+            with pytest.raises(InputError, match="no retained"):
+                nn.build_cluster_batch(fc(a))
+            return
+        batch = nn.build_cluster_batch(fc(a))
+        table, mask = cluster_rows_oracle(a)
+        for got, want in ((batch.index_table, table), (batch.mask, mask)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_two_cluster_layout(self):
         batch = nn.build_cluster_batch(fc([0, 0, 0, 0, 1, 1, 1, 1, 1]))
         assert batch.index_table.shape == (2, 5)
@@ -220,7 +255,7 @@ class TestFuse:
         cl = T.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         w = T.Tensor(rng.standard_normal((9, 3)), requires_grad=True)
         b = T.Tensor(rng.standard_normal(3), requires_grad=True)
-        err = T.grad_check(lambda: TO.tsum(nn.fuse(mp, cl, w, b)), [mp, cl, w, b])
+        err = TO.grad_check(lambda: TO.tsum(nn.fuse(mp, cl, w, b)), [mp, cl, w, b])
         assert err < 1e-5
 
 
@@ -413,7 +448,7 @@ class TestSizeClasses:
         def f():
             return TO.scale(TO.tsum(TO.mul(nn.clatt_forward(x, [batch], [prm], heads=2), w)), 1e-4)
 
-        assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
+        assert TO.grad_check(f, [x, *prm.values()]) <= 1e-5
 
     def test_lgt_grad_check_across_classes(self):
         rng = np.random.default_rng(33)
@@ -427,7 +462,7 @@ class TestSizeClasses:
         def f():
             return TO.scale(TO.tsum(TO.mul(nn.local_attention_conv(x, classes, prm, heads=2), w)), 1e-4)
 
-        assert T.grad_check(f, [x, *prm.values()]) <= 1e-5
+        assert TO.grad_check(f, [x, *prm.values()]) <= 1e-5
 
     def test_lgt_matches_per_node_oracle_on_degree_spread(self):
         assert_lgt_matches_per_node_oracle(star_and_path(), np.random.default_rng(34))
@@ -457,12 +492,7 @@ def fused_test_classes():
     assert not partial.mask.all() and (partial.nodes < 0).any()
     hood = nn.neighborhood_classes(*nn.neighborhood_table(star_graph(9)))[0]
     assert hood.nodes.shape[1] == 1
-    everyone = np.arange(9)[None, :]
-    return {
-        "partial": partial,
-        "lgt": hood,
-        "ggt": nn.SlotClass(everyone, everyone, np.ones((1, 9), dtype=bool), 9),
-    }
+    return {"partial": partial, "lgt": hood, "ggt": nn.global_classes(9)[0]}
 
 
 class TestFusedSlotAttention:
@@ -495,7 +525,7 @@ class TestFusedSlotAttention:
         def scaled():
             return TO.scale(fused(), 1e-4)
 
-        assert T.grad_check(scaled, leaves) <= 1e-5
+        assert TO.grad_check(scaled, leaves) <= 1e-5
 
     def test_three_tape_ops_per_class(self):
         cls = fused_test_classes()["partial"]
@@ -551,7 +581,7 @@ class TestGlobalAttention:
         prm = self.make_params(rng, 4, 3)
         x = rng.standard_normal((1, 4))
         pe = rng.standard_normal((1, 3))
-        got = nn.global_attention(T.Tensor(x), T.Tensor(pe), as_tensors(prm), heads=2).data
+        got = nn.global_attention(T.Tensor(x), T.Tensor(pe), nn.global_classes(1), as_tensors(prm), heads=2).data
         u = np.concatenate([x @ prm["wx"] + prm["bx"], pe @ prm["wpe"] + prm["bpe"]], axis=1)
         np.testing.assert_allclose(got, u @ prm["wv"] + prm["bv"], atol=1e-12)
 
@@ -562,8 +592,10 @@ class TestGlobalAttention:
         x = rng.standard_normal((n, d))
         pe = rng.standard_normal((n, 2))
         perm = rng.permutation(n)
-        base = nn.global_attention(T.Tensor(x), T.Tensor(pe), as_tensors(prm), heads=2).data
-        permuted = nn.global_attention(T.Tensor(x[perm]), T.Tensor(pe[perm]), as_tensors(prm), heads=2).data
+        base = nn.global_attention(T.Tensor(x), T.Tensor(pe), nn.global_classes(n), as_tensors(prm), heads=2).data
+        permuted = nn.global_attention(
+            T.Tensor(x[perm]), T.Tensor(pe[perm]), nn.global_classes(n), as_tensors(prm), heads=2
+        ).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
     def test_equals_single_cluster_clatt(self):
@@ -572,7 +604,7 @@ class TestGlobalAttention:
         prm = self.make_params(rng, d, 3)
         x = rng.standard_normal((n, d))
         pe = rng.standard_normal((n, 3))
-        got = nn.global_attention(T.Tensor(x), T.Tensor(pe), as_tensors(prm), heads=3).data
+        got = nn.global_attention(T.Tensor(x), T.Tensor(pe), nn.global_classes(n), as_tensors(prm), heads=3).data
         u = np.concatenate([x @ prm["wx"] + prm["bx"], pe @ prm["wpe"] + prm["bpe"]], axis=1)
         batch = nn.build_cluster_batch(fc(np.zeros(n, dtype=int)))
         qkv_only = {k: prm[k] for k in ("wq", "bq", "wk", "wv", "bv")}
@@ -581,12 +613,9 @@ class TestGlobalAttention:
 
     def test_desk_scale_guard(self, monkeypatch):
         monkeypatch.setattr(nn, "GLOBAL_ATTENTION_MAX_NODES", 4)
-        rng = np.random.default_rng(19)
-        prm = self.make_params(rng, 4, 2)
-        x = T.Tensor(rng.standard_normal((5, 4)))
-        pe = T.Tensor(rng.standard_normal((5, 2)))
+        assert nn.global_classes(4)[0].table.shape == (1, 4)
         with pytest.raises(ValueError, match="desk-scale"):
-            nn.global_attention(x, pe, as_tensors(prm), heads=2)
+            nn.global_classes(5)
 
 
 class TestLaplacianPE:
@@ -974,7 +1003,7 @@ class TestModelForward:
             def f():
                 return TO.scale(T.softmax_cross_entropy(nn.model_forward(spec, params, inp), labels, idx), 1e-4)
 
-            err = T.grad_check(f, list(params.values()))
+            err = TO.grad_check(f, list(params.values()))
             assert err < 1e-5, conv_type
 
     def test_ggt_forward_runs(self):

@@ -539,7 +539,7 @@ def resmlp_full_rows_oracle(data, split, seed=0, hidden=64, layers=2, steps=300,
     spec = nn.ModelSpec("MLP", layers=layers, hidden=hidden, lr=lr)
     out_dim = data.num_classes if data.task == "multiclass" else 1
     params = nn.init_params(spec, data.features.shape[1], out_dim, seed=seed)
-    inp = nn.ModelInputs(x=data.features.astype(np.float64), n=data.g.n)
+    inp = nn.ModelInputs(x=data.features.astype(np.float64))
     target_scale, loss_targets = None, data.targets
     if data.task == "regression":
         t_train = data.targets[split.train].astype(np.float64)
@@ -614,7 +614,7 @@ class TestResMLP:
         real = nn.hidden_and_logits
 
         def counting(spec, params, inp, *args, **kwargs):
-            rows.append(inp.n)
+            rows.append(inp.x.shape[0])
             return real(spec, params, inp, *args, **kwargs)
 
         monkeypatch.setattr(nn, "hidden_and_logits", counting)
