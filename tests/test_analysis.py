@@ -17,7 +17,7 @@ from clatt import training as tr
 from clatt.partition import Clustering
 from clatt.pe import laplacian_pe
 from clatt.stats import bfs_distances
-from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi
+from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, star_graph
 
 
 def sp_distances(g):
@@ -271,6 +271,42 @@ class TestProfile:
             tracemalloc.stop()
         assert len(profile.entries) == n
         assert all(abs(e.avg_distance - 2 / 3) < 1e-12 for e in profile.entries)
+        assert peak < 8 * stats.BLOCK_DISTANCES + 1000 * (n + g.m)
+
+    def test_memory_linear_in_shallow_graph_with_many_attending_nodes(self, monkeypatch):
+        import tracemalloc
+
+        # the twin of the cycle above on a 3000-star, whose blocks run the
+        # level loop rather than Dijkstra: each node attends to itself and
+        # the hub
+        g = star_graph(3000)
+        n = g.n
+        table = np.stack([np.arange(n), np.zeros(n, np.int64)], axis=1)
+        rec = {
+            "kind": "local",
+            "layer": 0,
+            "clustering": None,
+            "probs": np.full((n, 1, 1, 2), 1 / 2),
+            "nodes": np.arange(n)[:, None],
+            "index_table": table,
+            "mask": np.ones((n, 2), dtype=bool),
+        }
+        loops = []
+        level_loop = stats._level_loop
+
+        def counted(*args):
+            loops.append(args[1].size)
+            return level_loop(*args)
+
+        monkeypatch.setattr(stats, "_level_loop", counted)
+        tracemalloc.start()
+        try:
+            profile = an.attention_distance_profile([rec], g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(loops) == n  # every block ran the level loop
+        assert [e.avg_distance for e in profile.entries] == [0.0] + [0.5] * (n - 1)
         assert peak < 8 * stats.BLOCK_DISTANCES + 1000 * (n + g.m)
 
     def test_records_share_one_layout(self):

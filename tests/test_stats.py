@@ -1,13 +1,17 @@
 """Distance, clustering, assortativity and homophily statistics.
 
 Reference values come from independent oracles computed inline:
-Floyd-Warshall for distances, triple enumeration for clustering, a
-separate two-pass Pearson for assortativity.
+Floyd-Warshall and a unit-weight scipy Dijkstra for distances, triple
+enumeration for clustering, a separate two-pass Pearson for assortativity.
 """
+
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from clatt import stats
 from clatt.graphs import from_edges
@@ -50,6 +54,67 @@ def random_graph(n, p, seed):
     return from_edges(u[keep], v[keep], n=n)
 
 
+def dijkstra_oracle(g, source):
+    """One scipy Dijkstra call with unit weights over the whole block."""
+    return csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=source)
+
+
+def grid_graph(rows, cols):
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    u = np.r_[idx[:, :-1].ravel(), idx[:-1, :].ravel()]
+    v = np.r_[idx[:, 1:].ravel(), idx[1:, :].ravel()]
+    return from_edges(u, v, n=rows * cols)
+
+
+def disjoint_union(*graphs, isolated=0):
+    """The graphs side by side, node ids shifted, then ``isolated`` nodes."""
+    edges, start = [], 0
+    for g in graphs:
+        edges.append(g.edge_array() + start)
+        start += g.n
+    e = np.concatenate(edges)
+    return from_edges(e[:, 0], e[:, 1], n=start + isolated)
+
+
+def traced_bfs(g, source):
+    """bfs_distances and the branch it took: "single" (one Dijkstra call),
+    "loop", "fallback" (the loop, then Dijkstra for sources still open at
+    the level budget) or "handoff" (the probe sent the block to Dijkstra)."""
+    with mock.patch.object(stats, "_level_loop", wraps=stats._level_loop) as loop, \
+            mock.patch.object(stats, "_dijkstra", wraps=stats._dijkstra) as dijkstra:
+        dist = bfs_distances(g, source)
+    if loop.called:
+        return dist, "fallback" if dijkstra.call_count > 1 else "loop"
+    return dist, "handoff" if dijkstra.call_count > 1 else "single"
+
+
+@st.composite
+def connected_part(draw):
+    family = draw(st.sampled_from(["er", "path", "cycle", "star", "grid"]))
+    if family == "er":
+        p = draw(st.sampled_from([0.03, 0.1, 0.3, 0.8]))
+        return random_graph(draw(st.integers(1, 40)), p, draw(st.integers(0, 10_000)))
+    if family == "grid":
+        return grid_graph(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n = draw(st.integers(3, 45))
+    return {"path": path_graph, "cycle": cycle_graph, "star": star_graph}[family](n)
+
+
+@st.composite
+def graph_and_sources(draw):
+    parts = draw(st.lists(connected_part(), min_size=1, max_size=3))
+    g = disjoint_union(*parts, isolated=draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["single", "block", "empty", "all"]))
+    if kind == "single":
+        return g, draw(st.integers(0, g.n - 1))
+    if kind == "empty":
+        return g, np.zeros(0, np.int64)
+    if kind == "all":
+        return g, np.arange(g.n)
+    # drawn with replacement, so blocks repeat sources
+    return g, np.array(draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n)), np.int64)
+
+
 class TestBfs:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -74,6 +139,43 @@ class TestBfs:
         # a block names its first bad source and its size, not every source
         with pytest.raises(ValueError, match=r"^source -1 \(of 5\) out of range for n=3$"):
             bfs_distances(path_graph(3), np.array([0, -1, 1, 9, 2]))
+
+    @pytest.mark.parametrize(
+        "source, match",
+        [
+            ([0.5], "dtype float64"),
+            (1.0, "dtype float64"),
+            (True, "dtype bool"),
+            (np.array([True, False]), "dtype bool"),
+            ([[0, 1], [2, 3]], r"shape \(2, 2\)"),
+        ],
+    )
+    def test_refuses_sources_that_are_not_node_ids(self, source, match):
+        with pytest.raises(ValueError, match=match):
+            bfs_distances(path_graph(5), source)
+
+    def test_matches_dijkstra_oracle_on_every_branch(self):
+        branches = Counter()
+
+        @given(graph_and_sources())
+        @settings(max_examples=150, deadline=None)
+        @example((path_graph(5), np.zeros(0, np.int32)))
+        @example((star_graph(12), np.arange(12)))
+        @example((path_graph(30), np.arange(30)))
+        # the probe sits in the star, the larger component; the path's
+        # sources are still searching at the level budget
+        @example((disjoint_union(star_graph(30), path_graph(25), isolated=2), np.arange(57)))
+        def check(case):
+            g, sources = case
+            ref = dijkstra_oracle(g, sources)
+            dist, branch = traced_bfs(g, sources)
+            branches[branch] += 1
+            assert dist.dtype == ref.dtype == np.float64
+            assert dist.shape == ref.shape == np.shape(sources) + (g.n,)
+            assert np.array_equal(dist, ref)
+
+        check()
+        assert {"loop", "fallback", "handoff"} <= set(branches), branches
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -121,6 +223,11 @@ class TestDistanceStats:
         ds = distance_stats(star_graph(n))
         exp = (2 * (n - 1) * 1 + (n - 1) * (n - 2) * 2) / (n * (n - 1))
         assert ds.diameter == 2.0 and ds.avg_distance == pytest.approx(exp)
+
+    @pytest.mark.parametrize("num_sources", [0, -1])
+    def test_refuses_fewer_than_one_source(self, num_sources):
+        with pytest.raises(ValueError, match=f"num_sources must be at least 1, got {num_sources}"):
+            distance_stats(erdos_renyi(30, 0.2, seed=1), exact_threshold=5, num_sources=num_sources)
 
     def test_largest_component_only(self):
         g = from_edges([0, 1, 5], [1, 2, 6], n=7)
