@@ -29,7 +29,7 @@ from . import training as tr
 from .analysis import export_histogram, export_profile, export_similarity_matrix, profile_model, quantile_table
 from .blockmodel import hierarchical_fit, planted_partition_fit
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, load_config
+from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, apply_override, clustering_params, load_config
 from .errors import InputError
 from .graphs import TableSchema, load_edge_list, load_node_table, transform_features
 from .kmeans import kmeans
@@ -81,45 +81,37 @@ def cmd_stats(args) -> int:
 
 
 def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split: tr.Split | None = None) -> Clustering:
-    """Run clustering algorithm ``tag`` on ``g``. ``params`` takes the keys
-    of ``config.CLUSTERING_PARAMS[tag]``; KM clusters the representations
-    of an ``MLP`` model (``training.resmlp_representations``) of ``data``
-    trained on ``split``."""
+    """Run clustering algorithm ``tag`` on ``g``. ``params`` holds the seed
+    and any other keys of ``config.CLUSTERING_PARAMS[tag]``; KM clusters the
+    representations of an ``MLP`` model (``training.resmlp_representations``)
+    of ``data`` trained on ``split``."""
+    if tag != "KM":
+        return {"LA": leiden_cpm, "BPP": planted_partition_fit, "H1": hierarchical_fit}[tag](g, **params)
     params = dict(params)
-    seed = int(params.pop("seed", 0))
-    if tag == "LA":
-        return leiden_cpm(g, seed=seed, **params)
-    if tag == "BPP":
-        return planted_partition_fit(g, seed=seed, **params)
-    if tag == "H1":
-        return hierarchical_fit(g, seed=seed, **params)
-    k = params.pop("k", None)
-    max_iters = params.pop("max_iters", 100)
-    reps = tr.resmlp_representations(data, split, seed=seed, **params)
-    return kmeans(reps, k=k, seed=seed, max_iters=max_iters)[0]
-
-
-def _resmlp_inputs(args, g) -> tuple[tr.TrainData, tr.Split]:
-    if not args.nodes:
-        raise InputError("--nodes is required for KM (auxiliary model needs features and targets)")
-    if args.target_column is None:
-        raise InputError("--target-column is required for KM")
-    return _table_split(g, args.nodes, _schema_from_args(args), seed=args.seed, stratified=args.task != "regression")
+    km = {key: params.pop(key) for key in ("k", "max_iters") if key in params}
+    reps = tr.resmlp_representations(data, split, **params)
+    return kmeans(reps, seed=params["seed"], **km)[0]
 
 
 def cmd_cluster(args) -> int:
     if args.min_size is not None and args.max_size is not None and args.min_size > args.max_size:
         raise InputError(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
+    raw = {}
+    for item in args.set or ():
+        apply_override(raw, item)
+    try:
+        params = clustering_params(args.algo, raw)
+    except ConfigError as e:
+        raise ConfigError(f"--set {e}") from None
     g = load_edge_list(args.edges)
-    params = {
-        "LA": {"gamma": args.gamma},
-        "BPP": {"k_max": args.k_max},
-        "H1": {"k_max": args.k_max},
-        "KM": {"k": args.k, "hidden": args.km_hidden, "layers": args.km_layers, "steps": args.km_steps},
-    }[args.algo]
-    params = {key: value for key, value in params.items() if value is not None}  # unset: the algorithm's default
-    data, split = _resmlp_inputs(args, g) if args.algo == "KM" else (None, None)
-    c = _cluster(args.algo, g, {"seed": args.seed, **params}, data, split)
+    data = split = None
+    if args.algo == "KM":  # the auxiliary model's split is drawn with the clustering seed
+        if not args.nodes:
+            raise InputError("--nodes is required for KM (auxiliary model needs features and targets)")
+        if args.target_column is None:
+            raise InputError("--target-column is required for KM")
+        data, split = _table_split(g, args.nodes, _schema_from_args(args), seed=params["seed"], stratified=args.task != "regression")
+    c = _cluster(args.algo, g, params, data, split)
     if args.min_size is not None or args.max_size is not None:
         c = filter_clusters(c, min_size=args.min_size or 1, max_size=args.max_size or g.n)
     save_clustering(args.out, c, node_ids=g.node_ids)
@@ -188,7 +180,7 @@ def _prepare_run(cfg: ExperimentConfig, specs) -> tuple[tr.TrainData, tr.Split, 
     return data, split, out_dir
 
 
-def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, specs, tags, pe_dim: int):
+def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, specs, tags):
     """One TrainData per spec, and one manifest entry per clustering and PE.
 
     Each clustering in ``tags`` and each PE kind of ``specs`` is built once
@@ -208,7 +200,7 @@ def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, spec
 
     for tag in tags:
         t0 = time.perf_counter()
-        params = {"seed": 0, **cfg.clusterings.get(tag, {})}
+        params = cfg.clustering_params(tag)
         parts = {"artifact": "clustering", "tag": tag, "params": params, "graph": graph}
         if tag == "KM":  # clusters ResMLP representations trained on the split
             parts.update(task=data.task, data=record.array_digest(data.features, data.targets, split.train, split.val, split.test))
@@ -229,14 +221,14 @@ def _model_data(cfg: ExperimentConfig, data: tr.TrainData, split: tr.Split, spec
     pes = {"none": None}
     for kind in sorted({spec.pe for spec in specs} - {"none"}):
         t0 = time.perf_counter()
-        want = record.key(artifact="pe", kind=kind, dim=pe_dim, graph=graph)
-        width = pe_dim if kind == "deepwalk" else min(pe_dim, g.n - 1)
-        pe = record.load_pe_record(out_dir, kind, pe_dim, want, (g.n, width))
+        want = record.key(artifact="pe", kind=kind, dim=cfg.pe_dim, graph=graph)
+        width = cfg.pe_width(kind, g.n)
+        pe = record.load_pe_record(out_dir, kind, cfg.pe_dim, want, (g.n, width))
         reused = pe is not None
         if not reused:
-            pe = deepwalk_pe(g, dim=pe_dim) if kind == "deepwalk" else laplacian_pe(g, k=width).vectors
-            record.save_pe_record(out_dir, kind, pe_dim, pe, want)
-        entry("pe", kind, record.pe_path(out_dir, kind, pe_dim), want, reused, t0)
+            pe = deepwalk_pe(g, dim=width) if kind == "deepwalk" else laplacian_pe(g, k=width).vectors
+            record.save_pe_record(out_dir, kind, cfg.pe_dim, pe, want)
+        entry("pe", kind, record.pe_path(out_dir, kind, cfg.pe_dim), want, reused, t0)
         pes[kind] = pe
     return [replace(data, pe=pes[spec.pe]) for spec in specs], entries
 
@@ -254,7 +246,7 @@ def cmd_train(args) -> int:
     data, split, out_dir = _prepare_run(cfg, cfg.models)
     phases["setup"] = time.perf_counter() - t0
     specs = list(cfg.models)
-    datas, records = _model_data(cfg, data, split, specs, cfg.needed_tags(), args.pe_dim)
+    datas, records = _model_data(cfg, data, split, specs, cfg.needed_tags())
     transforms = ["none"] * len(specs)
     if cfg.grid is not None:
         t0 = time.perf_counter()
@@ -292,7 +284,7 @@ def cmd_train(args) -> int:
         "started": started,
         "versions": record.versions(),
         "seeds": {"runs": list(cfg.seeds), "split": cfg.split.seed,
-                  "clusterings": {tag: cfg.clusterings.get(tag, {}).get("seed", 0) for tag in cfg.needed_tags()}},
+                  "clusterings": {tag: cfg.clustering_params(tag)["seed"] for tag in cfg.needed_tags()}},
         "records": records,
         "phases_s": phases,
     }
@@ -319,7 +311,7 @@ def cmd_select_clusterings(args) -> int:
     data, split, out_dir = _prepare_run(cfg, [base])
     candidates = tuple(t for t in CANONICAL_TAGS if t in cfg.clusterings) or CANONICAL_TAGS
     out = out_dir / "selected_clusterings.json"
-    (data,), _ = _model_data(cfg, data, split, [base], candidates, args.pe_dim)
+    (data,), _ = _model_data(cfg, data, split, [base], candidates)
     selected, details = tr.select_clusterings(
         base, data, split, candidates=candidates, seed=cfg.seeds[0], steps=cfg.steps, eval_every=cfg.eval_every
     )
@@ -369,12 +361,11 @@ def cmd_analyze_attention(args) -> int:
         raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
     data, split, out_dir = _prepare_run(cfg, [spec])
     params = load_checkpoint(args.checkpoint)
-    (data,), _ = _model_data(cfg, data, split, [spec], spec.clusterings, args.pe_dim)
+    expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=cfg.pe_width(spec.pe, data.g.n))
+    _check_checkpoint(args.checkpoint, spec, params, expected)  # before any clustering or PE is built
+    (data,), _ = _model_data(cfg, data, split, [spec], spec.clusterings)
     if params.transform not in (None, "none"):  # the feature transform the grid chose
         data = replace(data, features=transform_features(data.features, params.transform))
-    pe_dim = data.pe.shape[1] if data.pe is not None else None
-    expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=pe_dim)
-    _check_checkpoint(args.checkpoint, spec, params, expected)
 
     profile = profile_model(spec, params, data)
     if not profile.entries:
@@ -421,15 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("edges")
     sp.add_argument("--algo", required=True, choices=CANONICAL_TAGS)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--gamma", type=float, help="LA resolution; default graph density")
-    sp.add_argument("--k-max", type=_int_at_least(1), help="BPP/H1 block count ceiling; default BPP 10, H1 round(sqrt(n)) in [2, 25]")
-    sp.add_argument("--k", type=int, help="KM cluster count; default n/128 in [2, n]")
+    sp.add_argument("--set", action="append", metavar="KEY=VALUE",
+                    help="a key of the config's clusterings.<ALGO> block, as JSON (seed=1, gamma=0.05)")
     sp.add_argument("--min-size", type=_int_at_least(1), help="apply the size filter before saving")
     sp.add_argument("--max-size", type=_int_at_least(1))
-    sp.add_argument("--km-hidden", type=_int_at_least(1), default=64)
-    sp.add_argument("--km-layers", type=_int_at_least(1), default=2)
-    sp.add_argument("--km-steps", type=_int_at_least(0), default=300)
     add_table_flags(sp, "node table CSV (required for KM)")
     sp.set_defaults(func=cmd_cluster)
 
@@ -441,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_flags(sp):
         sp.add_argument("config", help="experiment config JSON")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field (dotted path)")
-        sp.add_argument("--pe-dim", type=_int_at_least(1), default=64, help="positional encoding width when a model needs one")
 
     sp = sub.add_parser("train", help="train every configured model over the seed list")
     add_config_flags(sp)

@@ -20,8 +20,6 @@ from .graphs import FEATURE_TRANSFORMS, TASKS, TableSchema
 from .nn import CONV_TYPES, MAX_CLUSTER_SLOTS, PE_KINDS, ModelSpec
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS, check_ratios
 
-OUTPUT_DIR_ENV = "CLATT_OUT_DIR"
-
 
 class ConfigError(InputError):
     """Schema violation; the message starts with the field path."""
@@ -66,11 +64,20 @@ class ExperimentConfig:
     steps: int = 1000
     eval_every: int = 10
     selection_model: ModelSpec | None = None
+    pe_dim: int = 64
     output_dir: Path = Path(".")
 
     def needed_tags(self) -> tuple:
         """The clusterings the models list, in canonical order."""
         return tuple(t for t in CANONICAL_TAGS if any(t in m.clusterings for m in self.models))
+
+    def clustering_params(self, tag: str) -> dict:
+        """The params of clustering ``tag``: its block, or the defaults."""
+        return self.clusterings[tag] if tag in self.clusterings else clustering_params(tag, {})
+
+    def pe_width(self, kind: str, n: int) -> int | None:
+        """The columns of positional encoding ``kind`` on ``n`` nodes: ``pe_dim``, at most n - 1 for a Laplacian."""
+        return None if kind == "none" else self.pe_dim if kind == "deepwalk" else min(self.pe_dim, n - 1)
 
 
 def _expect(raw, path, typ, what):
@@ -248,6 +255,11 @@ CLUSTERING_PARAMS = {
 }
 
 
+def clustering_params(tag: str, raw, path: str = "") -> dict:
+    """Clustering ``tag``'s params block ``raw``, checked by ``CLUSTERING_PARAMS[tag]``; the seed defaults to 0."""
+    return {"seed": 0, **_object(raw, path, CLUSTERING_PARAMS[tag])}
+
+
 def _model(raw, path: str) -> ModelSpec:
     return _valid(path, **_object(raw, path, MODEL_FIELDS, required=("conv_type",)))
 
@@ -263,7 +275,7 @@ TOP_FIELDS = {
     "split": _section(SPLIT_FIELDS),
     "models": _list_of(_model, nonempty="must list at least one model"),
     "clusterings": _section(
-        {tag: _section(params) for tag, params in CLUSTERING_PARAMS.items()},
+        {tag: lambda raw, path, tag=tag: clustering_params(tag, raw, path) for tag in CLUSTERING_PARAMS},
         unknown=f"unknown tag, expected one of {CANONICAL_TAGS}",
     ),
     "min_cluster_size": _count(1),
@@ -274,6 +286,7 @@ TOP_FIELDS = {
     "steps": _count(0),
     "eval_every": _count(1),
     "selection_model": _or_null(_model),
+    "pe_dim": _count(1),
     "output_dir": _or_null(_path_field),
 }
 
@@ -300,7 +313,7 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     if split["stratified"] and dataset.task == "regression":
         _fail("split.stratified", "stratified splits need discrete labels; use false for regression")
     fields["split"] = SplitConfig(**split)
-    out_dir = fields.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV) or "."
+    out_dir = fields.pop("output_dir", None) or "."
     cfg = ExperimentConfig(**fields, output_dir=base / out_dir)
     if cfg.min_cluster_size > cfg.max_cluster_size:
         _fail("min_cluster_size", "exceeds max_cluster_size")

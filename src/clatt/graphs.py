@@ -285,6 +285,8 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
         for c in schema.feature_columns:
             if c not in header:
                 raise GraphFormatError(f"{path}: feature column {c!r} missing")
+            if c in (schema.id_column, schema.target_column):  # a feature must not leak the id or the label
+                raise GraphFormatError(f"{path}: feature column {c!r} is the {'id' if c == schema.id_column else 'target'} column")
         feat_names = list(schema.feature_columns)
     feat_idx = [header.index(c) for c in feat_names]
 

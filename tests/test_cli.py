@@ -188,13 +188,13 @@ class TestCluster:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--algo", "H1", "--k-max", "1"], "H1 k_max must be at least 2, got 1"),
+        [(["--algo", "H1", "--set", "k_max=1"], "--set k_max: must be >= 2, got 1"),
          (["--algo", "LA", "--min-size", "0"], "--min-size: must be >= 1, got 0"),
          (["--algo", "LA", "--max-size", "0"], "--max-size: must be >= 1, got 0"),
          (["--algo", "LA", "--min-size", "50", "--max-size", "10"], "--min-size 50 exceeds --max-size 10"),
-         (["--algo", "KM", "--km-layers", "-1"], "--km-layers: must be >= 1, got -1"),
-         (["--algo", "KM", "--km-steps", "-5"], "--km-steps: must be >= 0, got -5"),
-         (["--algo", "KM", "--km-layers", "0"], "--km-layers: must be >= 1, got 0")],
+         (["--algo", "KM", "--set", "layers=-1"], "--set layers: must be >= 1, got -1"),
+         (["--algo", "KM", "--set", "steps=-5"], "--set steps: must be >= 0, got -5"),
+         (["--algo", "KM", "--set", "layers=0"], "--set layers: must be >= 1, got 0")],
     )
     def test_bad_flags_exit_2_and_save_nothing(self, tmp_path, capsys, flags, message):
         edges = write_edges(tmp_path / "e.csv", bridge_of_cliques([5, 5]))
@@ -207,7 +207,7 @@ class TestCluster:
         edges, nodes = classification_fixture(tmp_path)
         out = tmp_path / "km.csv"
         rc = cli.main(["cluster", edges, "--algo", "KM", "--out", str(out), "--nodes", nodes, "--target-column", "target",
-                       "--seed", "3", "--k", "3", "--km-hidden", "8", "--km-layers", "1", "--km-steps", "20"])
+                       "--set", "seed=3", "--set", "k=3", "--set", "hidden=8", "--set", "layers=1", "--set", "steps=20"])
         assert rc == 0
         g = load_edge_list(edges)
         nd = load_node_table(nodes, TableSchema(target_column="target"), g)
@@ -240,6 +240,76 @@ class TestCluster:
         assert rc == 2
         assert "--nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo, setting, message", [("H1", "k_max=1", "--set k_max: must be >= 2, got 1"),
+                                                         ("KM", "k=0", "--set k: must be >= 1, got 0"),
+                                                         ("LA", "fanciness=3", "--set fanciness: unknown config key")])
+    def test_bad_setting_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, algo, setting, message):
+        def fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        for name in ("leiden_cpm", "planted_partition_fit", "hierarchical_fit", "kmeans"):
+            monkeypatch.setattr(cli, name, fit)
+        monkeypatch.setattr(cli.tr, "resmlp_representations", fit)
+        edges, nodes = classification_fixture(tmp_path)
+        out = tmp_path / "c.csv"
+        rc = cli.main(["cluster", edges, "--algo", algo, "--set", setting, "--out", str(out), "--nodes", nodes, "--target-column", "target"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # one valid value other than the default for every key of config.CLUSTERING_PARAMS
+    SETTINGS = {
+        "LA": {"gamma": 0.5, "seed": 1, "max_passes": 2},
+        "BPP": {"k_max": 3, "seed": 1, "sweeps": 5, "restarts": 2},
+        "H1": {"k_max": 3, "seed": 1, "sweeps": 5, "restarts": 2},
+        "KM": {"k": 3, "seed": 1, "hidden": 8, "layers": 1, "steps": 5, "lr": 0.01, "max_iters": 5},
+    }
+
+    @pytest.mark.parametrize("algo, key", [(algo, key) for algo, params in cf.CLUSTERING_PARAMS.items() for key in params])
+    def test_every_config_key_reaches_its_algorithm(self, tmp_path, capsys, algo, key):
+        assert set(self.SETTINGS[algo]) == set(cf.CLUSTERING_PARAMS[algo])
+        edges, nodes = classification_fixture(tmp_path)
+        sets = ["--set", f"{key}={json.dumps(self.SETTINGS[algo][key])}"]
+        if algo == "KM" and key != "steps":
+            sets += ["--set", "steps=5"]
+        rc = cli.main(["cluster", edges, "--algo", algo, *sets, "--out", str(tmp_path / "c.csv"), "--nodes", nodes, "--target-column", "target"])
+        assert rc == 0, capsys.readouterr().err
+
+    def test_removed_flags_exit_2(self, tmp_path, capsys):
+        removed = ("--seed", "--gamma", "--k-max", "--k", "--km-hidden", "--km-layers", "--km-steps")
+        assert cli.main(["cluster", "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out))
+        assert "--set" in listed and not listed & set(removed)
+        edges = triangle_edges(tmp_path)
+        for flag in removed:
+            assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(tmp_path / "c.csv"), flag, "1"]) == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        config = str(base_config(tmp_path))
+        for args in (["train", config], ["select-clusterings", config], ["analyze-attention", config, "x.ckpt"]):
+            assert cli.main([*args, "--pe-dim", "16"]) == 2
+            assert "unrecognized arguments: --pe-dim 16" in capsys.readouterr().err
+            assert cli.main([args[0], "--help"]) == 0
+            assert "--pe-dim" not in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_cluster_writes_the_bytes_train_records(self, tmp_path, capsys):
+        # perfbench's uniform inputs, and clustering blocks that keep H1 and BPP to about a second each
+        root = Path(__file__).resolve().parent.parent
+        subprocess.run([sys.executable, str(root / "perfbench" / "inputs.py"), "--workload", "uniform", "--seed", "0",
+                        "--out", str(tmp_path)], check=True, stdout=subprocess.DEVNULL)
+        blocks = {"LA": {"seed": 1}, "BPP": {"k_max": 8, "restarts": 1}, "H1": {"k_max": 8, "sweeps": 3, "restarts": 2}}
+        raw = json.loads((tmp_path / "config.json").read_text())
+        raw.update(models=[{"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "use_clatt": True, "clusterings": list(blocks)}],
+                   clusterings=blocks, steps=1, output_dir="out")
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert cli.main(["train", str(tmp_path / "config.json")]) == 0
+        for tag, block in blocks.items():
+            sets = [arg for key, value in block.items() for arg in ("--set", f"{key}={value}")]
+            out = tmp_path / f"{tag}.csv"
+            assert cli.main(["cluster", str(tmp_path / "edges.csv"), "--algo", tag, *sets, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "out" / "clusterings" / f"{tag}.csv").read_bytes()
+        capsys.readouterr()
+
 
 class TestCompare:
     def test_self_comparison_diagonal(self, tmp_path, capsys):
@@ -247,7 +317,7 @@ class TestCompare:
         edges = write_edges(tmp_path / "e.csv", g)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(a)]) == 0
-        assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(b), "--seed", "1"]) == 0
+        assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(b), "--set", "seed=1"]) == 0
         capsys.readouterr()
         out = tmp_path / "cc.csv"
         rc = cli.main(["compare", str(a), str(b), "--out", str(out)])
@@ -264,7 +334,7 @@ class TestCompare:
         (tmp_path / "x").mkdir()
         paths = [tmp_path / f"seed{s}.csv" for s in range(3)]
         for seed, path in enumerate(paths):
-            assert cli.main(["cluster", edges, "--algo", "LA", "--seed", str(seed), "--out", str(path)]) == 0
+            assert cli.main(["cluster", edges, "--algo", "LA", "--set", f"seed={seed}", "--out", str(path)]) == 0
         out = tmp_path / "cc.csv"
 
         def header(files):
@@ -280,7 +350,7 @@ class TestCompare:
             Path(str(clash) + suffix).write_bytes(Path(str(paths[0]) + suffix).read_bytes())
         assert header([paths[0], clash, paths[2]]) == [str(paths[0]), str(clash), str(paths[2])]
         bpp = tmp_path / "x" / "seed1.csv"
-        assert cli.main(["cluster", edges, "--algo", "BPP", "--k-max", "3", "--out", str(bpp)]) == 0
+        assert cli.main(["cluster", edges, "--algo", "BPP", "--set", "k_max=3", "--out", str(bpp)]) == 0
         assert header([paths[0], bpp]) == ["LA", "BPP"]  # distinct tags stay as they are
         capsys.readouterr()
 
@@ -344,7 +414,7 @@ class TestCompare:
         edges.write_text(f"{-(2**63)},1\n1,2\n2,{-(2**63)}\n2,3\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["cluster", str(edges), "--algo", "LA", "--out", str(a)]) == 0
-        assert cli.main(["cluster", str(edges), "--algo", "LA", "--seed", "1", "--out", str(b)]) == 0
+        assert cli.main(["cluster", str(edges), "--algo", "LA", "--set", "seed=1", "--out", str(b)]) == 0
         assert load_clustering(a)[0].tolist() == [-(2**63), 1, 2, 3]
         assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path / "cc.csv")]) == 0
         capsys.readouterr()
@@ -463,7 +533,9 @@ class TestConfig:
          ('models.1.clusterings=["LA","XX"]', "models[1].clusterings[1]: must be one of"),
          ('split.stratified="false"', "split.stratified: expected true or false"),
          ('dataset.directed="false"', "dataset.directed: unknown config key"),
-         ("max_cluster_size=513", f"max_cluster_size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 513")],
+         ("max_cluster_size=513", f"max_cluster_size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 513"),
+         ("pe_dim=0", "pe_dim: must be >= 1, got 0"),
+         ('pe_dim="16"', "pe_dim: expected an integer")],
     )
     def test_fields_are_checked_not_coerced(self, tmp_path, capsys, override, field):
         assert cli.main(["train", str(base_config(tmp_path, steps=3)), "--set", override]) == 2
@@ -486,6 +558,29 @@ class TestConfig:
         assert cli.main(["train", str(base_config(tmp_path, dataset=dataset))]) == 2
         assert error in capsys.readouterr().err
 
+    def test_readme_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        raw = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        for name in ("edges.csv", "nodes.csv"):
+            (tmp_path / name).write_text("")
+        cfg = cf.parse_config(raw, tmp_path)
+        assert cfg.output_dir == tmp_path / "out" and len(cfg.models) == 2
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [("f0,target", "feature column 'target' is the target column"), ("f0,id", "feature column 'id' is the id column")],
+    )
+    def test_id_or_target_as_feature_exit_2(self, tmp_path, capsys, features, message):
+        edges, nodes = classification_fixture(tmp_path)
+        table = ["--nodes", nodes, "--target-column", "target", "--feature-columns", features]
+        dataset = {"edges": "edges.csv", "nodes": "nodes.csv", "target_column": "target", "feature_columns": features.split(",")}
+        for args in (["train", str(base_config(tmp_path, dataset=dataset))],
+                     ["stats", edges, *table],
+                     ["cluster", edges, "--algo", "KM", "--out", str(tmp_path / "km.csv"), *table]):
+            assert cli.main(args) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "km.csv").exists()
+
     def test_overrides(self, tmp_path):
         path = base_config(tmp_path)
         cfg = cf.load_config(path, overrides=["steps=50", "split.seed=3", "models.0.lr=0.001"])
@@ -499,15 +594,6 @@ class TestConfig:
             cf.load_config(path, overrides=["steps"])
         with pytest.raises(cf.ConfigError, match="bad list index"):
             cf.load_config(path, overrides=["models.9.lr=0.1"])
-
-    def test_output_dir_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cf.OUTPUT_DIR_ENV, "env_out")
-        raw = json.loads(base_config(tmp_path).read_text())
-        del raw["output_dir"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        cfg = cf.load_config(path)
-        assert cfg.output_dir == tmp_path / "env_out"
 
 
 class TestTrainCommand:
@@ -541,7 +627,7 @@ class TestTrainCommand:
         # an independent run of the first seed, on the same data and split
         cfg = cf.load_config(path)
         data, split, _ = cli._prepare_run(cfg, cfg.models)
-        datas, _ = cli._model_data(cfg, data, split, cfg.models, cfg.needed_tags(), pe_dim=64)
+        datas, _ = cli._model_data(cfg, data, split, cfg.models, cfg.needed_tags())
         for spec, spec_data in zip(cfg.models, datas):
             result = tr.train(spec, spec_data, split, seed=3, steps=cfg.steps, eval_every=cfg.eval_every)
             ref = tmp_path / "ref.ckpt"
@@ -954,7 +1040,7 @@ class TestCheckpointSpec:
         assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
         cfg = cf.load_config(path)
         data, split, _ = cli._prepare_run(cfg, cfg.models)
-        (data,), _ = cli._model_data(cfg, data, split, cfg.models, (), pe_dim=64)
+        (data,), _ = cli._model_data(cfg, data, split, cfg.models, ())
         refs = {}
         for transform in ("quantile_normal", "none"):
             variant = replace(data, features=transform_features(data.features, transform))
@@ -1064,6 +1150,25 @@ class TestRunDirectory:
             out = self.copy_run(trained_run, Path(tmp) / "out")
             (out / name).write_bytes(raw)
             self.analyze(trained_run, out)
+
+    def test_mismatched_checkpoint_builds_nothing(self, trained_run, tmp_path, monkeypatch, capsys):
+        calls = counted_builders(monkeypatch)
+        out = tmp_path / "fresh"
+        args = ["analyze-attention", str(trained_run), str(trained_run.parent / "out" / "GGT-CLATT_LA.ckpt"),
+                "--set", f"output_dir={json.dumps(str(out))}"]
+        assert cli.main(args + ["--set", "models.0.hidden=16"]) == 2
+        assert "the model needs" in capsys.readouterr().err
+        assert calls == {"leiden_cpm": 0, "laplacian_pe": 0}
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("kind", ["laplacian", "deepwalk"])
+    def test_pe_dim_is_shared_by_the_config_commands(self, tmp_path, capsys, kind):
+        path = base_config(tmp_path, models=[{**RECORDED_MODEL, "pe": kind}], steps=5, pe_dim=4)
+        assert cli.main(["train", str(path)]) == 0
+        assert cli.main(["analyze-attention", str(path), str(tmp_path / "out" / "GGT-CLATT_LA.ckpt")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out" / "pe").iterdir()) == [f"{kind}_4.npy", f"{kind}_4.npy.meta.json"]
+        assert np.load(tmp_path / "out" / "pe" / f"{kind}_4.npy").shape == (16, 4)
+        assert "(reused " in capsys.readouterr().out
 
     def test_train_manifest(self, tmp_path):
         path = base_config(tmp_path, models=[RECORDED_MODEL], steps=20)

@@ -296,6 +296,20 @@ class TestNodeTable:
         with pytest.raises(GraphFormatError, match=re.escape(f"t.csv: {message}")):
             load_node_table(p, schema, g)
 
+    @pytest.mark.parametrize(
+        "features, message",
+        [(("f0", "target"), "feature column 'target' is the target column"),
+         (("f0", "id"), "feature column 'id' is the id column")],
+    )
+    def test_id_or_target_as_feature_is_refused(self, tmp_path, features, message):
+        g = self.make_graph()
+        p = write(tmp_path, "t.csv", "id,f0,target\n10,1,0\n20,2,1\n30,3,0\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"t.csv: {message}")):
+            load_node_table(p, TableSchema(feature_columns=features, target_column="target"), g)
+        # without a target column, a column named "target" is a feature like any other
+        nd = load_node_table(p, TableSchema(feature_columns=("f0", "target")), g)
+        assert nd.features.shape == (3, 2) and nd.targets is None
+
 
 class TestTransforms:
     def test_standard(self):
