@@ -29,7 +29,8 @@ from . import training as tr
 from .analysis import export_histogram, export_profile, export_similarity_matrix, profile_model, quantile_table
 from .blockmodel import hierarchical_fit, planted_partition_fit
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, apply_override, clustering_params, load_config
+from .config import (CANONICAL_TAGS, ConfigError, ExperimentConfig, apply_override, check_size_filter, clustering_params,
+                     load_config)
 from .errors import InputError
 from .graphs import TableSchema, load_edge_list, load_node_table, transform_features
 from .kmeans import kmeans
@@ -94,8 +95,7 @@ def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split:
 
 
 def cmd_cluster(args) -> int:
-    if args.min_size is not None and args.max_size is not None and args.min_size > args.max_size:
-        raise InputError(f"--min-size {args.min_size} exceeds --max-size {args.max_size}")
+    check_size_filter(args.min_size, args.max_size, ("--min-size", "--max-size"))
     raw = {}
     for item in args.set or ():
         apply_override(raw, item)
@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="a key of the config's clusterings.<ALGO> block, as JSON (seed=1, gamma=0.05)")
-    sp.add_argument("--min-size", type=_int_at_least(1), help="apply the size filter before saving")
-    sp.add_argument("--max-size", type=_int_at_least(1))
+    sp.add_argument("--min-size", type=int, help="apply the size filter before saving; checked as min_cluster_size")
+    sp.add_argument("--max-size", type=int, help="checked as max_cluster_size")
     add_table_flags(sp, "node table CSV (required for KM)")
     sp.set_defaults(func=cmd_cluster)
 

@@ -260,6 +260,27 @@ def clustering_params(tag: str, raw, path: str = "") -> dict:
     return {"seed": 0, **_object(raw, path, CLUSTERING_PARAMS[tag])}
 
 
+# the bounds of the cluster size filter; cluster attention lays out no
+# cluster larger than MAX_CLUSTER_SLOTS
+SIZE_FILTER = {"min_cluster_size": _count(1), "max_cluster_size": _count(1, MAX_CLUSTER_SLOTS)}
+
+
+def check_size_order(min_size, max_size, names=("min_cluster_size", "max_cluster_size")) -> None:
+    """ConfigError if both bounds are set and ``min_size > max_size``;
+    ``names`` name the two bounds in the message."""
+    if min_size is not None and max_size is not None and min_size > max_size:
+        raise ConfigError(f"{names[0]} {min_size} exceeds {names[1]} {max_size}")
+
+
+def check_size_filter(min_size, max_size, names) -> None:
+    """Bounds set outside a config: each passes its ``SIZE_FILTER`` check
+    (a bound left None is not checked), then ``check_size_order``."""
+    for key, name, value in zip(SIZE_FILTER, names, (min_size, max_size)):
+        if value is not None:
+            SIZE_FILTER[key](value, name)
+    check_size_order(min_size, max_size, names)
+
+
 def _model(raw, path: str) -> ModelSpec:
     return _valid(path, **_object(raw, path, MODEL_FIELDS, required=("conv_type",)))
 
@@ -278,9 +299,7 @@ TOP_FIELDS = {
         {tag: lambda raw, path, tag=tag: clustering_params(tag, raw, path) for tag in CLUSTERING_PARAMS},
         unknown=f"unknown tag, expected one of {CANONICAL_TAGS}",
     ),
-    "min_cluster_size": _count(1),
-    # cluster attention lays out no cluster larger than MAX_CLUSTER_SLOTS
-    "max_cluster_size": _count(1, MAX_CLUSTER_SLOTS),
+    **SIZE_FILTER,
     "grid": _or_null(_section(GRID_FIELDS, GridConfig)),
     "seeds": _list_of(_seed, nonempty="must be non-empty"),
     "steps": _count(0),
@@ -315,8 +334,7 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     fields["split"] = SplitConfig(**split)
     out_dir = fields.pop("output_dir", None) or "."
     cfg = ExperimentConfig(**fields, output_dir=base / out_dir)
-    if cfg.min_cluster_size > cfg.max_cluster_size:
-        _fail("min_cluster_size", "exceeds max_cluster_size")
+    check_size_order(cfg.min_cluster_size, cfg.max_cluster_size)  # TOP_FIELDS checked each bound
     return cfg
 
 

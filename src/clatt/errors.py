@@ -25,13 +25,15 @@ class InputError(ValueError):
 
 def read_text(path) -> io.StringIO:
     """The text of a user-supplied file, as a stream that splits lines the way
-    ``open(path, newline="")`` does. Bytes the locale encoding cannot decode
-    raise InputError naming the file."""
+    ``open(path, newline="")`` does. One leading byte-order mark (U+FEFF) is
+    dropped: left in, it would glue itself to the first cell or id. Bytes the
+    locale encoding cannot decode raise InputError naming the file."""
     try:
         with open(path, newline="") as fh:
-            return io.StringIO(fh.read(), newline="")
+            text = fh.read()
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a text file: {e}") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
 def check_count(name: str, value, minimum: int) -> int:

@@ -7,6 +7,8 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +126,11 @@ def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:
     keep = src != dst
     a = np.concatenate([src[keep], dst[keep]])
     b = np.concatenate([dst[keep], src[keep]])
-    key = a * n + b
-    key = np.unique(key)
+    key = np.sort(a * n + b)
+    key = key[np.diff(key, prepend=-1) != 0]  # np.unique(key) without its slower hash table; keys are >= 0
     a, b = key // n, key % n
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, a + 1, 1)
-    offsets = np.cumsum(offsets)
+    offsets[1:] = np.cumsum(np.bincount(a, minlength=n))
     ids = None if node_ids is None else np.asarray(node_ids, dtype=np.int64)
     return Graph(n=n, offsets=offsets, neighbors=b.astype(np.int64), node_ids=ids)
 
@@ -164,6 +165,14 @@ def csv_rows(path):
         raise GraphFormatError(f"{path}:{reader.line_num}: {e}") from None
 
 
+# Edge-list lines tokenised and converted at a time, so that a long file never
+# holds all its tokens as Python objects at once: a line of two short ids costs
+# about 300 B while its chunk is open (the line, its token list, two tokens and
+# their places in the id lists), about 600 KB for a chunk. Chunks of 16 384
+# lines were no faster and left the process 2 MB larger.
+EDGE_CHUNK_LINES = 1 << 11
+
+
 def load_edge_list(path) -> Graph:
     """Read a whitespace- or comma-separated edge list.
 
@@ -174,25 +183,9 @@ def load_edge_list(path) -> Graph:
     is not an integer as ``int`` reads it (so ``+1`` and ``1_0`` are ids).
     """
     path = Path(path)
-    src, dst = [], []
-    first = 0  # file line of the first line that is neither blank nor a comment
-    for lineno, raw in enumerate(read_text(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.replace(",", " ").split()
-        if len(toks) < 2:
-            raise GraphFormatError(f"{path}:{lineno}: expected two node ids")
-        first = first or lineno
-        if lineno == first and None in (_int_or_none(toks[0]), _int_or_none(toks[1])):
-            continue
-        src.append(_parse_id(toks[0], f"{path}:{lineno}"))
-        dst.append(_parse_id(toks[1], f"{path}:{lineno}"))
-    if not src:
+    raw = _edge_ids(path)
+    if not raw.size:
         raise GraphFormatError(f"{path}: no edges found")
-    raw = np.empty(2 * len(src), dtype=np.int64)
-    raw[0::2] = src
-    raw[1::2] = dst
     ids, first_pos, inverse = np.unique(raw, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first_pos, kind="stable")
     compact = np.empty_like(by_appearance)
@@ -200,6 +193,52 @@ def load_edge_list(path) -> Graph:
     stream = compact[inverse]
     return from_edges(stream[0::2], stream[1::2], n=ids.shape[0],
                       node_ids=ids[by_appearance])
+
+
+def _edge_ids(path: Path) -> np.ndarray:
+    """The two ids of each edge line of ``path``, in file order, as one flat
+    int64 array. Lines split as ``read_text``'s stream splits them and are
+    tokenised and converted ``EDGE_CHUNK_LINES`` at a time; a chunk with a
+    short line or a bad id is parsed line by line, which raises the first
+    error in file order."""
+    stream = read_text(path)
+    pairs, done, header_seen = [], 0, False
+    while lines := list(islice(stream, EDGE_CHUNK_LINES)):
+        toks = list(map(str.split, map(str.replace, lines, repeat(","), repeat(" "))))
+        ntok = np.fromiter(map(len, toks), np.intp, len(toks))
+        skip = ntok == 0
+        skip[skip] = [lines[i].isspace() for i in np.flatnonzero(skip)]  # blank, unlike a line ","
+        if "#" in "".join(lines):  # only then can a line be a comment
+            skip |= np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
+        keep = np.flatnonzero(~skip)
+        if keep.size < len(lines):
+            toks = list(map(toks.__getitem__, keep.tolist()))
+        if toks and not header_seen:
+            header_seen = True
+            first = toks[0]
+            if len(first) >= 2 and None in (_int_or_none(first[0]), _int_or_none(first[1])):
+                keep, toks = keep[1:], toks[1:]
+        try:
+            if ntok[keep].min(initial=2) < 2:
+                raise ValueError("a line with fewer than two tokens")
+            ids = np.column_stack([np.array(list(map(itemgetter(i), toks)), dtype=np.int64) for i in (0, 1)])
+        except (ValueError, OverflowError):
+            ids = _edge_ids_by_line(path, keep + done + 1, toks)
+        pairs.append(ids.ravel())
+        done += len(lines)
+    return np.concatenate(pairs) if pairs else np.empty(0, dtype=np.int64)
+
+
+def _edge_ids_by_line(path: Path, lines, toks) -> np.ndarray:
+    """The (k, 2) ids of the edge lines ``toks`` (file lines ``lines``), one
+    line at a time, so that a short line or a bad id raises in file order."""
+    ids = []
+    for line, tok in zip(lines, toks):
+        where = f"{path}:{line}"
+        if len(tok) < 2:
+            raise GraphFormatError(f"{where}: expected two node ids")
+        ids.append((_parse_id(tok[0], where), _parse_id(tok[1], where)))
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -293,35 +332,17 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     if len(rows) != graph.n:
         raise GraphFormatError(f"{path}: {len(rows)} rows for a graph with {graph.n} nodes")
     regression = schema.task == "regression"
-    pos_of = {int(v): i for i, v in enumerate(graph.node_ids)}
-    feats = np.full((graph.n, len(feat_idx)), np.nan)
-    imputed = np.zeros_like(feats, dtype=bool)
-    raw_targets = [None] * graph.n
-    seen = np.zeros(graph.n, dtype=bool)
-    for line, row in rows:
-        where = f"{path}:{line}"
-        if len(row) != len(header):
-            raise GraphFormatError(f"{where}: expected {len(header)} cells, got {len(row)}")
-        nid = _parse_id(row[id_idx], where)
-        if nid not in pos_of:
-            raise GraphFormatError(f"{where}: node id {nid} not in graph")
-        pos = pos_of[nid]
-        if seen[pos]:
-            raise GraphFormatError(f"{where}: duplicate node id {nid}")
-        seen[pos] = True
-        for j, ci in enumerate(feat_idx):
-            if _is_missing(row[ci]):
-                imputed[pos, j] = True
-            else:
-                feats[pos, j] = _number(row[ci], where, "feature", feat_names[j])
-        if tgt_idx is not None:
-            tok = row[tgt_idx]
-            if _is_missing(tok):
-                raise GraphFormatError(f"{where}: missing target {tok!r} in column {schema.target_column!r}")
-            raw_targets[pos] = _number(tok, where, "regression target", schema.target_column) if regression else tok
+    cells = [row for _, row in rows]
+    columns = _table_columns(cells, len(header), id_idx, feat_idx, tgt_idx, regression, graph)
+    if columns is None:
+        columns = _table_rows(path, rows, len(header), id_idx, feat_idx, feat_names, tgt_idx, schema, graph)
+    pos, values, tgt = columns
+    feats = np.empty((graph.n, len(feat_idx)))
+    feats[pos] = values
+    imputed = np.isnan(feats)
 
     # the mean of each column's parsed cells; 0 for a column with none
-    parsed = ~np.isnan(feats)
+    parsed = ~imputed
     col_mean = np.where(parsed, feats, 0.0).sum(axis=0) / np.maximum(parsed.sum(axis=0), 1)
     feats = np.where(imputed, col_mean, feats)
 
@@ -329,15 +350,77 @@ def load_node_table(path, schema: TableSchema, graph: Graph) -> NodeData:
     num_classes = 0
     if tgt_idx is not None:
         if regression:
-            targets = np.array(raw_targets, dtype=np.float64)
+            targets = np.empty(graph.n, dtype=np.float64)
+            targets[pos] = tgt
         else:
-            labels = sorted(set(raw_targets))
+            labels = sorted(set(tgt))
             lut = {v: i for i, v in enumerate(labels)}
-            targets = np.array([lut[t] for t in raw_targets], dtype=np.int64)
+            targets = np.empty(graph.n, dtype=np.int64)
+            targets[pos] = np.fromiter(map(lut.__getitem__, tgt), np.int64, len(tgt))
             num_classes = len(labels)
             if schema.task == "binary" and num_classes > 2:
                 raise GraphFormatError(f"{path}: {num_classes} distinct labels for a binary task")
     return NodeData(features=feats, targets=targets, imputed=imputed, num_classes=num_classes)
+
+
+def _table_columns(cells, width, id_idx, feat_idx, tgt_idx, regression, graph):
+    """``(pos, values, targets)`` of node-table rows with no missing or bad
+    cell, read a column at a time: each row's graph position, its feature
+    values and its target cell (a float for regression). ``np.array`` parses
+    ids as ``int`` and cells as ``float`` do. None for any other rows."""
+    if not {width}.issuperset(map(len, cells)):
+        return None
+
+    def column(i):
+        return list(map(itemgetter(i), cells))
+
+    try:
+        nid = np.array(column(id_idx), dtype=np.int64)
+        values = np.array([column(i) for i in feat_idx], dtype=np.float64).reshape(len(feat_idx), len(cells)).T
+        tgt = None if tgt_idx is None else column(tgt_idx)
+        if regression:
+            tgt = np.array(tgt, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    order = np.argsort(graph.node_ids, kind="stable")
+    at = np.searchsorted(graph.node_ids[order], nid).clip(max=max(graph.n - 1, 0))
+    pos = order[at]
+    if not np.array_equal(graph.node_ids[pos], nid) or np.bincount(pos, minlength=graph.n).max(initial=0) > 1:
+        return None  # an id not in the graph, or a repeat
+    bad_target = tgt is not None and (not np.isfinite(tgt).all() if regression else any(map(_is_missing, tgt)))
+    if bad_target or not np.isfinite(values).all():
+        return None  # a missing cell, or one float reads but the table refuses
+    return pos, values, tgt
+
+
+def _table_rows(path, rows, width, id_idx, feat_idx, feat_names, tgt_idx, schema, graph):
+    """``_table_columns``'s triple, one row and one cell at a time: a missing
+    feature cell reads as nan, and the first bad cell in file order raises."""
+    pos_of = {int(v): i for i, v in enumerate(graph.node_ids)}
+    seen = np.zeros(graph.n, dtype=bool)
+    pos, values, tgt = [], np.full((len(rows), len(feat_idx)), np.nan), []
+    for r, (line, row) in enumerate(rows):
+        where = f"{path}:{line}"
+        if len(row) != width:
+            raise GraphFormatError(f"{where}: expected {width} cells, got {len(row)}")
+        nid = _parse_id(row[id_idx], where)
+        if nid not in pos_of:
+            raise GraphFormatError(f"{where}: node id {nid} not in graph")
+        at = pos_of[nid]
+        if seen[at]:
+            raise GraphFormatError(f"{where}: duplicate node id {nid}")
+        seen[at] = True
+        pos.append(at)
+        for j, ci in enumerate(feat_idx):
+            if not _is_missing(row[ci]):
+                values[r, j] = _number(row[ci], where, "feature", feat_names[j])
+        if tgt_idx is not None:
+            tok = row[tgt_idx]
+            if _is_missing(tok):
+                raise GraphFormatError(f"{where}: missing target {tok!r} in column {schema.target_column!r}")
+            tgt.append(_number(tok, where, "regression target", schema.target_column)
+                       if schema.task == "regression" else tok)
+    return np.array(pos, dtype=np.int64), values, tgt
 
 
 def transform_features(x: np.ndarray, kind: str) -> np.ndarray:

@@ -181,6 +181,9 @@ class TestCluster:
         _, assignment, meta = load_clustering(out)
         assert meta["num_unassigned"] == 3
         assert (assignment == -1).sum() == 3
+        flags = ["--min-size", "4", "--max-size", str(nn.MAX_CLUSTER_SLOTS)]
+        assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(out), *flags]) == 0
+        assert load_clustering(out)[2]["params"]["max_size"] == nn.MAX_CLUSTER_SLOTS
 
     def test_unknown_algo_exit_2(self, tmp_path):
         edges = triangle_edges(tmp_path)
@@ -194,7 +197,9 @@ class TestCluster:
          (["--algo", "LA", "--min-size", "50", "--max-size", "10"], "--min-size 50 exceeds --max-size 10"),
          (["--algo", "KM", "--set", "layers=-1"], "--set layers: must be >= 1, got -1"),
          (["--algo", "KM", "--set", "steps=-5"], "--set steps: must be >= 0, got -5"),
-         (["--algo", "KM", "--set", "layers=0"], "--set layers: must be >= 1, got 0")],
+         (["--algo", "KM", "--set", "layers=0"], "--set layers: must be >= 1, got 0"),
+         # the size flags take the bounds of min_cluster_size and max_cluster_size
+         (["--algo", "LA", "--max-size", "600"], f"--max-size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 600")],
     )
     def test_bad_flags_exit_2_and_save_nothing(self, tmp_path, capsys, flags, message):
         edges = write_edges(tmp_path / "e.csv", bridge_of_cliques([5, 5]))
@@ -535,7 +540,8 @@ class TestConfig:
          ('dataset.directed="false"', "dataset.directed: unknown config key"),
          ("max_cluster_size=513", f"max_cluster_size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 513"),
          ("pe_dim=0", "pe_dim: must be >= 1, got 0"),
-         ('pe_dim="16"', "pe_dim: expected an integer")],
+         ('pe_dim="16"', "pe_dim: expected an integer"),
+         ("min_cluster_size=600", f"min_cluster_size 600 exceeds max_cluster_size {nn.MAX_CLUSTER_SLOTS}")],
     )
     def test_fields_are_checked_not_coerced(self, tmp_path, capsys, override, field):
         assert cli.main(["train", str(base_config(tmp_path, steps=3)), "--set", override]) == 2
