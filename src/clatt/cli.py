@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import re
@@ -38,6 +39,12 @@ from .leiden import leiden_cpm
 from .partition import Clustering, filter_clusters, load_clustering, save_clustering
 from .pe import check_deepwalk_size, check_laplacian_size, deepwalk_pe, laplacian_pe
 from .stats import compute_graph_stats, stats_to_dict
+
+# The objects made by importing numpy, scipy and clatt live as long as the
+# process. Freezing them keeps the cyclic collector from scanning them again:
+# otherwise its first full pass over some 45k objects (20-30 ms on 2 vCPUs)
+# lands in whatever command runs first, such as the loaders of ``clatt train``.
+gc.freeze()
 
 
 def _echo(msg: str) -> None:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import InputError, read_text
 
@@ -440,4 +439,27 @@ def transform_features(x: np.ndarray, kind: str) -> np.ndarray:
         sd = x.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
         return (x - mu) / sd
-    return ndtri((rankdata(x, axis=0) - 0.5) / x.shape[0])
+    return ndtri((average_ranks(x) - 0.5) / x.shape[0])
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks from 1 down axis 0, ties sharing their average rank.
+
+    A stable sort puts each tie group in one run; its members get
+    (first + last) / 2 + 1 of the run's sorted positions, a half-integer
+    and so exact. For nan-free x the result is bitwise
+    ``scipy.stats.rankdata(x, axis=0)``, without importing ``scipy.stats``.
+    """
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    y = np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n).reshape((n,) + (1,) * (x.ndim - 1))
+    starts = np.ones(x.shape, dtype=bool)
+    starts[1:] = y[1:] != y[:-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks

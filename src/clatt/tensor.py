@@ -3,8 +3,10 @@
 Deliberately small: just the ops the attention and message-passing stack
 needs. Every op records its output on an implicit tape; backward() walks
 that tape once in reverse execution order. The first recorded op after a
-backward() starts a new tape and cuts the consumed one, so a step's
-activations are freed as soon as the next step's forward pass begins.
+backward() starts a new tape and cuts the consumed one, and so does
+entering a no_grad() block, so a step's activations are freed as soon as
+the next step's forward pass begins or an evaluation pass starts. A tape
+that backward() has not consumed yet is never cut.
 Every tensor holds float64 data; other inputs are converted.
 """
 
@@ -103,8 +105,15 @@ _GRAD_ENABLED = True
 
 @contextmanager
 def no_grad():
-    """Disable recording; everything computed inside is a constant."""
-    global _GRAD_ENABLED
+    """Disable recording; everything computed inside is a constant.
+
+    Entering also cuts a tape that backward() has consumed, so its
+    activations do not outlive the step into an evaluation pass.
+    """
+    global _ACTIVE_TAPE, _GRAD_ENABLED
+    if _ACTIVE_TAPE is not None and _ACTIVE_TAPE.consumed:
+        _ACTIVE_TAPE.release()
+        _ACTIVE_TAPE = None
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
     try:

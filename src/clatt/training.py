@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 from . import nn
 from . import tensor as T
@@ -411,7 +411,7 @@ def welch_test(a, b, alpha: float = 0.05):
     se2 = va / a.size + vb / b.size
     t = (a.mean() - b.mean()) / math.sqrt(se2)
     df = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
-    p = 2.0 * float(scipy.stats.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return p < alpha, p
 
 

@@ -1239,3 +1239,29 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
         assert cli.main(["train", "--help"]) == 0
+
+
+IMPORT_FLOOR = """
+import importlib, json, pkgutil, sys
+import clatt, clatt.cli
+for mod in pkgutil.iter_modules(clatt.__path__):
+    importlib.import_module("clatt." + mod.name)
+import gc
+print(gc.get_freeze_count())
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("clatt.") or m.startswith("scipy.stats"))))
+"""
+
+
+def test_no_module_imports_scipy_stats():
+    # scipy.stats costs tens of MB and most of a second at import; every
+    # clatt process imports clatt.cli, so no module it can reach may need it.
+    # clatt.cli also freezes what the imports made (see its gc.freeze call).
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FLOOR], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    frozen, loaded = proc.stdout.strip().splitlines()[-2:]
+    assert int(frozen) > 0
+    loaded = json.loads(loaded)
+    assert {"clatt.cli", "clatt.analysis", "clatt.checkpoint", "clatt.similarity"} <= set(loaded)
+    assert not [m for m in loaded if m.startswith("scipy.stats")]

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
@@ -15,6 +16,7 @@ from clatt.graphs import (
     NodeData,
     TableSchema,
     WeightedGraph,
+    average_ranks,
     from_edges,
     load_edge_list,
     load_node_table,
@@ -358,6 +360,55 @@ class TestTransforms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             transform_features(np.ones((2, 2)), "whiten")
+
+
+class TestAverageRanks:
+    """``average_ranks`` against ``scipy.stats.rankdata``, kept here only as
+    the oracle: the two must agree bit for bit."""
+
+    @staticmethod
+    def check(x):
+        got = average_ranks(x)
+        want = scipy.stats.rankdata(x, axis=0)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_integer_columns_with_many_ties(self):
+        rng = np.random.default_rng(0)
+        self.check(rng.integers(0, 4, size=(500, 6)).astype(np.float64))
+        self.check(rng.integers(-2, 3, size=(7, 3)).astype(np.float64))
+
+    def test_signed_zeros_tie(self):
+        x = np.array([[0.0, 1.0], [-0.0, -0.0], [1.0, 0.0], [-0.0, -1.0], [0.0, -0.0]])
+        self.check(x)
+        assert average_ranks(x)[:, 0].tolist() == [2.5, 2.5, 5.0, 2.5, 2.5]
+
+    def test_one_row_and_constant_column(self):
+        self.check(np.array([[3.0, -1.0, 0.0]]))
+        self.check(np.full((9, 2), 4.0))
+        x = np.random.default_rng(1).standard_normal((11, 3))
+        x[:, 1] = -2.5
+        self.check(x)
+
+    def test_random_normals(self):
+        rng = np.random.default_rng(2)
+        self.check(rng.standard_normal((2000, 4)))
+        self.check(rng.standard_normal((1, 1)))
+
+    def test_empty(self):
+        self.check(np.empty((0, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6)),
+        )
+    )
+    def test_equals_rankdata(self, x):
+        self.check(x)
 
     def test_none_copies(self):
         x = np.ones((2, 2))

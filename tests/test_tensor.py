@@ -282,6 +282,56 @@ class TestBackwardMechanics:
         with pytest.raises(RuntimeError, match="already"):
             T.backward(loss1)
 
+    def test_tape_lifecycle_around_no_grad(self):
+        # gc stays off, as above, so only the explicit cut can free the tape
+        rng = np.random.default_rng(8)
+        w = rand_tensor(rng, (4, 4))
+        x = T.Tensor(rng.standard_normal((3, 4)))
+
+        def forward():
+            h = T.gelu(T.linear(x, w))
+            return TO.tsum(h), weakref.ref(h.data)
+
+        gc.disable()
+        try:
+            loss, activation = forward()
+            T.backward(loss)
+            # (a) right after backward the tape is intact: the perfbench
+            # tracer reads its nodes, their backward closures and their data
+            # (an earlier test may have left ops on the same tape)
+            nodes = loss._tape.nodes
+            assert nodes[-1] is loss and len(nodes) >= 3
+            assert all(n._backward is not None and n.data is not None for n in nodes)
+            assert activation() is not None
+            del nodes
+            # (b) entering no_grad frees the consumed tape's activations
+            with T.no_grad():
+                assert activation() is None
+                T.linear(x, w)
+            assert activation() is None
+        finally:
+            gc.enable()
+        # (d) the cut tape still knows it was consumed
+        with pytest.raises(RuntimeError, match="already"):
+            T.backward(loss)
+
+    def test_no_grad_keeps_an_unconsumed_tape(self):
+        # (c) forward, then a no_grad block, then backward: the same grads as
+        # without the block
+        rng = np.random.default_rng(9)
+        w = rand_tensor(rng, (4, 4))
+        x = T.Tensor(rng.standard_normal((3, 4)))
+        grads = []
+        for with_block in (False, True):
+            T.zero_grad([w])
+            loss = TO.tsum(T.gelu(T.linear(x, w)))
+            if with_block:
+                with T.no_grad():
+                    T.gelu(T.linear(x, w))
+            T.backward(loss)
+            grads.append(w.grad.copy())
+        assert np.array_equal(grads[0], grads[1])
+
     def test_output_of_consumed_tape_is_a_constant(self):
         rng = np.random.default_rng(7)
         w = rand_tensor(rng, (3,))

@@ -455,6 +455,24 @@ class TestWelch:
             expect = scipy.stats.ttest_ind(a, b, equal_var=False).pvalue
             assert abs(p - expect) < 1e-10
 
+    def test_p_is_scipy_t_sf_bitwise(self):
+        # scipy.stats stays only as the oracle: over a grid of sample sizes
+        # (hence df) and mean shifts (hence t, from 0 to far in the tail),
+        # p must equal 2 * t.sf(|t|, df) bit for bit
+        rng = np.random.default_rng(3)
+        for na in (2, 3, 5, 10, 40):
+            for nb in (2, 4, 9, 25):
+                for shift in (0.0, 0.05, 0.3, 1.0, -2.0, 8.0, 50.0):
+                    a = rng.normal(0.0, 1.0, size=na)
+                    b = rng.normal(shift, 0.5, size=nb)
+                    va = max(float(a.var(ddof=1)), 1e-12)
+                    vb = max(float(b.var(ddof=1)), 1e-12)
+                    se2 = va / a.size + vb / b.size
+                    t = (a.mean() - b.mean()) / math.sqrt(se2)
+                    df = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
+                    _, p = tr.welch_test(a, b)
+                    assert p == 2.0 * float(scipy.stats.t.sf(abs(t), df))
+
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least 2"):
             tr.welch_test([0.5], [0.4, 0.3])
