@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,10 +30,9 @@ from . import training as tr
 from .analysis import export_histogram, export_profile, export_similarity_matrix, profile_model, quantile_table
 from .blockmodel import hierarchical_fit, planted_partition_fit
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (CANONICAL_TAGS, ConfigError, ExperimentConfig, apply_override, check_size_filter, clustering_params,
-                     load_config)
+from .config import CANONICAL_TAGS, ConfigError, ExperimentConfig, apply_override, clustering_params, load_config
 from .errors import InputError
-from .graphs import TableSchema, load_edge_list, load_node_table, transform_features
+from .graphs import TASKS, TableSchema, load_edge_list, load_node_table, transform_features
 from .kmeans import kmeans
 from .leiden import leiden_cpm
 from .partition import Clustering, filter_clusters, load_clustering, save_clustering
@@ -102,7 +101,6 @@ def _cluster(tag: str, g, params: dict, data: tr.TrainData | None = None, split:
 
 
 def cmd_cluster(args) -> int:
-    check_size_filter(args.min_size, args.max_size, ("--min-size", "--max-size"))
     raw = {}
     for item in args.set or ():
         apply_override(raw, item)
@@ -119,8 +117,6 @@ def cmd_cluster(args) -> int:
             raise InputError("--target-column is required for KM")
         data, split = _table_split(g, args.nodes, _schema_from_args(args), seed=params["seed"], stratified=args.task != "regression")
     c = _cluster(args.algo, g, params, data, split)
-    if args.min_size is not None or args.max_size is not None:
-        c = filter_clusters(c, min_size=args.min_size or 1, max_size=args.max_size or g.n)
     save_clustering(args.out, c, node_ids=g.node_ids)
     _echo(f"{args.algo}: {c.num_clusters} clusters over {c.n} nodes -> {args.out}")
     return 0
@@ -330,15 +326,10 @@ def cmd_select_clusterings(args) -> int:
     return 0
 
 
-# ModelSpec fields the grid tunes; a checkpoint may differ from its config there
-TUNED_FIELDS = ("lr", "dropout")
-
-
-def _check_checkpoint(path, spec: nn.ModelSpec, params, expected: dict) -> None:
-    """Refuse a checkpoint unless it holds exactly the model's arrays, each in
-    its shape, and, when it records its spec, the model's spec outside
-    TUNED_FIELDS; the message names the first array or field that differs."""
-    where = f"checkpoint {path} does not match model {spec.name}"
+def _check_checkpoint(path, params, expected: dict) -> None:
+    """Refuse a checkpoint unless it holds exactly the arrays of its model on
+    this data, each in its shape; the message names the first that differs."""
+    where = f"checkpoint {path} does not match model {params.spec.name}"
     for name, want in expected.items():
         if name not in params:
             raise InputError(f"{where}: {name} is missing")
@@ -347,32 +338,21 @@ def _check_checkpoint(path, spec: nn.ModelSpec, params, expected: dict) -> None:
     extra = [name for name in params if name not in expected]
     if extra:
         raise InputError(f"{where}: unexpected array {extra[0]}")
-    if params.spec is None:
-        return
-    for f in fields(spec):
-        recorded, configured = getattr(params.spec, f.name), getattr(spec, f.name)
-        if f.name not in TUNED_FIELDS and recorded != configured:
-            raise InputError(f"{where}: {f.name} is {recorded!r} in the checkpoint, {configured!r} in the config")
 
 
 def cmd_analyze_attention(args) -> int:
     cfg = load_config(args.config, args.set or ())
-    by_name = {spec.name: spec for spec in cfg.models}
-    if args.model is None:
-        if len(cfg.models) > 1:
-            raise InputError(f"--model required; config defines {sorted(by_name)}")
-        spec = cfg.models[0]
-    elif args.model in by_name:
-        spec = by_name[args.model]
-    else:
-        raise InputError(f"model {args.model!r} not in config; available: {sorted(by_name)}")
+    params = load_checkpoint(args.checkpoint)  # its spec and transform are the model
+    spec = params.spec
+    if spec is None or params.transform is None:
+        raise InputError(f"checkpoint {args.checkpoint} records no model spec or transform; `clatt train` writes both")
+    if args.model is not None and args.model != spec.name:
+        raise InputError(f"--model {args.model!r}, but checkpoint {args.checkpoint} holds model {spec.name!r}")
     data, split, out_dir = _prepare_run(cfg, [spec])
-    params = load_checkpoint(args.checkpoint)
     expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=cfg.pe_width(spec.pe, data.g.n))
-    _check_checkpoint(args.checkpoint, spec, params, expected)  # before any clustering or PE is built
+    _check_checkpoint(args.checkpoint, params, expected)  # before any clustering or PE is built
     (data,), _ = _model_data(cfg, data, split, [spec], spec.clusterings)
-    if params.transform not in (None, "none"):  # the feature transform the grid chose
-        data = replace(data, features=transform_features(data.features, params.transform))
+    data = replace(data, features=transform_features(data.features, params.transform))
 
     profile = profile_model(spec, params, data)
     if not profile.entries:
@@ -387,11 +367,17 @@ def cmd_analyze_attention(args) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
+# bounds the histogram's memory before any file is read: 10^6 bins are an 8 MB edge array and a 10^6-row CSV
+MAX_BINS = 10**6
+
+
+def _bounded_int(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -407,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--id-column", default="id")
         sp.add_argument("--feature-columns", help="comma-separated; default: all non-id non-target columns")
         sp.add_argument("--target-column")
-        sp.add_argument("--task", default="multiclass", choices=("multiclass", "binary", "regression"))
+        sp.add_argument("--task", default="multiclass", choices=TASKS)
 
     sp = sub.add_parser("stats", help="structural statistics of an edge-list graph")
     sp.add_argument("edges")
@@ -421,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="a key of the config's clusterings.<ALGO> block, as JSON (seed=1, gamma=0.05)")
-    sp.add_argument("--min-size", type=int, help="apply the size filter before saving; checked as min_cluster_size")
-    sp.add_argument("--max-size", type=int, help="checked as max_cluster_size")
     add_table_flags(sp, "node table CSV (required for KM)")
     sp.set_defaults(func=cmd_cluster)
 
@@ -437,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train every configured model over the seed list")
     add_config_flags(sp)
-    sp.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel (model, seed) runs; at most one process per run")
+    sp.add_argument("--jobs", type=_bounded_int(1), default=1, help="parallel (model, seed) runs; at most one process per run")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("select-clusterings", help="validation-driven clustering selection")
@@ -447,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze-attention", help="attention-distance profile of a checkpoint")
     add_config_flags(sp)
     sp.add_argument("checkpoint", help="checkpoint written by `clatt train`")
-    sp.add_argument("--model", help="model name from the config (default when unambiguous)")
-    sp.add_argument("--bins", type=_int_at_least(1), default=20)
+    sp.add_argument("--model", help="when given, must name the checkpoint's model")
+    sp.add_argument("--bins", type=_bounded_int(1, MAX_BINS), default=20, help=f"histogram bins, at most {MAX_BINS}")
     sp.set_defaults(func=cmd_analyze_attention)
     return p
 

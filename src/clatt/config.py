@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS, TableSchema
-from .nn import CONV_TYPES, MAX_CLUSTER_SLOTS, PE_KINDS, ModelSpec
+from .nn import CONV_TYPES, PE_KINDS, ModelSpec
+from .partition import MAX_CLUSTER_SLOTS, MIN_CLUSTER_SIZE
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS, check_ratios
 
 
@@ -57,8 +58,8 @@ class ExperimentConfig:
     models: tuple
     split: SplitConfig = field(default_factory=SplitConfig)
     clusterings: dict = field(default_factory=dict)
-    min_cluster_size: int = 4
-    max_cluster_size: int = 512
+    min_cluster_size: int = MIN_CLUSTER_SIZE
+    max_cluster_size: int = MAX_CLUSTER_SLOTS
     grid: GridConfig | None = None
     seeds: tuple = tuple(range(10))
     steps: int = 1000
@@ -260,27 +261,6 @@ def clustering_params(tag: str, raw, path: str = "") -> dict:
     return {"seed": 0, **_object(raw, path, CLUSTERING_PARAMS[tag])}
 
 
-# the bounds of the cluster size filter; cluster attention lays out no
-# cluster larger than MAX_CLUSTER_SLOTS
-SIZE_FILTER = {"min_cluster_size": _count(1), "max_cluster_size": _count(1, MAX_CLUSTER_SLOTS)}
-
-
-def check_size_order(min_size, max_size, names=("min_cluster_size", "max_cluster_size")) -> None:
-    """ConfigError if both bounds are set and ``min_size > max_size``;
-    ``names`` name the two bounds in the message."""
-    if min_size is not None and max_size is not None and min_size > max_size:
-        raise ConfigError(f"{names[0]} {min_size} exceeds {names[1]} {max_size}")
-
-
-def check_size_filter(min_size, max_size, names) -> None:
-    """Bounds set outside a config: each passes its ``SIZE_FILTER`` check
-    (a bound left None is not checked), then ``check_size_order``."""
-    for key, name, value in zip(SIZE_FILTER, names, (min_size, max_size)):
-        if value is not None:
-            SIZE_FILTER[key](value, name)
-    check_size_order(min_size, max_size, names)
-
-
 def _model(raw, path: str) -> ModelSpec:
     return _valid(path, **_object(raw, path, MODEL_FIELDS, required=("conv_type",)))
 
@@ -299,7 +279,8 @@ TOP_FIELDS = {
         {tag: lambda raw, path, tag=tag: clustering_params(tag, raw, path) for tag in CLUSTERING_PARAMS},
         unknown=f"unknown tag, expected one of {CANONICAL_TAGS}",
     ),
-    **SIZE_FILTER,
+    "min_cluster_size": _count(1),
+    "max_cluster_size": _count(1, MAX_CLUSTER_SLOTS),
     "grid": _or_null(_section(GRID_FIELDS, GridConfig)),
     "seeds": _list_of(_seed, nonempty="must be non-empty"),
     "steps": _count(0),
@@ -334,7 +315,8 @@ def parse_config(raw: dict, base_dir) -> ExperimentConfig:
     fields["split"] = SplitConfig(**split)
     out_dir = fields.pop("output_dir", None) or "."
     cfg = ExperimentConfig(**fields, output_dir=base / out_dir)
-    check_size_order(cfg.min_cluster_size, cfg.max_cluster_size)  # TOP_FIELDS checked each bound
+    if cfg.min_cluster_size > cfg.max_cluster_size:  # TOP_FIELDS checked each bound
+        raise ConfigError(f"min_cluster_size {cfg.min_cluster_size} exceeds max_cluster_size {cfg.max_cluster_size}")
     return cfg
 
 

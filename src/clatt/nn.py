@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import InputError
-from .partition import Clustering
+from .partition import MAX_CLUSTER_SLOTS, Clustering
 
 __all__ = [
     "CONV_TYPES",
@@ -58,7 +58,6 @@ PE_KINDS = ("none", "deepwalk", "laplacian")
 
 GLOBAL_ATTENTION_MAX_NODES = 20_000
 NEIGHBORHOOD_TABLE_MAX_SLOTS = 50_000_000
-MAX_CLUSTER_SLOTS = 512
 
 
 def _slot_map(ids: np.ndarray, n: int) -> sp.csr_matrix:

@@ -14,6 +14,10 @@ import numpy as np
 from .errors import InputError, read_text
 from .graphs import _parse_id, csv_rows
 
+# the size filter's default bounds; cluster attention lays out no larger cluster than MAX_CLUSTER_SLOTS
+MIN_CLUSTER_SIZE = 4
+MAX_CLUSTER_SLOTS = 512
+
 
 @dataclass
 class Clustering:
@@ -68,7 +72,7 @@ def relabel_by_first_occurrence(assignment: np.ndarray) -> np.ndarray:
     return lut[dense]
 
 
-def filter_clusters(c: Clustering, min_size: int = 4, max_size: int = 512) -> Clustering:
+def filter_clusters(c: Clustering, min_size: int = MIN_CLUSTER_SIZE, max_size: int = MAX_CLUSTER_SLOTS) -> Clustering:
     """Drop clusters outside [min_size, max_size]; members become unassigned.
 
     Retained clusters keep their membership untouched and are renumbered

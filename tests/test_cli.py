@@ -1,6 +1,8 @@
 """End-to-end command tests plus config schema validation."""
 
+import argparse
 import csv
+import inspect
 import json
 import math
 import multiprocessing
@@ -10,7 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from clatt import cli
 from clatt import config as cf
 from clatt import nn
+from clatt import partition
 from clatt import pe
 from clatt import tensor
 from clatt import training as tr
@@ -50,6 +53,16 @@ def write_nodes(path, features, targets=None):
                 row.append(str(targets[i]))
             fh.write(",".join(row) + "\n")
     return str(path)
+
+
+def recorded_checkpoint(path, model: dict) -> str:
+    """A checkpoint without arrays that records ``model`` as `clatt train` would."""
+    save_checkpoint(path, {}, spec=nn.ModelSpec(**model), transform="none")
+    return str(path)
+
+
+def fail_on_call(*args, **kwargs):
+    pytest.fail("called too early")
 
 
 def triangle_edges(tmp_path):
@@ -172,19 +185,6 @@ class TestCluster:
         assert len(set(assignment[5:].tolist())) == 1
         assert "2 clusters" in capsys.readouterr().out
 
-    def test_size_filter_flags(self, tmp_path):
-        g = bridge_of_cliques([5, 3])
-        edges = write_edges(tmp_path / "e.csv", g)
-        out = tmp_path / "la.csv"
-        rc = cli.main(["cluster", edges, "--algo", "LA", "--out", str(out), "--min-size", "4"])
-        assert rc == 0
-        _, assignment, meta = load_clustering(out)
-        assert meta["num_unassigned"] == 3
-        assert (assignment == -1).sum() == 3
-        flags = ["--min-size", "4", "--max-size", str(nn.MAX_CLUSTER_SLOTS)]
-        assert cli.main(["cluster", edges, "--algo", "LA", "--out", str(out), *flags]) == 0
-        assert load_clustering(out)[2]["params"]["max_size"] == nn.MAX_CLUSTER_SLOTS
-
     def test_unknown_algo_exit_2(self, tmp_path):
         edges = triangle_edges(tmp_path)
         assert cli.main(["cluster", edges, "--algo", "XX", "--out", "x.csv"]) == 2
@@ -192,14 +192,9 @@ class TestCluster:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--algo", "H1", "--set", "k_max=1"], "--set k_max: must be >= 2, got 1"),
-         (["--algo", "LA", "--min-size", "0"], "--min-size: must be >= 1, got 0"),
-         (["--algo", "LA", "--max-size", "0"], "--max-size: must be >= 1, got 0"),
-         (["--algo", "LA", "--min-size", "50", "--max-size", "10"], "--min-size 50 exceeds --max-size 10"),
          (["--algo", "KM", "--set", "layers=-1"], "--set layers: must be >= 1, got -1"),
          (["--algo", "KM", "--set", "steps=-5"], "--set steps: must be >= 0, got -5"),
-         (["--algo", "KM", "--set", "layers=0"], "--set layers: must be >= 1, got 0"),
-         # the size flags take the bounds of min_cluster_size and max_cluster_size
-         (["--algo", "LA", "--max-size", "600"], f"--max-size: must be <= {nn.MAX_CLUSTER_SLOTS}, got 600")],
+         (["--algo", "KM", "--set", "layers=0"], "--set layers: must be >= 1, got 0")],
     )
     def test_bad_flags_exit_2_and_save_nothing(self, tmp_path, capsys, flags, message):
         edges = write_edges(tmp_path / "e.csv", bridge_of_cliques([5, 5]))
@@ -281,7 +276,7 @@ class TestCluster:
         assert rc == 0, capsys.readouterr().err
 
     def test_removed_flags_exit_2(self, tmp_path, capsys):
-        removed = ("--seed", "--gamma", "--k-max", "--k", "--km-hidden", "--km-layers", "--km-steps")
+        removed = ("--seed", "--gamma", "--k-max", "--k", "--km-hidden", "--km-layers", "--km-steps", "--min-size", "--max-size")
         assert cli.main(["cluster", "--help"]) == 0
         listed = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out))
         assert "--set" in listed and not listed & set(removed)
@@ -563,6 +558,13 @@ class TestConfig:
         dataset = {"edges": "edges.csv", "nodes": "nodes.csv", "target_column": "target", **fields}
         assert cli.main(["train", str(base_config(tmp_path, dataset=dataset))]) == 2
         assert error in capsys.readouterr().err
+
+    def test_size_filter_defaults_are_stated_once(self):
+        lib = inspect.signature(partition.filter_clusters).parameters
+        cfg = {f.name: f.default for f in fields(cf.ExperimentConfig)}
+        assert (lib["min_size"].default, lib["max_size"].default) == (cfg["min_cluster_size"], cfg["max_cluster_size"])
+        assert (cfg["min_cluster_size"], cfg["max_cluster_size"]) == (partition.MIN_CLUSTER_SIZE, partition.MAX_CLUSTER_SLOTS)
+        assert nn.MAX_CLUSTER_SLOTS is partition.MAX_CLUSTER_SLOTS
 
     def test_readme_config_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -849,7 +851,7 @@ class TestCheapChecksFirst:
         ggt = {"conv_type": "GGT", "pe": "laplacian", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
         args = [command, str(base_config(tmp_path, steps=3, models=[ggt]))]
         if command == "analyze-attention":
-            args.append(str(tmp_path / "GGT.ckpt"))
+            args.append(recorded_checkpoint(tmp_path / "GGT.ckpt", ggt))
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert "desk-scale limit of 4" in captured.err
@@ -862,7 +864,7 @@ class TestCheapChecksFirst:
         clatt = {"conv_type": "GCN", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3, "use_clatt": True, "clusterings": ["LA"]}
         args = [command, str(base_config(tmp_path, steps=3, models=[lgt, clatt]))]
         if command == "analyze-attention":  # select-clusterings takes the LGT model as its base
-            args += [str(tmp_path / "LGT.ckpt"), "--model", "LGT"]
+            args += [recorded_checkpoint(tmp_path / "LGT.ckpt", lgt), "--model", "LGT"]
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert "desk-scale limit of 10 slots" in captured.err
@@ -877,7 +879,7 @@ class TestCheapChecksFirst:
         model = {"conv_type": "GGT", "pe": kind, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
         args = [command, str(base_config(tmp_path, steps=3, models=[model]))]
         if command == "analyze-attention":
-            args.append(str(tmp_path / "GGT.ckpt"))
+            args.append(recorded_checkpoint(tmp_path / "GGT.ckpt", model))
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert "desk-scale limit of 4" in captured.err
@@ -967,25 +969,53 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "header length" in capsys.readouterr().err
 
-    def test_checkpoint_model_mismatch_exit_2(self, tmp_path, capsys):
+    def test_checkpoint_model_need_not_be_in_the_config(self, tmp_path):
         lgt = self.lgt_config(tmp_path)
         assert cli.main(["train", str(lgt)]) == 0
+        profile = tmp_path / "out" / "attention_profile_LGT.csv"
+        assert cli.main(["analyze-attention", str(lgt), str(tmp_path / "out" / "LGT.ckpt")]) == 0
+        want = profile.read_bytes()
+        profile.unlink()
         gcn_raw = json.loads(lgt.read_text())
         gcn_raw["models"] = [{"conv_type": "GCN", "layers": 2, "hidden": 8, "lr": 3e-3}]
         gcn = tmp_path / "gcn.json"
         gcn.write_text(json.dumps(gcn_raw))
-        rc = cli.main(["analyze-attention", str(gcn), str(tmp_path / "out" / "LGT.ckpt")])
-        assert rc == 2
-        assert "does not match" in capsys.readouterr().err
+        assert cli.main(["analyze-attention", str(gcn), str(tmp_path / "out" / "LGT.ckpt")]) == 0
+        assert profile.read_bytes() == want
+
+    def test_two_model_config_needs_no_model_flag(self, tmp_path):
+        path = base_config(tmp_path, steps=20)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "GCN-CLATT_LA.ckpt"
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--model", "GCN-CLATT(LA)"]) == 0
+
+    def test_model_flag_naming_another_model_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = base_config(tmp_path, steps=20)
+        assert cli.main(["train", str(path)]) == 0
+        ckpt = tmp_path / "out" / "GCN-CLATT_LA.ckpt"
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_edge_list", fail_on_call)
+        assert cli.main(["analyze-attention", str(path), str(ckpt), "--model", "GCN"]) == 2
+        err = capsys.readouterr().err
+        assert "'GCN'" in err and "'GCN-CLATT(LA)'" in err
+
+    def test_bins_over_bound_exit_2_before_any_file_is_read(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_config", fail_on_call)
+        for bins in (str(10**15), str(cli.MAX_BINS + 1)):
+            assert cli.main(["analyze-attention", "config.json", "x.ckpt", "--bins", bins]) == 2
+            assert f"argument --bins: must be <= {cli.MAX_BINS}, got {bins}" in capsys.readouterr().err
+        args = cli.build_parser().parse_args(["analyze-attention", "config.json", "x.ckpt", "--bins", str(cli.MAX_BINS)])
+        assert args.bins == cli.MAX_BINS
 
     def test_checkpoint_shape_mismatch_exit_2(self, tmp_path, capsys):
         path = self.lgt_config(tmp_path)
         assert cli.main(["train", str(path)]) == 0
         capsys.readouterr()
         ckpt = tmp_path / "out" / "LGT.ckpt"
-        rc = cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.hidden=16"])
+        rc = cli.main(["analyze-attention", str(path), str(ckpt), "--set", 'dataset.feature_columns=["f0"]'])
         assert rc == 2
-        assert "enc.w has shape (2, 8), the model needs (2, 16)" in capsys.readouterr().err
+        assert "enc.w has shape (2, 8), the model needs (1, 8)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
 
     def test_checkpoint_with_key_bias_exit_2(self, tmp_path, capsys):
@@ -995,7 +1025,7 @@ class TestAnalyzeCommand:
         ckpt = tmp_path / "out" / "LGT.ckpt"
         params = load_checkpoint(ckpt)
         params["layer0.conv.bk"] = np.zeros(8)
-        save_checkpoint(ckpt, params)
+        save_checkpoint(ckpt, params, spec=params.spec, transform=params.transform)
         assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 2
         assert "unexpected array layer0.conv.bk" in capsys.readouterr().err
 
@@ -1005,15 +1035,18 @@ class TestCheckpointSpec:
         model = {"conv_type": "LGT", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
         return base_config(tmp_path, models=[model], steps=20, **extra)
 
-    def test_heads_mismatch_exit_2(self, tmp_path, capsys):
+    def test_config_model_fields_are_not_read(self, tmp_path, capsys):
         path = self.lgt_config(tmp_path)
         assert cli.main(["train", str(path)]) == 0
         ckpt = tmp_path / "out" / "LGT.ckpt"
         assert load_checkpoint(ckpt).spec == cf.load_config(path).models[0]
-        capsys.readouterr()
-        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.heads=4"]) == 2
-        assert "heads is 2 in the checkpoint, 4 in the config" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
+        profile = tmp_path / "out" / "attention_profile_LGT.csv"
+        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
+        want = profile.read_bytes()
+        for edit in ("models.0.heads=4", "models.0.hidden=16", 'models.0.conv_type="GCN"'):
+            profile.unlink()
+            assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", edit]) == 0, capsys.readouterr().err
+            assert profile.read_bytes() == want
 
     def test_tuned_fields_may_differ(self, tmp_path):
         path = self.lgt_config(tmp_path)
@@ -1021,20 +1054,18 @@ class TestCheckpointSpec:
         ckpt = tmp_path / "out" / "LGT.ckpt"
         assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.lr=0.1", "--set", "models.0.dropout=0.5"]) == 0
 
-    def test_checkpoint_without_spec_gets_the_shape_check(self, tmp_path, capsys):
+    def test_checkpoint_without_spec_exit_2_before_reading_edges(self, tmp_path, capsys, monkeypatch):
         path = self.lgt_config(tmp_path)
         assert cli.main(["train", str(path)]) == 0
         ckpt = tmp_path / "out" / "LGT.ckpt"
-        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
-        profile = (tmp_path / "out" / "attention_profile_LGT.csv").read_bytes()
-        save_checkpoint(ckpt, load_checkpoint(ckpt))  # no spec, no transform
-        assert load_checkpoint(ckpt).spec is None and load_checkpoint(ckpt).transform is None
-        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.heads=4"]) == 0
-        assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 0
-        assert (tmp_path / "out" / "attention_profile_LGT.csv").read_bytes() == profile
+        params = load_checkpoint(ckpt)
         capsys.readouterr()
-        assert cli.main(["analyze-attention", str(path), str(ckpt), "--set", "models.0.hidden=16"]) == 2
-        assert "enc.w has shape (2, 8), the model needs (2, 16)" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "load_edge_list", fail_on_call)
+        for recorded in ({}, {"spec": params.spec}, {"transform": params.transform}):
+            save_checkpoint(ckpt, params, **recorded)
+            assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 2
+            assert f"checkpoint {ckpt} records no model spec or transform" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
 
     def test_profile_uses_the_grid_transform(self, tmp_path):
         grid = {"lrs": [3e-3], "dropouts": [0.0], "transforms": ["quantile_normal"]}
@@ -1162,7 +1193,7 @@ class TestRunDirectory:
         out = tmp_path / "fresh"
         args = ["analyze-attention", str(trained_run), str(trained_run.parent / "out" / "GGT-CLATT_LA.ckpt"),
                 "--set", f"output_dir={json.dumps(str(out))}"]
-        assert cli.main(args + ["--set", "models.0.hidden=16"]) == 2
+        assert cli.main(args + ["--set", "pe_dim=4"]) == 2  # a narrower PE than the checkpoint's
         assert "the model needs" in capsys.readouterr().err
         assert calls == {"leiden_cpm": 0, "laplacian_pe": 0}
         assert not any(out.iterdir())
@@ -1239,6 +1270,17 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
         assert cli.main(["train", "--help"]) == 0
+
+
+def test_readme_cli_section_names_every_flag_and_no_other():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {f for sp in sub.choices.values() for a in sp._actions for f in a.option_strings if f.startswith("--")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("\n## CLI\n"):readme.index("\n## Run directory\n")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert named - flags == set(), "README names flags no subcommand has"
+    assert flags - named == set(), "README's CLI section leaves these flags out"
 
 
 IMPORT_FLOOR = """
