@@ -49,9 +49,7 @@ LOCKSTEP_MAX_CELLS = 1 << 20
 def _run_batches(ks: list[int], cells) -> list[slice]:
     """Consecutive slices of the run list whose lockstep state holds at most
     LOCKSTEP_MAX_CELLS cells each; ``cells(k)`` is one run's share when the
-    widest run of its batch has k blocks (``ks`` ascends)."""
-    if not ks:
-        return []
+    widest run of its batch has k blocks (``ks`` ascends and is non-empty)."""
     batches, start = [], 0
     for end in range(2, len(ks) + 1):
         if (end - start) * cells(ks[end - 1]) > LOCKSTEP_MAX_CELLS:

@@ -7,13 +7,14 @@ Layout, all integers little-endian:
     bytes 12..    UTF-8 JSON header of exactly H bytes
     rest          payload: raw little-endian array bytes, back to back
 
-The JSON header is {"entries": [...]} where each entry carries name,
-shape (list of ints), dtype (numpy little-endian string such as "<f8"),
-offset (relative to the payload start) and nbytes. Entries appear in
-payload order, so the format can be read from any language with a JSON
-parser and a seek. ``clatt train`` adds two keys: "spec", the model's
-``ModelSpec.to_json()`` object as the grid tuned it, and "transform", the
-feature transform the model was trained on.
+The JSON header is {"entries": [...], "spec": {...}, "transform": "..."}.
+Each entry carries name, shape (list of ints), dtype (numpy little-endian
+string such as "<f8"), offset (relative to the payload start) and nbytes.
+Entries appear in payload order, so the format can be read from any
+language with a JSON parser and a seek. "spec" is the model's
+``ModelSpec.to_json()`` object as the grid tuned it and "transform" the
+feature transform the model was trained on: a checkpoint is a whole model,
+and a header without either key is refused.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ class CheckpointError(InputError):
 
 
 class Checkpoint(dict):
-    """Arrays by name, in payload order, plus the ModelSpec and feature
-    transform the header records (None in a checkpoint without them)."""
-
-    spec = None
-    transform = None
+    """Arrays by name, in payload order; ``spec`` and ``transform`` hold what the header records."""
 
 
 def _as_array(value) -> np.ndarray:
@@ -53,9 +50,9 @@ def _as_array(value) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
 
 
-def save_checkpoint(path, params: dict, spec=None, transform: str | None = None) -> None:
+def save_checkpoint(path, params: dict, spec, transform: str) -> None:
     """Write named arrays (or Tensors; .data is used) to a single file, with
-    the model's ModelSpec and feature transform in the header when given."""
+    the model's ModelSpec and feature transform in the header."""
     entries = []
     blobs = []
     offset = 0
@@ -73,12 +70,7 @@ def save_checkpoint(path, params: dict, spec=None, transform: str | None = None)
         )
         blobs.append(raw)
         offset += len(raw)
-    header = {"entries": entries}
-    if spec is not None:
-        header["spec"] = json.loads(spec.to_json())
-    if transform is not None:
-        header["transform"] = transform
-    header = json.dumps(header).encode("utf-8")
+    header = json.dumps({"entries": entries, "spec": json.loads(spec.to_json()), "transform": transform}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array(len(header), dtype="<u8").tobytes())
@@ -118,9 +110,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back as an ordered name -> ndarray mapping.
 
     Every malformed file raises CheckpointError; the header length is
-    checked against the file size before the header is read, and a
-    recorded spec or transform against the schema of a config's model and
-    the known transforms.
+    checked against the file size before the header is read, and the
+    spec and transform against the schema of a config's model and the known
+    transforms. A header without either names the file and the key.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -148,13 +140,14 @@ def load_checkpoint(path) -> Checkpoint:
     for i, entry in enumerate(entries):
         name, arr = _entry_array(i, entry, payload, out.keys())
         out[name] = arr
-    if "spec" in header:
-        try:
-            out.spec = model_record(header["spec"], "spec")
-        except InputError as exc:
-            raise CheckpointError(f"header {exc}") from None
-    if "transform" in header:
-        out.transform = header["transform"]
-        if not isinstance(out.transform, str) or out.transform not in FEATURE_TRANSFORMS:
-            raise CheckpointError(f"header transform {out.transform!r} is not one of {FEATURE_TRANSFORMS}")
+    for key in ("spec", "transform"):
+        if key not in header:
+            raise CheckpointError(f"checkpoint {path} records no model {key}; `clatt train` writes the spec and transform")
+    try:
+        out.spec = model_record(header["spec"], "spec")
+    except InputError as exc:
+        raise CheckpointError(f"header {exc}") from None
+    out.transform = header["transform"]
+    if not isinstance(out.transform, str) or out.transform not in FEATURE_TRANSFORMS:
+        raise CheckpointError(f"header transform {out.transform!r} is not one of {FEATURE_TRANSFORMS}")
     return out

@@ -344,10 +344,10 @@ def cmd_analyze_attention(args) -> int:
     cfg = load_config(args.config, args.set or ())
     params = load_checkpoint(args.checkpoint)  # its spec and transform are the model
     spec = params.spec
-    if spec is None or params.transform is None:
-        raise InputError(f"checkpoint {args.checkpoint} records no model spec or transform; `clatt train` writes both")
     if args.model is not None and args.model != spec.name:
         raise InputError(f"--model {args.model!r}, but checkpoint {args.checkpoint} holds model {spec.name!r}")
+    if not spec.has_attention:
+        raise InputError(f"model {spec.name} has no attention sites to analyze")
     data, split, out_dir = _prepare_run(cfg, [spec])
     expected = nn.init_params(spec, data.features.shape[1], tr._out_dim(data), seed=0, pe_dim=cfg.pe_width(spec.pe, data.g.n))
     _check_checkpoint(args.checkpoint, params, expected)  # before any clustering or PE is built
@@ -355,8 +355,6 @@ def cmd_analyze_attention(args) -> int:
     data = replace(data, features=transform_features(data.features, params.transform))
 
     profile = profile_model(spec, params, data)
-    if not profile.entries:
-        raise InputError(f"model {spec.name} has no attention sites to analyze")
     stem = _safe_name(spec.name)
     export_profile(profile, out_dir / f"attention_profile_{stem}.csv")
     export_histogram(profile.distances(), args.bins, out_dir / f"attention_histogram_{stem}.csv")

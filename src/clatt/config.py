@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .graphs import FEATURE_TRANSFORMS, TASKS, TableSchema
-from .nn import CONV_TYPES, PE_KINDS, ModelSpec
+from .nn import CONV_TYPES, GLOBAL_ATTENTION_MAX_NODES, PE_KINDS, ModelSpec
 from .partition import MAX_CLUSTER_SLOTS, MIN_CLUSTER_SIZE
 from .training import CANONICAL_TAGS, GRID_DROPOUTS, GRID_LRS, check_ratios
 
@@ -286,7 +286,7 @@ TOP_FIELDS = {
     "steps": _count(0),
     "eval_every": _count(1),
     "selection_model": _or_null(_model),
-    "pe_dim": _count(1),
+    "pe_dim": _count(1, GLOBAL_ATTENTION_MAX_NODES),  # GGT, the one PE user, refuses more nodes; a PE has at most n nonzero columns
     "output_dir": _or_null(_path_field),
 }
 

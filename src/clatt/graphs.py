@@ -112,14 +112,12 @@ class WeightedGraph:
                              adj.data.astype(np.float64), loops, sizes)
 
 
-def from_edges(src, dst, n: int | None = None, node_ids=None) -> Graph:
+def from_edges(src, dst, n: int, node_ids=None) -> Graph:
     """Build a Graph from endpoint arrays, symmetrising and deduplicating."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise GraphFormatError("src/dst length mismatch")
-    if n is None:
-        n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise GraphFormatError("endpoint id out of range")
     keep = src != dst

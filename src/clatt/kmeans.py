@@ -68,8 +68,9 @@ def kmeans(points: np.ndarray, k: int | None = None, seed: int = 0,
         for c in range(k):
             if (new_assign == c).any():
                 continue
-            # re-seed the empty cluster with the currently worst-fit point
-            worst = int(d[rows, new_assign].argmax())
+            # re-seed it with the worst-fit point of a cluster that keeps a member (k <= n: one exists)
+            keeps = np.bincount(new_assign, minlength=k)[new_assign] > 1
+            worst = int(np.where(keeps, d[rows, new_assign], -1.0).argmax())
             new_assign[worst] = c
             centers[c] = points[worst]
             d[:, c] = _sq_dists(points, centers[c : c + 1])[:, 0]

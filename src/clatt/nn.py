@@ -321,6 +321,11 @@ class ModelSpec:
         type but MLP, and any model with CLATT."""
         return self.conv_type != "MLP" or self.use_clatt
 
+    @property
+    def has_attention(self) -> bool:
+        """Whether the model has attention sites (and so heads): CLATT, LGT or GGT."""
+        return self.use_clatt or self.conv_type in ("LGT", "GGT")
+
     def __post_init__(self):
         if self.conv_type not in CONV_TYPES:
             raise InputError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
@@ -341,8 +346,7 @@ class ModelSpec:
             raise InputError("layers must be >= 1")
         if self.hidden < 1:
             raise InputError("hidden must be >= 1")
-        needs_heads = self.use_clatt or self.conv_type in ("LGT", "GGT")
-        if needs_heads:
+        if self.has_attention:
             _check_heads(self.hidden, self.heads)
         if not 0.0 <= self.dropout < 1.0:
             raise InputError("dropout must be in [0, 1)")

@@ -102,7 +102,7 @@ def save_clustering(path, c: Clustering, node_ids: np.ndarray | None = None, met
     path.write_bytes(raw)
     meta = {
         "algorithm_tag": c.algorithm_tag,
-        "params": _json_safe(c.params),
+        "params": c.params,
         "num_clusters": int(c.num_clusters),
         "num_unassigned": int(c.unassigned.size),
         "sha256": hashlib.sha256(raw).hexdigest(),
@@ -153,14 +153,3 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
     return (np.asarray(ids, dtype=np.int64)[order],
             np.asarray(cids, dtype=np.int64)[order], meta)
 
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj

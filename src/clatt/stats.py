@@ -168,6 +168,12 @@ def distance_stats(g: Graph, exact_threshold: int = 20000,
     return DistanceStats(float(diam), float(acc / len(sources)), False, nc, ncomp)
 
 
+# stored entries of one block of A @ A rows in clustering_coefficients: 48 MB of float64
+# values and int32 indices, however high the degrees (the whole A @ A of a 20 000-node star
+# holds 4 * 10^8, 4.8 GB); scipy's product needs about as much again while it runs.
+SQUARE_BLOCK_ENTRIES = 1 << 22
+
+
 def clustering_coefficients(g: Graph) -> tuple[float, float]:
     """(global transitivity, mean local clustering).
 
@@ -176,9 +182,17 @@ def clustering_coefficients(g: Graph) -> tuple[float, float]:
     """
     degs = g.degrees
     a = g.adjacency
-    # row u of (A @ A) * A: common neighbours of u and each of its neighbours,
-    # which counts each triangle at u twice
-    twice = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel().astype(np.int64)
+    # row u of (A @ A) * A: common neighbours of u and each of its neighbours, which counts each
+    # triangle at u twice. Row u of A @ A stores at most min(n, its neighbours' degree sum)
+    # entries, so blocks of rows stay under SQUARE_BLOCK_ENTRIES (one row alone may exceed it).
+    ends = np.cumsum(np.minimum(a @ degs, g.n))
+    twice = np.zeros(g.n, dtype=np.int64)
+    start, done = 0, 0
+    while start < g.n:
+        stop = max(start + 1, int(np.searchsorted(ends, done + SQUARE_BLOCK_ENTRIES, "right")))
+        rows = a[start:stop]
+        twice[start:stop] = np.asarray((rows @ a).multiply(rows).sum(axis=1)).ravel()
+        start, done = stop, ends[stop - 1]
     closed = int(twice.sum()) // 2
     tri_at = twice // 2
     wedges_at = degs * (degs - 1) // 2

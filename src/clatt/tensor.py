@@ -503,8 +503,6 @@ def adam_step(
     c2 = 1.0 - beta2**state.t
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
-        if g is None:
-            continue
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -515,7 +513,4 @@ def adam_step(
 
 def zero_grad(params) -> None:
     for p in params:
-        if p.grad is not None:
-            p.grad[...] = 0.0
-        elif p.requires_grad:
-            p.grad = np.zeros_like(p.data)
+        p.grad[...] = 0.0

@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import hashlib
 import inspect
+import io
 import json
 import math
 import multiprocessing
@@ -1058,14 +1060,26 @@ class TestCheckpointSpec:
         path = self.lgt_config(tmp_path)
         assert cli.main(["train", str(path)]) == 0
         ckpt = tmp_path / "out" / "LGT.ckpt"
-        params = load_checkpoint(ckpt)
+        raw = ckpt.read_bytes()
+        end = 12 + int.from_bytes(raw[4:12], "little")
+        header = json.loads(raw[12:end])
         capsys.readouterr()
         monkeypatch.setattr(cli, "load_edge_list", fail_on_call)
-        for recorded in ({}, {"spec": params.spec}, {"transform": params.transform}):
-            save_checkpoint(ckpt, params, **recorded)
+        for dropped in (["spec"], ["transform"], ["spec", "transform"]):
+            kept = json.dumps({k: v for k, v in header.items() if k not in dropped}).encode()
+            ckpt.write_bytes(raw[:4] + len(kept).to_bytes(8, "little") + kept + raw[end:])
             assert cli.main(["analyze-attention", str(path), str(ckpt)]) == 2
-            assert f"checkpoint {ckpt} records no model spec or transform" in capsys.readouterr().err
+            assert f"checkpoint {ckpt} records no model {dropped[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "attention_profile_LGT.csv").exists()
+
+    @pytest.mark.parametrize("conv_type", ["GCN", "SAGE", "MLP"])
+    def test_model_without_attention_exit_2_before_reading_edges(self, tmp_path, capsys, monkeypatch, conv_type):
+        model = {"conv_type": conv_type, "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        path = base_config(tmp_path, models=[model])
+        ckpt = recorded_checkpoint(tmp_path / "plain.ckpt", model)
+        monkeypatch.setattr(cli, "load_edge_list", fail_on_call)
+        assert cli.main(["analyze-attention", str(path), ckpt]) == 2
+        assert f"model {conv_type} has no attention sites" in capsys.readouterr().err
 
     def test_profile_uses_the_grid_transform(self, tmp_path):
         grid = {"lrs": [3e-3], "dropouts": [0.0], "transforms": ["quantile_normal"]}
@@ -1145,6 +1159,17 @@ class TestRunDirectory:
         assert calls == {"leiden_cpm": 1, "laplacian_pe": 1}
         assert "(reused " not in capsys.readouterr().out
 
+    @staticmethod
+    def restamp(path, raw=None, **meta) -> None:
+        """Write ``raw`` over a record file and ``meta`` into its sidecar,
+        which keeps its key and gets the new bytes' sha256: the record still
+        matches, so only the checks on its contents can refuse it."""
+        if raw is not None:
+            path.write_bytes(raw)
+        sidecar = path.with_suffix(path.suffix + ".meta.json")
+        doc = {**json.loads(sidecar.read_text()), **meta, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        sidecar.write_text(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "damage, extra, stale",
         [
@@ -1152,23 +1177,45 @@ class TestRunDirectory:
             ("csv_row", [], "leiden_cpm"),
             ("npy_byte", [], "laplacian_pe"),
             ("meta_json", [], "leiden_cpm"),
+            ("tag", [], "leiden_cpm"),
+            ("node_id", [], "leiden_cpm"),
+            ("id_past_size", [], "leiden_cpm"),
+            ("id_gap", [], "leiden_cpm"),
+            ("pe_shape", [], "laplacian_pe"),
         ],
     )
     def test_stale_record_is_recomputed_once(self, trained_run, tmp_path, monkeypatch, damage, extra, stale):
         out = self.copy_run(trained_run, tmp_path / "out")
+        csv_path, npy = out / "clusterings" / "LA.csv", out / "pe" / "laplacian_64.npy"
+        ids, assignment, _ = load_clustering(csv_path)
         if damage == "csv_row":
-            csv_path = out / "clusterings" / "LA.csv"
             lines = csv_path.read_text().splitlines(keepends=True)
             node, cluster = lines[1].strip().split(",")
             lines[1] = f"{node},{1 - int(cluster)}\r\n"
             csv_path.write_text("".join(lines))
         elif damage == "npy_byte":
-            npy = out / "pe" / "laplacian_64.npy"
             raw = bytearray(npy.read_bytes())
             raw[-3] ^= 0x10
             npy.write_bytes(bytes(raw))
         elif damage == "meta_json":
             (out / "clusterings" / "LA.csv.meta.json").write_text('{"key": ')
+        # the rest keep a matching key and sha256: the record's contents are at fault
+        elif damage == "tag":
+            self.restamp(csv_path, algorithm_tag="BPP")
+        elif damage == "pe_shape":
+            buf = io.BytesIO()
+            np.save(buf, np.load(npy)[:, 1:])
+            self.restamp(npy, buf.getvalue())
+        elif damage is not None:
+            if damage == "node_id":
+                ids[0] = ids.max() + 1
+            elif damage == "id_past_size":  # a bincount up to this id would need 8 TB
+                assignment[0] = 10**12
+            else:
+                assert assignment.min() >= 0 and 2 * assignment.max() < assignment.size
+                assignment *= 2  # no node in the odd ids
+            rows = "".join(f"{i},{c}\r\n" for i, c in zip(ids, assignment))
+            self.restamp(csv_path, f"node_id,cluster_id\r\n{rows}".encode())
         calls = counted_builders(monkeypatch)
         fresh = self.analyze(trained_run, out, *extra)
         assert calls == {name: int(name == stale) for name in calls}
@@ -1206,6 +1253,12 @@ class TestRunDirectory:
         assert sorted(p.name for p in (tmp_path / "out" / "pe").iterdir()) == [f"{kind}_4.npy", f"{kind}_4.npy.meta.json"]
         assert np.load(tmp_path / "out" / "pe" / f"{kind}_4.npy").shape == (16, 4)
         assert "(reused " in capsys.readouterr().out
+
+    def test_pe_dim_over_bound_exit_2_before_reading_edges(self, tmp_path, capsys, monkeypatch):
+        path = base_config(tmp_path, models=[{**RECORDED_MODEL, "pe": "deepwalk"}])
+        monkeypatch.setattr(cli, "load_edge_list", fail_on_call)
+        assert cli.main(["train", str(path), "--set", "pe_dim=20001"]) == 2
+        assert f"pe_dim: must be <= {nn.GLOBAL_ATTENTION_MAX_NODES}, got 20001" in capsys.readouterr().err
 
     def test_train_manifest(self, tmp_path):
         path = base_config(tmp_path, models=[RECORDED_MODEL], steps=20)
@@ -1281,6 +1334,14 @@ def test_readme_cli_section_names_every_flag_and_no_other():
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
     assert named - flags == set(), "README names flags no subcommand has"
     assert flags - named == set(), "README's CLI section leaves these flags out"
+
+
+def test_readme_layout_names_every_module_and_no_other():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme[readme.index("\n## Layout\n"):readme.index("\n## Install\n")]
+    named = re.findall(r"^  (\w+\.py) ", block, re.M)
+    assert sorted(named) == sorted(p.name for p in (root / "src" / "clatt").glob("*.py"))
 
 
 IMPORT_FLOOR = """

@@ -1,6 +1,7 @@
 """Clustering algorithms against exhaustive and brute-force oracles."""
 
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -186,7 +187,23 @@ class TestPlantedPartition:
         assert as_sets(permuted) == {frozenset(perm[list(s)].tolist()) for s in as_sets(base)}
 
 
+    def test_geometric_ladder_past_twelve_blocks(self):
+        g, planted = sbm_graph([50] * 4, 0.3, 0.01, seed=0)
+        c = planted_partition_fit(g, k_max=20, seed=0, restarts=2)
+        assert correlation_coefficient(c.assignment, planted) == pytest.approx(1.0)
+
+
 class TestHierarchical:
+    def test_k_ladder_is_geometric_past_twelve(self):
+        assert blockmodel._k_ladder(12) == list(range(1, 13))
+        assert blockmodel._k_ladder(25) == [1, 2, 3, 4, 6, 7, 9, 12, 15, 20, 25]
+
+    def test_default_k_max_takes_the_geometric_ladder(self):
+        g, planted = sbm_graph([50] * 4, 0.3, 0.01, seed=0)  # default k_max round(sqrt(200)) = 14
+        c = hierarchical_fit(g, seed=0, restarts=1, sweeps=5)
+        assert c.params["k_max"] == 14
+        assert correlation_coefficient(c.assignment, planted) == pytest.approx(1.0)
+
     def test_two_cliques_top_level(self):
         g = bridge_of_cliques([5, 5])
         c = hierarchical_fit(g, seed=0)
@@ -722,6 +739,17 @@ class TestKmeans:
         hist = c.params["inertia_history"]
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
         c.validate()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repair_keeps_every_cluster_when_points_repeat(self, seed):
+        # fewer distinct points than k: a repair must not empty a cluster it
+        # has just re-seeded, or the next mean runs over an empty slice
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, _ = kmeans([[0.0], [0.0], [0.0], [1.0]], k=4, seed=seed)
+        assert np.bincount(c.assignment, minlength=4).min() == 1
+        hist = c.params["inertia_history"]
+        assert len(hist) < 100 and all(b <= a for a, b in zip(hist, hist[1:]))
 
     def test_deterministic(self):
         pts = np.random.default_rng(2).normal(size=(50, 4))

@@ -5,6 +5,7 @@ Floyd-Warshall and a unit-weight scipy Dijkstra for distances, triple
 enumeration for clustering, a separate two-pass Pearson for assortativity.
 """
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -334,6 +335,34 @@ class TestClusteringCoefficients:
         else:
             assert t == pytest.approx(tb, abs=1e-12)
         assert l == pytest.approx(lb, abs=1e-12)
+
+
+class TestClusteringCoefficientBlocks:
+    GRAPHS = {
+        "star": lambda: star_graph(300),
+        "grid": lambda: grid_graph(12, 15),
+        "sbm": lambda: sbm_graph([40, 30, 50], 0.3, 0.02, seed=3)[0],
+        "er_union": lambda: disjoint_union(erdos_renyi(60, 0.2, seed=4), bridge_of_cliques([6, 5, 7]), isolated=3),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    @pytest.mark.parametrize("budget", [1, 64, stats.SQUARE_BLOCK_ENTRIES])
+    def test_blocks_match_the_whole_square(self, monkeypatch, name, budget):
+        g = self.GRAPHS[name]()
+        monkeypatch.setattr(stats, "SQUARE_BLOCK_ENTRIES", 1 << 62)  # one block: all of A @ A at once
+        whole = clustering_coefficients(g)
+        monkeypatch.setattr(stats, "SQUARE_BLOCK_ENTRIES", budget)
+        np.testing.assert_array_equal(clustering_coefficients(g), whole)
+
+    def test_star_square_stays_under_the_budget(self):
+        g = star_graph(6000)  # A @ A holds 36 million entries: 824 MB at its peak in one block
+        tracemalloc.start()
+        try:
+            assert clustering_coefficients(g) == (0.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 2**20
 
 
 def pearson_two_pass(x, y):

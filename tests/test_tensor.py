@@ -582,6 +582,14 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    SPEC = {"conv_type": "LGT", "use_clatt": True, "clusterings": ["LA"], "pe": "none", "layers": 1,
+            "hidden": 8, "heads": 2, "dropout": 0.0, "lr": 0.003}
+
+    @classmethod
+    def save(cls, path, params):
+        """save_checkpoint with a valid spec and transform: every checkpoint records both."""
+        ck.save_checkpoint(path, params, model_record(cls.SPEC, "spec"), "none")
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(50)
         params = {
@@ -590,7 +598,7 @@ class TestCheckpoint:
             "steps": np.arange(5),
         }
         path = tmp_path / "model.ckpt"
-        ck.save_checkpoint(path, params)
+        self.save(path, params)
         loaded = ck.load_checkpoint(path)
         assert list(loaded) == list(params)
         for name in params:
@@ -600,7 +608,7 @@ class TestCheckpoint:
     def test_accepts_tensors(self, tmp_path):
         p = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         path = tmp_path / "t.ckpt"
-        ck.save_checkpoint(path, {"p": p})
+        self.save(path, {"p": p})
         np.testing.assert_array_equal(ck.load_checkpoint(path)["p"], p.data)
 
     def test_bad_magic(self, tmp_path):
@@ -611,7 +619,7 @@ class TestCheckpoint:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "cut.ckpt"
-        ck.save_checkpoint(path, {"x": np.ones(10)})
+        self.save(path, {"x": np.ones(10)})
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ck.CheckpointError):
@@ -622,7 +630,7 @@ class TestCheckpoint:
 
         arr = np.array([1.0, -2.0, 3.5])
         path = tmp_path / "layout.ckpt"
-        ck.save_checkpoint(path, {"a": arr})
+        self.save(path, {"a": arr})
         raw = path.read_bytes()
         assert raw[:4] == b"CLT1"
         hlen = int(np.frombuffer(raw[4:12], dtype="<u8")[0])
@@ -634,7 +642,7 @@ class TestCheckpoint:
 
     def test_empty_checkpoint(self, tmp_path):
         path = tmp_path / "empty.ckpt"
-        ck.save_checkpoint(path, {})
+        self.save(path, {})
         assert ck.load_checkpoint(path) == {}
 
     @staticmethod
@@ -645,7 +653,7 @@ class TestCheckpoint:
 
     def test_huge_header_length(self, tmp_path):
         path = tmp_path / "huge.ckpt"
-        ck.save_checkpoint(path, {"x": np.ones(3)})
+        self.save(path, {"x": np.ones(3)})
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + (2**62).to_bytes(8, "little") + raw[12:])
         with pytest.raises(ck.CheckpointError, match="header length 4611686018427387904 exceeds"):
@@ -672,12 +680,10 @@ class TestCheckpoint:
             ck.load_checkpoint(self.with_header(tmp_path / "bad.ckpt", header))
 
     def test_schema_accepts_valid_hand_written_header(self, tmp_path):
-        header = {"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}]}
+        header = {"entries": [{"name": "a", "shape": [2], "dtype": "<f8", "offset": 0, "nbytes": 16}],
+                  "spec": self.SPEC, "transform": "none"}
         loaded = ck.load_checkpoint(self.with_header(tmp_path / "ok.ckpt", header))
         np.testing.assert_array_equal(loaded["a"], [0.0, 0.0])
-
-    SPEC = {"conv_type": "LGT", "use_clatt": True, "clusterings": ["LA"], "pe": "none", "layers": 1,
-            "hidden": 8, "heads": 2, "dropout": 0.0, "lr": 0.003}
 
     def test_spec_and_transform_roundtrip(self, tmp_path):
         spec = model_record(self.SPEC, "spec")
@@ -685,8 +691,17 @@ class TestCheckpoint:
         ck.save_checkpoint(path, {"w": np.ones(2)}, spec=spec, transform="standard")
         loaded = ck.load_checkpoint(path)
         assert loaded.spec == spec and loaded.transform == "standard"
-        ck.save_checkpoint(path, {"w": np.ones(2)})
-        assert ck.load_checkpoint(path).spec is None and ck.load_checkpoint(path).transform is None
+        self.with_header(path, {"entries": [], "transform": "standard"})
+        with pytest.raises(ck.CheckpointError, match=re.escape(f"checkpoint {path} records no model spec")):
+            ck.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["spec", "transform"])
+    def test_header_without_spec_or_transform_names_file_and_key(self, tmp_path, key):
+        header = {"entries": [], "spec": self.SPEC, "transform": "none"}
+        del header[key]
+        path = self.with_header(tmp_path / "part.ckpt", header)
+        with pytest.raises(ck.CheckpointError, match=re.escape(f"checkpoint {path} records no model {key}")):
+            ck.load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -700,7 +715,7 @@ class TestCheckpoint:
          ({"transform": None}, "transform None is not one of")],
     )
     def test_bad_spec_or_transform(self, tmp_path, extra, message):
-        header = {"entries": [], **extra}
+        header = {"entries": [], "spec": self.SPEC, "transform": "none", **extra}
         with pytest.raises(ck.CheckpointError, match=re.escape(message)):
             ck.load_checkpoint(self.with_header(tmp_path / "bad.ckpt", header))
 
@@ -728,7 +743,7 @@ class TestCheckpoint:
     def test_fuzzed_checkpoint_loads_or_raises_checkpoint_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "valid.ckpt"
-            ck.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.arange(3, dtype=np.int32), "s": np.uint8(7)})
+            self.save(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.arange(3, dtype=np.int32), "s": np.uint8(7)})
             raw = bytearray(path.read_bytes())
             for at, bits in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=4)):
                 raw[at] ^= bits
