@@ -3,8 +3,9 @@
 Everything here is a pure function over a flat dict of named parameter
 Tensors, so checkpointing and the optimizer stay trivial. The attention
 kernel is shared: cluster attention, the neighborhood transformer and
-the global transformer all go through _slot_attention, which runs three
-tape ops (slot_logits, masked_softmax, slot_context) per SlotClass: a
+the global transformer all go through _slot_attention, which runs two
+tape ops per SlotClass: masked_softmax (the scaled query-key products,
+masked and normalized in one buffer) and slot_context. A SlotClass is a
 size class of a padded slot layout, so a small cluster or a low-degree
 node is padded only to the widest row of its class, not to the widest
 row overall. A neighborhood is a row whose only query is its own node;
@@ -167,8 +168,7 @@ def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record
     v = T.linear(x, prm["wv"], prm["bv"])
     ys = []
     for cls in classes:
-        logits = T.slot_logits(q, k, np.maximum(cls.nodes, 0), cls.table, heads, cls.scatter, cls.key_scatter)
-        p = T.masked_softmax(logits, cls.mask[:, None, None, :])
+        p = T.masked_softmax(q, k, np.maximum(cls.nodes, 0), cls.table, cls.mask, heads, cls.scatter, cls.key_scatter)
         ys.append(T.slot_context(p, v, cls.table, cls.key_scatter, cls.scatter))
         if capture is not None:
             capture.append({**record, "probs": p.data, "nodes": cls.nodes, "index_table": cls.table, "mask": cls.mask})

@@ -35,7 +35,6 @@ __all__ = [
     "mse",
     "dropout",
     "spmm",
-    "slot_logits",
     "slot_context",
     "reshape",
     "AdamState",
@@ -228,9 +227,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def concat_last_dim(parts) -> Tensor:
+    """Parts joined along the last axis; a single part comes back as is."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("concat_last_dim: no tensors given")
+    if len(parts) == 1:
+        return parts[0]
     lead = parts[0].data.shape[:-1]
     for p in parts[1:]:
         if p.data.shape[:-1] != lead:
@@ -260,36 +262,70 @@ def gelu(x: Tensor) -> Tensor:
     return _op(z * cdf, (x,), back)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax along the last axis restricted to mask==True positions.
+# cells (rows x heads x Sq x S float64s) of one block of the softmax
+# backward: 2 MB, the budget of stats.BLOCK_DISTANCES. A block is at least
+# one class row, so that every batched matmul keeps its slices whole.
+SOFTMAX_BLOCK_CELLS = 1 << 18
 
-    The mask is a plain boolean array of the logits' rank that broadcasts
-    to them, e.g. a (rows, 1, 1, S) key mask for (rows, heads, Sq, S)
-    logits. Masked positions come out exactly zero; each row must keep at
-    least one live entry.
+
+def _slot_heads(x: np.ndarray, idx: np.ndarray, heads: int) -> np.ndarray:
+    """Rows x[idx] of a (rows, slots) index split into heads: a
+    (rows, heads, slots, d // heads) view of the gathered copy."""
+    rows, slots = idx.shape
+    return np.swapaxes(x[idx].reshape(rows, slots, heads, -1), 1, 2)
+
+
+def masked_softmax(q: Tensor, k: Tensor, queries, keys, mask, heads: int, q_scatter, k_scatter) -> Tensor:
+    """Per-head softmax over the live key slots of scaled query-key products.
+
+    q and k are (n, d); queries (rows, Sq) and keys (rows, S) index their
+    rows, and the (rows, S) key mask says which key slots are live; every
+    row needs one. Returns P (rows, heads, Sq, S): the softmax along the
+    last axis of q_h[queries] k_h[keys]^T / sqrt(d // heads), with masked
+    slots exactly zero. The logits are computed into P's buffer, so they
+    are never kept. The constant sparse maps q_scatter (n, rows * Sq) and
+    k_scatter (n, rows * S) sum the slots' gradients back onto the n rows:
+    each is its gather's transpose, less the slots whose gradient the
+    caller knows to be zero (padded queries, masked keys). The backward
+    re-gathers the slot rows and holds at most SOFTMAX_BLOCK_CELLS cells
+    of softmax gradient at a time, or one class row when that is larger.
     """
-    z = logits.data
+    rows, sq = queries.shape
+    s = keys.shape[1]
+    d = q.data.shape[1]
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != z.ndim or any(m not in (1, s) for m, s in zip(mask.shape, z.shape)):
-        _shape_error("masked_softmax", z.shape, mask.shape)
+    if mask.shape != keys.shape:
+        _shape_error("masked_softmax", keys.shape, mask.shape)
     if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax: a row has no unmasked entries")
-    if mask.all():
-        p = z - z.max(axis=-1, keepdims=True)
-    else:
-        p = np.where(mask, z, -np.inf)
-        p -= p.max(axis=-1, keepdims=True)
+    c = 1.0 / math.sqrt(d // heads)
+
+    def scaled_queries(sl):
+        return _slot_heads(q.data, queries[sl], heads) * c
+
+    p = scaled_queries(slice(None)) @ np.swapaxes(_slot_heads(k.data, keys, heads), -1, -2)
+    if not mask.all():
+        np.copyto(p, -np.inf, where=~mask[:, None, None, :])
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def back(g):
-        gz = g * p
-        inner = gz.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=gz)
-        gz *= p
-        return (gz,)
+        gq = np.empty((rows, sq, heads, d // heads))
+        gk = np.empty((rows, s, heads, d // heads))
+        step = max(1, SOFTMAX_BLOCK_CELLS // (heads * sq * s))
+        for lo in range(0, rows, step):
+            sl = slice(lo, lo + step)
+            pb = p[sl]
+            gz = g[sl] * pb
+            inner = gz.sum(axis=-1, keepdims=True)
+            np.subtract(g[sl], inner, out=gz)
+            gz *= pb
+            np.swapaxes(gq[sl], 1, 2)[...] = (gz @ _slot_heads(k.data, keys[sl], heads)) * c
+            gk[sl] = (np.swapaxes(scaled_queries(sl), -1, -2) @ gz).transpose(0, 3, 1, 2)
+        return np.asarray(q_scatter @ gq.reshape(rows * sq, d)), np.asarray(k_scatter @ gk.reshape(rows * s, d))
 
-    return _op(p, (logits,), back)
+    return _op(p, (q, k), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -406,33 +442,6 @@ def spmm(a, x: Tensor) -> Tensor:
     return _op(out, (x,), back)
 
 
-def slot_logits(q: Tensor, k: Tensor, queries, keys, heads: int, q_scatter, k_scatter) -> Tensor:
-    """Per-head scaled dot products of gathered query and key rows.
-
-    q and k are (n, d); queries (rows, Sq) and keys (rows, S) index their
-    rows. Returns the (rows, heads, Sq, S) logits q_h[queries] k_h[keys]^T
-    / sqrt(d // heads). The constant sparse maps q_scatter (n, rows * Sq)
-    and k_scatter (n, rows * S) sum the slots' gradients back onto the n
-    rows: each is its gather's transpose, less the slots whose gradient
-    the caller knows to be zero (padded queries, masked keys).
-    """
-    rows, sq = queries.shape
-    s = keys.shape[1]
-    d = q.data.shape[1]
-    dh = d // heads
-    c = 1.0 / math.sqrt(dh)
-    qs = np.swapaxes(q.data[queries].reshape(rows, sq, heads, dh), 1, 2) * c
-    kg = np.swapaxes(k.data[keys].reshape(rows, s, heads, dh), 1, 2)
-    out = qs @ np.swapaxes(kg, -1, -2)
-
-    def back(g):
-        gq = np.swapaxes((g @ kg) * c, 1, 2).reshape(rows * sq, d)
-        gk = (np.swapaxes(qs, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(rows * s, d)
-        return np.asarray(q_scatter @ gq), np.asarray(k_scatter @ gk)
-
-    return _op(out, (q, k), back)
-
-
 def slot_context(p: Tensor, v: Tensor, keys, k_scatter, out_scatter) -> Tensor:
     """Attention-weighted sums of gathered value rows, scattered onto rows.
 
@@ -440,18 +449,17 @@ def slot_context(p: Tensor, v: Tensor, keys, k_scatter, out_scatter) -> Tensor:
     with v (n, d) and keys (rows, S). The constant sparse map out_scatter
     (n, rows * Sq) sums the (row, query) contexts onto the n output rows,
     and k_scatter (n, rows * S) sums the value slots' gradients back onto
-    v; a slot it leaves out must carry zero weight in p.
+    v; a slot it leaves out must carry zero weight in p. The backward
+    gathers the value rows again rather than keeping them.
     """
     rows, heads, sq, s = p.data.shape
     d = v.data.shape[1]
-    dh = d // heads
-    vg = np.swapaxes(v.data[keys].reshape(rows, s, heads, dh), 1, 2)
-    ctx = p.data @ vg
+    ctx = p.data @ _slot_heads(v.data, keys, heads)
     out = np.asarray(out_scatter @ np.swapaxes(ctx, 1, 2).reshape(rows * sq, d))
 
     def back(g):
-        go = np.swapaxes(np.asarray(out_scatter.T @ g).reshape(rows, sq, heads, dh), 1, 2)
-        gp = go @ np.swapaxes(vg, -1, -2)
+        go = np.swapaxes(np.asarray(out_scatter.T @ g).reshape(rows, sq, heads, d // heads), 1, 2)
+        gp = go @ np.swapaxes(_slot_heads(v.data, keys, heads), -1, -2)
         gv = np.swapaxes(np.swapaxes(p.data, -1, -2) @ go, 1, 2).reshape(rows * s, d)
         return gp, np.asarray(k_scatter @ gv)
 

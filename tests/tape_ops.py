@@ -1,8 +1,9 @@
 """Tape ops the tests build losses and oracles from, and that the program
 itself never runs: elementwise sub and mul, scale, batched matmul, row
-gather, axis swap and full sum, plus the composed slot-attention oracle of
-the fused ops. Each op records on clatt.tensor's tape like the ops there.
-grad_check compares the tape's gradients with central differences.
+gather, axis swap, full sum and a softmax of given logits, plus the
+composed slot-attention oracle of the fused ops. Each op records on
+clatt.tensor's tape like the ops there. grad_check compares the tape's
+gradients with central differences.
 
 Test modules import it by name (``import tape_ops as O``): pytest puts the
 directory of a test module on sys.path before importing it.
@@ -91,6 +92,39 @@ def tsum(x: Tensor) -> Tensor:
     return _op(np.asarray(x.data.sum()), (x,), back)
 
 
+def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax along the last axis restricted to mask==True positions.
+
+    The mask is a plain boolean array of the logits' rank that broadcasts
+    to them, e.g. a (rows, 1, 1, S) key mask for (rows, heads, Sq, S)
+    logits. Masked positions come out exactly zero; each row must keep at
+    least one live entry. clatt.tensor.masked_softmax computes the logits
+    of a slot class itself and applies the same arithmetic to them.
+    """
+    z = logits.data
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != z.ndim or any(m not in (1, s) for m, s in zip(mask.shape, z.shape)):
+        _shape_error("masked_softmax", z.shape, mask.shape)
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_softmax: a row has no unmasked entries")
+    if mask.all():
+        p = z - z.max(axis=-1, keepdims=True)
+    else:
+        p = np.where(mask, z, -np.inf)
+        p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        gz = g * p
+        inner = gz.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gz)
+        gz *= p
+        return (gz,)
+
+    return _op(p, (logits,), back)
+
+
 def grad_check(f, params, eps: float = 1e-6) -> float:
     """Max relative error between backward() grads and central differences.
 
@@ -137,6 +171,6 @@ def composed_slot_attention(x, cls, prm, heads):
     k = slotted(T.linear(x, prm["wk"]), cls.table)
     v = slotted(T.linear(x, prm["wv"], prm["bv"]), cls.table)
     logits = matmul(scale(q, 1.0 / math.sqrt(d // heads)), swap_axes(k, -1, -2))
-    p = T.masked_softmax(logits, np.broadcast_to(cls.mask[:, None, None, :], logits.data.shape))
+    p = masked_softmax(logits, np.broadcast_to(cls.mask[:, None, None, :], logits.data.shape))
     ctx = T.reshape(swap_axes(matmul(p, v), 1, 2), (rows * sq, d))
     return T.spmm(cls.scatter, ctx)

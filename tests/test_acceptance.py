@@ -179,7 +179,7 @@ def _op_cases():
     ms[0, 3:] = False
     ms[2, :2] = False
     ws = T.Tensor(rng.standard_normal((3, 5)))
-    cases["masked_softmax"] = (lambda: weighted(T.masked_softmax(zs, ms), ws), [zs])
+    cases["masked_softmax"] = (lambda: weighted(TO.masked_softmax(zs, ms), ws), [zs])
 
     xn, gn, bn = t(4, 6), t(6), t(6)
     wn = T.Tensor(rng.standard_normal((4, 6)))
@@ -205,16 +205,18 @@ def _op_cases():
     xt = t(5, 3)
     cases["take_rows"] = (lambda: TO.tsum(TO.take_rows(xt, np.array([0, 2, 2, 4]))), [xt])
 
-    # slot ops on 2 rows x 2 heads, 2 query and 3 key slots over 5 nodes;
-    # the scatters are the gathers' exact transposes, repeated nodes included
+    # slot ops on 2 rows x 2 heads, 2 query and 3 key slots (one masked in
+    # the softmax) over 5 nodes; the scatters are the gathers' exact
+    # transposes, repeated nodes included
     def gather_map(idx):
         return sp.csr_matrix((np.ones(idx.size), (idx.ravel(), np.arange(idx.size))), shape=(5, idx.size))
 
     qi, ki = np.array([[0, 2], [4, 4]]), np.array([[1, 2, 3], [0, 4, 1]])
     qa, ka = t(5, 4), t(5, 4)
     wsl = T.Tensor(rng.standard_normal((2, 2, 2, 3)))
-    cases["slot_logits"] = (
-        lambda: weighted(T.slot_logits(qa, ka, qi, ki, 2, gather_map(qi), gather_map(ki)), wsl),
+    mk = np.array([[True, False, True], [True, True, True]])
+    cases["slot_softmax"] = (
+        lambda: weighted(T.masked_softmax(qa, ka, qi, ki, mk, 2, gather_map(qi), gather_map(ki)), wsl),
         [qa, ka],
     )
     pa, va = t(2, 2, 2, 3), t(5, 4)

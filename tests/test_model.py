@@ -232,6 +232,16 @@ class TestClattForward:
         nn.clatt_forward(x, [batch], [as_tensors(scaled)], heads=2, capture=cap2, layer=0)
         np.testing.assert_allclose(cap1[0]["probs"], cap2[0]["probs"], atol=1e-8)
 
+    def test_one_clustering_is_its_attention_output(self):
+        rng = np.random.default_rng(3)
+        x = T.Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        batch = nn.build_cluster_batch(fc(np.array([0, 0, 1, 1, 1, -1])))
+        prm = as_tensors(rand_qkv(rng, 4))
+        one = nn.clatt_forward(x, [batch], [prm], heads=2)
+        two = nn.clatt_forward(x, [batch, batch], [prm, prm], heads=2)
+        assert one.data.tobytes() == np.ascontiguousarray(two.data[:, :4]).tobytes()
+        assert not one._backward.__qualname__.startswith("concat_last_dim.")
+
     def test_heads_must_divide(self):
         rng = np.random.default_rng(8)
         x = T.Tensor(rng.standard_normal((4, 6)))
@@ -527,13 +537,58 @@ class TestFusedSlotAttention:
 
         assert TO.grad_check(scaled, leaves) <= 1e-5
 
-    def test_three_tape_ops_per_class(self):
+    def test_two_tape_ops_per_class(self):
         cls = fused_test_classes()["partial"]
         rng = np.random.default_rng(41)
         x = T.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
         y = nn._slot_attention(x, [cls], as_tensors(rand_qkv(rng, 4)), 2, None, {})
         names = [node._backward.__qualname__.split(".")[0] for node in y._tape.nodes]
-        assert names[-3:] == ["slot_logits", "masked_softmax", "slot_context"]
+        assert names[-5:] == ["linear"] * 3 + ["masked_softmax", "slot_context"]
+
+    @pytest.mark.parametrize("name", ["partial", "lgt", "ggt"])
+    def test_softmax_block_size_does_not_change_bits(self, name, monkeypatch):
+        cls = fused_test_classes()[name]
+
+        def run():
+            rng = np.random.default_rng(42)
+            x = T.Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+            prm = as_tensors(rand_qkv(rng, 4), requires_grad=True)
+            w = T.Tensor(rng.standard_normal((9, 4)))
+            cap = []
+            y = nn._slot_attention(x, [cls], prm, 2, cap, {})
+            T.backward(TO.tsum(TO.mul(y, w)))
+            return [cap[0]["probs"], y.data, x.grad, *(p.grad for p in prm.values())]
+
+        default = run()
+        monkeypatch.setattr(T, "SOFTMAX_BLOCK_CELLS", 1)  # one class row per block
+        for a, b in zip(default, run(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_softmax_backward_holds_no_second_score_array(self, monkeypatch):
+        import tracemalloc
+
+        heads, d = 4, 8
+        # 64 clusters of 64: one class whose P is 64 x 4 x 64 x 64 floats, 8 MB
+        cls = nn.build_cluster_batch(fc(np.repeat(np.arange(64), 64))).classes[0]
+        rng = np.random.default_rng(43)
+        q, k = (T.Tensor(rng.standard_normal((64 * 64, d)), requires_grad=True) for _ in range(2))
+        p = T.masked_softmax(q, k, cls.nodes, cls.table, cls.mask, heads, cls.scatter, cls.key_scatter)
+        assert p.data.nbytes == 8 * 2**20
+        budget = heads * 64 * 64  # one class row
+        monkeypatch.setattr(T, "SOFTMAX_BLOCK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            dp = rng.standard_normal(p.data.shape)
+            gq, gk = p._backward(dp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gq.shape == gk.shape == (64 * 64, d)
+        # the incoming dP, O(slots * d) for the gathers, the two slot
+        # gradients and their scatters, and a few blocks; a second
+        # (rows, heads, Sq, S) temporary would add another 8 MB
+        slots_d = 8 * d * (cls.nodes.size + cls.table.size)
+        assert peak < dp.nbytes + 4 * slots_d + 4 * 8 * budget
 
     def test_slot_class_rejects_row_without_live_key(self):
         table = np.array([[0, 1], [2, 0]])

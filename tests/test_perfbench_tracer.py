@@ -74,6 +74,7 @@ def test_traced_train_gives_finite_layer_metrics(tmp_path):
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert not bad
     assert metrics["nn.attention_logits_per_step"] > 0
+    assert metrics["tensor.masked_softmax_ms.p50"] > 0
     assert metrics["tensor.tape_nodes"] > 0
     # KM's MLP trains outside training.train and nn.prepare_inputs, so these
     # count only the configured models' runs and the analysis forward

@@ -94,6 +94,10 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data[:, :2], 1.0)
         np.testing.assert_array_equal(out.data[:, 2:], 0.0)
 
+    def test_concat_single_part_is_returned(self):
+        a = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        assert T.concat_last_dim([a]) is a
+
     def test_concat_mismatched_lead(self):
         with pytest.raises(ValueError):
             T.concat_last_dim([T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((3, 2)))])
@@ -112,20 +116,20 @@ class TestMaskedSoftmax:
     def test_equal_logits(self):
         logits = T.Tensor(np.zeros((1, 5)))
         mask = np.array([[True, True, True, True, False]])
-        p = T.masked_softmax(logits, mask).data
+        p = TO.masked_softmax(logits, mask).data
         np.testing.assert_allclose(p[0, :4], 0.25, atol=1e-12)
         assert p[0, 4] == 0.0
 
     def test_single_unmasked_entry(self):
         logits = T.Tensor(np.array([[123.0, -4.0, 9.0]]))
         mask = np.array([[False, True, False]])
-        p = T.masked_softmax(logits, mask).data
+        p = TO.masked_softmax(logits, mask).data
         np.testing.assert_array_equal(p, [[0.0, 1.0, 0.0]])
 
     def test_large_logits_stable(self):
         logits = T.Tensor(np.array([[1000.0, 1001.0]]))
         mask = np.ones((1, 2), dtype=bool)
-        p = T.masked_softmax(logits, mask).data
+        p = TO.masked_softmax(logits, mask).data
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [[0.26894142, 0.73105858]], atol=1e-6)
 
@@ -133,7 +137,7 @@ class TestMaskedSoftmax:
         logits = T.Tensor(np.zeros((2, 3)))
         mask = np.array([[True, False, True], [False, False, False]])
         with pytest.raises(ValueError, match="no unmasked"):
-            T.masked_softmax(logits, mask)
+            TO.masked_softmax(logits, mask)
 
     def test_broadcast_mask_equals_full_mask(self):
         rng = np.random.default_rng(3)
@@ -142,20 +146,29 @@ class TestMaskedSoftmax:
         key_mask[:, 0, 0, 2] = True
         full = np.broadcast_to(key_mask, logits.shape)
         np.testing.assert_array_equal(
-            T.masked_softmax(T.Tensor(logits), key_mask).data,
-            T.masked_softmax(T.Tensor(logits), full).data,
+            TO.masked_softmax(T.Tensor(logits), key_mask).data,
+            TO.masked_softmax(T.Tensor(logits), full).data,
         )
         live = np.ones((3, 1, 1, 5), dtype=bool)
         np.testing.assert_array_equal(
-            T.masked_softmax(T.Tensor(logits), live).data,
-            T.masked_softmax(T.Tensor(logits), np.ones(logits.shape, dtype=bool)).data,
+            TO.masked_softmax(T.Tensor(logits), live).data,
+            TO.masked_softmax(T.Tensor(logits), np.ones(logits.shape, dtype=bool)).data,
         )
 
     @pytest.mark.parametrize("shape", [(3, 1, 1, 4), (2, 1, 1, 5), (1, 5), (3, 2, 4, 5, 1)])
     def test_mask_that_does_not_broadcast_errors(self, shape):
         logits = T.Tensor(np.zeros((3, 2, 4, 5)))
         with pytest.raises(ValueError, match="masked_softmax: shapes"):
-            T.masked_softmax(logits, np.ones(shape, dtype=bool))
+            TO.masked_softmax(logits, np.ones(shape, dtype=bool))
+
+    def test_slot_form_checks_its_key_mask(self):
+        q = k = T.Tensor(np.ones((3, 4)))
+        queries, keys = np.array([[0], [1]]), np.array([[0, 1], [2, 0]])
+        scatter = sp.csr_matrix((3, 2))
+        with pytest.raises(ValueError, match="masked_softmax: shapes"):
+            T.masked_softmax(q, k, queries, keys, np.ones((2, 3), dtype=bool), 2, scatter, scatter)
+        with pytest.raises(ValueError, match="no unmasked"):
+            T.masked_softmax(q, k, queries, keys, np.array([[True, False], [False, False]]), 2, scatter, scatter)
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), cols=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -164,10 +177,10 @@ class TestMaskedSoftmax:
         logits = rng.standard_normal((rows, cols)) * 5
         mask = rng.random((rows, cols)) < 0.6
         mask[np.arange(rows), rng.integers(0, cols, rows)] = True
-        p = T.masked_softmax(T.Tensor(logits), mask).data
+        p = TO.masked_softmax(T.Tensor(logits), mask).data
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
         assert (p[~mask] == 0.0).all()
-        shifted = T.masked_softmax(T.Tensor(logits + 3.7), mask).data
+        shifted = TO.masked_softmax(T.Tensor(logits + 3.7), mask).data
         np.testing.assert_allclose(p, shifted, atol=1e-6)
 
 
@@ -463,7 +476,7 @@ class TestGradCheck:
         mask[:, 0] = True
 
         def f():
-            return TO.tsum(TO.mul(T.masked_softmax(logits, mask), weights))
+            return TO.tsum(TO.mul(TO.masked_softmax(logits, mask), weights))
 
         assert TO.grad_check(f, [logits]) < 1e-5
 
