@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.special import ndtri
 
 from .errors import InputError, read_text
@@ -65,6 +66,14 @@ class Graph:
         for arr in (adj.data, adj.indices, adj.indptr):
             arr.setflags(write=False)
         return adj
+
+    @functools.cached_property
+    def components(self) -> tuple[np.ndarray, int]:
+        """Read-only int64 component labels, numbered by smallest node, and their count."""
+        count, labels = csgraph.connected_components(self.adjacency, directed=False)
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        return labels, int(count)
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an (m, 2) array with u < v."""

@@ -46,7 +46,8 @@ def kmeans(points: np.ndarray, k: int | None = None, seed: int = 0,
 
     Assignment ties go to the lowest cluster id and emptied clusters are
     re-seeded with the point farthest from its centroid, so inertia never
-    increases from one iteration to the next.
+    increases from one iteration to the next. It stops when the assignment
+    repeats, or when the inertia stops falling, keeping the last assignment.
     """
     max_iters = check_count("max_iters", max_iters, 1)
     points = np.asarray(points, dtype=np.float64)
@@ -75,10 +76,13 @@ def kmeans(points: np.ndarray, k: int | None = None, seed: int = 0,
             centers[c] = points[worst]
             d[:, c] = _sq_dists(points, centers[c : c + 1])[:, 0]
         converged = np.array_equal(new_assign, assign)
-        assign = new_assign
         for c in range(k):
-            centers[c] = points[assign == c].mean(axis=0)
-        history.append(float(_sq_dists(points, centers)[rows, assign].sum()))
+            centers[c] = points[new_assign == c].mean(axis=0)
+        inertia = float(_sq_dists(points, centers)[rows, new_assign].sum())
+        if history and inertia >= history[-1] and not converged:
+            break  # rounding moved points between identical centres
+        assign = new_assign
+        history.append(inertia)
         if converged:
             break
     inertia = history[-1]

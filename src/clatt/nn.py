@@ -3,9 +3,9 @@
 Everything here is a pure function over a flat dict of named parameter
 Tensors, so checkpointing and the optimizer stay trivial. The attention
 kernel is shared: cluster attention, the neighborhood transformer and
-the global transformer all go through _slot_attention, which runs two
-tape ops per SlotClass: masked_softmax (the scaled query-key products,
-masked and normalized in one buffer) and slot_context. A SlotClass is a
+the global transformer all go through _slot_attention, which runs the
+tape ops T.masked_softmax and T.slot_context per T.SlotClass and sums
+the classes in one T.add. This module builds the classes: a class is a
 size class of a padded slot layout, so a small cluster or a low-degree
 node is padded only to the widest row of its class, not to the widest
 row overall. A neighborhood is a row whose only query is its own node;
@@ -14,10 +14,9 @@ global attention is one cluster of every node.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +31,6 @@ __all__ = [
     "ClusterBatch",
     "ModelSpec",
     "ModelInputs",
-    "SlotClass",
     "build_cluster_batch",
     "check_global_attention_size",
     "check_neighborhood_size",
@@ -61,39 +59,6 @@ GLOBAL_ATTENTION_MAX_NODES = 20_000
 NEIGHBORHOOD_TABLE_MAX_SLOTS = 50_000_000
 
 
-def _slot_map(ids: np.ndarray, n: int) -> sp.csr_matrix:
-    """(n, ids.size) 0/1 matrix that sums slot j onto row ids[j]; a slot
-    holding -1 is dropped."""
-    cols = np.flatnonzero(ids >= 0)
-    return sp.csr_matrix((np.ones(cols.size), (ids[cols], cols)), shape=(n, ids.size))
-
-
-@dataclass
-class SlotClass:
-    """One size class of a padded slot layout, the unit of attention.
-
-    nodes (rows, Sq) holds the query nodes, -1 marking a padded query
-    slot; table (rows, S) holds the key nodes and mask (rows, S) says
-    which key slots are live; every row needs one. scatter, derived from
-    nodes, maps the class's flattened (row, query) outputs onto the n
-    nodes; key_scatter does the same for the live (row, key) slots.
-    """
-
-    nodes: np.ndarray
-    table: np.ndarray
-    mask: np.ndarray
-    n: InitVar[int]
-    scatter: sp.csr_matrix = field(init=False, repr=False)
-    key_scatter: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self, n: int):
-        empty = np.flatnonzero(~self.mask.any(axis=1))
-        if empty.size:
-            raise ValueError(f"SlotClass: row {empty[0]} has no live key slot")
-        self.scatter = _slot_map(self.nodes.ravel(), n)
-        self.key_scatter = _slot_map(np.where(self.mask, self.table, -1).ravel(), n)
-
-
 def _size_classes(table: np.ndarray, mask: np.ndarray):
     """Yield (rows, table, mask) per power-of-two size class.
 
@@ -114,7 +79,7 @@ class ClusterBatch:
     """Padded node-id table for dense attention within clusters.
 
     index_table[r, s] is a node id when mask[r, s] is True and a dummy 0
-    otherwise. classes splits the rows by size (see SlotClass); every
+    otherwise. classes splits the rows by size (see T.SlotClass); every
     member of a cluster is both a query and a key of its row, so
     unassigned nodes receive all-zero outputs.
     """
@@ -125,10 +90,8 @@ class ClusterBatch:
     classes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.classes = [
-            SlotClass(np.where(mask, table, -1), table, mask, self.n)
-            for _, table, mask in _size_classes(self.index_table, self.mask)
-        ]
+        tables = _size_classes(self.index_table, self.mask)
+        self.classes = [T.SlotClass(np.where(mask, table, -1), table, mask, self.n) for _, table, mask in tables]
 
 
 def build_cluster_batch(fc: Clustering) -> ClusterBatch:
@@ -155,7 +118,7 @@ def _check_heads(d: int, heads: int) -> int:
 
 def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record: dict) -> T.Tensor:
     """Attention of every class's query slots over its key slots, scattered
-    onto the n nodes and summed over classes.
+    onto the n nodes and summed over classes in one tape op.
 
     prm holds wq/bq/wk/wv/bv. Keys carry no bias: it would add the same
     constant to every logit of a query row, which softmax cancels. With
@@ -168,11 +131,11 @@ def _slot_attention(x: T.Tensor, classes, prm: dict, heads: int, capture, record
     v = T.linear(x, prm["wv"], prm["bv"])
     ys = []
     for cls in classes:
-        p = T.masked_softmax(q, k, np.maximum(cls.nodes, 0), cls.table, cls.mask, heads, cls.scatter, cls.key_scatter)
-        ys.append(T.slot_context(p, v, cls.table, cls.key_scatter, cls.scatter))
+        p = T.masked_softmax(q, k, cls, heads)
+        ys.append(T.slot_context(p, v, cls))
         if capture is not None:
             capture.append({**record, "probs": p.data, "nodes": cls.nodes, "index_table": cls.table, "mask": cls.mask})
-    return functools.reduce(T.add, ys)
+    return T.add(*ys)
 
 
 def clatt_forward(x: T.Tensor, batches, param_groups, heads: int, capture=None, tags=None, layer=None) -> T.Tensor:
@@ -251,10 +214,10 @@ def neighborhood_table(g):
     return table, mask
 
 
-def neighborhood_classes(table: np.ndarray, mask: np.ndarray) -> list[SlotClass]:
+def neighborhood_classes(table: np.ndarray, mask: np.ndarray) -> list[T.SlotClass]:
     """Size classes of a neighborhood table; row i is node i's neighborhood
     and node i its only query."""
-    return [SlotClass(rows[:, None], t, m, table.shape[0]) for rows, t, m in _size_classes(table, mask)]
+    return [T.SlotClass(rows[:, None], t, m, table.shape[0]) for rows, t, m in _size_classes(table, mask)]
 
 
 def gcn_conv(x: T.Tensor, adj_norm, w: T.Tensor, b: T.Tensor) -> T.Tensor:
@@ -282,12 +245,12 @@ def check_global_attention_size(n: int) -> None:
         )
 
 
-def global_classes(n: int) -> list[SlotClass]:
+def global_classes(n: int) -> list[T.SlotClass]:
     """The layout of global attention: one row that holds all n nodes, each
     a query and a key. Refuses an n past the bound."""
     check_global_attention_size(n)
     everyone = np.arange(n)[None, :]
-    return [SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)]
+    return [T.SlotClass(everyone, everyone, np.ones((1, n), dtype=bool), n)]
 
 
 def global_attention(x: T.Tensor, pe: T.Tensor, classes, prm: dict, heads: int, capture=None, layer=None) -> T.Tensor:

@@ -44,19 +44,15 @@ def _component_eigs(adj_dense: np.ndarray):
     return np.linalg.eigh(lap)
 
 
-def check_laplacian_size(g) -> tuple[np.ndarray, int]:
-    """Connected components of g (labels, count); refuses a graph whose
-    largest component is past the dense-eigh bound."""
-    from .stats import connected_components
-
-    comp, num_comp = connected_components(g)
-    largest = int(np.bincount(comp).max()) if g.n else 0
+def check_laplacian_size(g) -> None:
+    """Refuse a graph whose largest connected component is past the
+    dense-eigh bound."""
+    largest = int(np.bincount(g.components[0]).max()) if g.n else 0
     if largest > PE_MAX_NODES:
         raise InputError(
             f"Laplacian PE decomposes each connected component as a dense matrix: the largest has "
             f"{largest} nodes, past the desk-scale limit of {PE_MAX_NODES}"
         )
-    return comp, num_comp
 
 
 def laplacian_pe(g, k: int = 128) -> LaplacianPE:
@@ -72,7 +68,8 @@ def laplacian_pe(g, k: int = 128) -> LaplacianPE:
     n = g.n
     if k >= n:
         raise ValueError(f"laplacian_pe needs k < n, got k={k}, n={n}")
-    comp, num_comp = check_laplacian_size(g)
+    check_laplacian_size(g)
+    comp, num_comp = g.components
     pairs = []  # (eigenvalue, node index array, vector on component)
     for c in range(num_comp):
         nodes = np.nonzero(comp == c)[0]

@@ -76,7 +76,7 @@ def bfs_distances(g: Graph, source) -> np.ndarray:
         raise ValueError(f"source {sources.flat[bad[0]]} (of {sources.size}) out of range for n={g.n}")
     if sources.ndim == 0 or sources.size < 2:
         return _dijkstra(g, sources)
-    labels, _ = connected_components(g)
+    labels, _ = g.components
     sizes = np.bincount(labels)[labels[sources]]
     probe = _dijkstra(g, sources[sizes.argmax()])
     if probe[np.isfinite(probe)].max() > LEVEL_BUDGET:
@@ -89,13 +89,6 @@ def bfs_distances(g: Graph, source) -> np.ndarray:
     if live.any():
         dist[live] = _dijkstra(g, sources[live])
     return dist
-
-
-def connected_components(g: Graph) -> tuple[np.ndarray, int]:
-    """Component label per node and the count; components are numbered in
-    the order of their smallest node."""
-    count, labels = csgraph.connected_components(g.adjacency, directed=False)
-    return labels.astype(np.int64), count
 
 
 # distances one bfs_distances call returns at most, here and in the
@@ -136,7 +129,7 @@ def distance_stats(g: Graph, exact_threshold: int = 20000,
         raise ValueError("empty graph")
     if num_sources < 1:
         raise ValueError(f"num_sources must be at least 1, got {num_sources}")
-    labels, ncomp = connected_components(g)
+    labels, ncomp = g.components
     sizes = np.bincount(labels, minlength=ncomp)
     nodes = np.where(labels == int(sizes.argmax()))[0]
     nc = nodes.size

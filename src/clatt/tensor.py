@@ -1,12 +1,13 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
 Deliberately small: just the ops the attention and message-passing stack
-needs. Every op records its output on an implicit tape; backward() walks
-that tape once in reverse execution order. The first recorded op after a
-backward() starts a new tape and cuts the consumed one, and so does
-entering a no_grad() block, so a step's activations are freed as soon as
-the next step's forward pass begins or an evaluation pass starts. A tape
-that backward() has not consumed yet is never cut.
+needs, and SlotClass, the slot layout its attention ops read. Every op
+records its output on an implicit tape; backward() walks that tape once in
+reverse execution order. The first recorded op after a backward() starts a
+new tape and cuts the consumed one, and so does entering a no_grad() block,
+so a step's activations are freed as soon as the next step's forward pass
+begins or an evaluation pass starts. A tape that backward() has not consumed
+yet is never cut.
 Every tensor holds float64 data; other inputs are converted.
 """
 
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import erf
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "linear",
     "concat_last_dim",
     "gelu",
+    "SlotClass",
     "masked_softmax",
     "layer_norm",
     "softmax_cross_entropy",
@@ -61,10 +64,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
         self._tape = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -186,20 +185,26 @@ def _sum_to(arr: np.ndarray, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _shape_error(op: str, a, b) -> None:
-    raise ValueError(f"{op}: shapes {tuple(a)} and {tuple(b)} do not conform")
+def _shape_error(op: str, *shapes) -> None:
+    raise ValueError(f"{op}: shapes {' and '.join(str(tuple(s)) for s in shapes)} do not conform")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(*parts: Tensor) -> Tensor:
+    """Broadcast sum of the parts, added left to right; one part comes back as is."""
+    if len(parts) == 1:
+        return parts[0]
+    shapes = [p.data.shape for p in parts]
     try:
-        out = a.data + b.data
+        out = np.add(parts[0].data, parts[1].data, out=np.empty(np.broadcast_shapes(*shapes)))
     except ValueError:
-        _shape_error("add", a.data.shape, b.data.shape)
+        _shape_error("add", *shapes)
+    for p in parts[2:]:
+        out += p.data
 
     def back(g):
-        return _sum_to(g, a.data.shape), _sum_to(g, b.data.shape)
+        return tuple(_sum_to(g, shape) for shape in shapes)
 
-    return _op(out, (a, b), back)
+    return _op(out, parts, back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -262,6 +267,43 @@ def gelu(x: Tensor) -> Tensor:
     return _op(z * cdf, (x,), back)
 
 
+def _slot_map(ids: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, ids.size) 0/1 matrix that sums slot j onto row ids[j]; a slot
+    holding -1 is dropped."""
+    cols = np.flatnonzero(ids >= 0)
+    return sp.csr_matrix((np.ones(cols.size), (ids[cols], cols)), shape=(n, ids.size))
+
+
+@dataclass
+class SlotClass:
+    """One size class of a padded slot layout over n nodes, the unit of
+    attention: query nodes (rows, Sq), -1 marking a padded slot, and key
+    nodes with their bool live mask (rows, S); queries maps -1 to 0. scatter
+    sums the (row, query) slots onto the nodes and key_scatter the live
+    (row, key) slots, so a P used with the class must weigh masked keys
+    zero, as masked_softmax's does. Construction refuses tables that
+    disagree in rows or shape, and a row with no live key.
+    """
+
+    nodes: np.ndarray
+    table: np.ndarray
+    mask: np.ndarray
+    n: InitVar[int]
+    queries: np.ndarray = field(init=False, repr=False)
+    scatter: sp.csr_matrix = field(init=False, repr=False)
+    key_scatter: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self, n: int):
+        if self.mask.shape != self.table.shape or len(self.nodes) != len(self.table):
+            _shape_error("SlotClass", self.nodes.shape, self.table.shape, self.mask.shape)
+        empty = np.flatnonzero(~self.mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"SlotClass: row {empty[0]} has no live key slot")
+        self.queries = np.maximum(self.nodes, 0)
+        self.scatter = _slot_map(self.nodes.ravel(), n)
+        self.key_scatter = _slot_map(np.where(self.mask, self.table, -1).ravel(), n)
+
+
 # cells (rows x heads x Sq x S float64s) of one block of the softmax
 # backward: 2 MB, the budget of stats.BLOCK_DISTANCES. A block is at least
 # one class row, so that every batched matmul keeps its slices whole.
@@ -275,29 +317,21 @@ def _slot_heads(x: np.ndarray, idx: np.ndarray, heads: int) -> np.ndarray:
     return np.swapaxes(x[idx].reshape(rows, slots, heads, -1), 1, 2)
 
 
-def masked_softmax(q: Tensor, k: Tensor, queries, keys, mask, heads: int, q_scatter, k_scatter) -> Tensor:
-    """Per-head softmax over the live key slots of scaled query-key products.
+def masked_softmax(q: Tensor, k: Tensor, cls: SlotClass, heads: int) -> Tensor:
+    """P (rows, heads, Sq, S) of a class: per head, the softmax over the
+    live key slots of q_h[cls.queries] k_h[cls.table]^T / sqrt(d // heads).
 
-    q and k are (n, d); queries (rows, Sq) and keys (rows, S) index their
-    rows, and the (rows, S) key mask says which key slots are live; every
-    row needs one. Returns P (rows, heads, Sq, S): the softmax along the
-    last axis of q_h[queries] k_h[keys]^T / sqrt(d // heads), with masked
-    slots exactly zero. The logits are computed into P's buffer, so they
-    are never kept. The constant sparse maps q_scatter (n, rows * Sq) and
-    k_scatter (n, rows * S) sum the slots' gradients back onto the n rows:
-    each is its gather's transpose, less the slots whose gradient the
-    caller knows to be zero (padded queries, masked keys). The backward
-    re-gathers the slot rows and holds at most SOFTMAX_BLOCK_CELLS cells
-    of softmax gradient at a time, or one class row when that is larger.
+    q and k are (n, d); masked slots come out exactly zero. The logits are
+    computed into P's buffer, so they are never kept. The backward sums
+    the slot gradients onto the n rows through cls.scatter and
+    cls.key_scatter, re-gathers the slot rows and holds at most
+    SOFTMAX_BLOCK_CELLS cells of softmax gradient at a time, or one class
+    row when that is larger.
     """
+    queries, keys, mask = cls.queries, cls.table, cls.mask
     rows, sq = queries.shape
     s = keys.shape[1]
     d = q.data.shape[1]
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != keys.shape:
-        _shape_error("masked_softmax", keys.shape, mask.shape)
-    if not mask.any(axis=-1).all():
-        raise ValueError("masked_softmax: a row has no unmasked entries")
     c = 1.0 / math.sqrt(d // heads)
 
     def scaled_queries(sl):
@@ -323,7 +357,7 @@ def masked_softmax(q: Tensor, k: Tensor, queries, keys, mask, heads: int, q_scat
             gz *= pb
             np.swapaxes(gq[sl], 1, 2)[...] = (gz @ _slot_heads(k.data, keys[sl], heads)) * c
             gk[sl] = (np.swapaxes(scaled_queries(sl), -1, -2) @ gz).transpose(0, 3, 1, 2)
-        return np.asarray(q_scatter @ gq.reshape(rows * sq, d)), np.asarray(k_scatter @ gk.reshape(rows * s, d))
+        return np.asarray(cls.scatter @ gq.reshape(rows * sq, d)), np.asarray(cls.key_scatter @ gk.reshape(rows * s, d))
 
     return _op(p, (q, k), back)
 
@@ -442,26 +476,24 @@ def spmm(a, x: Tensor) -> Tensor:
     return _op(out, (x,), back)
 
 
-def slot_context(p: Tensor, v: Tensor, keys, k_scatter, out_scatter) -> Tensor:
-    """Attention-weighted sums of gathered value rows, scattered onto rows.
+def slot_context(p: Tensor, v: Tensor, cls: SlotClass) -> Tensor:
+    """Contexts of a class, P-weighted sums of its value rows v[cls.table]
+    head by head, summed onto the n nodes through cls.scatter.
 
-    p (rows, heads, Sq, S) weighs the value rows v[keys] head by head,
-    with v (n, d) and keys (rows, S). The constant sparse map out_scatter
-    (n, rows * Sq) sums the (row, query) contexts onto the n output rows,
-    and k_scatter (n, rows * S) sums the value slots' gradients back onto
-    v; a slot it leaves out must carry zero weight in p. The backward
-    gathers the value rows again rather than keeping them.
+    p is (rows, heads, Sq, S) and v (n, d). The backward gathers the value
+    rows again rather than keeping them and sums their gradients onto v
+    through cls.key_scatter.
     """
     rows, heads, sq, s = p.data.shape
     d = v.data.shape[1]
-    ctx = p.data @ _slot_heads(v.data, keys, heads)
-    out = np.asarray(out_scatter @ np.swapaxes(ctx, 1, 2).reshape(rows * sq, d))
+    ctx = p.data @ _slot_heads(v.data, cls.table, heads)
+    out = np.asarray(cls.scatter @ np.swapaxes(ctx, 1, 2).reshape(rows * sq, d))
 
     def back(g):
-        go = np.swapaxes(np.asarray(out_scatter.T @ g).reshape(rows, sq, heads, d // heads), 1, 2)
-        gp = go @ np.swapaxes(_slot_heads(v.data, keys, heads), -1, -2)
+        go = np.swapaxes(np.asarray(cls.scatter.T @ g).reshape(rows, sq, heads, d // heads), 1, 2)
+        gp = go @ np.swapaxes(_slot_heads(v.data, cls.table, heads), -1, -2)
         gv = np.swapaxes(np.swapaxes(p.data, -1, -2) @ go, 1, 2).reshape(rows * s, d)
-        return gp, np.asarray(k_scatter @ gv)
+        return gp, np.asarray(cls.key_scatter @ gv)
 
     return _op(out, (p, v), back)
 

@@ -157,6 +157,8 @@ def _op_cases():
 
     a, b = t(3, 4), t(4)
     cases["add"] = (lambda: TO.tsum(T.add(a, b)), [a, b])
+    a1, b1, c0 = t(3, 4), t(4), t(3, 4)
+    cases["add of three parts"] = (lambda: TO.tsum(T.add(a1, b1, c0)), [a1, b1, c0])
     a2, b2 = t(3, 4), t(4)
     cases["sub"] = (lambda: TO.tsum(TO.sub(a2, b2)), [a2, b2])
     a3, b3 = t(3, 4), t(4)
@@ -205,26 +207,18 @@ def _op_cases():
     xt = t(5, 3)
     cases["take_rows"] = (lambda: TO.tsum(TO.take_rows(xt, np.array([0, 2, 2, 4]))), [xt])
 
-    # slot ops on 2 rows x 2 heads, 2 query and 3 key slots (one masked in
-    # the softmax) over 5 nodes; the scatters are the gathers' exact
-    # transposes, repeated nodes included
-    def gather_map(idx):
-        return sp.csr_matrix((np.ones(idx.size), (idx.ravel(), np.arange(idx.size))), shape=(5, idx.size))
-
+    # slot ops on 2 rows x 2 heads, 2 query and 3 key slots over 5 nodes,
+    # repeated nodes included; one key is masked in the softmax, while the
+    # context's P is random at every slot, so its class has every key live
     qi, ki = np.array([[0, 2], [4, 4]]), np.array([[1, 2, 3], [0, 4, 1]])
+    mk = np.array([[True, False, True], [True, True, True]])
+    masked, live = T.SlotClass(qi, ki, mk, 5), T.SlotClass(qi, ki, np.ones_like(mk), 5)
     qa, ka = t(5, 4), t(5, 4)
     wsl = T.Tensor(rng.standard_normal((2, 2, 2, 3)))
-    mk = np.array([[True, False, True], [True, True, True]])
-    cases["slot_softmax"] = (
-        lambda: weighted(T.masked_softmax(qa, ka, qi, ki, mk, 2, gather_map(qi), gather_map(ki)), wsl),
-        [qa, ka],
-    )
+    cases["slot_softmax"] = (lambda: weighted(T.masked_softmax(qa, ka, masked, 2), wsl), [qa, ka])
     pa, va = t(2, 2, 2, 3), t(5, 4)
     wsc = T.Tensor(rng.standard_normal((5, 4)))
-    cases["slot_context"] = (
-        lambda: weighted(T.slot_context(pa, va, ki, gather_map(ki), gather_map(qi)), wsc),
-        [pa, va],
-    )
+    cases["slot_context"] = (lambda: weighted(T.slot_context(pa, va, live), wsc), [pa, va])
     xre = t(4, 6)
     wre = T.Tensor(rng.standard_normal((2, 12)))
     cases["reshape"] = (lambda: weighted(T.reshape(xre, (2, 12)), wre), [xre])

@@ -3,12 +3,14 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
 import multiprocessing
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import clatt
 from clatt import cli
 from clatt import config as cf
 from clatt import nn
@@ -30,7 +33,7 @@ from clatt import tensor
 from clatt import training as tr
 from clatt.analysis import export_profile, profile_model
 from clatt.checkpoint import load_checkpoint, save_checkpoint
-from clatt.graphs import GraphFormatError, TableSchema, load_edge_list, load_node_table, transform_features
+from clatt.graphs import GraphFormatError, TableSchema, from_edges, load_edge_list, load_node_table, transform_features
 from clatt.kmeans import kmeans
 from clatt.partition import load_clustering
 from clatt.synthetic import bridge_of_cliques, noisy_onehot_features, sbm_graph
@@ -915,6 +918,12 @@ class TestSelectCommand:
         assert saved["details"]["LA"] > saved["details"]["baseline"]
         assert "selected" in capsys.readouterr().out
 
+    def test_selection_model_is_the_base(self, tmp_path):
+        sage = {"conv_type": "SAGE", "layers": 1, "hidden": 8, "lr": 3e-3}
+        assert cli.main(["select-clusterings", str(base_config(tmp_path, steps=3, selection_model=sage))]) == 0
+        saved = json.loads((tmp_path / "out" / "selected_clusterings.json").read_text())
+        assert saved["base_model"] == "SAGE"
+
 
 class TestAnalyzeCommand:
     def lgt_config(self, tmp_path):
@@ -984,6 +993,17 @@ class TestAnalyzeCommand:
         gcn.write_text(json.dumps(gcn_raw))
         assert cli.main(["analyze-attention", str(gcn), str(tmp_path / "out" / "LGT.ckpt")]) == 0
         assert profile.read_bytes() == want
+
+    def test_global_attention_across_components_notes_unreachable_targets(self, tmp_path, capsys):
+        ggt = {"conv_type": "GGT", "pe": "laplacian", "layers": 1, "hidden": 8, "heads": 2, "lr": 3e-3}
+        path = base_config(tmp_path, models=[ggt], steps=5)
+        e = bridge_of_cliques([8, 8]).edge_array()
+        e = e[(e[:, 0] < 8) == (e[:, 1] < 8)]  # drop the bridge: two components
+        write_edges(tmp_path / "edges.csv", from_edges(e[:, 0], e[:, 1], n=16))
+        assert cli.main(["train", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze-attention", str(path), str(tmp_path / "out" / "GGT.ckpt")]) == 0
+        assert re.search(r"^note: [1-9]\d* attended targets were unreachable", capsys.readouterr().out, re.M)
 
     def test_two_model_config_needs_no_model_flag(self, tmp_path):
         path = base_config(tmp_path, steps=20)
@@ -1342,6 +1362,13 @@ def test_readme_layout_names_every_module_and_no_other():
     block = readme[readme.index("\n## Layout\n"):readme.index("\n## Install\n")]
     named = re.findall(r"^  (\w+\.py) ", block, re.M)
     assert sorted(named) == sorted(p.name for p in (root / "src" / "clatt").glob("*.py"))
+
+
+def test_every_all_entry_exists():
+    for info in pkgutil.iter_modules(clatt.__path__):
+        module = importlib.import_module(f"clatt.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"clatt.{info.name}.__all__ names {missing}"
 
 
 IMPORT_FLOOR = """

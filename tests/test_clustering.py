@@ -224,6 +224,11 @@ class TestHierarchical:
         roles[[0, 9]] = 0
         assert correlation_coefficient(c.assignment, roles) >= 0.8
 
+    def test_single_edge_collapses_to_one_block(self):
+        c = hierarchical_fit(from_edges(np.array([0]), np.array([1]), n=2), seed=0)
+        assert c.params["collapsed"] and c.params["levels"] == [1]
+        assert c.assignment.tolist() == [0, 0]
+
     def test_deterministic(self):
         g, _ = sbm_graph([20, 20, 20], 0.3, 0.02, seed=5)
         a = hierarchical_fit(g, seed=2).assignment
@@ -750,6 +755,19 @@ class TestKmeans:
         assert np.bincount(c.assignment, minlength=4).min() == 1
         hist = c.params["inertia_history"]
         assert len(hist) < 100 and all(b <= a for a, b in zip(hist, hist[1:]))
+
+    @pytest.mark.parametrize("features", [2, 8, 16, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stops_on_many_repeated_points(self, features, seed):
+        # identical centres get distances that differ by rounding, so a
+        # point can move between them on every pass and the assignment
+        # need never repeat; the inertia stops falling instead
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(20, features))[rng.integers(0, 20, 1000)]
+        c, _ = kmeans(pts, k=50, seed=seed)
+        hist = c.params["inertia_history"]
+        assert len(hist) < 100 and all(b <= a for a, b in zip(hist, hist[1:]))
+        assert np.bincount(c.assignment, minlength=50).min() >= 1
 
     def test_deterministic(self):
         pts = np.random.default_rng(2).normal(size=(50, 4))

@@ -15,7 +15,6 @@ from clatt.errors import InputError
 from clatt.graphs import from_edges
 from clatt.partition import Clustering
 from clatt.pe import deepwalk_pe, laplacian_pe
-from clatt.stats import connected_components
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, path_graph, sbm_graph, star_graph
 
 import tape_ops as TO
@@ -545,6 +544,16 @@ class TestFusedSlotAttention:
         names = [node._backward.__qualname__.split(".")[0] for node in y._tape.nodes]
         assert names[-5:] == ["linear"] * 3 + ["masked_softmax", "slot_context"]
 
+    def test_one_add_per_site(self):
+        # clusters of 2, 3 and 5 fall in three size classes
+        batch = nn.build_cluster_batch(fc(np.repeat(np.arange(3), [2, 3, 5])))
+        assert len(batch.classes) == 3
+        rng = np.random.default_rng(44)
+        x = T.Tensor(rng.standard_normal((10, 4)), requires_grad=True)
+        y = nn._slot_attention(x, batch.classes, as_tensors(rand_qkv(rng, 4)), 2, None, {})
+        names = [node._backward.__qualname__.split(".")[0] for node in y._tape.nodes]
+        assert names[-10:] == ["linear"] * 3 + ["masked_softmax", "slot_context"] * 3 + ["add"]
+
     @pytest.mark.parametrize("name", ["partial", "lgt", "ggt"])
     def test_softmax_block_size_does_not_change_bits(self, name, monkeypatch):
         cls = fused_test_classes()[name]
@@ -572,7 +581,7 @@ class TestFusedSlotAttention:
         cls = nn.build_cluster_batch(fc(np.repeat(np.arange(64), 64))).classes[0]
         rng = np.random.default_rng(43)
         q, k = (T.Tensor(rng.standard_normal((64 * 64, d)), requires_grad=True) for _ in range(2))
-        p = T.masked_softmax(q, k, cls.nodes, cls.table, cls.mask, heads, cls.scatter, cls.key_scatter)
+        p = T.masked_softmax(q, k, cls, heads)
         assert p.data.nbytes == 8 * 2**20
         budget = heads * 64 * 64  # one class row
         monkeypatch.setattr(T, "SOFTMAX_BLOCK_CELLS", budget)
@@ -589,13 +598,6 @@ class TestFusedSlotAttention:
         # (rows, heads, Sq, S) temporary would add another 8 MB
         slots_d = 8 * d * (cls.nodes.size + cls.table.size)
         assert peak < dp.nbytes + 4 * slots_d + 4 * 8 * budget
-
-    def test_slot_class_rejects_row_without_live_key(self):
-        table = np.array([[0, 1], [2, 0]])
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(ValueError, match="row 1 has no live key"):
-            nn.SlotClass(np.where(mask, table, -1), table, mask, 3)
-
 
 class TestNeighborhoodGuard:
     def test_star_over_bound_fails_before_allocating(self, monkeypatch):
@@ -717,7 +719,7 @@ class TestLaplacianPE:
         eigs = pe._component_eigs
         monkeypatch.setattr(pe, "_component_eigs", lambda adj: seen.append(adj.copy()) or eigs(adj))
         laplacian_pe(g, k=6)
-        labels, count = connected_components(g)
+        labels, count = g.components
         comps = [c for c in (np.flatnonzero(labels == i) for i in range(count)) if c.size > 1]
         assert len(seen) == len(comps) == 3
         for nodes, adj in zip(comps, seen):
@@ -914,7 +916,7 @@ class TestPEGuards:
         monkeypatch.setattr(pe, "PE_MAX_NODES", 5)
         two_paths = from_edges(np.array([0, 1, 2, 3, 5, 6, 7, 8]), np.array([1, 2, 3, 4, 6, 7, 8, 9]), 10)
         assert laplacian_pe(two_paths, k=4).num_valid == 4
-        pe.check_laplacian_size(two_paths)
+        assert pe.check_laplacian_size(two_paths) is None
         with pytest.raises(InputError, match="largest has 6 nodes"):
             pe.check_laplacian_size(cycle_graph(6))
 

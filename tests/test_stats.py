@@ -20,7 +20,6 @@ from clatt.stats import (
     bfs_distances,
     clustering_coefficients,
     compute_graph_stats,
-    connected_components,
     degree_assortativity,
     distance_stats,
     stats_to_dict,
@@ -191,10 +190,11 @@ class TestBfs:
 class TestComponents:
     def test_two_components(self):
         g = from_edges([0, 2], [1, 3], n=5)
-        labels, c = connected_components(g)
+        labels, c = g.components
         assert c == 3
         assert labels[0] == labels[1] and labels[2] == labels[3]
         assert labels[4] not in (labels[0], labels[2])
+        assert g.components is g.components and not labels.flags.writeable
 
     @given(st.integers(1, 30), st.floats(0.0, 0.2), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -202,9 +202,20 @@ class TestComponents:
         g = random_graph(n=n, p=p, seed=seed)
         smallest = np.array([np.flatnonzero(np.isfinite(row))[0] for row in floyd_warshall(g)])
         expect = np.unique(smallest, return_inverse=True)[1]
-        labels, c = connected_components(g)
+        labels, c = g.components
         assert labels.dtype == np.int64
         assert np.array_equal(labels, expect) and c == expect.max() + 1
+
+
+    def test_labels_are_found_once_per_graph(self, monkeypatch):
+        calls = []
+        find = csgraph.connected_components
+        monkeypatch.setattr(csgraph, "connected_components", lambda *a, **kw: calls.append(1) or find(*a, **kw))
+        g = cycle_graph(20)
+        bfs_distances(g, np.arange(4))
+        bfs_distances(g, np.arange(4, 8))
+        distance_stats(g)
+        assert len(calls) == 1
 
 
 class TestDistanceStats:
@@ -259,7 +270,7 @@ class TestDistanceStats:
         g = erdos_renyi(120, 0.04, seed=3)
         if sources_per_block is not None:
             monkeypatch.setattr(stats, "BLOCK_DISTANCES", sources_per_block * g.n)
-        labels, _ = connected_components(g)
+        labels, _ = g.components
         nodes = np.flatnonzero(labels == np.bincount(labels).argmax())
         sources = np.random.default_rng(2).choice(nodes, size=50, replace=False)
         acc = 0.0
@@ -275,7 +286,7 @@ class TestDistanceStats:
     @settings(max_examples=25, deadline=None)
     def test_exact_matches_floyd_warshall(self, seed):
         g = random_graph(n=12, p=0.25, seed=seed)
-        labels, _ = connected_components(g)
+        labels, _ = g.components
         sizes = np.bincount(labels)
         comp = np.where(labels == sizes.argmax())[0]
         if comp.size < 2:
@@ -506,6 +517,10 @@ class TestGraphStatsBundle:
         stats = compute_graph_stats(g, targets=np.arange(5.0), task="regression")
         assert not np.isnan(stats.target_assortativity)
         assert np.isnan(stats.unbiased_homophily)
+
+    def test_approximate_distance_flags(self):
+        stats = compute_graph_stats(cycle_graph(12), exact_threshold=5)
+        assert stats.flags["distances_approximate"] and stats.flags["diameter_is_lower_bound"]
 
     def test_disconnected_flag(self):
         g = from_edges([0, 3], [1, 4], n=6)

@@ -94,6 +94,15 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data[:, :2], 1.0)
         np.testing.assert_array_equal(out.data[:, 2:], 0.0)
 
+    def test_add_sums_parts_left_to_right(self):
+        rng = np.random.default_rng(4)
+        a, b, c = (T.Tensor(rng.standard_normal(shape) * 1e8 ** i) for i, shape in enumerate([(2, 3), (3,), (2, 3)]))
+        assert T.add(a) is a
+        np.testing.assert_array_equal(T.add(a, b, c).data, (a.data + b.data) + c.data)
+        assert T.add(b, b, a).data.shape == (2, 3)
+        with pytest.raises(ValueError, match=r"add: shapes \(2, 3\) and \(3,\) and \(2,\) do not conform"):
+            T.add(a, b, T.Tensor(np.ones(2)))
+
     def test_concat_single_part_is_returned(self):
         a = T.Tensor(np.ones((2, 2)), requires_grad=True)
         assert T.concat_last_dim([a]) is a
@@ -162,13 +171,13 @@ class TestMaskedSoftmax:
             TO.masked_softmax(logits, np.ones(shape, dtype=bool))
 
     def test_slot_form_checks_its_key_mask(self):
-        q = k = T.Tensor(np.ones((3, 4)))
-        queries, keys = np.array([[0], [1]]), np.array([[0, 1], [2, 0]])
-        scatter = sp.csr_matrix((3, 2))
-        with pytest.raises(ValueError, match="masked_softmax: shapes"):
-            T.masked_softmax(q, k, queries, keys, np.ones((2, 3), dtype=bool), 2, scatter, scatter)
-        with pytest.raises(ValueError, match="no unmasked"):
-            T.masked_softmax(q, k, queries, keys, np.array([[True, False], [False, False]]), 2, scatter, scatter)
+        nodes, table = np.array([[0], [1]]), np.array([[0, 1], [2, 0]])
+        with pytest.raises(ValueError, match=r"SlotClass: shapes .* do not conform"):
+            T.SlotClass(nodes, table, np.ones((2, 3), dtype=bool), 3)
+        with pytest.raises(ValueError, match=r"SlotClass: shapes .* do not conform"):
+            T.SlotClass(nodes[:1], table, np.ones((2, 2), dtype=bool), 3)
+        with pytest.raises(ValueError, match="row 1 has no live key"):
+            T.SlotClass(nodes, table, np.array([[True, False], [False, False]]), 3)
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), cols=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
