@@ -70,6 +70,13 @@ KINDS = ("cluster", "local", "global")
 CHUNK_ELEMENTS = 1 << 18
 
 
+def _as_distances(hops):
+    """bfs_distances' hop counts as float64 distances, inf where unreachable."""
+    dist = hops.astype(np.float64)
+    dist[hops == np.iinfo(hops.dtype).max] = np.inf
+    return dist
+
+
 def _average_distances(dist, rec, rows, queries):
     """Attention-weighted average hop distance of each (row, query) pair of
     rec and each head, given ``dist`` (pairs, S), the hop distance from each
@@ -107,8 +114,8 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     (record, row, query, head) order.
 
     Distances come from one multi-source BFS per block of attending nodes,
-    shared by every record; a block's distance matrix holds at most
-    ``stats.BLOCK_DISTANCES`` floats.
+    shared by every record; a block's hop counts fill at most
+    8 * ``stats.BLOCK_DISTANCES`` bytes.
     """
     for rec in records:
         if rec["kind"] not in KINDS:
@@ -118,12 +125,12 @@ def attention_distance_profile(records, g) -> AttentionProfile:
         rows, queries = np.nonzero(rec["nodes"] >= 0)
         live.append((rows, queries, rec["nodes"][rows, queries]))
     attending = np.unique(np.concatenate([np.zeros(0, np.int64)] + [nodes for _, _, nodes in live]))
-    step = max(1, stats.BLOCK_DISTANCES // max(g.n, 1))
+    step = stats.block_sources(g.n)
     slots = [np.searchsorted(attending, nodes) for _, _, nodes in live]  # each pair's node's index in attending
     avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
     unreachable = 0
     for lo in range(0, attending.size, step):
-        dist = bfs_distances(g, attending[lo : lo + step])
+        hops = bfs_distances(g, attending[lo : lo + step])
         for rec, (rows, queries, _), slot, avg in zip(records, live, slots, avgs):
             _, heads, _, width = rec["probs"].shape
             chunk = max(1, CHUNK_ELEMENTS // (heads * width))
@@ -132,9 +139,10 @@ def attention_distance_profile(records, g) -> AttentionProfile:
                 sel = in_block[c : c + chunk]
                 pos = slot[sel] - lo
                 avg[sel], dropped = _average_distances(
-                    dist[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
+                    _as_distances(hops[pos[:, None], rec["index_table"][rows[sel]]]), rec, rows[sel], queries[sel]
                 )
                 unreachable += dropped
+        del hops  # not held while the next block is computed
     entries = []
     for rec, (_, _, nodes), avg in zip(records, live, avgs):
         entries.extend(

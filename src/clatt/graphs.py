@@ -203,7 +203,7 @@ def load_edge_list(path) -> Graph:
 
 def _edge_ids(path: Path) -> np.ndarray:
     """The two ids of each edge line of ``path``, in file order, as one flat
-    int64 array. Lines split as ``read_text``'s stream splits them and are
+    int64 array. Lines split as ``read_text`` splits them and are
     tokenised and converted ``EDGE_CHUNK_LINES`` at a time; a chunk with a
     short line or a bad id is parsed line by line, which raises the first
     error in file order."""

@@ -144,7 +144,7 @@ def load_clustering(path) -> tuple[np.ndarray, np.ndarray, dict]:
     meta = {}
     if meta_path.exists():
         try:
-            meta = json.load(read_text(meta_path))
+            meta = json.loads("".join(read_text(meta_path)))
         except (json.JSONDecodeError, RecursionError) as e:
             raise InputError(f"{meta_path}: invalid JSON: {e}") from None
         if not isinstance(meta, dict):

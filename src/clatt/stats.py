@@ -13,58 +13,158 @@ from .graphs import Graph
 
 
 # levels a block's level loop may run before the sources still searching go
-# to Dijkstra. One level (a sparse product over the block's (n, k) frontier)
-# cost 0.013-0.024 of a Dijkstra from the same sources on star, uniform and
-# grid graphs and 0.05-0.07 on paths and cycles (BLAS one thread), so a block
-# that gives up pays at most 0.7 of a Dijkstra on top; the uniform and skewed
-# benchmark graphs finish in 5-9 levels.
+# to Dijkstra; at most 15, the largest hop count four bit planes hold. One
+# level (a gather and an OR-reduction per word of 64 sources) cost
+# 0.004-0.007 of a Dijkstra from the same sources on star, uniform, skewed and
+# grid graphs and 0.013-0.021 on paths and cycles, and unpacking the block's
+# hop counts once 0.015-0.03 (0.08-0.12), so a block that gives up pays about
+# 0.3 of a Dijkstra on top; the uniform and skewed benchmark graphs finish in
+# 5-8 levels.
 LEVEL_BUDGET = 10
+
+# one machine word of the level loop: bit j of word w of a node stands for
+# source 64 w + j of the block. Little-endian, so that its bytes unpack in
+# source order.
+_WORD = np.dtype("<u8")
+
+
+def hop_dtype(n: int) -> np.dtype:
+    """The dtype of bfs_distances' hop counts on an n-node graph: the
+    smallest unsigned type that holds n. Its maximum marks an unreachable
+    node; a hop count is at most n - 1."""
+    return np.min_scalar_type(n)
 
 
 def _dijkstra(g: Graph, sources) -> np.ndarray:
-    return csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=sources)
+    """Hop counts from ``sources`` (one id or a 1-D block) by scipy's
+    unit-weight Dijkstra, BLOCK_DISTANCES // n sources at a time; each
+    float64 sub-block is converted in place."""
+    sources = np.asarray(sources)
+    out = np.empty(sources.shape + (g.n,), hop_dtype(g.n))
+    rows, flat = out.reshape(sources.size, g.n), sources.reshape(-1)
+    step = max(1, BLOCK_DISTANCES // max(g.n, 1))
+    for lo in range(0, flat.size, step):
+        dist = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=flat[lo : lo + step])
+        dist[np.isinf(dist)] = np.iinfo(out.dtype).max
+        rows[lo : lo + step] = dist
+        del dist  # not held while the next sub-block is computed
+    return out
 
 
-def _level_loop(adj: sparse.csr_matrix, sources: np.ndarray, reach: int):
-    """Advance every source of the block one hop per sparse product until
-    ``reach`` (node, source) pairs are found or LEVEL_BUDGET levels ran.
+def _source_words(sources: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """(⌈k/64⌉, width) words with the bit of each source set at its key.
+    The OR goes through ``np.bitwise_or.at``: a fancy-indexed ``|=`` keeps
+    only one bit of a source repeated in the block."""
+    cols = np.arange(sources.size)
+    words = np.zeros((-(-sources.size // 64), width), _WORD)
+    np.bitwise_or.at(words, (cols >> 6, keys), np.left_shift(np.uint64(1), (cols & 63).astype(_WORD)))
+    return words
 
-    Returns the (n, k) hop counts, the (n, k) mask of pairs not found and
-    the (k,) mask of sources whose frontier was still live at the budget.
-    A pair's count is the number of levels it stayed unseen, so it is its
-    distance once found.
+
+def _level_loop(adj: sparse.csr_matrix, sources: np.ndarray, reach: np.ndarray):
+    """Advance every source of the block one hop per level, 64 sources to a
+    machine word, until each source has seen every node that shares its
+    label in ``reach`` (the component labels) or LEVEL_BUDGET levels ran.
+
+    A level is, per word, a gather of the frontier over the CSR column
+    indices and an OR over each row's neighbours (``np.bitwise_or.reduceat``);
+    a word leaves the loop once its seen set is complete. Each pair's level
+    is kept in four bit planes. Returns the (k, n) hop counts, as
+    ``bfs_distances`` returns them, and the (k,) mask of sources whose search
+    was still open at the budget.
     """
+    if not 1 <= LEVEL_BUDGET <= 15:
+        raise ValueError(f"LEVEL_BUDGET is {LEVEL_BUDGET}; four bit planes count 1 to 15 levels")
     n, k = adj.shape[0], sources.size
-    cols = np.arange(k)
-    front = np.zeros((n, k), np.float32)
-    front[sources, cols] = 1
-    unseen = np.ones((n, k), bool)
-    unseen[sources, cols] = False
-    hops = unseen.astype(np.uint8)
-    new = np.zeros((n, k), bool)
-    found = k
-    for _ in range(LEVEL_BUDGET):
-        if found == reach:
+    width = -(-(n + 1) // 64) * 64  # whole 64-node blocks and an always-empty column n
+    front = _source_words(sources, sources, width)
+    # bit planes 0-3 of each pair's hop count, then its seen bit
+    state = np.zeros((5,) + front.shape, _WORD)
+    planes, seen = state[:4], state[4]
+    seen[...] = front
+    target = _source_words(sources, reach[sources], int(reach.max()) + 1)[:, reach]
+    # every row gets at least one neighbour, column n for an empty one, so
+    # that each segment of reduceat is its row: a start equal to the next
+    # would give that next element, and a start past the end is refused
+    empty = np.diff(adj.indptr) == 0
+    indices = np.insert(adj.indices.astype(np.intp), adj.indptr[:-1][empty], n)
+    starts = adj.indptr[:-1] + np.cumsum(empty) - empty
+    open_words = [w for w in range(front.shape[0]) if not np.array_equal(seen[w, :n], target[w])]
+    for level in range(1, LEVEL_BUDGET + 1):
+        if not open_words:
             break
-        np.greater(adj @ front, 0, out=new)
-        new &= unseen
-        unseen ^= new
-        hops += unseen
-        found += np.count_nonzero(new)
-        np.copyto(front, new)
-    live = new.any(axis=0) if found < reach else np.zeros(k, bool)
-    return hops, unseen, live
+        for w in open_words:
+            new = np.bitwise_or.reduceat(np.take(front[w], indices), starts)
+            new &= ~seen[w, :n]
+            front[w, :n] = new
+            seen[w, :n] |= new
+            for b in range(4):
+                if level >> b & 1:
+                    planes[b, w, :n] |= new
+        open_words = [w for w in open_words if not np.array_equal(seen[w, :n], target[w])]
+    cols = np.arange(k)
+    missing = np.bitwise_or.reduce(target & ~seen[:, :n], axis=1)
+    live = ((missing[cols >> 6] >> (cols & 63).astype(_WORD)) & np.uint64(1)).astype(bool)
+    np.invert(seen, out=seen)
+    return _unpack_hops(state, k, n), live
+
+
+def _transpose_bits(rows: np.ndarray) -> None:
+    """Transpose in place the 64 x 64 bit matrices whose rows are the
+    ``rows`` (64, ...) of a contiguous uint64 array: bit j of rows[i] becomes
+    bit i of rows[j]. Six rounds swap ever smaller off-diagonal sub-blocks
+    (Hacker's Delight, 7-3); the matrices run along the last axes, so every
+    operation runs over whole rows."""
+    j, mask = 32, np.uint64(0xFFFFFFFF)
+    while j:
+        pairs = rows.reshape((32 // j, 2, j) + rows.shape[1:])
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        swap = ((lo >> np.uint64(j)) ^ hi) & mask
+        lo ^= swap << np.uint64(j)
+        hi ^= swap
+        j //= 2
+        mask ^= mask << np.uint64(j)
+
+
+def _unpack_hops(state: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(k, n) hop counts from the level loop's four node-major bit planes
+    and its unseen bits, ``state`` (5, words, width): bit-transposed to
+    source-major, then unpacked one word of 64 sources at a time."""
+    words, width = state.shape[1:]
+    # (plane, word, chunk, node in chunk) -> (node in chunk, plane, word, chunk),
+    # bit-transposed to (source in word, plane, word, chunk)
+    rows = np.ascontiguousarray(state.reshape(5, words, width // 64, 64).transpose(3, 0, 1, 2))
+    _transpose_bits(rows)
+    out = np.empty((k, n), hop_dtype(n))
+    for w in range(words):
+        dst = out[64 * w : 64 * w + 64]
+        planes = rows[: dst.shape[0], :, w].view(np.uint8)
+
+        def unpack(p):
+            return np.unpackbits(planes[:, p], axis=-1, bitorder="little")[:, :n]
+
+        # Horner's rule by multiplication: numpy shifts bytes several times slower
+        hops = unpack(3)
+        for p in (2, 1, 0):
+            hops *= np.uint8(2)
+            hops += unpack(p)
+        # an unseen pair's planes are zero: its negated bit makes it 255,
+        # -1 as int8, which the cast wraps to the type's maximum
+        unseen = unpack(4)
+        hops |= np.negative(unseen, out=unseen)
+        np.copyto(dst, hops.view(np.int8), casting="unsafe")
+    return out
 
 
 def bfs_distances(g: Graph, source) -> np.ndarray:
-    """Hop distances as floats, inf for unreachable nodes: shape (n,) from
-    an int ``source``, (k, n) from a 1-D integer array of k sources.
+    """Hop counts as ``hop_dtype(g.n)`` integers, its maximum for unreachable
+    nodes: shape (n,) from an int ``source``, (k, n) from a 1-D integer
+    array of k sources.
 
-    A block runs a level-synchronous BFS, all sources at once, when a
-    Dijkstra probe from a source in the block's largest component reaches
-    that component within LEVEL_BUDGET hops; deeper blocks, and sources
-    whose search is still open at the budget, go to Dijkstra. Distances are
-    whole numbers, so either way gives the same floats.
+    A block runs a level-synchronous, bit-parallel BFS, all sources at once,
+    when a Dijkstra probe from a source in the block's largest component
+    reaches that component within LEVEL_BUDGET hops; deeper blocks, and
+    sources whose search is still open at the budget, go to Dijkstra.
     """
     sources = np.asarray(source)
     if sources.dtype.kind not in "iu":
@@ -79,30 +179,33 @@ def bfs_distances(g: Graph, source) -> np.ndarray:
     labels, _ = g.components
     sizes = np.bincount(labels)[labels[sources]]
     probe = _dijkstra(g, sources[sizes.argmax()])
-    if probe[np.isfinite(probe)].max() > LEVEL_BUDGET:
+    if probe[probe < np.iinfo(probe.dtype).max].max() > LEVEL_BUDGET:
         return _dijkstra(g, sources)
-    reach = int(sizes.sum())
-    hops, unseen, live = _level_loop(g.adjacency.astype(np.float32), sources, reach)
-    dist = hops.T.astype(np.float64, order="C")
-    if reach < dist.size:
-        np.copyto(dist, np.inf, where=unseen.T)
+    hops, live = _level_loop(g.adjacency, sources, labels)
     if live.any():
-        dist[live] = _dijkstra(g, sources[live])
-    return dist
+        hops[live] = _dijkstra(g, sources[live])
+    return hops
 
 
-# distances one bfs_distances call returns at most, here and in the
-# attention profile: 2 MB of float64 (16 MB raised analyze peak RSS by ~10 %).
-# A level-loop block holds 11 bytes per cell while it runs (float32 frontier
-# and product, three bool/uint8 masks), 2.9 MB at this budget.
+# one bfs_distances call returns at most 8 * BLOCK_DISTANCES bytes of hop
+# counts, here and in the attention profile: 2 MB (16 MB raised analyze peak
+# RSS by ~10 %), 524 sources at n = 2000. Dijkstra runs in float64 sub-blocks
+# of BLOCK_DISTANCES cells. A level-loop block peaks at about 4.4 bytes a cell
+# while it runs (2 of its uint16 result, 5 bits of state and their
+# bit-transposed copy, one word's unpacked bytes), 4.6 MB at this budget.
 BLOCK_DISTANCES = 1 << 18
 
 
+def block_sources(n: int) -> int:
+    """Sources per bfs_distances call on an n-node graph: as many as fill
+    8 * BLOCK_DISTANCES bytes of hop counts, and at least one."""
+    return max(1, 8 * BLOCK_DISTANCES // (max(n, 1) * hop_dtype(n).itemsize))
+
+
 def _component_distances(g: Graph, sources: np.ndarray, nodes: np.ndarray):
-    """Distances from ``sources`` to the ``nodes`` of their component, one
-    block of sources at a time. They are whole numbers, so float sums of
-    them are exact."""
-    step = max(1, BLOCK_DISTANCES // g.n)
+    """Hop counts from ``sources`` to the ``nodes`` of their component, one
+    block of sources at a time."""
+    step = block_sources(g.n)
     for lo in range(0, sources.size, step):
         yield bfs_distances(g, sources[lo : lo + step])[:, nodes]
 
@@ -155,7 +258,7 @@ def distance_stats(g: Graph, exact_threshold: int = 20000,
     far = int(sources[0])
     for _ in range(4):  # farthest-point sweeps tighten the diameter bound
         d = bfs_distances(g, far)
-        d[np.isinf(d)] = -1  # nodes outside the component must not win argmax
+        d[d == np.iinfo(d.dtype).max] = 0  # nodes outside the component must not win argmax
         far = int(d.argmax())
         diam = max(diam, int(d.max()))
     return DistanceStats(float(diam), float(acc / len(sources)), False, nc, ncomp)

@@ -18,6 +18,7 @@ from clatt.partition import Clustering
 from clatt.pe import laplacian_pe
 from clatt.stats import bfs_distances
 from clatt.synthetic import bridge_of_cliques, complete_graph, cycle_graph, erdos_renyi, star_graph
+from test_stats import set_block_sources
 
 
 def sp_distances(g):
@@ -107,13 +108,14 @@ def assert_matches_oracle(profile, records, g):
 def argsort_blocks_profile_oracle(records, g):
     """The former attention_distance_profile, which grouped each record's
     pairs by BFS block with a stable argsort of their slots and searchsorted
-    bounds; everything else as the program does it."""
+    bounds, with each block's distances from scipy's Dijkstra; everything
+    else as the program does it."""
     live = []
     for rec in records:
         rows, queries = np.nonzero(rec["nodes"] >= 0)
         live.append((rows, queries, rec["nodes"][rows, queries]))
     attending = np.unique(np.concatenate([np.zeros(0, np.int64)] + [nodes for _, _, nodes in live]))
-    step = max(1, stats.BLOCK_DISTANCES // max(g.n, 1))
+    step = max(1, 8 * stats.BLOCK_DISTANCES // (g.n * np.min_scalar_type(g.n).itemsize))
     groups = []
     for _, _, nodes in live:
         slot = np.searchsorted(attending, nodes)
@@ -123,7 +125,7 @@ def argsort_blocks_profile_oracle(records, g):
     avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
     unreachable = 0
     for b, lo in enumerate(range(0, attending.size, step)):
-        dist = bfs_distances(g, attending[lo : lo + step])
+        dist = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=attending[lo : lo + step])
         for rec, (rows, queries, _), (slot, by_block, bounds), avg in zip(records, live, groups, avgs):
             _, heads, _, width = rec["probs"].shape
             chunk = max(1, an.CHUNK_ELEMENTS // (heads * width))
@@ -221,7 +223,7 @@ class TestProfile:
         lgt, ggt = lgt_and_ggt_records(g, assignment, layers=2)
         records = lgt + ggt
         default = an.attention_distance_profile(records, g)
-        monkeypatch.setattr(stats, "BLOCK_DISTANCES", block_nodes * g.n)
+        set_block_sources(monkeypatch, g.n, block_nodes)
         blocked = an.attention_distance_profile(records, g)
         assert blocked.entries == default.entries
         assert blocked.unreachable_pairs == default.unreachable_pairs
@@ -241,7 +243,7 @@ class TestProfile:
             return bfs_distances(graph, block)
 
         monkeypatch.setattr(an, "bfs_distances", counted)
-        monkeypatch.setattr(stats, "BLOCK_DISTANCES", 3 * g.n)
+        set_block_sources(monkeypatch, g.n, 3)
         an.attention_distance_profile(records, g)
         assert len(sources) == math.ceil(attending.size / 3)
         assert np.array_equal(np.concatenate(sources), attending)

@@ -3,6 +3,7 @@ row-by-row readers they replaced, kept here as oracles; that clean files
 take the column path; the byte-order-mark rule; edge-list chunking and its
 memory."""
 
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clatt import graphs
+from clatt import errors, graphs
 from clatt.errors import InputError, read_text
 from clatt.graphs import (
     TASKS,
@@ -330,3 +331,74 @@ class TestEdgeListChunks:
         # lists of Python ints lived through the compaction; chunked
         # conversion measured 139 B
         assert peak / m < 170
+
+    def test_reading_holds_no_copy_of_the_file(self, tmp_path):
+        # the same 200 000 lines; the ids of each chunk are all the reader
+        # holds besides the returned array (16 B a line). Reading the whole
+        # file into an io.StringIO first peaked at 80 B a line here.
+        rng = np.random.default_rng(0)
+        m = 200_000
+        path = tmp_path / "e.csv"
+        path.write_text("".join(f"{u},{v}\n" for u, v in rng.integers(0, 50_000, size=(m, 2)).tolist()))
+        tracemalloc.start()
+        try:
+            ids = graphs._edge_ids(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.size == 2 * m
+        assert peak / m < 50
+
+
+class TestReadText:
+    def test_lines_come_from_the_open_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("\ufeffa,b\r\nc\rd\n\ufeffe".encode())
+        lines = read_text(path)
+        assert next(lines) == "a,b\r\n"
+        assert list(lines) == ["c\r", "d\n", "\ufeffe"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7, 1 << 18])
+    def test_chunks_split_as_the_open_file_does(self, tmp_path, monkeypatch, chunk):
+        # a \r\n, a lone \r and a lone \n at every offset from a chunk's end
+        monkeypatch.setattr(errors, "READ_CHUNK_CHARS", chunk)
+        text = "ab\r\ncd\re\n\r\n\rf\r\ng,h\n\n\r\rij"
+        path = tmp_path / "t.csv"
+        path.write_bytes(("﻿" + text).encode())
+        with open(path, newline="") as fh:
+            want = list(fh)
+        assert want[0] == "﻿ab\r\n"
+        assert list(read_text(path)) == ["ab\r\n"] + want[1:]
+
+    @pytest.mark.parametrize("content, lines", [(b"", []), ("\ufeff".encode(), []), ("\ufeff\n".encode(), ["\n"])])
+    def test_a_mark_alone_is_no_line(self, tmp_path, content, lines):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        assert list(read_text(path)) == lines
+
+    def test_undecodable_bytes_deep_in_the_file_name_it(self, tmp_path):
+        # past the first chunk read from the open file, so they raise mid-iteration
+        good = b"".join(b"%d,%d\n" % (i, i + 1) for i in range(errors.READ_CHUNK_CHARS // 4))
+        assert len(good) > errors.READ_CHUNK_CHARS
+        path = tmp_path / "e.csv"
+        path.write_bytes(good + b"\xff\xfe,1\n")
+        lines = read_text(path)
+        assert next(lines) == "0,1\n"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not a text file"):
+            list(lines)
+        with pytest.raises(InputError, match="e.csv: not a text file"):
+            load_edge_list(path)
+        nodes = tmp_path / "n.csv"
+        nodes.write_bytes(b"id,f0\n" + good + b"\xff,1\n")
+        with pytest.raises(InputError, match="n.csv: not a text file"):
+            load_node_table(nodes, TableSchema(), graphs.from_edges([0], [1], n=2))
+
+    def test_clustering_meta_is_read_whole(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("node_id,cluster_id\n0,0\n1,0\n")
+        meta = tmp_path / "c.csv.meta.json"
+        meta.write_bytes("\ufeff{\"algorithm\": \"LA\",\n \"k\": 1}".encode())
+        assert load_clustering(path)[2] == {"algorithm": "LA", "k": 1}
+        meta.write_bytes(b'{"algorithm": "\xff"}')
+        with pytest.raises(InputError, match="meta.json: not a text file"):
+            load_clustering(path)

@@ -3,6 +3,7 @@
 Reference values come from independent oracles computed inline:
 Floyd-Warshall and a unit-weight scipy Dijkstra for distances, triple
 enumeration for clustering, a separate two-pass Pearson for assortativity.
+Hop counts are compared with the float oracles through ``as_floats``.
 """
 
 import tracemalloc
@@ -45,6 +46,20 @@ def floyd_warshall(g):
     for k in range(g.n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+def as_floats(hops):
+    """bfs_distances' integer hop counts as float distances, inf where the
+    count is its dtype's maximum, the unreachable mark."""
+    dist = hops.astype(np.float64)
+    dist[hops == np.iinfo(hops.dtype).max] = np.inf
+    return dist
+
+
+def set_block_sources(monkeypatch, n, k):
+    """Set stats.BLOCK_DISTANCES so that blocks on an n-node graph hold k sources."""
+    monkeypatch.setattr(stats, "BLOCK_DISTANCES", -(-k * n * stats.hop_dtype(n).itemsize // 8))
+    assert stats.block_sources(n) == k
 
 
 def random_graph(n, p, seed):
@@ -122,7 +137,7 @@ class TestBfs:
         g = random_graph(n=14, p=0.18, seed=seed)
         ref = floyd_warshall(g)
         for s in range(g.n):
-            assert np.array_equal(bfs_distances(g, s), ref[s])
+            assert np.array_equal(as_floats(bfs_distances(g, s)), ref[s])
 
     def test_path_distances(self):
         g = path_graph(6)
@@ -131,6 +146,8 @@ class TestBfs:
     def test_unreachable_is_inf(self):
         g = from_edges([0], [1], n=4)
         d = bfs_distances(g, 0)
+        assert d.dtype == np.uint8 and d.tolist() == [0, 1, 255, 255]
+        d = as_floats(d)
         assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
 
     def test_bad_source(self):
@@ -170,12 +187,12 @@ class TestBfs:
             ref = dijkstra_oracle(g, sources)
             dist, branch = traced_bfs(g, sources)
             branches[branch] += 1
-            assert dist.dtype == ref.dtype == np.float64
+            assert dist.dtype == stats.hop_dtype(g.n) and ref.dtype == np.float64
             assert dist.shape == ref.shape == np.shape(sources) + (g.n,)
-            assert np.array_equal(dist, ref)
+            assert np.array_equal(as_floats(dist), ref)
 
         check()
-        assert {"loop", "fallback", "handoff"} <= set(branches), branches
+        assert set(branches) == {"single", "loop", "fallback", "handoff"}, branches
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -185,6 +202,87 @@ class TestBfs:
         block = bfs_distances(g, sources)
         assert block.shape == (6, g.n)
         assert np.array_equal(block, np.stack([bfs_distances(g, int(s)) for s in sources]))
+
+
+def assert_exact(g, sources, branch):
+    """bfs_distances equals scipy's Dijkstra exactly and took ``branch``."""
+    dist, took = traced_bfs(g, sources)
+    assert took == branch
+    assert dist.dtype == stats.hop_dtype(g.n)
+    assert np.array_equal(as_floats(dist), dijkstra_oracle(g, sources))
+    return dist
+
+
+class TestLevelLoopEdgeCases:
+    """The bit-parallel level loop against scipy's Dijkstra where words,
+    reduceat segments, bit planes and the hop dtype have their edges."""
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 129])
+    def test_block_sizes_around_a_word(self, k):
+        g = erdos_renyi(300, 0.05, seed=7)
+        sources = np.random.default_rng(k).permutation(g.n)[:k]
+        assert_exact(g, sources, "single" if k == 1 else "loop")
+
+    @pytest.mark.parametrize("sources", [[3, 3], [5, 3, 5, 5], [0] * 64 + [9] + [0] * 70])
+    def test_repeated_source_keeps_every_bit(self, sources):
+        g = erdos_renyi(80, 0.08, seed=2)
+        dist = assert_exact(g, np.array(sources), "loop")
+        first = {s: i for i, s in reversed(list(enumerate(sources)))}
+        assert all(np.array_equal(dist[i], dist[first[s]]) for i, s in enumerate(sources))
+
+    @pytest.mark.parametrize("isolated_first", [False, True])
+    def test_zero_degree_nodes_in_the_middle_and_after_the_last_row(self, isolated_first):
+        # two stars and a triangle, isolated nodes between them and after
+        # the last non-empty row; every node is a source
+        parts = [star_graph(6), complete_graph(1), star_graph(5), complete_graph(1), complete_graph(3)]
+        if isolated_first:
+            parts.insert(0, complete_graph(1))
+        g = disjoint_union(*parts, isolated=3)
+        assert g.degrees[-1] == 0 and g.degrees[-4] > 0
+        assert_exact(g, np.arange(g.n), "loop")
+        assert_exact(g, np.arange(g.n - 4, g.n), "loop")  # the last non-empty row's node and the isolated tail
+
+    def test_several_components(self):
+        g = disjoint_union(star_graph(40), cycle_graph(9), complete_graph(4), path_graph(7), isolated=2)
+        assert g.components[1] == 6
+        assert_exact(g, np.arange(g.n), "loop")
+        assert_exact(g, np.arange(g.n)[::3], "loop")
+
+    def test_depth_exactly_the_budget_needs_no_dijkstra(self):
+        # the probe sits in the star; the path's end is LEVEL_BUDGET hops
+        # from its start, so its search closes on the last level
+        g = disjoint_union(star_graph(30), path_graph(stats.LEVEL_BUDGET + 1))
+        assert_exact(g, np.array([0, 1, 30]), "loop")
+
+    def test_one_level_deeper_finishes_that_source_by_dijkstra(self):
+        g = disjoint_union(star_graph(30), path_graph(stats.LEVEL_BUDGET + 2))
+        with mock.patch.object(stats, "_dijkstra", wraps=stats._dijkstra) as dijkstra:
+            assert_exact(g, np.array([0, 1, 30, 35]), "fallback")
+        # the probe, then only the path's end, the one source still open
+        assert [c.args[1].tolist() for c in dijkstra.call_args_list] == [0, [30]]
+
+    def test_all_four_planes_at_a_budget_of_fifteen(self, monkeypatch):
+        monkeypatch.setattr(stats, "LEVEL_BUDGET", 15)
+        dist = assert_exact(path_graph(16), np.array([0, 15, 7]), "loop")
+        assert dist[0, 15] == 15
+
+    def test_budget_above_fifteen_is_refused(self, monkeypatch):
+        monkeypatch.setattr(stats, "LEVEL_BUDGET", 16)
+        with pytest.raises(ValueError, match="four bit planes"):
+            bfs_distances(star_graph(5), np.arange(5))
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_hop_dtype_across_the_byte_boundary(self, n, dtype):
+        # a star and a path, the rest isolated, so every source has
+        # unreachable nodes; blocks run the loop, single sources Dijkstra
+        g = disjoint_union(star_graph(120), path_graph(5), isolated=n - 125)
+        assert stats.hop_dtype(n) == dtype
+        for sources, branch in [(np.arange(n), "loop"), (np.arange(120, 127), "loop"), (130, "single")]:
+            dist = assert_exact(g, sources, branch)
+            assert dist.max() == np.iinfo(dtype).max
+        # a path of n nodes: the farthest hop count is n - 1, one below the mark
+        dist = assert_exact(path_graph(n), np.array([0, n - 1]), "handoff")
+        assert dist.max() == n - 1 < np.iinfo(dtype).max
 
 
 class TestComponents:
@@ -269,7 +367,7 @@ class TestDistanceStats:
     def test_sampled_mean_adds_source_means_in_order(self, monkeypatch, sources_per_block):
         g = erdos_renyi(120, 0.04, seed=3)
         if sources_per_block is not None:
-            monkeypatch.setattr(stats, "BLOCK_DISTANCES", sources_per_block * g.n)
+            set_block_sources(monkeypatch, g.n, sources_per_block)
         labels, _ = g.components
         nodes = np.flatnonzero(labels == np.bincount(labels).argmax())
         sources = np.random.default_rng(2).choice(nodes, size=50, replace=False)
