@@ -264,6 +264,7 @@ def cmd_train(args) -> int:
                 seed=cfg.seeds[0],
                 steps=cfg.steps,
                 eval_every=cfg.eval_every,
+                jobs=args.jobs,
             )
             datas[i] = replace(datas[i], features=transform_features(datas[i].features, transforms[i]))
             _echo(f"grid {spec.name}: lr={specs[i].lr:g} dropout={specs[i].dropout:g} transform={transforms[i]}")
@@ -419,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train every configured model over the seed list")
     add_config_flags(sp)
-    sp.add_argument("--jobs", type=_bounded_int(1), default=1, help="parallel (model, seed) runs; at most one process per run")
+    sp.add_argument("--jobs", type=_bounded_int(1), default=1,
+                    help="parallel runs: grid trials, then (model, seed) runs; at most one process per run")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("select-clusterings", help="validation-driven clustering selection")

@@ -11,10 +11,11 @@ Layout inside ``output_dir``:
 
 Each meta file holds the artifact's key and the sha256 of the artifact's
 own bytes. The key is a sha256 over everything the artifact depends on
-(see ``key``), the numpy and scipy versions and the clatt sources among
-them. A record is reused only when its key and digest match and it passes
-its checks; a missing, stale, edited or unreadable one reads as absent, so
-the caller computes the artifact and writes the record over.
+(see ``key``), the numpy, scipy and BLAS versions, the BLAS thread
+settings and the clatt sources among them. A record is reused only when
+its key and digest match and it passes its checks; a missing, stale,
+edited or unreadable one reads as absent, so the caller computes the
+artifact and writes the record over.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +42,22 @@ UNREADABLE = (OSError, EOFError, ValueError, RecursionError)
 
 @functools.cache
 def versions() -> dict:
-    """The numpy and scipy versions and a sha256 of the clatt sources."""
+    """The numpy, scipy and BLAS versions, the BLAS thread variables as
+    set at the first call (None when unset; the bits of a product can
+    depend on them), and a sha256 of the clatt sources. The BLAS is
+    "unknown" where numpy cannot name it (``np.show_config`` takes
+    ``mode`` from numpy 1.26)."""
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "clatt_sources": digest.hexdigest()}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas, "blas_threads": threads,
+            "clatt_sources": digest.hexdigest()}
 
 
 def array_digest(*arrays) -> str:

@@ -28,6 +28,7 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "train",
+    "train_runs",
     "predict",
     "metric_name_for",
     "grid_search",
@@ -326,6 +327,26 @@ def train(
     return TrainResult(spec, seed, best_snapshot, best_step, best_val, test_metric, history)
 
 
+def _run_one(args):
+    """Best validation and test metric of one (spec, seed) run, plus its
+    best params if asked; the one caller of ``train`` in clatt."""
+    spec, data, split, seed, steps, eval_every, keep_params = args
+    result = train(spec, data, split, seed=seed, steps=steps, eval_every=eval_every)
+    return result.best_val, result.test_metric, result.params if keep_params else None
+
+
+def train_runs(runs, jobs: int = 1) -> list:
+    """``_run_one`` of each run, in input order: in a pool of
+    ``min(jobs, len(runs))`` processes when that is above 1, else here."""
+    workers = min(jobs, len(runs))
+    if workers <= 1:
+        return [_run_one(run) for run in runs]
+    import multiprocessing as mp
+
+    with mp.Pool(workers) as pool:
+        return pool.map(_run_one, runs)
+
+
 def predict(spec: nn.ModelSpec, params_np: dict, data: TrainData, capture=None) -> np.ndarray:
     """Forward pass from a numpy parameter snapshot; returns raw outputs."""
     params = {k: T.Tensor(v) for k, v in params_np.items()}
@@ -344,8 +365,10 @@ def grid_search(
     seed: int = 0,
     steps: int = 1000,
     eval_every: int = 10,
+    jobs: int = 1,
 ):
-    """Best (lr, dropout, feature transform) by validation metric.
+    """Best (lr, dropout, feature transform) by validation metric, over
+    trials that ``train_runs`` runs with ``jobs``.
 
     Ties go to the lower lr, then the lower dropout, then the earlier
     transform in the given list; the scan order itself cannot change
@@ -356,14 +379,11 @@ def grid_search(
     for t in transforms:
         if t not in FEATURE_TRANSFORMS:
             raise ValueError(f"unknown feature transform {t!r}")
-    trials = []
-    for t_idx, tname in enumerate(transforms):
-        variant = replace(data, features=transform_features(data.features, tname))
-        for lr in lrs:
-            for dropout in dropouts:
-                spec = replace(template, lr=lr, dropout=dropout)
-                result = train(spec, variant, split, seed=seed, steps=steps, eval_every=eval_every)
-                trials.append({"lr": lr, "dropout": dropout, "transform": tname, "val_metric": result.best_val, "t_idx": t_idx})
+    variants = [replace(data, features=transform_features(data.features, t)) for t in transforms]
+    grid = [(t, lr, dropout) for t in range(len(transforms)) for lr in lrs for dropout in dropouts]
+    runs = [(replace(template, lr=lr, dropout=dropout), variants[t], split, seed, steps, eval_every, False) for t, lr, dropout in grid]
+    trials = [{"lr": lr, "dropout": dropout, "transform": transforms[t], "val_metric": val, "t_idx": t}
+              for (t, lr, dropout), (val, _, _) in zip(grid, train_runs(runs, jobs))]
     best = min(trials, key=lambda r: (-r["val_metric"], r["lr"], r["dropout"], r["t_idx"]))
     best_spec = replace(template, lr=best["lr"], dropout=best["dropout"])
     return best_spec, best["transform"], best["val_metric"], trials
@@ -381,23 +401,17 @@ def select_clusterings(
     """Keep the clusterings whose solo run beats the no-CLATT baseline.
 
     Trains the baseline once and one single-clustering model per
-    candidate; candidates with strictly better validation metric are
-    returned in canonical order. Empty result means CLATT stays off.
+    candidate, all in this process; candidates with strictly better
+    validation metric are returned in canonical order. Empty result means
+    CLATT stays off.
     """
     missing = [t for t in candidates if t not in data.clusterings]
     if missing:
         raise ValueError(f"candidate clusterings not precomputed: {missing}")
-    baseline_spec = replace(base_spec, use_clatt=False, clusterings=())
-    baseline = train(baseline_spec, data, split, seed=seed, steps=steps, eval_every=eval_every).best_val
-    details = {"baseline": baseline}
-    selected = []
-    for tag in candidates:
-        solo = replace(base_spec, use_clatt=True, clusterings=(tag,))
-        val = train(solo, data, split, seed=seed, steps=steps, eval_every=eval_every).best_val
-        details[tag] = val
-        if val > baseline:
-            selected.append(tag)
-    return tuple(selected), details
+    specs = [replace(base_spec, use_clatt=bool(c), clusterings=c) for c in [()] + [(tag,) for tag in candidates]]
+    vals = [val for val, _, _ in train_runs([(spec, data, split, seed, steps, eval_every, False) for spec in specs])]
+    details = {"baseline": vals[0], **dict(zip(candidates, vals[1:]))}
+    return tuple(tag for tag in candidates if details[tag] > vals[0]), details
 
 
 def welch_test(a, b, alpha: float = 0.05):
@@ -425,13 +439,6 @@ class ResultRow:
     significant: bool | None = None
     # best parameters of the first seed's run, what `clatt train` checkpoints
     params: dict | None = field(default=None, compare=False, repr=False)
-
-
-def _run_one(args):
-    """Test metric of one (spec, seed) run, plus its best params if asked."""
-    spec, data, split, seed, steps, eval_every, keep_params = args
-    result = train(spec, data, split, seed=seed, steps=steps, eval_every=eval_every)
-    return result.test_metric, result.params if keep_params else None
 
 
 def check_seeds(seeds) -> tuple:
@@ -469,25 +476,17 @@ def run_experiment(
     datas = list(data) if isinstance(data, (list, tuple)) else [data] * len(specs)
     if len(datas) != len(specs):
         raise ValueError(f"run_experiment got {len(datas)} datasets for {len(specs)} specs")
-    tasks = [(spec, d, split, seed, steps, eval_every, j == 0) for spec, d in zip(specs, datas) for j, seed in enumerate(seeds)]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            flat = pool.map(_run_one, tasks)
-    else:
-        flat = [_run_one(t) for t in tasks]
-    values = [[m for m, _ in flat[i * len(seeds) : (i + 1) * len(seeds)]] for i in range(len(specs))]
+    runs = [(spec, d, split, seed, steps, eval_every, j == 0) for spec, d in zip(specs, datas) for j, seed in enumerate(seeds)]
+    flat = train_runs(runs, jobs)
+    values = [[m for _, m, _ in flat[i * len(seeds) : (i + 1) * len(seeds)]] for i in range(len(specs))]
     rows = []
-    for i, (spec, d) in enumerate(zip(specs, datas)):
-        vals = values[i]
+    for i, (spec, d, vals) in enumerate(zip(specs, datas, values)):
         sig = None
         if spec.use_clatt:
             base_idx = [j for j, s in enumerate(specs) if (s.conv_type, s.pe) == (spec.conv_type, spec.pe) and not s.use_clatt]
             if base_idx:
                 sig, _ = welch_test(vals, values[base_idx[0]])
-        first_params = flat[i * len(seeds)][1]
+        first_params = flat[i * len(seeds)][2]
         metric = metric_name_for(d.task)
         rows.append(ResultRow(spec.name, metric, float(np.mean(vals)), float(np.std(vals, ddof=1)), list(vals), sig, first_params))
     return rows

@@ -626,12 +626,19 @@ class TestTrainCommand:
             params = load_checkpoint(tmp_path / "out" / f"{name}.ckpt")
             assert "enc.w" in params
 
-    def test_rerun_bitwise_identical(self, tmp_path):
-        path = base_config(tmp_path)
-        assert cli.main(["train", str(path)]) == 0
-        first = (tmp_path / "out" / "results.csv").read_bytes()
-        assert cli.main(["train", str(path)]) == 0
-        assert (tmp_path / "out" / "results.csv").read_bytes() == first
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rerun_bitwise_identical(self, tmp_path, capsys, jobs):
+        # a rerun writes the same bytes, whether its grid trials and runs share a pool or not
+        grid = {"lrs": [3e-3, 3e-5], "dropouts": [0.0], "transforms": ["none", "standard"]}
+        path = base_config(tmp_path, steps=10, grid=grid)
+        outputs = []
+        for run_jobs in ("1", jobs):
+            assert cli.main(["train", str(path), "--jobs", run_jobs]) == 0
+            grid_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("grid ")]
+            files = [(tmp_path / "out" / name).read_bytes() for name in ("results.csv", "GCN.ckpt", "GCN-CLATT_LA.ckpt")]
+            outputs.append((grid_lines, files))
+        assert len(outputs[0][0]) == 2
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_checkpoints_are_first_seed_runs(self, tmp_path, jobs):
@@ -653,7 +660,12 @@ class TestTrainCommand:
         assert cli.main(["train", str(base_config(tmp_path)), "--jobs", jobs]) == 2
         assert f"must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_pool_no_larger_than_task_count(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("extra, pools", [
+        ({}, [4]),  # two models times two seeds
+        # each model's six grid trials, then the four (model, seed) runs
+        ({"grid": {"lrs": [3e-3, 3e-5], "dropouts": [0.0], "transforms": ["none", "standard", "quantile_normal"]}}, [6, 6, 4]),
+    ], ids=["runs", "grid"])
+    def test_pool_no_larger_than_task_count(self, tmp_path, monkeypatch, extra, pools):
         sizes = []
 
         class SequentialPool:
@@ -670,8 +682,8 @@ class TestTrainCommand:
                 return [fn(item) for item in items]
 
         monkeypatch.setattr(multiprocessing, "Pool", SequentialPool)
-        assert cli.main(["train", str(base_config(tmp_path)), "--jobs", "1000"]) == 0
-        assert sizes == [4]  # two models times two seeds
+        assert cli.main(["train", str(base_config(tmp_path, steps=5, **extra)), "--jobs", "1000"]) == 0
+        assert sizes == pools
 
     def test_set_override_changes_run(self, tmp_path):
         path = base_config(tmp_path)
@@ -1296,8 +1308,25 @@ class TestRunDirectory:
         assert [r["status"] for r in second["records"]] == ["reused", "reused"]
         assert [r["key"] for r in first["records"]] == [r["key"] for r in second["records"]]
         assert first["seeds"] == {"runs": [0, 1], "split": 0, "clusterings": {"LA": 0}}
-        assert set(first["versions"]) == {"numpy", "scipy", "clatt_sources"}
+        assert set(first["versions"]) == {"numpy", "scipy", "blas", "blas_threads", "clatt_sources"}
+        assert set(first["versions"]["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert {"setup", "training", "checkpoints"} <= set(first["phases_s"])
+
+    def test_records_are_keyed_on_the_blas_thread_setting(self, tmp_path):
+        # a record written at another BLAS thread count is recomputed once, then reused
+        path = base_config(tmp_path, models=[RECORDED_MODEL], steps=2)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        statuses = []
+        for threads in ("1", "2", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "clatt.cli", "train", str(path)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["versions"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+            statuses.append([r["status"] for r in manifest["records"]])
+        assert statuses == [["computed"] * 2, ["computed"] * 2, ["reused"] * 2]
 
 
 class TestExitCodes:

@@ -370,6 +370,12 @@ class TestGridSearch:
         assert len(trials) == len(tr.GRID_LRS) * len(tr.GRID_DROPOUTS)
         assert (spec.lr, spec.dropout) == (min(tr.GRID_LRS), min(tr.GRID_DROPOUTS))
 
+    def test_pool_returns_what_one_process_returns(self):
+        grid = dict(lrs=(0.0, 3e-3), dropouts=(0.0, 0.1), transforms=("none", "standard"), steps=20)
+        one = tr.grid_search(small_spec(), self.data, self.split, **grid)
+        assert len(one[3]) == 8
+        assert tr.grid_search(small_spec(), self.data, self.split, jobs=2, **grid) == one
+
     def test_empty_grid_error(self):
         with pytest.raises(ValueError, match="non-empty"):
             tr.grid_search(small_spec(), self.data, self.split, lrs=())
