@@ -70,23 +70,17 @@ KINDS = ("cluster", "local", "global")
 CHUNK_ELEMENTS = 1 << 18
 
 
-def _as_distances(hops):
-    """bfs_distances' hop counts as float64 distances, inf where unreachable."""
-    dist = hops.astype(np.float64)
-    dist[hops == np.iinfo(hops.dtype).max] = np.inf
-    return dist
-
-
-def _average_distances(dist, rec, rows, queries):
+def _average_distances(hops, rec, rows, queries):
     """Attention-weighted average hop distance of each (row, query) pair of
-    rec and each head, given ``dist`` (pairs, S), the hop distance from each
-    pair's query node to each of its row's keys; plus the number of attended
+    rec and each head, given ``hops`` (pairs, S), the hop counts from each
+    pair's query node to each of its row's keys as ``bfs_distances`` gives
+    them (the dtype's maximum where unreachable); plus the number of attended
     targets dropped because they are unreachable from the query node."""
     mask = rec["mask"][rows]
     p = rec["probs"][rows, :, queries, :]  # (pairs, heads, S)
-    finite = np.isfinite(dist)
-    dropped = int(np.count_nonzero((mask & ~finite)[:, None, :] & (p > 0)))
-    keep = mask & finite
+    reachable = hops != np.iinfo(hops.dtype).max
+    dropped = int(np.count_nonzero((mask & ~reachable)[:, None, :] & (p > 0)))
+    keep = mask & reachable
     # Sum each (pair, head) over its kept targets only, packed into rows of
     # equal length, so the sums round as a 1-D sum over those targets would.
     count = keep.sum(axis=1)
@@ -95,7 +89,7 @@ def _average_distances(dist, rec, rows, queries):
         sel = count == c
         ps = p[sel]
         pick = np.broadcast_to(keep[sel][:, None, :], ps.shape)
-        ds = np.broadcast_to(dist[sel][:, None, :], ps.shape)[pick].reshape(ps.shape[:2] + (c,))
+        ds = np.broadcast_to(hops[sel][:, None, :], ps.shape)[pick].reshape(ps.shape[:2] + (c,))
         ps = ps[pick].reshape(ds.shape)
         avg[sel] = (ps * ds).sum(axis=-1) / ps.sum(axis=-1)
     return avg, dropped
@@ -139,7 +133,7 @@ def attention_distance_profile(records, g) -> AttentionProfile:
                 sel = in_block[c : c + chunk]
                 pos = slot[sel] - lo
                 avg[sel], dropped = _average_distances(
-                    _as_distances(hops[pos[:, None], rec["index_table"][rows[sel]]]), rec, rows[sel], queries[sel]
+                    hops[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
                 )
                 unreachable += dropped
         del hops  # not held while the next block is computed

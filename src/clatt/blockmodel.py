@@ -14,8 +14,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import InputError
-from .graphs import Graph, WeightedGraph
-from .partition import Clustering, relabel_by_first_occurrence
+from .graphs import Graph, WeightedGraph, relabel_by_first_occurrence
+from .partition import Clustering
 
 _TOL = 1e-9
 

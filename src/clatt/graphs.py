@@ -192,13 +192,22 @@ def load_edge_list(path) -> Graph:
     raw = _edge_ids(path)
     if not raw.size:
         raise GraphFormatError(f"{path}: no edges found")
-    ids, first_pos, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first_pos, kind="stable")
-    compact = np.empty_like(by_appearance)
-    compact[by_appearance] = np.arange(ids.shape[0])
-    stream = compact[inverse]
-    return from_edges(stream[0::2], stream[1::2], n=ids.shape[0],
-                      node_ids=ids[by_appearance])
+    stream = relabel_by_first_occurrence(raw)
+    node_ids = np.empty(int(stream.max()) + 1, raw.dtype)
+    node_ids[stream] = raw  # a repeated index writes the same id each time
+    return from_edges(stream[0::2], stream[1::2], n=node_ids.size, node_ids=node_ids)
+
+
+def relabel_by_first_occurrence(a: np.ndarray) -> np.ndarray:
+    """Renumber the values of ``a`` 0, 1, ... in order of first appearance."""
+    a = np.asarray(a, dtype=np.int64)
+    values, inverse = np.unique(a, return_inverse=True)
+    # first positions by np.minimum.at: np.unique's return_index pays for a stable sort
+    first = np.full(values.size, a.size, np.intp)
+    np.minimum.at(first, inverse, np.arange(a.size))
+    lut = np.empty(values.size, np.int64)
+    lut[np.argsort(first)] = np.arange(values.size)
+    return lut[inverse]
 
 
 def _edge_ids(path: Path) -> np.ndarray:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, check_count
-from .partition import Clustering, relabel_by_first_occurrence
+from .graphs import relabel_by_first_occurrence
+from .partition import Clustering
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

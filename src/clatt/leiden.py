@@ -15,8 +15,8 @@ from collections import deque
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, WeightedGraph
-from .partition import Clustering, relabel_by_first_occurrence
+from .graphs import Graph, WeightedGraph, relabel_by_first_occurrence
+from .partition import Clustering
 
 _EPS = 1e-12
 

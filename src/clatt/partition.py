@@ -62,16 +62,6 @@ class Clustering:
             raise ValueError("gap in cluster ids")
 
 
-def relabel_by_first_occurrence(assignment: np.ndarray) -> np.ndarray:
-    """Renumber cluster ids so they appear in increasing node order."""
-    assignment = np.asarray(assignment, dtype=np.int64)
-    _, first, dense = np.unique(assignment, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    lut = np.empty(order.shape[0], dtype=np.int64)
-    lut[order] = np.arange(order.shape[0])
-    return lut[dense]
-
-
 def filter_clusters(c: Clustering, min_size: int = MIN_CLUSTER_SIZE, max_size: int = MAX_CLUSTER_SLOTS) -> Clustering:
     """Drop clusters outside [min_size, max_size]; members become unassigned.
 

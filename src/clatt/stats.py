@@ -102,46 +102,23 @@ def _level_loop(adj: sparse.csr_matrix, sources: np.ndarray, reach: np.ndarray):
                 if level >> b & 1:
                     planes[b, w, :n] |= new
         open_words = [w for w in open_words if not np.array_equal(seen[w, :n], target[w])]
-    cols = np.arange(k)
     missing = np.bitwise_or.reduce(target & ~seen[:, :n], axis=1)
-    live = ((missing[cols >> 6] >> (cols & 63).astype(_WORD)) & np.uint64(1)).astype(bool)
+    live = np.unpackbits(missing.view(np.uint8), count=k, bitorder="little").astype(bool)
     np.invert(seen, out=seen)
     return _unpack_hops(state, k, n), live
 
 
-def _transpose_bits(rows: np.ndarray) -> None:
-    """Transpose in place the 64 x 64 bit matrices whose rows are the
-    ``rows`` (64, ...) of a contiguous uint64 array: bit j of rows[i] becomes
-    bit i of rows[j]. Six rounds swap ever smaller off-diagonal sub-blocks
-    (Hacker's Delight, 7-3); the matrices run along the last axes, so every
-    operation runs over whole rows."""
-    j, mask = 32, np.uint64(0xFFFFFFFF)
-    while j:
-        pairs = rows.reshape((32 // j, 2, j) + rows.shape[1:])
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        swap = ((lo >> np.uint64(j)) ^ hi) & mask
-        lo ^= swap << np.uint64(j)
-        hi ^= swap
-        j //= 2
-        mask ^= mask << np.uint64(j)
-
-
 def _unpack_hops(state: np.ndarray, k: int, n: int) -> np.ndarray:
     """(k, n) hop counts from the level loop's four node-major bit planes
-    and its unseen bits, ``state`` (5, words, width): bit-transposed to
-    source-major, then unpacked one word of 64 sources at a time."""
-    words, width = state.shape[1:]
-    # (plane, word, chunk, node in chunk) -> (node in chunk, plane, word, chunk),
-    # bit-transposed to (source in word, plane, word, chunk)
-    rows = np.ascontiguousarray(state.reshape(5, words, width // 64, 64).transpose(3, 0, 1, 2))
-    _transpose_bits(rows)
+    and its unseen bits, ``state`` (5, words, width), one word of 64 sources
+    at a time: each plane unpacks into (node, source) bits."""
     out = np.empty((k, n), hop_dtype(n))
-    for w in range(words):
+    for w in range(state.shape[1]):
         dst = out[64 * w : 64 * w + 64]
-        planes = rows[: dst.shape[0], :, w].view(np.uint8)
+        planes = np.ascontiguousarray(state[:, w, :n]).view(np.uint8).reshape(5, n, 8)
 
         def unpack(p):
-            return np.unpackbits(planes[:, p], axis=-1, bitorder="little")[:, :n]
+            return np.unpackbits(planes[p], axis=-1, count=dst.shape[0], bitorder="little")
 
         # Horner's rule by multiplication: numpy shifts bytes several times slower
         hops = unpack(3)
@@ -152,7 +129,7 @@ def _unpack_hops(state: np.ndarray, k: int, n: int) -> np.ndarray:
         # -1 as int8, which the cast wraps to the type's maximum
         unseen = unpack(4)
         hops |= np.negative(unseen, out=unseen)
-        np.copyto(dst, hops.view(np.int8), casting="unsafe")
+        np.copyto(dst, hops.view(np.int8).T, casting="unsafe")
     return out
 
 
@@ -190,9 +167,10 @@ def bfs_distances(g: Graph, source) -> np.ndarray:
 # one bfs_distances call returns at most 8 * BLOCK_DISTANCES bytes of hop
 # counts, here and in the attention profile: 2 MB (16 MB raised analyze peak
 # RSS by ~10 %), 524 sources at n = 2000. Dijkstra runs in float64 sub-blocks
-# of BLOCK_DISTANCES cells. A level-loop block peaks at about 4.4 bytes a cell
-# while it runs (2 of its uint16 result, 5 bits of state and their
-# bit-transposed copy, one word's unpacked bytes), 4.6 MB at this budget.
+# of BLOCK_DISTANCES cells. A level-loop block peaks at about 3.7 bytes a cell
+# while it runs (2 of its uint16 result, 5 bits of state, two unpacked planes
+# of one word, its frontier and target words and CSR index copy), 3.9 MB at
+# this budget.
 BLOCK_DISTANCES = 1 << 18
 
 

@@ -108,8 +108,9 @@ def assert_matches_oracle(profile, records, g):
 def argsort_blocks_profile_oracle(records, g):
     """The former attention_distance_profile, which grouped each record's
     pairs by BFS block with a stable argsort of their slots and searchsorted
-    bounds, with each block's distances from scipy's Dijkstra; everything
-    else as the program does it."""
+    bounds, with each block's hop counts from scipy's Dijkstra (the hop
+    dtype's maximum where unreachable); everything else as the program does
+    it."""
     live = []
     for rec in records:
         rows, queries = np.nonzero(rec["nodes"] >= 0)
@@ -124,8 +125,10 @@ def argsort_blocks_profile_oracle(records, g):
         groups.append((slot, by_block, bounds))
     avgs = [np.empty((rows.size, rec["probs"].shape[1])) for rec, (rows, _, _) in zip(records, live)]
     unreachable = 0
+    never = np.iinfo(stats.hop_dtype(g.n)).max
     for b, lo in enumerate(range(0, attending.size, step)):
         dist = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, indices=attending[lo : lo + step])
+        hops = np.where(np.isinf(dist), never, dist).astype(stats.hop_dtype(g.n))
         for rec, (rows, queries, _), (slot, by_block, bounds), avg in zip(records, live, groups, avgs):
             _, heads, _, width = rec["probs"].shape
             chunk = max(1, an.CHUNK_ELEMENTS // (heads * width))
@@ -134,7 +137,7 @@ def argsort_blocks_profile_oracle(records, g):
                 sel = in_block[c : c + chunk]
                 pos = slot[sel] - lo
                 avg[sel], dropped = an._average_distances(
-                    dist[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
+                    hops[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
                 )
                 unreachable += dropped
     entries = []

@@ -12,14 +12,13 @@ from clatt import blockmodel, leiden
 from clatt import training as tr
 from clatt.blockmodel import hierarchical_fit, planted_partition_fit
 from clatt.errors import InputError
-from clatt.graphs import WeightedGraph, from_edges
+from clatt.graphs import WeightedGraph, from_edges, relabel_by_first_occurrence
 from clatt.kmeans import kmeans
 from clatt.leiden import cpm_quality, default_gamma, leiden_cpm
 from clatt.partition import (
     Clustering,
     filter_clusters,
     load_clustering,
-    relabel_by_first_occurrence,
     save_clustering,
 )
 from clatt.similarity import (
@@ -961,3 +960,10 @@ class TestSerialization:
     def test_relabel_by_first_occurrence(self):
         out = relabel_by_first_occurrence(np.array([7, 2, 7, 5, 2]))
         assert out.tolist() == [0, 1, 0, 2, 1]
+
+    @given(st.lists(st.integers(-6, 6), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_relabel_numbers_values_in_order_of_first_appearance(self, values):
+        order = list(dict.fromkeys(values))
+        out = relabel_by_first_occurrence(np.array(values, np.int64))
+        assert out.dtype == np.int64 and out.tolist() == [order.index(v) for v in values]

@@ -284,6 +284,46 @@ class TestLevelLoopEdgeCases:
         dist = assert_exact(path_graph(n), np.array([0, n - 1]), "handoff")
         assert dist.max() == n - 1 < np.iinfo(dtype).max
 
+    def test_block_peak_memory_per_cell(self):
+        # one full block of a 2000-node SBM: 524 sources, hop counts in uint16.
+        # By design the loop holds the result (2 B a cell), 5 bits of state a
+        # cell and two unpacked planes of one word (2 * 64 B a node, 0.24 B a
+        # cell): 2.87 B a cell. The frontier and target words, the CSR index
+        # copy and one gathered frontier add about 0.85 at this size (3.71
+        # measured). The bound leaves 0.29 B a cell (8 %) above that; a
+        # bit-transposed copy of the state, 5 more bits a cell, reaches 4.37.
+        g, _ = sbm_graph([250] * 8, 0.05, 0.002, seed=0)
+        sources = np.arange(stats.block_sources(g.n))
+        assert sources.size == 524 and stats.hop_dtype(g.n) == np.uint16
+        labels, _ = g.components
+        tracemalloc.start()
+        try:
+            stats._level_loop(g.adjacency, sources, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (sources.size * g.n) < 4.0
+
+
+class TestUnpackHops:
+    """_unpack_hops against a per-bit decode of the level loop's state."""
+
+    @pytest.mark.parametrize("k, n", [(1, 200), (63, 200), (64, 200), (65, 200), (130, 200),
+                                      (1, 2000), (65, 2000), (1, 70_000)])
+    def test_matches_per_bit_decode(self, k, n):
+        rng = np.random.default_rng(k * n)
+        words, width = -(-k // 64), -(-(n + 1) // 64) * 64
+        state = rng.integers(0, 1 << 64, size=(5, words, width), dtype=np.uint64)
+        state[:4] &= ~state[4]  # an unseen pair's planes are zero
+        src, node = np.arange(k)[:, None], np.arange(n)[None, :]
+        bits = (state[:, src >> 6, node] >> (src & 63).astype(np.uint64)) & np.uint64(1)  # (5, k, n)
+        dtype = stats.hop_dtype(n)
+        want = (bits[0] + 2 * bits[1] + 4 * bits[2] + 8 * bits[3]).astype(dtype)
+        want[bits[4] == 1] = np.iinfo(dtype).max
+        got = stats._unpack_hops(state, k, n)
+        assert got.dtype == dtype and got.shape == (k, n)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestComponents:
     def test_two_components(self):
