@@ -65,8 +65,8 @@ class AttentionProfile:
 
 
 KINDS = ("cluster", "local", "global")
-# (query, head, target) probabilities reduced at once: bounds the few
-# temporary copies one chunk makes to about 10 MB, whatever the record size.
+# (query, head, target) probabilities reduced at once: the reduction holds
+# two float64 copies of a chunk, about 4 MB, whatever the record size.
 CHUNK_ELEMENTS = 1 << 18
 
 
@@ -77,22 +77,11 @@ def _average_distances(hops, rec, rows, queries):
     them (the dtype's maximum where unreachable); plus the number of attended
     targets dropped because they are unreachable from the query node."""
     mask = rec["mask"][rows]
-    p = rec["probs"][rows, :, queries, :]  # (pairs, heads, S)
+    p = rec["probs"][rows, :, queries, :]  # (pairs, heads, S): a copy
     reachable = hops != np.iinfo(hops.dtype).max
     dropped = int(np.count_nonzero((mask & ~reachable)[:, None, :] & (p > 0)))
-    keep = mask & reachable
-    # Sum each (pair, head) over its kept targets only, packed into rows of
-    # equal length, so the sums round as a 1-D sum over those targets would.
-    count = keep.sum(axis=1)
-    avg = np.empty(p.shape[:2])
-    for c in np.unique(count):
-        sel = count == c
-        ps = p[sel]
-        pick = np.broadcast_to(keep[sel][:, None, :], ps.shape)
-        ds = np.broadcast_to(hops[sel][:, None, :], ps.shape)[pick].reshape(ps.shape[:2] + (c,))
-        ps = ps[pick].reshape(ds.shape)
-        avg[sel] = (ps * ds).sum(axis=-1) / ps.sum(axis=-1)
-    return avg, dropped
+    p *= (mask & reachable)[:, None, :]  # masked and unreachable keys weigh nothing
+    return (p * hops[:, None, :]).sum(axis=-1) / p.sum(axis=-1), dropped
 
 
 def attention_distance_profile(records, g) -> AttentionProfile:
@@ -140,7 +129,7 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     entries = []
     for rec, (_, _, nodes), avg in zip(records, live, avgs):
         entries.extend(
-            AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
+            AttentionEntry(i, rec["layer"], h, rec["kind"], rec["clustering"], a)
             for i, row in zip(nodes.tolist(), avg.tolist())
             for h, a in enumerate(row)
         )
@@ -156,21 +145,15 @@ def profile_model(spec, params_np, data) -> AttentionProfile:
 
 def quantiles(values, qs=DEFAULT_QS) -> list[float]:
     """Linear-interpolation quantiles of the (unsorted) values."""
-    values = np.asarray(list(values), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InputError("quantiles of an empty value list")
-    return [float(np.quantile(values, q)) for q in qs]
+    return np.quantile(values, qs).tolist()
 
 
 def quantile_table(profile: AttentionProfile, qs=DEFAULT_QS) -> str:
     """One row per attention kind (cluster kinds split by clustering)."""
-    groups = []
-    seen = set()
-    for e in profile.entries:
-        key = (e.kind, e.clustering_tag)
-        if key not in seen:
-            seen.add(key)
-            groups.append(key)
+    groups = list(dict.fromkeys((e.kind, e.clustering_tag) for e in profile.entries))
     width = max([len(_group_name(k, t)) for k, t in groups] + [9]) + 2
     header = f"{'attention':<{width}}" + "".join(f"q{q:<7g}" for q in qs)
     lines = [header]
@@ -193,7 +176,7 @@ def export_profile(profile: AttentionProfile, path) -> None:
 
 
 def export_histogram(values, bins, path) -> None:
-    values = np.asarray(list(values), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InputError("histogram of an empty value list")
     counts, edges = np.histogram(values, bins=bins)

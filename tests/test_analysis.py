@@ -150,6 +150,56 @@ def argsort_blocks_profile_oracle(records, g):
     return an.AttentionProfile(entries, unreachable)
 
 
+def random_reduction_case(seed, dtype):
+    """A record and the gathered hop counts of some of its (row, query)
+    pairs: masked slots and unreachable targets (the dtype's maximum) with
+    positive probability, zero-probability keys, and pairs whose only kept
+    target is the query itself. Each query's own slot is kept, at hop 0,
+    with positive probability."""
+    rng = np.random.default_rng(seed)
+    n_rows, heads, n_queries, width = 7, 3, 4, 19
+    never = np.iinfo(dtype).max
+    own = np.stack([rng.permutation(width)[:n_queries] for _ in range(n_rows)])  # each query's own slot
+    mask = rng.random((n_rows, width)) < 0.6
+    mask[:2] = False  # these rows keep only their queries' own slots
+    mask[np.arange(n_rows)[:, None], own] = True
+    probs = rng.random((n_rows, heads, n_queries, width))
+    probs[rng.random(probs.shape) < 0.2] = 0.0
+    probs[np.arange(n_rows)[:, None], :, np.arange(n_queries)[None, :], own] += 0.5
+    rows = rng.integers(0, n_rows, size=40)
+    queries = rng.integers(0, n_queries, size=40)
+    hops = rng.integers(0, never, size=(40, width)).astype(dtype)
+    hops[rng.random(hops.shape) < 0.25] = never
+    hops[:5] = never  # these pairs reach only their query
+    hops[np.arange(40), own[rows, queries]] = 0
+    rec = {"probs": probs, "mask": mask}
+    return hops, rec, rows, queries
+
+
+class TestAverageDistances:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_entry_formula(self, seed, dtype):
+        hops, rec, rows, queries = random_reduction_case(seed, dtype)
+        before = rec["probs"].copy()
+        avg, dropped = an._average_distances(hops, rec, rows, queries)
+        assert np.array_equal(rec["probs"], before)  # the record is not written to
+        reachable = hops != np.iinfo(dtype).max
+        assert not reachable.all() and not rec["mask"].all()
+        want = np.empty(avg.shape)
+        want_dropped = 0
+        for j, (r, q) in enumerate(zip(rows, queries)):
+            k = rec["mask"][r] & reachable[j]
+            d = hops[j].astype(np.float64)
+            for h in range(avg.shape[1]):
+                p = rec["probs"][r, h, q]
+                want[j, h] = (p[k] * d[k]).sum() / p[k].sum()
+                want_dropped += int(np.count_nonzero(rec["mask"][r] & ~reachable[j] & (p > 0)))
+        np.testing.assert_allclose(avg, want, rtol=1e-13, atol=0)
+        assert np.all(avg[:5] == 0.0)  # only the query itself is kept
+        assert dropped == want_dropped > 0
+
+
 class TestProfile:
     @given(st.integers(0, 10_000), st.sampled_from([1, 40, 97, 400, 1 << 18]))
     @settings(max_examples=25, deadline=None)

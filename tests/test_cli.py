@@ -1424,3 +1424,26 @@ def test_no_module_imports_scipy_stats():
     loaded = json.loads(loaded)
     assert {"clatt.cli", "clatt.analysis", "clatt.checkpoint", "clatt.similarity"} <= set(loaded)
     assert not [m for m in loaded if m.startswith("scipy.stats")]
+
+
+STACK_IMPORTS = """
+import importlib, json, pkgutil, sys
+import numpy, scipy.sparse, scipy.sparse.csgraph, scipy.special, scipy.linalg
+before = {m.partition(".")[0] for m in sys.modules}
+import clatt
+for mod in pkgutil.iter_modules(clatt.__path__):
+    importlib.import_module("clatt." + mod.name)
+after = {m.partition(".")[0] for m in sys.modules}
+print(json.dumps(sorted(after - before - set(sys.stdlib_module_names) - {"clatt"})))
+"""
+
+
+def test_numpy_and_scipy_are_the_whole_stack():
+    # numpy, scipy and the standard library are all any clatt module may
+    # import. The scipy modules clatt uses are imported first, because scipy
+    # itself pulls in modules from outside the standard library.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STACK_IMPORTS], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
