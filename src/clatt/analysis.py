@@ -1,12 +1,14 @@
 """Attention-distance profiles, quantile summaries, and CSV exports.
 
 Full attention matrices are materialized only here, never during
-training. Distances are exact BFS hop counts in the underlying graph.
+training. Distances are exact BFS hop counts in the underlying graph, kept
+as arrays: one ``ProfileRecord`` per captured attention record.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +23,7 @@ from .training import predict
 __all__ = [
     "AttentionEntry",
     "AttentionProfile",
+    "ProfileRecord",
     "attention_distance_profile",
     "profile_model",
     "quantiles",
@@ -42,26 +45,39 @@ class AttentionEntry(NamedTuple):
     avg_distance: float
 
 
+class ProfileRecord(NamedTuple):
+    """One attention record's live (row, query) pairs, in (row, query) order."""
+
+    layer: int
+    kind: str
+    clustering_tag: str | None
+    nodes: np.ndarray  # (pairs,): each pair's attending node
+    avg: np.ndarray  # (pairs, heads): its average hop distances, float64
+
+
 @dataclass
 class AttentionProfile:
-    """Per (node, layer, head) attention-weighted average hop distances.
+    """Per (node, layer, head) attention-weighted average hop distances: one
+    ``ProfileRecord`` per attention record, in capture order.
 
     ``unreachable_pairs`` counts attended targets that were dropped (and
     their mass renormalized away) because no path connects them to the
     attending node; it stays 0 on connected graphs.
     """
 
-    entries: list
+    records: list
     unreachable_pairs: int = 0
 
+    @property
+    def entries(self) -> list:
+        """A derived view: one ``AttentionEntry`` per (record, row, query, head)."""
+        return [AttentionEntry(i, r.layer, h, r.kind, r.clustering_tag, a) for r in self.records
+                for i, row in zip(r.nodes.tolist(), r.avg.tolist()) for h, a in enumerate(row)]
+
     def distances(self, kind: str | None = None, clustering_tag: str | None = None) -> np.ndarray:
-        vals = [
-            e.avg_distance
-            for e in self.entries
-            if (kind is None or e.kind == kind)
-            and (clustering_tag is None or e.clustering_tag == clustering_tag)
-        ]
-        return np.asarray(vals, dtype=np.float64)
+        picked = [r.avg.ravel() for r in self.records if (kind is None or r.kind == kind)
+                  and (clustering_tag is None or r.clustering_tag == clustering_tag)]
+        return np.concatenate([np.zeros(0)] + picked)
 
 
 KINDS = ("cluster", "local", "global")
@@ -93,8 +109,8 @@ def attention_distance_profile(records, g) -> AttentionProfile:
     -1 marks a padded query) and the key table ``index_table`` with its
     validity mask ``mask`` (rows, S). Every record kind reduces the same
     way. Padding slots carry no mass and are excluded outright; nodes not
-    assigned to any cluster yield no cluster entries. Entries come in
-    (record, row, query, head) order.
+    assigned to any cluster yield no cluster entries. The profile holds one
+    ``ProfileRecord`` per record, its pairs in (row, query) order.
 
     Distances come from one multi-source BFS per block of attending nodes,
     shared by every record; a block's hop counts fill at most
@@ -126,14 +142,8 @@ def attention_distance_profile(records, g) -> AttentionProfile:
                 )
                 unreachable += dropped
         del hops  # not held while the next block is computed
-    entries = []
-    for rec, (_, _, nodes), avg in zip(records, live, avgs):
-        entries.extend(
-            AttentionEntry(i, rec["layer"], h, rec["kind"], rec["clustering"], a)
-            for i, row in zip(nodes.tolist(), avg.tolist())
-            for h, a in enumerate(row)
-        )
-    return AttentionProfile(entries, unreachable)
+    kept = [ProfileRecord(r["layer"], r["kind"], r["clustering"], nodes, avg) for r, (_, _, nodes), avg in zip(records, live, avgs)]
+    return AttentionProfile(kept, unreachable)
 
 
 def profile_model(spec, params_np, data) -> AttentionProfile:
@@ -153,7 +163,7 @@ def quantiles(values, qs=DEFAULT_QS) -> list[float]:
 
 def quantile_table(profile: AttentionProfile, qs=DEFAULT_QS) -> str:
     """One row per attention kind (cluster kinds split by clustering)."""
-    groups = list(dict.fromkeys((e.kind, e.clustering_tag) for e in profile.entries))
+    groups = list(dict.fromkeys((r.kind, r.clustering_tag) for r in profile.records if r.nodes.size))
     width = max([len(_group_name(k, t)) for k, t in groups] + [9]) + 2
     header = f"{'attention':<{width}}" + "".join(f"q{q:<7g}" for q in qs)
     lines = [header]
@@ -168,11 +178,16 @@ def _group_name(kind: str, tag: str | None) -> str:
 
 
 def export_profile(profile: AttentionProfile, path) -> None:
+    """The rows ``csv.writer`` writes, one per entry, formatted a pair at a
+    time through a template of one row per head that holds the record's
+    layer, kind and tag, with ``{0}`` for the node and ``{h+1}`` for head h."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "layer", "head", "kind", "clustering", "avg_distance"])
-        for e in profile.entries:
-            w.writerow([e.node, e.layer, e.head, e.kind, e.clustering_tag or "", f"{e.avg_distance:.10g}"])
+        csv.writer(fh).writerow(["node", "layer", "head", "kind", "clustering", "avg_distance"])
+        for r in profile.records:
+            layer, kind, tag = (str(f).replace("{", "{{").replace("}", "}}") for f in (r.layer, r.kind, r.clustering_tag or ""))
+            rows = (["{0}", layer, h, kind, tag, "{%d:.10g}" % (h + 1)] for h in range(r.avg.shape[1]))
+            csv.writer(template := io.StringIO()).writerows(rows)  # csv's quoting and line ends
+            fh.write("".join(map(template.getvalue().format, r.nodes.tolist(), *r.avg.T.tolist())))
 
 
 def export_histogram(values, bins, path) -> None:

@@ -140,14 +140,59 @@ def argsort_blocks_profile_oracle(records, g):
                     hops[pos[:, None], rec["index_table"][rows[sel]]], rec, rows[sel], queries[sel]
                 )
                 unreachable += dropped
-    entries = []
-    for rec, (_, _, nodes), avg in zip(records, live, avgs):
-        entries.extend(
-            an.AttentionEntry(i, rec["layer"], h, rec["kind"], rec.get("clustering"), a)
-            for i, row in zip(nodes.tolist(), avg.tolist())
-            for h, a in enumerate(row)
-        )
-    return an.AttentionProfile(entries, unreachable)
+    kept = [
+        an.ProfileRecord(rec["layer"], rec["kind"], rec.get("clustering"), nodes, avg)
+        for rec, (_, _, nodes), avg in zip(records, live, avgs)
+    ]
+    return an.AttentionProfile(kept, unreachable)
+
+
+def assert_same_profile(got, want):
+    """Equal record for record: layer, kind and tag, the node and average
+    arrays in value, dtype and shape, and the unreachable count."""
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.layer, a.kind, a.clustering_tag) == (b.layer, b.kind, b.clustering_tag)
+        for x, y in ((a.nodes, b.nodes), (a.avg, b.avg)):
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    assert got.unreachable_pairs == want.unreachable_pairs
+
+
+def per_entry_csv_oracle(profile, path):
+    """The former export_profile: one csv.writer row per entry."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["node", "layer", "head", "kind", "clustering", "avg_distance"])
+        for e in profile.entries:
+            w.writerow([e.node, e.layer, e.head, e.kind, e.clustering_tag or "", f"{e.avg_distance:.10g}"])
+
+
+def dead_record():
+    """A two-head KM cluster record whose queries are all padding: it has no
+    live pairs."""
+    return {
+        "kind": "cluster",
+        "layer": 0,
+        "clustering": "KM",
+        "probs": np.full((2, 2, 3, 3), 1 / 3),
+        "nodes": np.full((2, 3), -1),
+        "index_table": np.zeros((2, 3), dtype=np.int64),
+        "mask": np.ones((2, 3), dtype=bool),
+    }
+
+
+def local_cycle_record(n, layer):
+    """Each node of an n-cycle attends evenly to itself and its two neighbours."""
+    table = np.stack([np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n], axis=1)
+    return {
+        "kind": "local",
+        "layer": layer,
+        "clustering": None,
+        "probs": np.full((n, 1, 1, 3), 1 / 3),
+        "nodes": np.arange(n)[:, None],
+        "index_table": table,
+        "mask": np.ones((n, 3), dtype=bool),
+    }
 
 
 def random_reduction_case(seed, dtype):
@@ -216,8 +261,7 @@ class TestProfile:
             mp.setattr(stats, "BLOCK_DISTANCES", block_distances)
             got = an.attention_distance_profile(records, g)
             want = argsort_blocks_profile_oracle(records, g)
-        assert got.entries == want.entries
-        assert got.unreachable_pairs == want.unreachable_pairs
+        assert_same_profile(got, want)
 
     def test_self_only_attention_is_zero(self):
         g = cycle_graph(4)
@@ -278,8 +322,7 @@ class TestProfile:
         default = an.attention_distance_profile(records, g)
         set_block_sources(monkeypatch, g.n, block_nodes)
         blocked = an.attention_distance_profile(records, g)
-        assert blocked.entries == default.entries
-        assert blocked.unreachable_pairs == default.unreachable_pairs
+        assert_same_profile(blocked, default)
         assert_matches_oracle(blocked, records, g)
 
     def test_one_bfs_per_attending_node_across_records(self, monkeypatch):
@@ -308,16 +351,7 @@ class TestProfile:
         # node would hold n^2 floats (72 MB)
         g = cycle_graph(3000)
         n = g.n
-        table = np.stack([np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n], axis=1)
-        rec = {
-            "kind": "local",
-            "layer": 0,
-            "clustering": None,
-            "probs": np.full((n, 1, 1, 3), 1 / 3),
-            "nodes": np.arange(n)[:, None],
-            "index_table": table,
-            "mask": np.ones((n, 3), dtype=bool),
-        }
+        rec = local_cycle_record(n, 0)
         tracemalloc.start()
         try:
             profile = an.attention_distance_profile([rec], g)
@@ -387,8 +421,7 @@ class TestProfile:
         whole = an.attention_distance_profile(records, g)
         monkeypatch.setattr(an, "CHUNK_ELEMENTS", 5)  # one or two pairs per chunk
         chunked = an.attention_distance_profile(records, g)
-        assert chunked.entries == whole.entries
-        assert chunked.unreachable_pairs == whole.unreachable_pairs
+        assert_same_profile(chunked, whole)
 
     def test_unassigned_nodes_skipped(self):
         g = complete_graph(6)
@@ -433,8 +466,7 @@ class TestProfile:
         records = cluster_records(g, [0, 0, 0, 1, 1, 1, -1, 2, 2, 2], d=4, seed=3)
         a = an.attention_distance_profile(records, g)
         b = an.attention_distance_profile(records, g)
-        assert a.entries == b.entries
-        assert a.unreachable_pairs == b.unreachable_pairs
+        assert_same_profile(a, b)
 
     def test_unknown_kind_error(self):
         with pytest.raises(ValueError, match="kind"):
@@ -447,6 +479,50 @@ class TestProfile:
         assert profile.distances("global").size == 5
         assert profile.distances("cluster", "LA").size == 10
         assert profile.distances().size == 15
+
+    def test_entries_are_a_view_of_the_records(self):
+        g = bridge_of_cliques([4, 3])
+        lgt, ggt = lgt_and_ggt_records(g, [0, 0, 0, 0, 1, 1, -1], layers=2)
+        profile = an.attention_distance_profile(lgt + ggt, g)
+        want = []
+        for r in profile.records:
+            assert r.nodes.shape == (r.avg.shape[0],) and r.avg.dtype == np.float64
+            for p in range(r.nodes.size):
+                for h in range(r.avg.shape[1]):
+                    want.append((int(r.nodes[p]), r.layer, h, r.kind, r.clustering_tag, float(r.avg[p, h])))
+        entries = profile.entries
+        assert [tuple(e) for e in entries] == want
+        assert all(type(e.node) is int and type(e.avg_distance) is float for e in entries)
+        assert len(entries) == profile.distances().size
+        assert profile.distances().tolist() == [e.avg_distance for e in entries]
+        for kind, tag in {(e.kind, e.clustering_tag) for e in entries}:
+            picked = [e.avg_distance for e in entries if e.kind == kind and e.clustering_tag == tag]
+            assert profile.distances(kind, tag).tolist() == picked
+
+    def test_zero_pair_record_adds_no_rows_and_no_group(self, tmp_path):
+        g = cycle_graph(5)
+        records = [dead_record(), local_cycle_record(5, 0), global_record(np.full((1, 5, 5), 0.2)), local_cycle_record(5, 1)]
+        profile = an.attention_distance_profile(records, g)
+        dead = profile.records[0]
+        assert dead.nodes.shape == (0,) and dead.avg.shape == (0, 2)
+        assert (dead.kind, dead.clustering_tag) == ("cluster", "KM")
+        assert profile.distances("cluster").size == 0
+        assert len(profile.entries) == profile.distances().size == 5 + 5 + 5
+        groups = [line.split()[0] for line in an.quantile_table(profile).splitlines()[1:]]
+        assert groups == ["local", "global"]  # first appearance; no cluster[KM]
+        an.export_profile(profile, tmp_path / "profile.csv")
+        with open(tmp_path / "profile.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 15
+        assert [row[3] for row in rows[1:]] == ["local"] * 5 + ["global"] * 5 + ["local"] * 5
+
+    def test_profile_without_pairs_has_empty_distances(self):
+        dead = an.attention_distance_profile([dead_record()], cycle_graph(4))
+        for profile in (an.AttentionProfile([]), dead):
+            got = profile.distances()
+            assert got.dtype == np.float64 and got.shape == (0,)
+            assert profile.entries == []
+            assert "\n" not in an.quantile_table(profile)  # the header alone
 
 
 class TestProfileModel:
@@ -553,3 +629,37 @@ class TestExports:
         assert rows[0] == ["node", "layer", "head", "kind", "clustering", "avg_distance"]
         assert len(rows) == 1 + len(profile.entries)
         assert rows[1][3] == "global"
+
+    def test_profile_csv_bytes_match_per_entry_csv_writer(self, tmp_path):
+        # several layers and kinds, no tag, tags csv must quote (a comma, a
+        # quote) and one with format braces, 1 and 3 heads, a record with no
+        # live pairs, and values that exercise the .10g format
+        nan = float("nan")
+        profile = an.AttentionProfile(
+            [
+                an.ProfileRecord(0, "local", None, np.array([3, 0, 7]), np.array([[0.0], [2.0], [1e-7]])),
+                an.ProfileRecord(
+                    0, "cluster", "LA,BPP", np.array([1, 4]), np.array([[123456.78901234, nan, 0.0], [2.0, 1e-7, 1 / 3]])
+                ),
+                an.ProfileRecord(1, "cluster", "LA,BPP", np.zeros(0, np.int64), np.zeros((0, 3))),
+                an.ProfileRecord(1, "cluster", 'K"M{0}}', np.array([2]), np.array([[nan, 123456.78901234, 2.0]])),
+                an.ProfileRecord(12, "global", None, np.array([5, 1999]), np.array([[1e-7], [0.0]])),
+            ],
+            unreachable_pairs=3,
+        )
+        an.export_profile(profile, tmp_path / "got.csv")
+        per_entry_csv_oracle(profile, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 3 + 6 + 3 + 2
+        assert b',"LA,BPP",nan\r\n' in got and b',"K""M{0}}",' in got
+        assert got.endswith(b"5,12,0,global,,1e-07\r\n1999,12,0,global,,0\r\n")
+
+    def test_profile_csv_bytes_match_per_entry_csv_writer_on_model_records(self, tmp_path):
+        g = erdos_renyi(30, 0.1, seed=5)
+        assignment = np.random.default_rng(5).integers(-1, 4, size=g.n)
+        lgt, ggt = lgt_and_ggt_records(g, assignment, layers=2)
+        profile = an.attention_distance_profile(lgt + ggt, g)
+        an.export_profile(profile, tmp_path / "got.csv")
+        per_entry_csv_oracle(profile, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
