@@ -287,6 +287,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "started": started,
         "versions": record.versions(),
+        "malloc": tr.malloc_setting,
         "seeds": {"runs": list(cfg.seeds), "split": cfg.split.seed,
                   "clusterings": {tag: cfg.clustering_params(tag)["seed"] for tag in cfg.needed_tags()}},
         "records": records,
@@ -449,6 +450,7 @@ USER_ERRORS = (
 
 
 def main(argv=None) -> int:
+    tr.keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,8 +6,11 @@ records its output on an implicit tape; backward() walks that tape once in
 reverse execution order. The first recorded op after a backward() starts a
 new tape and cuts the consumed one, and so does entering a no_grad() block,
 so a step's activations are freed as soon as the next step's forward pass
-begins or an evaluation pass starts. A tape that backward() has not consumed
-yet is never cut.
+begins or an evaluation pass starts. Freed, they stay in the process heap for
+the next op to reuse once ``training.keep_freed_memory`` has raised glibc's
+malloc thresholds (``clatt.cli.main`` and the ``--jobs`` workers call it);
+under glibc's defaults each large one goes back to the OS and the next op
+faults it in again. A tape that backward() has not consumed yet is never cut.
 Every tensor holds float64 data; other inputs are converted.
 """
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import importlib
 import inspect
@@ -669,7 +670,8 @@ class TestTrainCommand:
         sizes = []
 
         class SequentialPool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer):
+                assert initializer is tr.keep_freed_memory
                 sizes.append(processes)
 
             def __enter__(self):
@@ -1310,6 +1312,9 @@ class TestRunDirectory:
         assert first["seeds"] == {"runs": [0, 1], "split": 0, "clusterings": {"LA": 0}}
         assert set(first["versions"]) == {"numpy", "scipy", "blas", "blas_threads", "clatt_sources"}
         assert set(first["versions"]["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        # cli.main applied the malloc thresholds, or found no mallopt (null)
+        applied = {"M_MMAP_THRESHOLD": tr.MMAP_THRESHOLD, "M_TRIM_THRESHOLD": tr.TRIM_THRESHOLD}
+        assert first["malloc"] == (applied if has_mallopt() else None)
         assert {"setup", "training", "checkpoints"} <= set(first["phases_s"])
 
     def test_records_are_keyed_on_the_blas_thread_setting(self, tmp_path):
@@ -1424,6 +1429,49 @@ def test_no_module_imports_scipy_stats():
     loaded = json.loads(loaded)
     assert {"clatt.cli", "clatt.analysis", "clatt.checkpoint", "clatt.similarity"} <= set(loaded)
     assert not [m for m in loaded if m.startswith("scipy.stats")]
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+IMPORT_RECORDING_CDLL = """
+import ctypes, importlib, json, pkgutil
+import numpy, scipy.sparse, scipy.sparse.csgraph, scipy.special, scipy.linalg
+calls = []
+
+class Recorder:
+    def __init__(self, name, *args, **kwargs):
+        calls.append(("CDLL", name))
+
+    def __getattr__(self, symbol):
+        return lambda *args: calls.append((symbol, args)) or 1
+
+ctypes.CDLL = Recorder
+import clatt
+for mod in pkgutil.iter_modules(clatt.__path__):
+    importlib.import_module("clatt." + mod.name)
+on_import = list(calls)
+clatt.training.keep_freed_memory()
+print(json.dumps([on_import, calls[len(on_import):]]))
+"""
+
+
+def test_importing_clatt_leaves_the_allocator_alone():
+    # only clatt.cli.main and the train_runs pool workers call mallopt; a
+    # library caller keeps its process's allocator
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_RECORDING_CDLL], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    on_import, setter = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not [c for c in on_import if c[0] == "mallopt"]
+    # the recorder does see the calls the setter makes
+    assert [c for c in setter if c[0] == "mallopt"] == [
+        ["mallopt", [tr.M_MMAP_THRESHOLD, tr.MMAP_THRESHOLD]], ["mallopt", [tr.M_TRIM_THRESHOLD, tr.TRIM_THRESHOLD]]]
 
 
 STACK_IMPORTS = """

@@ -1,7 +1,13 @@
 """Splits, metrics, the training loop, model selection, aggregation."""
 
+import ctypes
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -698,3 +704,97 @@ class TestTrainData:
         assert tr.metric_name_for("multiclass") == "accuracy"
         assert tr.metric_name_for("binary") == "average_precision"
         assert tr.metric_name_for("regression") == "r2"
+
+
+def run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports clatt from src; its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Replays real training steps: a plain alloc/free loop does not show the
+# setting, since glibc's dynamic mmap threshold already reuses a repeated
+# array. Without the setting this probe reads about 4 700 minor faults a step.
+STEP_FAULTS = """
+import json, resource
+import numpy as np
+from clatt import nn, tensor as T, training as tr
+from clatt.partition import Clustering
+from clatt.synthetic import noisy_onehot_features, sbm_graph
+
+setting = tr.keep_freed_memory()
+g, labels = sbm_graph([100] * 4, 0.1, 0.01, seed=0)
+x = noisy_onehot_features(labels, 4, sigma=0.5, seed=0)
+spec = nn.ModelSpec("GCN", use_clatt=True, clusterings=("LA",), layers=2, hidden=64, heads=4, lr=3e-3)
+params = nn.init_params(spec, x.shape[1], 4, seed=0)
+inp = nn.prepare_inputs(g, x, spec, {"LA": Clustering(labels, algorithm_tag="LA")})
+plist = list(params.values())
+state = T.adam_init(plist)
+rng = np.random.default_rng(0)
+
+def step():
+    T.zero_grad(plist)
+    logits = nn.model_forward(spec, params, inp, training=True, dropout_rng=rng)
+    T.backward(T.softmax_cross_entropy(logits, labels, np.arange(g.n)))
+    T.adam_step(plist, state, lr=spec.lr)
+    with T.no_grad():
+        nn.model_forward(spec, params, inp)
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"setting": setting, "faults_per_step": faults / 5}))
+"""
+
+TRAIN_RUNS_UNDER_SPAWN = """
+import multiprocessing as mp
+import numpy as np
+from clatt import nn, training as tr
+from clatt.partition import Clustering
+from clatt.synthetic import bridge_of_cliques, noisy_onehot_features
+
+if __name__ == "__main__":
+    mp.set_start_method("spawn")
+    labels = np.repeat([0, 1], 16)
+    x = noisy_onehot_features(labels, 2, sigma=0.05, seed=7)
+    data = tr.TrainData(bridge_of_cliques([16, 16]), x, labels, "multiclass", num_classes=2,
+                        clusterings={"LA": Clustering(labels, algorithm_tag="LA")})
+    split = tr.make_split(labels, ratios=(0.5, 0.25, 0.25), seed=0)
+    specs = [nn.ModelSpec("GCN", layers=1, hidden=8, heads=2, lr=3e-3),
+             nn.ModelSpec("GCN", use_clatt=True, clusterings=("LA",), layers=1, hidden=8, heads=2, lr=3e-3)]
+    runs = [(spec, data, split, seed, 10, 5, seed == 0) for spec in specs for seed in (0, 1)]
+    serial, pooled = tr.train_runs(runs, jobs=1), tr.train_runs(runs, jobs=2)
+    for (val, test, params), (pval, ptest, pparams) in zip(serial, pooled, strict=True):
+        assert (val, test) == (pval, ptest), ((val, test), (pval, ptest))
+        assert (params is None) == (pparams is None)
+        if params is not None:
+            assert sorted(params) == sorted(pparams)
+            assert all(np.array_equal(params[k], pparams[k]) for k in params)
+    print(len(pooled))
+"""
+
+
+class TestAllocator:
+    def test_training_steps_stop_refaulting_their_arrays(self):
+        result = json.loads(run_python(STEP_FAULTS))
+        if result["setting"] is None:
+            pytest.skip("no glibc mallopt")
+        assert result["setting"] == {"M_MMAP_THRESHOLD": tr.MMAP_THRESHOLD, "M_TRIM_THRESHOLD": tr.TRIM_THRESHOLD}
+        assert result["faults_per_step"] <= 200
+
+    def test_without_mallopt_it_changes_nothing_and_says_nothing(self, monkeypatch, capfd):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        before = tr.malloc_setting
+        assert tr.keep_freed_memory() is None
+        assert tr.malloc_setting == before
+        assert capfd.readouterr() == ("", "")
+
+    def test_spawn_pool_returns_what_serial_runs_return(self):
+        # the pool pickles the run tuples and starts every worker with
+        # keep_freed_memory; neither may change a result
+        assert run_python(TRAIN_RUNS_UNDER_SPAWN).split() == ["4"]
